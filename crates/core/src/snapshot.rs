@@ -51,7 +51,10 @@ use crate::processor::{ProcPhase, SendInProgress};
 ///
 /// Version 3: wire messages and send specs carry the connection id the
 /// connection-aware NIs (RDMA queue pairs) stage per fragment.
-pub const SNAPSHOT_VERSION: u64 = 3;
+///
+/// Version 4: cache lines stored sparsely — the slot count plus only the
+/// slots that differ from an empty line, as `[slot, tag, state, lru]`.
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -410,6 +413,21 @@ fn event_from_json(v: &Json) -> Option<MachineEvent> {
             let _ = other;
             None
         }
+    }
+}
+
+/// True if every node `ev` names — the node its handler runs on, and
+/// both ends of a wire message — is one of the machine's `nodes`.
+fn event_nodes_in_range(ev: &MachineEvent, nodes: usize) -> bool {
+    let wire_ok = |w: &WireMsg| w.src.index() < nodes && w.dst.index() < nodes;
+    match ev {
+        MachineEvent::Arrival { wire, .. } | MachineEvent::ReturnArrival { wire } => wire_ok(wire),
+        MachineEvent::ProcRun { .. }
+        | MachineEvent::AckArrival { .. }
+        | MachineEvent::AckTimeout { .. }
+        | MachineEvent::DepositDone { .. }
+        | MachineEvent::Retry { .. }
+        | MachineEvent::NodeCrash { .. } => ev.node_of() < nodes,
     }
 }
 
@@ -1056,6 +1074,9 @@ pub fn restore(
         else {
             return Err(mal("sim event"));
         };
+        if !event_nodes_in_range(&ev, machine.nodes.len()) {
+            return Err(mal("sim event node out of range"));
+        }
         if Time::from_ns(at) < now {
             return Err(mal("sim event in the past"));
         }

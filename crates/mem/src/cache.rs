@@ -77,7 +77,7 @@ pub struct CacheStats {
     pub snoop_invalidations: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Line {
     tag: u64,
     state: MoesiState,
@@ -370,16 +370,25 @@ impl Cache {
         }
     }
 
-    /// Serialises the dynamic state — every slot's `(tag, state, lru)`
-    /// raw (the public [`Cache::iter`] loses LRU order), the LRU clock,
-    /// the stats, the visit bitmap and, when enabled, the stall metrics.
-    /// Geometry is derived from the config and not included.
+    /// Serialises the dynamic state — the slot count, every slot that
+    /// differs from an empty line as `[slot, tag, state, lru]` in
+    /// ascending slot order (the public [`Cache::iter`] loses LRU order),
+    /// the LRU clock, the stats, the visit bitmap and, when enabled, the
+    /// stall metrics. Geometry is derived from the config and not
+    /// included.
+    ///
+    /// Invalid lines that kept a stale tag or lru are written too:
+    /// lookups ignore them, but storing them makes save → restore → save
+    /// a byte-for-byte fixed point.
     pub fn snapshot(&self) -> Json {
         let lines = Json::Arr(
             self.sets
                 .iter()
-                .map(|l| {
+                .enumerate()
+                .filter(|(_, l)| **l != EMPTY)
+                .map(|(slot, l)| {
                     Json::Arr(vec![
+                        Json::from(slot as u64),
                         Json::from(l.tag),
                         Json::from(l.state.index()),
                         Json::from(l.lru),
@@ -388,6 +397,7 @@ impl Cache {
                 .collect(),
         );
         let mut v = Json::obj()
+            .set("slots", self.sets.len() as u64)
             .set("lines", lines)
             .set("clock", self.clock)
             .set("hits", self.stats.hits)
@@ -403,30 +413,41 @@ impl Cache {
 
     /// Restores state captured by [`Cache::snapshot`] into a cache built
     /// with the same configuration (and the same metrics enablement).
-    /// Returns `false` on any shape mismatch; the cache contents are
-    /// unspecified afterwards and the caller must discard it.
+    /// Returns `false` on any shape mismatch — a slot count other than
+    /// this cache's, a slot out of range, repeated or out of ascending
+    /// order, or an unknown state; the cache contents are unspecified
+    /// afterwards and the caller must discard it.
     pub fn restore(&mut self, v: &Json) -> bool {
-        let Some(lines) = v.get("lines").and_then(Json::as_arr) else {
+        let (Some(slots), Some(lines)) = (
+            v.get("slots").and_then(Json::as_u64),
+            v.get("lines").and_then(Json::as_arr),
+        ) else {
             return false;
         };
-        if lines.len() != self.sets.len() {
+        if slots != self.sets.len() as u64 {
             return false;
         }
-        for (slot, line) in self.sets.iter_mut().zip(lines) {
-            let Some(parts) = line.as_arr() else {
+        self.sets.fill(EMPTY);
+        let mut next = 0; // lowest slot the next entry may name
+        for line in lines {
+            let Some([slot, tag, state, lru]) =
+                line.as_arr().and_then(|a| <&[Json; 4]>::try_from(a).ok())
+            else {
                 return false;
             };
-            let [tag, state, lru] = parts else {
-                return false;
-            };
-            let (Some(tag), Some(idx), Some(lru)) = (tag.as_u64(), state.as_u64(), lru.as_u64())
+            let (Some(slot), Some(tag), Some(idx), Some(lru)) =
+                (slot.as_u64(), tag.as_u64(), state.as_u64(), lru.as_u64())
             else {
                 return false;
             };
             let Some(&state) = MoesiState::ALL.get(idx as usize) else {
                 return false;
             };
-            *slot = Line { tag, state, lru };
+            if slot < next || slot >= slots {
+                return false;
+            }
+            self.sets[slot as usize] = Line { tag, state, lru };
+            next = slot + 1;
         }
         let field = |key: &str| v.get(key).and_then(Json::as_u64);
         let (Some(clock), Some(hits), Some(misses), Some(dirty), Some(snoops), Some(visited)) = (
@@ -520,6 +541,118 @@ mod tests {
         assert!(!wrong.restore(&snap));
         let mut again = Cache::new(CacheConfig::fully_associative(2, 64));
         assert!(!again.restore(&Json::obj().set("clock", 1u64)));
+    }
+
+    /// `snap` with the value under `key` replaced.
+    fn with_field(snap: &Json, key: &str, value: Json) -> Json {
+        let Json::Obj(pairs) = snap else {
+            panic!("cache snapshot is an object");
+        };
+        Json::Obj(
+            pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), if k == key { value.clone() } else { v.clone() }))
+                .collect(),
+        )
+    }
+
+    fn entry(parts: &[u64]) -> Json {
+        Json::Arr(parts.iter().map(|&p| Json::from(p)).collect())
+    }
+
+    #[test]
+    fn sparse_snapshot_round_trips_stale_invalid_lines() {
+        let mut c = small();
+        let (b0, b1) = (block(&c, 0x40), block(&c, 0xC0));
+        c.insert(b0, MoesiState::Modified);
+        c.insert(b1, MoesiState::Shared);
+        c.lookup(b0);
+        c.invalidate(b1); // slot 3 keeps its tag and lru while Invalid
+        let snap = c.snapshot();
+        let invalid = MoesiState::Invalid.index() as u64;
+        let modified = MoesiState::Modified.index() as u64;
+        assert_eq!(snap.get("slots").and_then(Json::as_u64), Some(4));
+        assert_eq!(
+            snap.get("lines").unwrap().to_compact(),
+            Json::Arr(vec![
+                entry(&[1, 0x40, modified, 3]),
+                entry(&[3, 0xC0, invalid, 2]),
+            ])
+            .to_compact()
+        );
+
+        let text = snap.to_compact();
+        let mut fresh = small();
+        assert!(fresh.restore(&nisim_engine::json::parse(&text).unwrap()));
+        assert_eq!(fresh.snapshot().to_compact(), text, "save-restore-save");
+        assert_eq!(fresh.state_of(b0), MoesiState::Modified);
+        assert!(!fresh.contains(b1));
+        assert_eq!(fresh.valid_lines(), 1);
+
+        // Restore overwrites: lines absent from the snapshot come back empty.
+        let mut dirty = small();
+        dirty.insert(block(&dirty, 0x80), MoesiState::Exclusive);
+        assert!(dirty.restore(&snap));
+        assert_eq!(dirty.snapshot().to_compact(), text);
+    }
+
+    #[test]
+    fn sparse_restore_rejects_malformed_lines() {
+        let mut c = small();
+        c.insert(block(&c, 0x40), MoesiState::Exclusive);
+        let snap = c.snapshot();
+        let exclusive = MoesiState::Exclusive.index() as u64;
+        let lines = |entries: Vec<Json>| with_field(&snap, "lines", Json::Arr(entries));
+        let cases = [
+            ("wrong slots", with_field(&snap, "slots", Json::from(8u64))),
+            ("missing slots", {
+                let Json::Obj(pairs) = &snap else {
+                    unreachable!()
+                };
+                Json::Obj(
+                    pairs
+                        .iter()
+                        .filter(|(k, _)| k != "slots")
+                        .cloned()
+                        .collect(),
+                )
+            }),
+            (
+                "out-of-range slot",
+                lines(vec![entry(&[4, 0x100, exclusive, 1])]),
+            ),
+            (
+                "repeated slot",
+                lines(vec![
+                    entry(&[1, 0x40, exclusive, 1]),
+                    entry(&[1, 0x140, exclusive, 2]),
+                ]),
+            ),
+            (
+                "descending slot",
+                lines(vec![
+                    entry(&[2, 0x80, exclusive, 2]),
+                    entry(&[1, 0x40, exclusive, 1]),
+                ]),
+            ),
+            ("bad state index", lines(vec![entry(&[1, 0x40, 99, 1])])),
+            ("short entry", lines(vec![entry(&[1, 0x40, exclusive])])),
+            (
+                "long entry",
+                lines(vec![entry(&[1, 0x40, exclusive, 1, 0])]),
+            ),
+        ];
+        let mut fresh = small();
+        assert!(fresh.restore(&snap), "control snapshot must restore");
+        for (what, bad) in cases {
+            assert!(!small().restore(&bad), "{what} must be rejected");
+        }
+    }
+
+    #[test]
+    fn empty_paper_cache_snapshot_is_compact() {
+        let text = Cache::new(CacheConfig::default()).snapshot().to_compact();
+        assert!(text.len() < 256, "{} bytes: {text}", text.len());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! The container is offline (no proptest), so the generator is a small
 //! hand-rolled LCG — deterministic, so failures reproduce exactly.
 
-use nisim_core::snapshot::{restore, save, SnapshotError};
+use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
 use nisim_engine::{json, Dur, Time};
 use nisim_net::{BufferCount, NodeId, ReceiverDedup, ReliabilityConfig, SeqNo};
@@ -139,8 +139,8 @@ fn any_config_perturbation_is_rejected_at_restore() {
     }
 }
 
-/// Version-3 snapshots carry the connection id on every wire message.
-/// A snapshot stamped with the previous version must be rejected as a
+/// Version-4 snapshots store cache lines sparsely. A snapshot stamped
+/// with the previous version must be rejected as a
 /// [`SnapshotError::Version`], and a wire `conn` forged past `u32::MAX`
 /// must be rejected as [`SnapshotError::Malformed`] — never silently
 /// truncated into a valid connection.
@@ -150,13 +150,16 @@ fn stale_version_and_forged_conn_are_rejected() {
     let snap = mid_run_snapshot(&cfg);
     let mk = |c: &MachineConfig| factory(MacroApp::Em3d, c.nodes, c.seed, snap_params());
 
-    let stale = json::parse(&snap.to_compact().replace("\"version\":3", "\"version\":2")).unwrap();
+    let current = format!("\"version\":{SNAPSHOT_VERSION}");
+    let text = snap.to_compact();
+    assert!(text.contains(&current));
+    let stale = json::parse(&text.replace(&current, "\"version\":3")).unwrap();
     assert!(
         matches!(
             restore(cfg.clone(), mk(&cfg), &stale),
-            Err(SnapshotError::Version { found: 2 })
+            Err(SnapshotError::Version { found: 3 })
         ),
-        "a version-2 stamp must be refused"
+        "a version-3 stamp must be refused"
     );
 
     // Tamper the first in-flight wire message's conn. Cuts grow until
@@ -174,20 +177,10 @@ fn stale_version_and_forged_conn_are_rejected() {
         m.start(&mut sim);
         m.run_slice(&mut sim, Time::from_ns(60_000_000_000), budget);
         let text = save(&m, &mut sim).expect("snapshot").to_compact();
-        let Some(pos) = text.find("\"conn\":") else {
+        let Some(forged) = forge_number(&text, "\"conn\":", "\"conn\":", u64::from(u32::MAX) + 1)
+        else {
             continue;
         };
-        let digits = pos + "\"conn\":".len();
-        let end = digits
-            + text[digits..]
-                .find(|c: char| !c.is_ascii_digit())
-                .expect("conn digits end");
-        let forged = format!(
-            "{}{}{}",
-            &text[..digits],
-            u64::from(u32::MAX) + 1,
-            &text[end..]
-        );
         let got = restore(qcfg.clone(), mk(&qcfg), &json::parse(&forged).unwrap());
         assert!(
             matches!(got, Err(SnapshotError::Malformed(_))),
@@ -201,6 +194,68 @@ fn stale_version_and_forged_conn_are_rejected() {
         tampered_once,
         "no cut caught a wire message in flight to tamper with"
     );
+}
+
+/// Replaces the number after the first `key` at or past the first
+/// `anchor` in `text` with `value`; `None` if either is absent.
+fn forge_number(text: &str, anchor: &str, key: &str, value: u64) -> Option<String> {
+    let at = text.find(anchor)?;
+    let digits = at + text[at..].find(key)? + key.len();
+    let end = digits + text[digits..].find(|c: char| !c.is_ascii_digit())?;
+    Some(format!("{}{value}{}", &text[..digits], &text[end..]))
+}
+
+/// A pending event that names a node the machine does not have — the
+/// node a handler runs on, or either end of a wire message — must be
+/// rejected as [`SnapshotError::Malformed`] at restore, not accepted and
+/// left to index out of bounds once the resumed run fires it.
+#[test]
+fn forged_event_node_indices_are_rejected() {
+    use nisim_net::{CrashWindow, FaultConfig};
+    // A crash window far in the future keeps a node_crash event pending
+    // at every cut.
+    let cfg = base_config()
+        .fault(FaultConfig {
+            crash: vec![CrashWindow {
+                start: Time::from_ns(50_000_000_000),
+                end: Time::from_ns(50_000_001_000),
+                node: NodeId(1),
+            }],
+            ..FaultConfig::default()
+        })
+        .reliability(ReliabilityConfig::on());
+    let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, snap_params());
+    let targets = [
+        ("\"t\":\"proc_run\"", "\"node\":"),
+        ("\"t\":\"deposit_done\"", "\"dst\":"),
+        ("\"t\":\"node_crash\"", "\"node\":"),
+        ("\"t\":\"arrival\"", "\"src\":"),
+        ("\"t\":\"arrival\"", "\"dst\":"),
+    ];
+    let mut forged_kinds = vec![false; targets.len()];
+    for budget in [25u64, 100, 400, 1600, 6400] {
+        let mut m = Machine::new(cfg.clone(), mk());
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        m.run_slice(&mut sim, Time::from_ns(60_000_000_000), budget);
+        let text = save(&m, &mut sim).expect("snapshot").to_compact();
+        assert!(restore(cfg.clone(), mk(), &json::parse(&text).unwrap()).is_ok());
+        for (i, (anchor, key)) in targets.iter().enumerate() {
+            let Some(forged) = forge_number(&text, anchor, key, 90) else {
+                continue;
+            };
+            let got = restore(cfg.clone(), mk(), &json::parse(&forged).unwrap());
+            assert!(
+                matches!(got, Err(SnapshotError::Malformed(_))),
+                "{anchor} {key}90 at budget {budget}: got {:?}",
+                got.map(|_| "Ok(machine)")
+            );
+            forged_kinds[i] = true;
+        }
+    }
+    for ((anchor, key), hit) in targets.iter().zip(forged_kinds) {
+        assert!(hit, "no cut held a {anchor} event to forge {key} in");
+    }
 }
 
 /// The fingerprint binds the snapshot to a *semantic* configuration, not
