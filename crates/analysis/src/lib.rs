@@ -14,26 +14,14 @@
 //! * [`lint`] — a tokenizer-based source lint enforcing determinism
 //!   (no hash-order leaks, no wall clock, no float transcendentals, no
 //!   stray threads or shared-state locks) and robustness (no panics in
-//!   hot paths, no wildcard dispatch arms);
-//! * [`epoch_check`] — bounded model checking of the conservative
-//!   epoch-merge algorithm behind the parallel engine: exhaustive lane
-//!   interleavings must replay to the unique serial order, and mid-epoch
-//!   checkpoint cuts must commute with the merge (snapshot
-//!   bisimulation);
-//! * [`audit`] — replay verification of real runs' footprint-audit
-//!   logs: per-epoch cross-lane read/write disjointness, the lookahead
-//!   rule, and merge-order shape over the 12-NI × 3-app grid.
+//!   hot paths, no wildcard dispatch arms).
 //!
-//! Run via `cargo run -p nisim-analysis -- check|epoch-check|audit|lint|selftest`.
+//! Run via `cargo run -p nisim-analysis -- check|lint|selftest`.
 
-pub mod audit;
-pub mod epoch_check;
 pub mod lint;
 pub mod moesi_check;
 pub mod protocol_check;
 
-pub use audit::{audit_grid, check_log, AuditOutcome};
-pub use epoch_check::{EpochCheckOutcome, EpochChecker};
 pub use lint::{lint_tree, parse_allowlist, render_allowlist, LintOutcome};
 pub use moesi_check::{CheckOutcome, MoesiChecker};
 pub use protocol_check::ProtocolConfig;

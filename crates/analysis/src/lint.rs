@@ -37,14 +37,10 @@
 //!   (`bench` and `cli` write goldens, records and traces by design.)
 //! * `sync-primitives` — `std::sync` locks, atomics, channels and
 //!   lazy-init cells are banned in the sim-state crates
-//!   (`engine`/`mem`/`net`/`core`) outside `crates/core/src/epoch.rs`:
-//!   the epoch driver is the single sanctioned concurrency boundary,
-//!   and it only parallelizes windows it can replay back into the
-//!   exact serial order. A lock or atomic anywhere else lets
-//!   thread-timing-ordered state leak into records and goldens.
-//!   (`workloads` and `bench` may use `Arc<Mutex<...>>` for collecting
-//!   results after a run; that data never feeds back into the
-//!   simulation.)
+//!   (`engine`/`mem`/`net`/`core`): every simulation runs on one
+//!   thread, and a lock or atomic there would let thread-timing-ordered
+//!   state leak into records and goldens. (`workloads` and `bench` are
+//!   covered by `thread-spawn` and `arc-mutex` instead.)
 //! * `float-transcendental` — `.ln()`/`.exp()`/`.powf()` and friends
 //!   are banned in the sim crates outside
 //!   `crates/workloads/src/traffic.rs`: transcendentals go through
@@ -54,15 +50,14 @@
 //!   alternative. (IEEE-exact operations — `sqrt`, arithmetic — stay
 //!   legal.)
 //! * `thread-spawn` — `thread::spawn`/`thread::scope`/`thread::Builder`
-//!   are banned everywhere except the epoch driver
-//!   (`crates/core/src/epoch.rs`) and the sweep harness
-//!   (`crates/bench/src/harness.rs`): a thread started anywhere else is
-//!   concurrency the epoch replay cannot see, let alone serialize.
-//! * `arc-mutex` — `Arc<Mutex<...>>`/`Arc<RwLock<...>>` in
-//!   `workloads`/`bench` (the crates `sync-primitives` exempts) are
-//!   confined to the three sanctioned result sinks (`traffic.rs`,
-//!   `micro/pingpong.rs`, `micro/bandwidth.rs`); a new shared-state
-//!   cell must be reviewed, not silently added.
+//!   are banned everywhere except the sweep harness
+//!   (`crates/bench/src/harness.rs`), whose workers each run their own
+//!   disjoint simulations: a thread started anywhere else could share
+//!   one simulation's state.
+//! * `arc-mutex` — `Arc<Mutex<...>>`/`Arc<RwLock<...>>` are banned in
+//!   `workloads`/`bench` (the crates `sync-primitives` does not cover):
+//!   a simulation and its result sinks live on one thread, so a sink is
+//!   an `Rc<RefCell<...>>`.
 //!
 //! `#[cfg(test)]` items are skipped everywhere: tests may unwrap.
 
@@ -393,17 +388,13 @@ const FS_SCOPE: [&str; 5] = [
 const FS_WRITERS: [&str; 2] = ["crates/core/src/snapshot.rs", "crates/engine/src/trace.rs"];
 
 /// Crates whose state drives the simulation and therefore must not hold
-/// thread-synchronization primitives: any cross-thread choreography
-/// belongs to the epoch driver, which replays it deterministically.
+/// thread-synchronization primitives: a simulation runs on one thread.
 const SYNC_SCOPE: [&str; 4] = [
     "crates/engine/src/",
     "crates/mem/src/",
     "crates/net/src/",
     "crates/core/src/",
 ];
-
-/// The single sanctioned concurrency boundary.
-const SYNC_MODULE: &str = "crates/core/src/epoch.rs";
 
 /// `std::sync` types whose mere presence in sim state is a
 /// nondeterminism hazard. Atomics are caught by prefix (`Atomic*`).
@@ -448,22 +439,13 @@ const TRANSCENDENTALS: [&str; 24] = [
     "hypot",
 ];
 
-/// The only files allowed to start OS threads: the epoch driver (the
-/// sanctioned concurrency boundary) and the sweep harness (whose
-/// workers run disjoint configs).
-const THREAD_MODULES: [&str; 2] = ["crates/core/src/epoch.rs", "crates/bench/src/harness.rs"];
+/// The only file allowed to start OS threads: the sweep harness, whose
+/// workers run disjoint configs.
+const THREAD_MODULE: &str = "crates/bench/src/harness.rs";
 
-/// Crates exempt from `sync-primitives` whose shared-state cells are
-/// still confined to named sinks by the `arc-mutex` rule.
+/// Crates outside `sync-primitives` whose shared-state cells the
+/// `arc-mutex` rule bans.
 const ARC_SCOPE: [&str; 2] = ["crates/workloads/src/", "crates/bench/src/"];
-
-/// The sanctioned result sinks: data collected behind these locks is
-/// read only after the run, never fed back into the simulation.
-const ARC_SINKS: [&str; 3] = [
-    "crates/workloads/src/traffic.rs",
-    "crates/workloads/src/micro/pingpong.rs",
-    "crates/workloads/src/micro/bandwidth.rs",
-];
 
 fn in_scope(file: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| file.starts_with(p))
@@ -597,7 +579,7 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    if in_scope(file, &SYNC_SCOPE) && file != SYNC_MODULE {
+    if in_scope(file, &SYNC_SCOPE) {
         for (i, t) in toks.iter().enumerate() {
             if let Some(name) = ident(i) {
                 if SYNC_PRIMITIVES.contains(&name)
@@ -608,8 +590,8 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
                         line: t.line,
                         rule: "sync-primitives",
                         message: format!(
-                            "{name} in sim state orders events by thread timing; cross-thread \
-                             choreography lives in {SYNC_MODULE} only"
+                            "{name} in sim state orders events by thread timing; simulations \
+                             run on one thread"
                         ),
                     });
                 }
@@ -645,7 +627,7 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    if !THREAD_MODULES.contains(&file) {
+    if file != THREAD_MODULE {
         for (i, t) in toks.iter().enumerate() {
             if ident(i) == Some("thread")
                 && punct_at(i + 1, ':')
@@ -661,15 +643,15 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
                     line: t.line,
                     rule: "thread-spawn",
                     message: format!(
-                        "thread::{target} outside the epoch driver and the sweep harness is \
-                         concurrency the epoch replay cannot serialize"
+                        "thread::{target} outside the sweep harness could share one \
+                         simulation's state across threads"
                     ),
                 });
             }
         }
     }
 
-    if in_scope(file, &ARC_SCOPE) && !ARC_SINKS.contains(&file) {
+    if in_scope(file, &ARC_SCOPE) {
         for (i, t) in toks.iter().enumerate() {
             if ident(i) == Some("Arc")
                 && punct_at(i + 1, '<')
@@ -681,8 +663,8 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
                     line: t.line,
                     rule: "arc-mutex",
                     message: format!(
-                        "Arc<{inner}<...>> outside the sanctioned result sinks; shared-state \
-                         cells in workloads/bench are confined to the named sink modules"
+                        "Arc<{inner}<...>> in workloads/bench; a simulation's result sinks \
+                         live on its one thread, so use Rc<RefCell<...>>"
                     ),
                 });
             }
@@ -1030,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_rule_fires_in_sim_state_crates_outside_the_epoch_module() {
+    fn sync_rule_fires_in_every_sim_state_module() {
         // Seeded violations: each primitive smuggled into a sim-state
         // crate must fire.
         for src in [
@@ -1055,13 +1037,8 @@ mod tests {
                 );
             }
         }
-        // The epoch driver is the sanctioned concurrency boundary.
-        assert!(lint_source(
-            "crates/core/src/epoch.rs",
-            "use std::sync::{Mutex, RwLock};\nuse std::sync::atomic::AtomicUsize;"
-        )
-        .is_empty());
-        // workloads/bench collect results through Arc<Mutex> by design.
+        // workloads/bench are outside this rule's scope (a bare Mutex
+        // there is arc-mutex's business only when shared through Arc).
         assert!(lint_source("crates/workloads/src/x.rs", "use std::sync::Mutex;").is_empty());
         assert!(lint_source("crates/bench/src/harness.rs", "use std::sync::Mutex;").is_empty());
         // `Ordering` (cmp or atomic) and bare `Arc` sharing are fine.
@@ -1148,9 +1125,8 @@ mod tests {
                 );
             }
         }
-        // The epoch driver and the sweep harness own the threads.
+        // The sweep harness owns the threads.
         let src = "fn f() { std::thread::scope(|s| { let _ = s; }); }";
-        assert!(lint_source("crates/core/src/epoch.rs", src).is_empty());
         assert!(lint_source("crates/bench/src/harness.rs", src).is_empty());
         // A variable named `thread` is not a spawn.
         assert!(lint_source(
@@ -1169,9 +1145,13 @@ mod tests {
     #[test]
     fn arc_mutex_rule_confines_shared_sinks() {
         let src = "use std::sync::{Arc, Mutex};\nstruct S { sink: Arc<Mutex<Vec<u32>>> }";
+        // No result sink is exempt.
         for file in [
             "crates/workloads/src/apps/moldyn.rs",
             "crates/bench/src/sweep.rs",
+            "crates/workloads/src/traffic.rs",
+            "crates/workloads/src/micro/pingpong.rs",
+            "crates/workloads/src/micro/bandwidth.rs",
         ] {
             assert!(
                 lint_source(file, src).iter().any(|f| f.rule == "arc-mutex"),
@@ -1184,14 +1164,6 @@ mod tests {
         )
         .iter()
         .any(|f| f.rule == "arc-mutex"));
-        // The three sanctioned sinks are exempt.
-        for file in [
-            "crates/workloads/src/traffic.rs",
-            "crates/workloads/src/micro/pingpong.rs",
-            "crates/workloads/src/micro/bandwidth.rs",
-        ] {
-            assert!(lint_source(file, src).is_empty(), "{file}");
-        }
         // Arc alone (immutable sharing) is fine.
         assert!(lint_source(
             "crates/workloads/src/x.rs",

@@ -5,9 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use nisim_analysis::epoch_check::EpochChecker;
 use nisim_analysis::moesi_check::MoesiChecker;
-use nisim_analysis::{audit, lint, protocol_check};
+use nisim_analysis::{lint, protocol_check};
 
 /// The repository root, resolved from this crate's manifest directory
 /// so the binary works from any working directory.
@@ -88,60 +87,6 @@ fn run_write_allow() -> bool {
             eprintln!("lint: cannot write {}: {e}", allow_path.display());
             false
         }
-    }
-}
-
-/// Exhaustive bounded model check of the epoch-merge algorithm:
-/// every seed layout × behavior assignment over 2–3 abstract nodes must
-/// replay to the unique serial order under both lane orders and commute
-/// with every mid-epoch checkpoint cut.
-fn run_epoch_check() -> bool {
-    let out = EpochChecker::new().check();
-    println!(
-        "epoch check: {} configs, {} events replayed, {} checkpoint cuts, merge alphabet {:?}",
-        out.configs, out.events, out.cuts, out.transitions
-    );
-    if out.violation_count == 0 {
-        println!("epoch check: serial == merged == resumed everywhere");
-        true
-    } else {
-        for v in &out.violations {
-            println!("VIOLATION: {v}");
-        }
-        println!("epoch check: {} violation(s)", out.violation_count);
-        false
-    }
-}
-
-/// Worker count for the grid audit: `NISIM_TEST_WORKERS` (the same knob
-/// the differential tests honour) or 4.
-fn audit_workers() -> u32 {
-    std::env::var("NISIM_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(4)
-}
-
-/// Runs the 12-NI × 3-app grid with footprint auditing on and verifies
-/// every epoch's log: cross-lane disjointness, the lookahead rule, and
-/// merge-order shape.
-fn run_audit() -> bool {
-    let workers = audit_workers();
-    let out = audit::audit_grid(workers);
-    println!(
-        "audit: {} runs at {} workers, {} parallel epochs, {} parallel + {} serial events",
-        out.runs, workers, out.epochs, out.parallel_events, out.serial_events
-    );
-    if out.is_clean() {
-        println!("audit: all epochs race-free and merge-exact");
-        true
-    } else {
-        for v in &out.violations {
-            println!("VIOLATION: {v}");
-        }
-        println!("audit: {} violation(s)", out.violations.len());
-        false
     }
 }
 
@@ -226,7 +171,7 @@ fn run_selftest() -> bool {
         println!("selftest: FAIL — seeded float-transcendental violation went undetected");
         ok = false;
     }
-    // A thread started outside the epoch driver and the sweep harness.
+    // A thread started outside the sweep harness.
     let seeded = lint::lint_source(
         "crates/workloads/src/apps/em3d.rs",
         "fn sneak() { std::thread::spawn(|| {}); }",
@@ -237,7 +182,7 @@ fn run_selftest() -> bool {
         println!("selftest: FAIL — seeded thread-spawn violation went undetected");
         ok = false;
     }
-    // A shared-state cell outside the sanctioned result sinks.
+    // A shared-state cell in a workload.
     let seeded = lint::lint_source(
         "crates/workloads/src/apps/moldyn.rs",
         "struct S { cell: Arc<Mutex<u64>> }",
@@ -248,48 +193,6 @@ fn run_selftest() -> bool {
         println!("selftest: FAIL — seeded arc-mutex violation went undetected");
         ok = false;
     }
-    // The epoch checker must pass the real merge algorithm and catch
-    // both seeded engine mutants: a lookahead one tick too short, and a
-    // cross-lane footprint overlap.
-    let clean = EpochChecker::new().check();
-    if clean.violation_count == 0 {
-        println!(
-            "selftest: epoch merge verified over {} configs ({} cuts)",
-            clean.configs, clean.cuts
-        );
-    } else {
-        println!("selftest: FAIL — clean epoch merge reported violations:");
-        for v in clean.violations.iter().take(3) {
-            println!("  {v}");
-        }
-        ok = false;
-    }
-    let mutant = EpochChecker::with_lookahead_mutant().check();
-    if mutant.violation_count == 0 {
-        println!("selftest: FAIL — 39 ns lookahead mutant went undetected");
-        ok = false;
-    } else {
-        println!(
-            "selftest: 39 ns lookahead mutant caught ({} violations), e.g.:",
-            mutant.violation_count
-        );
-        if let Some(v) = mutant.violations.first() {
-            println!("  {v}");
-        }
-    }
-    let mutant = EpochChecker::with_footprint_mutant().check();
-    if mutant.violation_count == 0 {
-        println!("selftest: FAIL — overlapping-footprint mutant went undetected");
-        ok = false;
-    } else {
-        println!(
-            "selftest: overlapping-footprint mutant caught ({} violations), e.g.:",
-            mutant.violation_count
-        );
-        if let Some(v) = mutant.violations.first() {
-            println!("  {v}");
-        }
-    }
     ok
 }
 
@@ -298,22 +201,19 @@ fn main() -> ExitCode {
     let mode = args.first().map(String::as_str).unwrap_or("all");
     let ok = match mode {
         "check" => run_check(),
-        "epoch-check" => run_epoch_check(),
-        "audit" => run_audit(),
         "lint" if args.iter().any(|a| a == "--write-allow") => run_write_allow(),
         "lint" => run_lint(),
         "selftest" => run_selftest(),
         "all" => {
             let c = run_check();
-            let e = run_epoch_check();
             let l = run_lint();
             let s = run_selftest();
-            c && e && l && s
+            c && l && s
         }
         other => {
             eprintln!(
-                "unknown subcommand `{other}`; use check | epoch-check | audit | \
-                 lint [--write-allow] | selftest | all"
+                "unknown subcommand `{other}`; use check | lint [--write-allow] | \
+                 selftest | all"
             );
             false
         }

@@ -17,7 +17,7 @@ use nisim_bench::{breakdown_from_records, breakdown_golden_path, breakdown_sweep
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
-    let records = breakdown_sweep().with_workers(args.workers).run(args.jobs);
+    let records = breakdown_sweep().run(args.jobs);
     let rows = breakdown_from_records(&records);
 
     let mut t = TableWriter::new(

@@ -14,7 +14,7 @@ use nisim_bench::BenchArgs;
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
-    let doc = match chaos_document(args.workers.unwrap_or(0)) {
+    let doc = match chaos_document() {
         Ok(doc) => doc,
         Err(msg) => {
             eprintln!("chaos differential FAILED: {msg}");

@@ -13,7 +13,7 @@ use nisim_bench::{golden_document, golden_path, BenchArgs};
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
-    let doc = golden_document(args.jobs, args.workers);
+    let doc = golden_document(args.jobs);
     let text = doc.to_pretty();
     if let Some(path) = &args.json {
         std::fs::write(path, &text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));

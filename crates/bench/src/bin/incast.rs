@@ -6,7 +6,7 @@
 //!
 //! Prints the per-NI collapse analysis; the machine-readable records
 //! are pinned by the `loadlat` golden binary. `--json <path>` writes
-//! this run's records; `--jobs`/`--workers` as usual.
+//! this run's records; `--jobs` as usual.
 use nisim_bench::fmt::TableWriter;
 use nisim_bench::loadlat::{curves_from_records, incast_sweep, LOADLAT_NIS};
 use nisim_bench::record::lookup;
@@ -15,7 +15,7 @@ use nisim_workloads::traffic::{TrafficKind, TrafficSpec};
 
 fn main() {
     let args = BenchArgs::parse();
-    let records = incast_sweep().with_workers(args.workers).run(args.jobs);
+    let records = incast_sweep().run(args.jobs);
     let curves = curves_from_records(&records, TrafficKind::PoissonIncast, "incast");
 
     // The flattest design at each level is the survival baseline.

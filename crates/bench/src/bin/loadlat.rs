@@ -7,8 +7,7 @@
 //! - `loadlat` alone byte-compares the fresh document against the
 //!   committed file, exiting non-zero on drift.
 //! - `--json <path>` writes the fresh document elsewhere; `--jobs <n>`
-//!   bounds worker threads; `--workers <n>` runs every simulation on
-//!   that many epoch workers (must not change a byte).
+//!   bounds worker threads.
 use std::process::ExitCode;
 
 use nisim_bench::fmt::TableWriter;
@@ -22,9 +21,9 @@ use nisim_workloads::traffic::{TrafficKind, MAX_LOAD_LEVEL};
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
-    let loadlat = loadlat_sweep().with_workers(args.workers).run(args.jobs);
-    let incast = incast_sweep().with_workers(args.workers).run(args.jobs);
-    let mixes = mixes_sweep().with_workers(args.workers).run(args.jobs);
+    let loadlat = loadlat_sweep().run(args.jobs);
+    let incast = incast_sweep().run(args.jobs);
+    let mixes = mixes_sweep().run(args.jobs);
 
     for (title, records, kind, tenant) in [
         (

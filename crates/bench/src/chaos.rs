@@ -124,19 +124,16 @@ fn record_of(
 }
 
 /// Runs the full kill-and-resume differential and builds the document
-/// `tests/goldens/golden_chaos.json` pins. `workers` sets the intra-run
-/// epoch worker count on every machine (golden, killed and resumed
-/// alike); the document must be byte-identical for every value.
+/// `tests/goldens/golden_chaos.json` pins.
 ///
 /// # Errors
 ///
 /// Returns a description of the first grid point whose resumed run was
 /// not byte-identical to its golden (or that failed to snapshot).
-pub fn chaos_document(workers: u32) -> Result<Json, String> {
+pub fn chaos_document() -> Result<Json, String> {
     let mut points = Vec::new();
     for (idx, p) in grid().into_iter().enumerate() {
-        let mut cfg = config(&p);
-        cfg.workers = workers;
+        let cfg = config(&p);
         let label = format!("{}/{}/{}", p.app, p.ni.key(), patch_key(&p));
 
         // Golden: one uninterrupted run.

@@ -1471,16 +1471,12 @@ pub fn golden_path() -> std::path::PathBuf {
 }
 
 /// Runs the golden suite on `jobs` workers and builds the one JSON
-/// document `tests/goldens/golden_grid.json` pins. `workers` stamps an
-/// intra-run epoch worker count into every point; the document must be
-/// byte-identical for every value (the epoch driver replays parallel
-/// windows into serial order, and `workers` is excluded from the config
-/// fingerprint).
-pub fn golden_document(jobs: usize, workers: Option<u32>) -> nisim_engine::Json {
+/// document `tests/goldens/golden_grid.json` pins.
+pub fn golden_document(jobs: usize) -> nisim_engine::Json {
     let sweeps = golden_suite();
     let sections: Vec<_> = sweeps
         .iter()
-        .map(|s| (s.name.clone(), s.clone().with_workers(workers).run(jobs)))
+        .map(|s| (s.name.clone(), s.run(jobs)))
         .collect();
     crate::record::document(
         sections

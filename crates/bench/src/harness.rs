@@ -1,4 +1,4 @@
-//! Sweep execution: parallel grid runs plus a micro-benchmark timer.
+//! Sweep execution: parallel grid runs.
 //!
 //! The heart of this module is [`Sweep`] — a declarative descriptor of a
 //! cartesian experiment grid (workloads × NI designs × buffer levels ×
@@ -12,16 +12,10 @@
 //! The worker count comes from `--jobs`, the `NISIM_JOBS` environment
 //! variable, or the machine's available parallelism, in that order of
 //! precedence ([`default_jobs`]).
-//!
-//! The tail of the module keeps the original self-contained
-//! micro-benchmark timer ([`bench()`]) used by the `benches/` targets —
-//! the container this repository builds in has no access to crates.io,
-//! so Criterion is out.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use nisim_core::{MachineConfig, NiKind, TimeCategory};
 use nisim_engine::Dur;
@@ -35,9 +29,6 @@ use nisim_workloads::micro::strided::{measure_strided_with_report, StridedStrate
 use nisim_workloads::traffic::{level_gap_ns, run_traffic, TrafficSpec};
 
 use crate::record::{self, RunRecord};
-
-/// Re-exported so benches keep the familiar `black_box(...)` idiom.
-pub use std::hint::black_box;
 
 /// One workload a sweep point can run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,11 +125,6 @@ pub struct Patch {
     /// Force the UDMA NI to always use uncached transfers (suppresses
     /// the pure-UDMA cost model the micro works otherwise select).
     pub udma_uncached_fallback: bool,
-    /// Run the simulation on this many epoch workers (`None`/0 =
-    /// serial). Pure execution strategy: results are byte-identical at
-    /// any worker count and the field is excluded from the config
-    /// fingerprint, so patched records stay comparable to serial ones.
-    pub workers: Option<u32>,
     /// Collect the per-component cycle breakdown for this point. Pure
     /// observation: it adds a `breakdown` field to the record but is
     /// excluded from the config fingerprint, so a metrics-on point stays
@@ -197,9 +183,6 @@ impl Patch {
         }
         if self.udma_uncached_fallback {
             cfg.costs.udma_threshold_payload = u64::MAX;
-        }
-        if let Some(w) = self.workers {
-            cfg.workers = w;
         }
         if self.metrics {
             cfg.metrics.enabled = true;
@@ -317,21 +300,6 @@ impl Sweep {
         }
         out.extend(self.extra.iter().cloned());
         out
-    }
-
-    /// Stamps an intra-run epoch worker count into every point (the
-    /// goldens bins rerun their grids at `--workers 4` to prove the
-    /// parallel driver drifts nothing). `None` is the identity.
-    pub fn with_workers(mut self, workers: Option<u32>) -> Sweep {
-        if workers.is_some() {
-            for patch in &mut self.patches {
-                patch.workers = workers;
-            }
-            for point in &mut self.extra {
-                point.patch.workers = workers;
-            }
-        }
-        self
     }
 
     /// Runs every point on `jobs` worker threads and returns the records
@@ -508,12 +476,6 @@ pub fn default_jobs() -> usize {
 pub struct BenchArgs {
     /// Worker threads for sweep execution.
     pub jobs: usize,
-    /// Intra-run epoch workers to stamp into every point
-    /// (`MachineConfig::workers`); `None` leaves the points serial.
-    /// Orthogonal to `jobs`: `jobs` runs grid points concurrently,
-    /// `workers` parallelizes inside each simulation. Neither may change
-    /// a single byte of output.
-    pub workers: Option<u32>,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
     /// Rewrite the committed golden file (the `goldens` binary).
@@ -527,7 +489,7 @@ impl BenchArgs {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("{msg}");
-                eprintln!("usage: [--jobs <n>] [--workers <n>] [--json <path>] [--update-goldens]");
+                eprintln!("usage: [--jobs <n>] [--json <path>] [--update-goldens]");
                 std::process::exit(2);
             }
         }
@@ -541,7 +503,6 @@ impl BenchArgs {
     pub fn from_args(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
         let mut out = BenchArgs {
             jobs: default_jobs(),
-            workers: None,
             json: None,
             update_goldens: false,
         };
@@ -555,13 +516,6 @@ impl BenchArgs {
                         .ok()
                         .filter(|&n| n >= 1)
                         .ok_or_else(|| format!("bad --jobs {v:?} (want a positive integer)"))?;
-                }
-                "--workers" => {
-                    let v = it.next().ok_or("--workers needs a value")?;
-                    out.workers = Some(
-                        v.parse::<u32>()
-                            .map_err(|_| format!("bad --workers {v:?} (want a count)"))?,
-                    );
                 }
                 "--json" => {
                     let v = it.next().ok_or("--json needs a path")?;
@@ -596,60 +550,9 @@ pub fn emit_document(args: &BenchArgs, sections: &[(&str, &[RunRecord])]) {
     }
 }
 
-/// Times `f` and prints `name: <t> per iter (<iters> iters x <batches>)`.
-///
-/// Runs one untimed warm-up batch, then `batches` timed batches of
-/// `iters` iterations each, reporting the fastest batch.
-pub fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
-    let batches = 5u32;
-    for _ in 0..iters.min(10) {
-        black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..batches {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let total = start.elapsed().as_secs_f64();
-        best = best.min(total / iters as f64);
-    }
-    println!(
-        "{name:<40} {} ({iters} iters x {batches} batches)",
-        human(best)
-    );
-}
-
-fn human(secs: f64) -> String {
-    if secs >= 1.0 {
-        format!("{secs:>10.3} s ")
-    } else if secs >= 1e-3 {
-        format!("{:>10.3} ms", secs * 1e3)
-    } else if secs >= 1e-6 {
-        format!("{:>10.3} us", secs * 1e6)
-    } else {
-        format!("{:>10.1} ns", secs * 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn human_units() {
-        assert!(human(2.0).contains("s"));
-        assert!(human(2e-3).contains("ms"));
-        assert!(human(2e-6).contains("us"));
-        assert!(human(2e-9).contains("ns"));
-    }
-
-    #[test]
-    fn bench_runs_the_closure() {
-        let mut n = 0u64;
-        bench("noop", 3, || n += 1);
-        assert!(n > 0);
-    }
 
     #[test]
     fn parallel_map_preserves_input_order() {

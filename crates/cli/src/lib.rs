@@ -75,13 +75,6 @@ checkpoint/restore (run only):
                              fresh (the config flags must match the
                              checkpointed run exactly)
 
-execution (any command that builds a machine):
-  --workers <n>        epoch-parallel worker threads stepping nodes
-                       concurrently under the wire-latency lookahead
-                       (default 0 = serial; every worker count produces
-                       byte-identical results, so this is purely a
-                       speed knob)
-
 observability (any command that builds a machine):
   --metrics <on|off>   per-component cycle accounting (default: off;
                        pure observation — timing is unchanged)
@@ -122,6 +115,39 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// Every flag [`USAGE`] documents: [`parse_flags`] rejects any other, so
+/// a misspelt flag is an error instead of a silently ignored no-op.
+const FLAGS: [&str; 28] = [
+    "ni",
+    "payload",
+    "buffers",
+    "app",
+    "nodes",
+    "topology",
+    "seed",
+    "json",
+    "jobs",
+    "traffic",
+    "load",
+    "tenants",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+    "metrics",
+    "trace",
+    "fault-drop",
+    "fault-dup",
+    "fault-corrupt",
+    "fault-jitter",
+    "fault-down",
+    "crash",
+    "fault-seed",
+    "reliable",
+    "rel-timeout",
+    "rel-retries",
+    "watchdog-us",
+];
+
 /// Parses `--key value` pairs after the subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
@@ -130,6 +156,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(err(format!("expected a --flag, got {key:?}")));
         };
+        if !FLAGS.contains(&name) {
+            return Err(err(format!("unknown flag --{name}")));
+        }
         let Some(value) = it.next() else {
             return Err(err(format!("--{name} needs a value")));
         };
@@ -341,11 +370,6 @@ fn config_from(flags: &HashMap<String, String>, ni: NiKind) -> Result<MachineCon
     }
     if let Some(s) = flags.get("seed") {
         cfg.seed = s.parse().map_err(|_| err(format!("bad seed {s:?}")))?;
-    }
-    if let Some(w) = flags.get("workers") {
-        cfg.workers = w
-            .parse()
-            .map_err(|_| err(format!("bad --workers {w:?} (want a count; 0 = serial)")))?;
     }
     if let Some(v) = flags.get("metrics") {
         cfg.metrics.enabled = match v.as_str() {
@@ -801,6 +825,42 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (args, flag) in [
+            (
+                &["run", "--app", "em3d", "--ni", "cm5", "--workers", "4"][..],
+                "--workers",
+            ),
+            (
+                &["rtt", "--ni", "cm5", "--fualt-drop", "0.5"][..],
+                "--fualt-drop",
+            ),
+        ] {
+            let e = run(args).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag {flag}")), "{e}");
+        }
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted() {
+        use std::collections::BTreeSet;
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|t| t.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect();
+        for name in &documented {
+            let args = [format!("--{name}"), "x".to_string()];
+            assert!(parse_flags(&args).is_ok(), "--{name} is documented");
+        }
+        assert_eq!(
+            documented,
+            FLAGS.into_iter().collect(),
+            "FLAGS and USAGE list the same flags"
+        );
+    }
+
+    #[test]
     fn parses_fault_probabilities_and_windows() {
         assert_eq!(parse_prob("fault-drop", "0.05").unwrap(), 0.05);
         assert!(parse_prob("fault-drop", "1.5").is_err());
@@ -908,35 +968,6 @@ mod tests {
             "sweep JSON must not depend on --jobs"
         );
         assert!(run(&["sweep", "--app", "em3d", "--jobs", "0"]).is_err());
-
-        // A run's JSON is byte-identical no matter --workers either:
-        // the epoch driver replays parallel windows into serial order.
-        let (w0, w4) = (dir.join("run-w0.json"), dir.join("run-w4.json"));
-        for (p, workers) in [(&w0, "0"), (&w4, "4")] {
-            run(&[
-                "run",
-                "--app",
-                "em3d",
-                "--ni",
-                "cm5",
-                "--nodes",
-                "4",
-                "--workers",
-                workers,
-                "--json",
-                p.to_str().unwrap(),
-            ])
-            .unwrap();
-        }
-        let (a, b) = (
-            std::fs::read_to_string(&w0).unwrap(),
-            std::fs::read_to_string(&w4).unwrap(),
-        );
-        assert!(
-            !a.is_empty() && a == b,
-            "run JSON must not depend on --workers"
-        );
-        assert!(run(&["run", "--app", "em3d", "--ni", "cm5", "--workers", "many"]).is_err());
     }
 
     #[test]
@@ -1193,36 +1224,25 @@ mod tests {
     }
 
     #[test]
-    fn traffic_json_is_identical_across_worker_counts() {
+    fn traffic_json_records_every_tenant() {
         let dir = std::env::temp_dir().join("nisim-cli-traffic-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let (w0, w4) = (dir.join("t-w0.json"), dir.join("t-w4.json"));
-        for (p, workers) in [(&w0, "0"), (&w4, "4")] {
-            run(&[
-                "traffic",
-                "--ni",
-                "cni32qm",
-                "--nodes",
-                "4",
-                "--load",
-                "3",
-                "--traffic",
-                "mix",
-                "--workers",
-                workers,
-                "--json",
-                p.to_str().unwrap(),
-            ])
-            .unwrap();
-        }
-        let (a, b) = (
-            std::fs::read_to_string(&w0).unwrap(),
-            std::fs::read_to_string(&w4).unwrap(),
-        );
-        assert!(
-            !a.is_empty() && a == b,
-            "traffic JSON must not depend on --workers"
-        );
+        let path = dir.join("t.json");
+        run(&[
+            "traffic",
+            "--ni",
+            "cni32qm",
+            "--nodes",
+            "4",
+            "--load",
+            "3",
+            "--traffic",
+            "mix",
+            "--json",
+            path.to_str().unwrap(),
+        ])
+        .unwrap();
+        let a = std::fs::read_to_string(&path).unwrap();
         let sections = nisim_bench::record::parse_document(&a).unwrap();
         assert_eq!(sections[0].0, "traffic");
         let rec = &sections[0].1[0];

@@ -87,20 +87,6 @@ pub struct MachineConfig {
     /// from the `Debug` rendering so config fingerprints — and therefore
     /// the committed goldens — are unaffected by observability settings.
     pub metrics: MetricsConfig,
-    /// Worker threads for the epoch-stepped intra-run driver. `0` (the
-    /// default) runs the monolithic serial event loop; any other value
-    /// runs the conservative-PDES epoch driver under the 40 ns wire
-    /// lookahead, which produces bit-identical results at every worker
-    /// count. Excluded from the `Debug` rendering for the same reason as
-    /// `metrics`: the worker count must never change a run's identity.
-    pub workers: u32,
-    /// Record the epoch driver's footprint-audit log (per-lane
-    /// read/write footprints over shared state plus the exact merge
-    /// order; see [`nisim_engine::audit`]). Off by default, purely
-    /// observational, and excluded from the `Debug` rendering like
-    /// `metrics` and `workers`: auditing a run must never change its
-    /// identity, its event sequence, or its goldens.
-    pub audit: bool,
 }
 
 impl std::fmt::Debug for MachineConfig {
@@ -168,8 +154,6 @@ impl Default for MachineConfig {
             reliability: ReliabilityConfig::default(),
             watchdog_window: Dur::ms(1),
             metrics: MetricsConfig::default(),
-            workers: 0,
-            audit: false,
         }
     }
 }
@@ -233,19 +217,6 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the worker-thread count for the epoch-stepped driver
-    /// (`0` = the monolithic serial loop).
-    pub fn workers(mut self, workers: u32) -> MachineConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Enables the epoch driver's footprint-audit log.
-    pub fn audit(mut self, audit: bool) -> MachineConfig {
-        self.audit = audit;
-        self
-    }
-
     /// Duration of `cycles` CPU cycles.
     pub fn cpu_cycles(&self, cycles: u64) -> Dur {
         Dur::cycles(cycles, self.cpu_period.as_ns())
@@ -305,29 +276,6 @@ mod tests {
         assert!(on.metrics.any());
         assert_eq!(format!("{off:?}"), format!("{on:?}"));
         assert!(!format!("{off:?}").contains("metrics"));
-    }
-
-    #[test]
-    fn debug_rendering_ignores_workers() {
-        // Same invariant for the parallel driver: the worker count is an
-        // execution strategy, not a model parameter, so fingerprints —
-        // and therefore goldens — must not see it.
-        let serial = MachineConfig::default();
-        let parallel = MachineConfig::default().workers(4);
-        assert_eq!(parallel.workers, 4);
-        assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
-        assert!(!format!("{serial:?}").contains("workers"));
-    }
-
-    #[test]
-    fn debug_rendering_ignores_audit() {
-        // Auditing is observational, like metrics: fingerprints — and
-        // therefore goldens and snapshot bindings — must not see it.
-        let off = MachineConfig::default();
-        let on = MachineConfig::default().audit(true);
-        assert!(on.audit);
-        assert_eq!(format!("{off:?}"), format!("{on:?}"));
-        assert!(!format!("{off:?}").contains("audit"));
     }
 
     #[test]

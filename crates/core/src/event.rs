@@ -15,7 +15,7 @@
 use nisim_engine::Event;
 use nisim_net::{MsgId, NodeId};
 
-use crate::machine::{EvCtx, Gmode, Machine, MachineSim};
+use crate::machine::{EvCtx, Machine, MachineSim};
 use crate::ni::WireMsg;
 
 /// One scheduled occurrence in the simulated machine.
@@ -85,10 +85,9 @@ pub enum MachineEvent {
 }
 
 impl MachineEvent {
-    /// The single node whose state this event's handler touches — the
-    /// partition key of the conservative epoch driver. Every handler is
-    /// single-node by construction: cross-node effects travel only as
-    /// newly scheduled events, never as direct state writes.
+    /// The single node whose state this event's handler touches. Every
+    /// handler is single-node by construction: cross-node effects travel
+    /// only as newly scheduled events, never as direct state writes.
     pub(crate) fn node_of(&self) -> usize {
         match self {
             MachineEvent::ProcRun { node } => *node,
@@ -112,7 +111,8 @@ impl Event<Machine> for MachineEvent {
             nodes_len: m.nodes.len(),
             cfg: &m.cfg,
             node: &mut m.nodes[nid],
-            g: Gmode::Serial { g: &mut m.g, sim },
+            g: &mut m.g,
+            sim,
         };
         Machine::dispatch(&mut ctx, self);
     }

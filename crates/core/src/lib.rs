@@ -67,7 +67,6 @@
 pub mod accounting;
 pub mod config;
 pub mod costs;
-pub(crate) mod epoch;
 pub mod error;
 pub mod event;
 pub mod machine;

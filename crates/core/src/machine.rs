@@ -17,7 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use nisim_engine::audit::AuditLog;
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist, MetricsBreakdown};
 use nisim_engine::stats::{Histogram, Summary};
 use nisim_engine::trace::TraceSink;
@@ -96,11 +95,11 @@ pub struct Machine {
     pub(crate) g: Globals,
 }
 
-/// Machine-global mutable state, split out of [`Machine`] so the epoch
-/// driver (`crate::epoch`) can hand event handlers their target node
-/// concurrently while global effects are replayed in exact serial order
-/// on the coordinator. Every field here is mutated only through
-/// [`EvCtx`] routes (or report/snapshot plumbing between events).
+/// Machine-global mutable state, split out of [`Machine`] so an event
+/// handler can hold its target node and these globals mutably at once
+/// (the two borrows in [`EvCtx`]). Every field here is mutated only by
+/// event handlers through [`EvCtx`] (or report/snapshot plumbing between
+/// events).
 pub(crate) struct Globals {
     /// Application message sizes seen so far (payload + 8 B header), the
     /// data behind Table 4.
@@ -130,11 +129,6 @@ pub(crate) struct Globals {
     /// [`MachineConfig::metrics`] requests collection — so default runs
     /// pay a single branch per charge site.
     pub(crate) metrics: Option<Box<MachineMetrics>>,
-    /// The epoch driver's footprint-audit log, present only when
-    /// [`MachineConfig::audit`] requests it. Purely observational: the
-    /// epoch driver appends per-epoch lane footprints and merge orders,
-    /// nothing reads it during the run.
-    pub(crate) audit: Option<Box<AuditLog>>,
 }
 
 /// Observability state of a metrics-enabled machine: the machine-level
@@ -306,9 +300,6 @@ impl Machine {
     /// Builds a machine; `factory(node)` supplies each node's process.
     pub fn new(cfg: MachineConfig, mut factory: impl FnMut(NodeId) -> Box<dyn Process>) -> Machine {
         let trace_enabled = cfg.trace;
-        let audit = cfg
-            .audit
-            .then(|| Box::new(AuditLog::new(cfg.net.wire_latency.as_ns())));
         let fabric = Fabric::new(cfg.net.topology, cfg.nodes, cfg.net.wire_latency);
         let fault = cfg
             .fault
@@ -360,15 +351,8 @@ impl Machine {
                 violations: Vec::new(),
                 progress: 0,
                 metrics,
-                audit,
             },
         }
-    }
-
-    /// The footprint-audit log recorded so far, if auditing was
-    /// enabled.
-    pub fn take_audit(&mut self) -> Option<AuditLog> {
-        self.g.audit.take().map(|b| *b)
     }
 
     /// The message-lifecycle trace recorded so far (sorted by time), if
@@ -410,24 +394,6 @@ impl Machine {
         (report, trace)
     }
 
-    /// [`Machine::run`] that also returns the epoch driver's
-    /// footprint-audit log (forces [`MachineConfig::audit`] on and at
-    /// least one worker — a serial run has no epochs to audit).
-    pub fn run_audited(
-        mut cfg: MachineConfig,
-        factory: impl FnMut(NodeId) -> Box<dyn Process>,
-    ) -> (MachineReport, AuditLog) {
-        cfg.audit = true;
-        cfg.workers = cfg.workers.max(1);
-        let mut machine = Machine::new(cfg, factory);
-        let mut sim = MachineSim::new();
-        machine.start(&mut sim);
-        let status = machine.drive(&mut sim, Time::from_ns(10_000_000_000), 500_000_000);
-        let report = machine.report(&sim, status);
-        let audit = machine.take_audit().unwrap_or_default();
-        (report, audit)
-    }
-
     /// [`Machine::run`] with explicit horizon and event budget.
     pub fn run_bounded(
         cfg: MachineConfig,
@@ -450,19 +416,11 @@ impl Machine {
         self.drive(sim, horizon, max_events)
     }
 
-    /// Drives the scheduler within the given bounds, honouring
-    /// [`MachineConfig::workers`]: 0 is the classic serial watched loop,
-    /// N ≥ 1 is the conservative epoch-parallel driver, which produces
-    /// byte-identical results at any worker count by construction. A
-    /// zero wire latency leaves no lookahead to exploit, so it always
-    /// runs serially.
+    /// Drives the scheduler within the given bounds, with the
+    /// no-progress watchdog sampling [`Globals::progress`].
     fn drive(&mut self, sim: &mut MachineSim, horizon: Time, max_events: u64) -> SimStatus {
-        if self.cfg.workers == 0 || self.cfg.net.wire_latency.is_zero() {
-            let window = self.cfg.watchdog_window;
-            sim.run_watched(self, horizon, max_events, window, |m| m.g.progress)
-        } else {
-            crate::epoch::run_epochs(self, sim, horizon, max_events)
-        }
+        let window = self.cfg.watchdog_window;
+        sim.run_watched(self, horizon, max_events, window, |m| m.g.progress)
     }
 
     /// Schedules the initial processor step on every node, plus one
@@ -737,7 +695,7 @@ impl Machine {
             ctx.node.proc.phase = ProcPhase::Idle;
             return;
         }
-        ctx.progress();
+        ctx.g.progress += 1;
         let action = ctx.node.process.next_action(now);
         match action {
             Action::Compute(d) => {
@@ -775,8 +733,10 @@ impl Machine {
             spec.dst
         );
         let transfer_id = ctx.node.alloc_transfer_id();
-        ctx.transfer_start(transfer_id, ctx.now);
-        ctx.msg_size(spec.payload_bytes + ctx.cfg.net.header_bytes);
+        ctx.g.transfer_started.insert(transfer_id, ctx.now);
+        ctx.g
+            .msg_size_hist
+            .record(spec.payload_bytes + ctx.cfg.net.header_bytes);
         let frags = fragment_payload(&ctx.cfg.net, spec.payload_bytes);
         ctx.node.proc.current_send = Some(SendInProgress {
             spec,
@@ -799,7 +759,7 @@ impl Machine {
         let rel_on = ctx.cfg.reliability.enabled;
 
         if ctx.node.proc.current_send.is_none() {
-            ctx.violation(
+            ctx.g.violation(
                 now,
                 ProtocolViolation::SendStepWithoutCurrentSend {
                     node: NodeId(nid as u32),
@@ -877,8 +837,9 @@ impl Machine {
         };
         let mut wire = wire;
         wire.id = ctx.node.alloc_msg_id();
-        ctx.charge_span(Component::ProcSend, NodeId(nid as u32), now, proc_release);
-        ctx.record(now, wire.src, wire.id, TraceKind::SendStart);
+        ctx.g
+            .charge_span(Component::ProcSend, NodeId(nid as u32), now, proc_release);
+        ctx.g.record(now, wire.src, wire.id, TraceKind::SendStart);
         ctx.node.ni.outstanding.insert(
             wire.id,
             OutstandingFrag {
@@ -888,7 +849,7 @@ impl Machine {
                 gave_up: false,
             },
         );
-        ctx.progress();
+        ctx.g.progress += 1;
         if rel_on {
             Machine::schedule_ack_timer(ctx, NodeId(nid as u32), wire.id, 0);
         }
@@ -928,7 +889,7 @@ impl Machine {
         if entry.attempt >= rel.max_retries {
             entry.gave_up = true;
             ctx.node.ni.rel_stats.gave_up += 1;
-            ctx.violation(
+            ctx.g.violation(
                 ctx.now,
                 ProtocolViolation::RetryCapExhausted {
                     node: src,
@@ -942,7 +903,7 @@ impl Machine {
         let next_attempt = entry.attempt;
         let wire = entry.wire;
         ctx.node.ni.rel_stats.retransmits += 1;
-        ctx.record(ctx.now, src, id, TraceKind::Retransmit);
+        ctx.g.record(ctx.now, src, id, TraceKind::Retransmit);
         ctx.inject(wire, ctx.now, Component::Retransmit);
         Machine::schedule_ack_timer(ctx, src, id, next_attempt);
     }
@@ -955,7 +916,8 @@ impl Machine {
         let bytes = wire.wire_bytes(net.header_bytes);
 
         let (eject_start, ejected) = ctx.node.hw.ingress.transmit(&net, now, bytes);
-        ctx.charge_span(Component::LinkSerialization, wire.dst, eject_start, ejected);
+        ctx.g
+            .charge_span(Component::LinkSerialization, wire.dst, eject_start, ejected);
 
         // A corrupted payload fails the checksum after ejection: it has
         // consumed wire bandwidth but is neither deposited, acked nor
@@ -963,7 +925,8 @@ impl Machine {
         // sender's ack timeout recovers it.
         if corrupted {
             ctx.node.ni.rel_stats.corrupt_discards += 1;
-            ctx.record(ejected, wire.dst, wire.id, TraceKind::CorruptDiscard);
+            ctx.g
+                .record(ejected, wire.dst, wire.id, TraceKind::CorruptDiscard);
             return;
         }
 
@@ -973,7 +936,8 @@ impl Machine {
         if let Some(seq) = wire.seq {
             if ctx.node.ni.rel_rx.already_seen(wire.src, seq) {
                 ctx.node.ni.rel_stats.dup_discards += 1;
-                ctx.record(ejected, wire.dst, wire.id, TraceKind::DupDiscard);
+                ctx.g
+                    .record(ejected, wire.dst, wire.id, TraceKind::DupDiscard);
                 let (_, ack_end) = ctx
                     .node
                     .hw
@@ -999,10 +963,10 @@ impl Machine {
             } else {
                 TraceKind::Reject
             };
-            ctx.record(ejected, wire.dst, wire.id, kind);
+            ctx.g.record(ejected, wire.dst, wire.id, kind);
         }
         if accepted {
-            ctx.progress();
+            ctx.g.progress += 1;
         }
         let node = &mut *ctx.node;
         if accepted {
@@ -1113,7 +1077,7 @@ impl Machine {
     pub(crate) fn ack_arrival(ctx: &mut EvCtx<'_>, src: NodeId, id: MsgId) {
         if ctx.node.ni.outstanding.remove(&id).is_none() {
             if !ctx.cfg.reliability.enabled {
-                ctx.violation(
+                ctx.g.violation(
                     ctx.now,
                     ProtocolViolation::AckForUnknownFragment { node: src, msg: id },
                 );
@@ -1121,8 +1085,8 @@ impl Machine {
             return;
         }
         ctx.node.ni.fc.ack_received();
-        ctx.progress();
-        ctx.record(ctx.now, src, id, TraceKind::Ack);
+        ctx.g.progress += 1;
+        ctx.g.record(ctx.now, src, id, TraceKind::Ack);
         Machine::try_wake(ctx);
     }
 
@@ -1135,14 +1099,14 @@ impl Machine {
     /// path — the §3.2 cost of processor-managed buffering.
     pub(crate) fn return_arrival(ctx: &mut EvCtx<'_>, wire: WireMsg) {
         let max_backoff = ctx.cfg.retry_backoff_max;
-        ctx.record(ctx.now, wire.src, wire.id, TraceKind::Return);
+        ctx.g.record(ctx.now, wire.src, wire.id, TraceKind::Return);
         // Under duplication one copy can be accepted (and acked) while
         // the other is rejected and returned; the late return then finds
         // no outstanding entry and its buffer already released. Absorb
         // it; without the reliability layer it is a recorded violation.
         if !ctx.node.ni.outstanding.contains_key(&wire.id) {
             if !ctx.cfg.reliability.enabled {
-                ctx.violation(
+                ctx.g.violation(
                     ctx.now,
                     ProtocolViolation::ReturnForUnknownFragment {
                         node: wire.src,
@@ -1174,7 +1138,7 @@ impl Machine {
             None => {
                 // Acked while the backoff ran (duplicate races).
                 if !ctx.cfg.reliability.enabled {
-                    ctx.violation(
+                    ctx.g.violation(
                         ctx.now,
                         ProtocolViolation::RetryForUnknownFragment { node: src, msg: id },
                     );
@@ -1184,7 +1148,7 @@ impl Machine {
             Some(entry) if entry.gave_up => return,
             Some(_) => {}
         }
-        ctx.record(ctx.now, src, id, TraceKind::Retry);
+        ctx.g.record(ctx.now, src, id, TraceKind::Retry);
         let node = &mut *ctx.node;
         let Some(wire) = node.ni.outstanding.get(&id).map(|e| e.wire) else {
             return;
@@ -1211,7 +1175,7 @@ impl Machine {
         let costs = ctx.cfg.costs;
         let header = ctx.cfg.net.header_bytes;
         if ctx.node.proc.pending_resends.is_empty() {
-            ctx.violation(
+            ctx.g.violation(
                 now,
                 ProtocolViolation::ResendWithoutPending {
                     node: NodeId(ctx.nid as u32),
@@ -1261,7 +1225,7 @@ impl Machine {
         let header = ctx.cfg.net.header_bytes;
 
         if ctx.node.ni.peek_ready(now).is_none() {
-            ctx.violation(
+            ctx.g.violation(
                 now,
                 ProtocolViolation::DrainWithoutReady {
                     node: NodeId(nid as u32),
@@ -1269,7 +1233,7 @@ impl Machine {
             );
             return;
         }
-        ctx.progress();
+        ctx.g.progress += 1;
         let (entry, drained_at) = {
             let node = &mut *ctx.node;
             let Some(entry) = node.ni.pop_ready(now) else {
@@ -1300,15 +1264,18 @@ impl Machine {
             (entry, t)
         };
 
-        ctx.charge_span(
+        ctx.g.charge_span(
             Component::NiResidency,
             NodeId(nid as u32),
             entry.ready_at,
             now,
         );
-        ctx.charge_span(Component::ProcRecv, NodeId(nid as u32), now, drained_at);
-        ctx.frag_queue(entry.queueing_delay(now).as_ns());
-        ctx.record(
+        ctx.g
+            .charge_span(Component::ProcRecv, NodeId(nid as u32), now, drained_at);
+        if let Some(mm) = &mut ctx.g.metrics {
+            mm.frag_queue.record(entry.queueing_delay(now).as_ns());
+        }
+        ctx.g.record(
             drained_at,
             NodeId(nid as u32),
             entry.msg_id,
@@ -1324,10 +1291,13 @@ impl Machine {
         let drained = self_entry_increment(&mut ctx.node.assembling, key);
         let finish = if drained == entry.frag.of {
             ctx.node.assembling.remove(&key);
-            ctx.app_message();
-            if let Some(started) = ctx.transfer_take(entry.transfer_id) {
-                ctx.msg_latency(drained_at.saturating_since(started).as_ns() as f64);
-                ctx.msg_rtt(drained_at.saturating_since(started).as_ns());
+            ctx.g.app_messages += 1;
+            if let Some(started) = ctx.g.transfer_started.remove(&entry.transfer_id) {
+                let ns = drained_at.saturating_since(started).as_ns();
+                ctx.g.msg_latency.record(ns as f64);
+                if let Some(mm) = &mut ctx.g.metrics {
+                    mm.msg_rtt.record(ns);
+                }
             }
             let node = &mut *ctx.node;
             let dispatch_done = drained_at
@@ -1347,13 +1317,13 @@ impl Machine {
             node.proc.queued_sends.extend(handler.sends);
             node.proc.app_messages_handled += 1;
             let msg_id = entry.msg_id;
-            ctx.charge_span(
+            ctx.g.charge_span(
                 Component::ProcRecv,
                 NodeId(nid as u32),
                 drained_at,
                 dispatch_done,
             );
-            ctx.record(
+            ctx.g.record(
                 dispatch_done,
                 NodeId(nid as u32),
                 msg_id,
@@ -1436,11 +1406,10 @@ pub(crate) fn sched_global(g: &mut Globals, sim: &mut MachineSim, at: Time, ev: 
 }
 
 /// The wire-side tail of a fragment injection: fault-plan resolution,
-/// fabric transit and arrival scheduling. Factored out of the egress
-/// handler because the fault plan's RNG draws, the fabric's link state
-/// and the arrival seq numbers are all global serial state — the epoch
-/// driver defers this tail to the serial replay while the egress timing
-/// itself runs concurrently in the sender's lane.
+/// fabric transit and arrival scheduling. It touches only machine-global
+/// state (the fault plan's RNG draws, the fabric's link state and the
+/// scheduler), never the sending node, so it takes [`Globals`] rather
+/// than an [`EvCtx`].
 pub(crate) fn wire_handoff(
     net: &nisim_net::NetConfig,
     g: &mut Globals,
@@ -1481,31 +1450,11 @@ pub(crate) fn wire_handoff(
     }
 }
 
-/// Where an event handler's machine-global effects go.
-pub(crate) enum Gmode<'a> {
-    /// Classic serial execution: effects apply immediately.
-    Serial {
-        g: &'a mut Globals,
-        sim: &'a mut MachineSim,
-    },
-    /// Epoch-parallel lane execution: effects are recorded as ops and
-    /// replayed in exact serial order by the coordinator
-    /// (`crate::epoch`). `started` is the epoch-frozen view of
-    /// [`Globals::transfer_started`] — reads are safe because a transfer
-    /// can only complete a full wire latency after its insert, which the
-    /// lookahead puts in a later epoch.
-    Lane {
-        sink: &'a mut crate::epoch::LaneSink,
-        started: &'a BTreeMap<u64, Time>,
-    },
-}
-
 /// The execution context of one event handler: the single node the event
-/// targets, the config, and a route for machine-global effects. The
-/// handler code is identical in both modes; only the routing differs,
-/// which is what makes the parallel run byte-identical by construction.
+/// targets, the config, and the machine-global state and scheduler that
+/// every cross-node effect goes through.
 pub(crate) struct EvCtx<'a> {
-    /// The event's firing time (`sim.now()` in serial mode).
+    /// The event's firing time (`sim.now()`).
     pub(crate) now: Time,
     /// The target node's index.
     pub(crate) nid: usize,
@@ -1513,102 +1462,13 @@ pub(crate) struct EvCtx<'a> {
     pub(crate) nodes_len: usize,
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) node: &'a mut Node,
-    pub(crate) g: Gmode<'a>,
+    pub(crate) g: &'a mut Globals,
+    pub(crate) sim: &'a mut MachineSim,
 }
 
 impl EvCtx<'_> {
     fn sched(&mut self, at: Time, ev: MachineEvent) {
-        match &mut self.g {
-            Gmode::Serial { g, sim } => sched_global(g, sim, at, ev),
-            Gmode::Lane { sink, .. } => sink.sched(self.now, self.nid, at, ev),
-        }
-    }
-
-    fn progress(&mut self) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.progress += 1,
-            Gmode::Lane { sink, .. } => sink.progress(),
-        }
-    }
-
-    fn violation(&mut self, at: Time, kind: ProtocolViolation) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.violation(at, kind),
-            Gmode::Lane { sink, .. } => sink.violation(at, kind),
-        }
-    }
-
-    fn record(&mut self, at: Time, node: NodeId, msg: MsgId, kind: TraceKind) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.record(at, node, msg, kind),
-            Gmode::Lane { sink, .. } => sink.record(at, node, msg, kind),
-        }
-    }
-
-    fn charge_span(&mut self, component: Component, node: NodeId, start: Time, end: Time) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.charge_span(component, node, start, end),
-            Gmode::Lane { sink, .. } => sink.span(component, node, start, end),
-        }
-    }
-
-    fn frag_queue(&mut self, ns: u64) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => {
-                if let Some(mm) = &mut g.metrics {
-                    mm.frag_queue.record(ns);
-                }
-            }
-            Gmode::Lane { sink, .. } => sink.frag_queue(ns),
-        }
-    }
-
-    fn msg_rtt(&mut self, ns: u64) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => {
-                if let Some(mm) = &mut g.metrics {
-                    mm.msg_rtt.record(ns);
-                }
-            }
-            Gmode::Lane { sink, .. } => sink.msg_rtt(ns),
-        }
-    }
-
-    fn msg_size(&mut self, bytes: u64) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.msg_size_hist.record(bytes),
-            Gmode::Lane { sink, .. } => sink.msg_size(bytes),
-        }
-    }
-
-    fn msg_latency(&mut self, ns: f64) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.msg_latency.record(ns),
-            Gmode::Lane { sink, .. } => sink.msg_latency(ns),
-        }
-    }
-
-    fn app_message(&mut self) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.app_messages += 1,
-            Gmode::Lane { sink, .. } => sink.app_message(),
-        }
-    }
-
-    fn transfer_start(&mut self, tid: u64, at: Time) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => {
-                g.transfer_started.insert(tid, at);
-            }
-            Gmode::Lane { sink, .. } => sink.transfer_start(tid, at),
-        }
-    }
-
-    fn transfer_take(&mut self, tid: u64) -> Option<Time> {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.transfer_started.remove(&tid),
-            Gmode::Lane { sink, started } => sink.transfer_take(started, tid),
-        }
+        sched_global(self.g, self.sim, at, ev);
     }
 
     /// Puts a fragment on the wire from this node's egress port and
@@ -1624,12 +1484,9 @@ impl EvCtx<'_> {
         let net = self.cfg.net;
         let bytes = wire.wire_bytes(net.header_bytes);
         let (start, end) = self.node.hw.egress.transmit(&net, ready, bytes);
-        self.charge_span(charge_as, wire.src, start, end);
-        self.record(start, wire.src, wire.id, TraceKind::Inject);
-        match &mut self.g {
-            Gmode::Serial { g, sim } => wire_handoff(&net, g, sim, wire, end),
-            Gmode::Lane { sink, .. } => sink.inject(wire, end),
-        }
+        self.g.charge_span(charge_as, wire.src, start, end);
+        self.g.record(start, wire.src, wire.id, TraceKind::Inject);
+        wire_handoff(&net, self.g, self.sim, wire, end);
     }
 }
 

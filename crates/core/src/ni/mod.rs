@@ -248,10 +248,7 @@ pub struct DepositPath {
 ///
 /// All methods take the node's shared hardware so the paths can reserve
 /// the bus and mutate cache state; they return completion times.
-///
-/// `Send` is required so nodes can be handed to epoch-driver worker
-/// threads; NI models are plain timing state, so this costs nothing.
-pub trait NiModel: Send {
+pub trait NiModel {
     /// The Table 2 classification of this design.
     fn descriptor(&self) -> NiDescriptor;
 

@@ -237,9 +237,9 @@ pub struct Node {
 
 /// Per-node identifier spaces: ids carry the allocating node in the high
 /// bits so every node can mint message and transfer ids without touching
-/// shared state — a serial run and an epoch-stepped parallel run assign
-/// identical values. 24 bits of node (machines top out far below that)
-/// over 40 bits of local counter.
+/// shared state — an id depends only on the allocating node's own event
+/// chain. 24 bits of node (machines top out far below that) over 40 bits
+/// of local counter.
 const ID_NODE_SHIFT: u32 = 40;
 
 impl Node {

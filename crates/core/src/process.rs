@@ -109,10 +109,7 @@ pub enum Action {
 /// The processor model calls [`Process::next_action`] whenever it is free
 /// and no received message is pending, and [`Process::on_message`] once
 /// per fully received application message.
-///
-/// `Send` is required so nodes can be handed to epoch-driver worker
-/// threads; workloads own plain data, so this costs nothing in practice.
-pub trait Process: Send {
+pub trait Process {
     /// The next thing this node's program does. Called again after the
     /// returned action completes, or — after [`Action::Wait`] — once a
     /// message handler has run.

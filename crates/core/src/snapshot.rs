@@ -26,7 +26,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use nisim_engine::audit::AuditLog;
 use nisim_engine::json::{u64_from_hex, u64_hex};
 use nisim_engine::metrics::{ComponentCycles, Log2Hist};
 use nisim_engine::stats::{Counter, Histogram, Summary};
@@ -47,7 +46,7 @@ use crate::processor::{ProcPhase, SendInProgress};
 ///
 /// Version 2: message/transfer id counters and the fragment-assembly
 /// table moved from the machine to the per-node objects (per-node id
-/// spaces for the epoch-parallel driver).
+/// spaces).
 ///
 /// Version 3: wire messages and send specs carry the connection id the
 /// connection-aware NIs (RDMA queue pairs) stage per fragment.
@@ -738,9 +737,6 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
                 .set("rel_cycles", mm.rel.cycles.to_json()),
         );
     }
-    if let Some(log) = &g.audit {
-        mach = mach.set("audit", log.to_json());
-    }
 
     Ok(Json::obj()
         .set("version", SNAPSHOT_VERSION)
@@ -873,14 +869,6 @@ pub fn restore(
         }
         (None, None) => {}
         _ => return Err(mal("metrics presence mismatch")),
-    }
-    // The audit log is tolerant on both sides (unlike the strict
-    // metrics/fault presence matching): restoring an audited snapshot
-    // into an unaudited config just drops the observational log, and an
-    // audited resume of an unaudited snapshot starts a fresh one — so
-    // toggling the auditor never invalidates existing snapshots.
-    if let (Some(log), Some(aj)) = (&mut machine.g.audit, m.get("audit")) {
-        **log = AuditLog::from_json(aj).ok_or_else(|| mal("audit log"))?;
     }
 
     let nodes = m

@@ -20,10 +20,7 @@
 //! * [`metrics`] — per-component cycle accounting and exactly-mergeable
 //!   log2 latency histograms (observational only; off by default),
 //! * [`trace`] — a Chrome-trace-viewable JSONL span sink for the
-//!   metrics layer,
-//! * [`audit`] — the footprint-audit data model the epoch-parallel
-//!   driver records into and `nisim-analysis audit` verifies
-//!   (observational only; off by default).
+//!   metrics layer.
 //!
 //! # Example
 //!
@@ -43,7 +40,6 @@
 //! assert_eq!(sim.now(), Time::from_ns(15));
 //! ```
 
-pub mod audit;
 pub mod json;
 pub mod metrics;
 pub mod rng;

@@ -338,73 +338,6 @@ impl<M, E: Event<M>> Sim<M, E> {
         }
     }
 
-    /// Peeks the next pending event's `(time, seq)` without firing it —
-    /// the probe an external driver (e.g. a conservative-lookahead epoch
-    /// driver) uses to size its next window.
-    #[inline]
-    pub fn peek_next(&mut self) -> Option<(Time, u64)> {
-        self.queue.peek()
-    }
-
-    /// Removes every pending event strictly before `bound`, returning
-    /// `(at, seq, event)` triples in canonical pop order (ascending
-    /// time, FIFO within an instant). Entries at or after `bound` stay
-    /// queued. The drained entries keep their original sequence numbers,
-    /// so [`Sim::restore_entries`] can put them back unchanged.
-    pub fn pop_before(&mut self, bound: Time) -> Vec<(Time, u64, E)> {
-        let mut out = Vec::new();
-        while let Some((at, _)) = self.queue.peek() {
-            if at >= bound {
-                break;
-            }
-            let Some(entry) = self.queue.pop() else {
-                break;
-            };
-            out.push(entry);
-        }
-        out
-    }
-
-    /// Assigns and returns the next sequence number without queueing
-    /// anything. An external driver that fires events it popped itself
-    /// (rather than through the wheel) uses this to keep the same-instant
-    /// FIFO discipline identical to an in-wheel run: every event the
-    /// driver creates must consume exactly the seq the serial run would
-    /// have given it.
-    #[inline]
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Advances the clock to `at` (monotone) and counts one fired event —
-    /// the bookkeeping [`Sim::run_bounded`] does per pop, exposed for
-    /// drivers that replay events popped out-of-band. Panics if `at` is
-    /// before the current time.
-    #[inline]
-    pub fn replay_advance(&mut self, at: Time) {
-        assert!(at >= self.now, "replay must advance monotonically");
-        self.now = at;
-        self.fired += 1;
-    }
-
-    /// Removes and returns the next pending event without firing it or
-    /// touching the clock. Pairs with [`Sim::replay_advance`] for
-    /// drivers that fire events out-of-band while keeping the clock and
-    /// fired-count bookkeeping identical to [`Sim::step`].
-    pub fn pop_next(&mut self) -> Option<(Time, u64, E)> {
-        self.queue.pop()
-    }
-
-    /// Sets the clock to `horizon` without firing anything — the exact
-    /// clamp the bounded run loops apply when the next event lies past
-    /// the horizon (including the degenerate case of a horizon already
-    /// behind `now`, which the serial loops also clamp backwards to).
-    pub fn clamp_to_horizon(&mut self, horizon: Time) {
-        self.now = horizon;
-    }
-
     /// Fires at most one pending event. Returns `false` if the queue was
     /// empty.
     pub fn step(&mut self, model: &mut M) -> bool {
@@ -614,58 +547,6 @@ mod tests {
     fn debug_is_nonempty() {
         let sim: Sim<()> = Sim::new();
         assert!(format!("{sim:?}").contains("Sim"));
-    }
-
-    #[test]
-    fn pop_before_takes_the_window_and_keeps_the_rest() {
-        let mut sim: Sim<()> = Sim::new();
-        for t in [5u64, 10, 10, 40, 41] {
-            sim.schedule_at(Time::from_ns(t), |_, _| {}).unwrap();
-        }
-        assert_eq!(sim.peek_next(), Some((Time::from_ns(5), 0)));
-        let window = sim.pop_before(Time::from_ns(40));
-        // Strictly-before bound, ascending time, FIFO within an instant.
-        let keys: Vec<(Time, u64)> = window.iter().map(|&(at, seq, _)| (at, seq)).collect();
-        assert_eq!(
-            keys,
-            [
-                (Time::from_ns(5), 0),
-                (Time::from_ns(10), 1),
-                (Time::from_ns(10), 2)
-            ]
-        );
-        assert_eq!(sim.pending(), 2);
-        // Restoring re-queues with original seqs: pop order is unchanged.
-        sim.restore_entries(window);
-        assert_eq!(sim.peek_next(), Some((Time::from_ns(5), 0)));
-        assert_eq!(sim.pending(), 5);
-    }
-
-    #[test]
-    fn alloc_seq_matches_scheduler_assignment() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.schedule_at(Time::from_ns(1), |_, _| {}).unwrap();
-        assert_eq!(sim.alloc_seq(), 1);
-        assert_eq!(sim.next_seq(), 2);
-        sim.schedule_at(Time::from_ns(2), |_, _| {}).unwrap();
-        assert_eq!(sim.next_seq(), 3);
-    }
-
-    #[test]
-    fn replay_advance_moves_clock_and_fired_count() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.replay_advance(Time::from_ns(7));
-        sim.replay_advance(Time::from_ns(7));
-        assert_eq!(sim.now(), Time::from_ns(7));
-        assert_eq!(sim.events_fired(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonically")]
-    fn replay_advance_rejects_time_travel() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.replay_advance(Time::from_ns(7));
-        sim.replay_advance(Time::from_ns(6));
     }
 
     /// An event chain that reschedules itself forever without advancing

@@ -21,8 +21,7 @@
 //! [`BinaryHeapQueue`] is the original `BinaryHeap` scheduler, retained
 //! as the reference implementation: the differential property suite
 //! (`tests/tests/scheduler_equiv.rs`) drives both backends with
-//! randomized streams and asserts identical pop sequences, and
-//! `bench_engine` measures the wheel's speedup against it.
+//! randomized streams and asserts identical pop sequences.
 //!
 //! # Ordering invariant
 //!
@@ -320,7 +319,7 @@ fn clear_bit(occ: &mut [u64; OCC_WORDS], slot: usize) {
 }
 
 /// The original binary-heap event queue, retained as the reference
-/// scheduler for differential testing and the `bench_engine` baseline.
+/// scheduler for differential testing.
 ///
 /// Same contract as [`TimerWheel`]: pops in ascending `(time, seq)`.
 pub struct BinaryHeapQueue<T> {

@@ -6,7 +6,8 @@
 //! payload megabytes per second at the *receiver* — the paper's
 //! process-to-process definition.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
 use nisim_core::{Machine, MachineConfig, NiKind};
@@ -58,9 +59,7 @@ struct SinkLog {
 }
 
 struct Sink {
-    // Arc so the caller can read the log after the run; only the sink
-    // node's process ever touches it during simulation.
-    log: Arc<Mutex<SinkLog>>,
+    log: Rc<RefCell<SinkLog>>,
 }
 
 impl Process for Sink {
@@ -70,7 +69,7 @@ impl Process for Sink {
 
     fn on_message(&mut self, msg: &AppMessage, now: Time) -> HandlerSpec {
         debug_assert_eq!(msg.tag, TAG_STREAM);
-        self.log.lock().unwrap().times.push(now);
+        self.log.borrow_mut().times.push(now);
         HandlerSpec::empty()
     }
 
@@ -103,7 +102,7 @@ pub fn measure_bandwidth_with_report(
     // the coherent NIs' queue regions (cold BusRdX fills).
     let count: u32 = 170;
     let warmup: usize = 70;
-    let log = Arc::new(Mutex::new(SinkLog::default()));
+    let log = Rc::new(RefCell::new(SinkLog::default()));
     let log_factory = log.clone();
     let cfg = cfg.clone().nodes(2);
     let payload = payload_bytes;
@@ -121,7 +120,7 @@ pub fn measure_bandwidth_with_report(
         }
     });
     assert!(report.all_quiescent, "stream did not complete: {report:?}");
-    let log = log.lock().unwrap();
+    let log = log.borrow();
     assert_eq!(log.times.len(), count as usize);
     let window = &log.times[warmup..];
     let elapsed = *window.last().expect("window non-empty") - window[0];

@@ -7,7 +7,8 @@
 //! are process-to-process) and a few warm-up round trips precede the
 //! measurement so caches and queue laps reach steady state.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
 use nisim_core::{Machine, MachineConfig, NiKind};
@@ -39,9 +40,7 @@ struct Pinger {
     measured_left: u32,
     awaiting_pong: bool,
     sent_at: Time,
-    // Arc so the caller can read the samples after the run; only the
-    // pinger node's process ever touches it during simulation.
-    rtts: Arc<Mutex<Summary>>,
+    rtts: Rc<RefCell<Summary>>,
     done: bool,
 }
 
@@ -67,8 +66,7 @@ impl Process for Pinger {
         } else {
             self.measured_left -= 1;
             self.rtts
-                .lock()
-                .unwrap()
+                .borrow_mut()
                 .record((now - self.sent_at).as_ns() as f64);
         }
         HandlerSpec::empty()
@@ -123,7 +121,7 @@ pub fn measure_round_trip_with_report(
     cfg: &MachineConfig,
     payload_bytes: u64,
 ) -> (RoundTripResult, nisim_core::MachineReport) {
-    let rtts = Arc::new(Mutex::new(Summary::new()));
+    let rtts = Rc::new(RefCell::new(Summary::new()));
     let rtts_factory = rtts.clone();
     let cfg = cfg.clone().nodes(2);
     let payload = payload_bytes;
@@ -148,7 +146,7 @@ pub fn measure_round_trip_with_report(
         report.all_quiescent,
         "ping-pong did not complete: {report:?}"
     );
-    let s = rtts.lock().unwrap();
+    let s = rtts.borrow();
     (
         RoundTripResult {
             payload_bytes,

@@ -91,10 +91,7 @@ pub fn step_from_json(v: &Json) -> Option<Step> {
 }
 
 /// A macrobenchmark communication skeleton for one node.
-///
-/// `Send` is required (via [`Process`]) so nodes can be handed to
-/// epoch-driver worker threads.
-pub trait Skeleton: Send {
+pub trait Skeleton {
     /// The next program step. Called when the previous step completed
     /// (for [`Step::WaitUntilReady`]: when readiness was reached).
     fn next_step(&mut self, now: Time) -> Step;
@@ -415,8 +412,8 @@ mod tests {
 
     #[test]
     fn wait_until_ready_blocks_until_message() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+        use std::cell::Cell;
+        use std::rc::Rc;
 
         struct Producer {
             sent: bool,
@@ -435,11 +432,11 @@ mod tests {
             }
         }
         struct Consumer {
-            got: Arc<AtomicBool>,
+            got: Rc<Cell<bool>>,
         }
         impl Skeleton for Consumer {
             fn next_step(&mut self, _now: Time) -> Step {
-                if self.got.load(Ordering::Relaxed) {
+                if self.got.get() {
                     Step::Done
                 } else {
                     Step::WaitUntilReady
@@ -448,15 +445,15 @@ mod tests {
             fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
                 assert_eq!(msg.tag, 7);
                 assert_eq!(msg.payload_bytes, 64);
-                self.got.store(true, Ordering::Relaxed);
+                self.got.set(true);
                 HandlerSpec::compute(Dur::ns(5))
             }
             fn ready_to_proceed(&self) -> bool {
-                self.got.load(Ordering::Relaxed)
+                self.got.get()
             }
         }
 
-        let got = Arc::new(AtomicBool::new(false));
+        let got = Rc::new(Cell::new(false));
         let got2 = got.clone();
         let cfg = MachineConfig::with_ni(NiKind::Ap3000).nodes(2);
         let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
@@ -467,6 +464,6 @@ mod tests {
             }
         });
         assert!(report.all_quiescent);
-        assert!(got.load(Ordering::Relaxed));
+        assert!(got.get());
     }
 }

@@ -27,7 +27,8 @@
 //! cross-node lookup table exists to checkpoint: in-flight messages
 //! restore for free through the machine snapshot.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
 use nisim_core::{Machine, MachineConfig, MachineReport, TenantSummary};
@@ -493,9 +494,9 @@ pub fn arrival_schedule(
     out
 }
 
-/// Machine-wide accumulators, merged commutatively from every node's
-/// handlers (bucket/counter additions only, so the total is identical
-/// at any epoch worker count).
+/// Machine-wide accumulators, merged from every node's handlers
+/// (bucket/counter additions only, so the total does not depend on the
+/// order nodes report in).
 #[derive(Default)]
 struct TrafficSink {
     offered: Vec<u64>,
@@ -525,7 +526,7 @@ struct TrafficProcess {
     recv: Vec<Log2Hist>,
     offered: Vec<u64>,
     delivered: Vec<u64>,
-    sink: Arc<Mutex<TrafficSink>>,
+    sink: Rc<RefCell<TrafficSink>>,
 }
 
 impl TrafficProcess {
@@ -534,7 +535,7 @@ impl TrafficProcess {
         nodes: u32,
         seed: u64,
         params: &TrafficParams,
-        sink: Arc<Mutex<TrafficSink>>,
+        sink: Rc<RefCell<TrafficSink>>,
     ) -> TrafficProcess {
         let n = params.tenants.len();
         TrafficProcess {
@@ -583,7 +584,7 @@ impl Process for TrafficProcess {
         inj.sent += 1;
         inj.schedule_next();
         self.offered[t] += 1;
-        self.sink.lock().unwrap().offered[t] += 1;
+        self.sink.borrow_mut().offered[t] += 1;
         Action::Send(SendSpec::new(dst, payload, encode_tag(t, at)))
     }
 
@@ -594,7 +595,7 @@ impl Process for TrafficProcess {
         self.recv[t].record(lat);
         self.delivered[t] += 1;
         {
-            let mut s = self.sink.lock().unwrap();
+            let mut s = self.sink.borrow_mut();
             s.latency[t].record(lat);
             s.delivered[t] += 1;
         }
@@ -685,7 +686,7 @@ impl Process for TrafficProcess {
         // Fold the restored history into the fresh sink exactly once,
         // so a resumed run's machine-wide totals equal the
         // uninterrupted run's (later deliveries add on top).
-        let mut s = self.sink.lock().unwrap();
+        let mut s = self.sink.borrow_mut();
         for t in 0..n {
             s.offered[t] += self.offered[t];
             s.delivered[t] += self.delivered[t];
@@ -706,7 +707,7 @@ pub struct TrafficDriver {
     nodes: u32,
     seed: u64,
     params: TrafficParams,
-    sink: Arc<Mutex<TrafficSink>>,
+    sink: Rc<RefCell<TrafficSink>>,
 }
 
 impl TrafficDriver {
@@ -725,7 +726,9 @@ impl TrafficDriver {
             nodes: cfg.nodes,
             seed: cfg.seed,
             params: params.clone(),
-            sink: Arc::new(Mutex::new(TrafficSink::with_tenants(params.tenants.len()))),
+            sink: Rc::new(RefCell::new(TrafficSink::with_tenants(
+                params.tenants.len(),
+            ))),
         }
     }
 
@@ -740,7 +743,7 @@ impl TrafficDriver {
 
     /// Attaches the per-tenant summaries to a finished run's report.
     pub fn attach(&self, report: &mut MachineReport) {
-        let s = self.sink.lock().unwrap();
+        let s = self.sink.borrow();
         report.tenants = self
             .params
             .tenants

@@ -1,15 +1,10 @@
 //! Property tests for the open-loop arrival processes: empirical rates
 //! track the configured means, schedules are deterministic per seed and
-//! decorrelated across seeds/nodes/tenants, the MMPP actually bursts,
-//! and a traffic run produces byte-identical per-tenant results at any
-//! epoch worker count.
+//! decorrelated across seeds/nodes/tenants, and the MMPP actually
+//! bursts.
 
-use nisim_core::{MachineConfig, NiKind};
 use nisim_net::NodeId;
-use nisim_workloads::traffic::{
-    arrival_schedule, run_traffic, ArrivalProcess, TenantSpec, TrafficKind, TrafficPattern,
-    TrafficSpec,
-};
+use nisim_workloads::traffic::{arrival_schedule, ArrivalProcess, TenantSpec, TrafficPattern};
 
 fn tenant(arrivals: ArrivalProcess, pattern: TrafficPattern) -> TenantSpec {
     TenantSpec {
@@ -154,36 +149,4 @@ fn incast_sink_has_an_empty_schedule() {
     );
     assert!(arrival_schedule(spec, 0, NodeId(5), 7, 100).is_empty());
     assert_eq!(arrival_schedule(spec, 0, NodeId(4), 7, 100).len(), 100);
-}
-
-#[test]
-fn traffic_runs_are_byte_identical_across_worker_counts() {
-    // The whole point of sink commutativity: per-tenant histograms and
-    // counts must not depend on epoch parallelism.
-    for kind in TrafficKind::ALL {
-        let spec = TrafficSpec { kind, level: 3 };
-        let reference = {
-            let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(8).workers(1);
-            run_traffic(&cfg, &spec.params(8))
-        };
-        let parallel = {
-            let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(8).workers(4);
-            run_traffic(&cfg, &spec.params(8))
-        };
-        assert_eq!(
-            reference.tenants,
-            parallel.tenants,
-            "{}: tenant summaries diverged between 1 and 4 workers",
-            spec.key()
-        );
-        // Byte-level: the serialized histograms match exactly.
-        for (a, b) in reference.tenants.iter().zip(&parallel.tenants) {
-            assert_eq!(
-                a.latency.to_json().to_compact(),
-                b.latency.to_json().to_compact()
-            );
-        }
-        assert_eq!(reference.app_messages, parallel.app_messages);
-        assert_eq!(reference.elapsed, parallel.elapsed);
-    }
 }

@@ -731,21 +731,18 @@ fn golden_tenant_mix_percentiles() {
 
 /// The loadlat golden's own drift tripwire: a fresh in-process rerun of
 /// all three traffic sweeps must reproduce the committed file byte for
-/// byte — at whatever intra-run worker count the CI matrix sets.
+/// byte.
 #[test]
 fn loadlat_golden_matches_a_fresh_rerun_byte_for_byte() {
     use nisim_bench::record::{document, sweep_to_json};
     use nisim_bench::{incast_sweep, loadlat_sweep, mixes_sweep};
     let committed_text =
         std::fs::read_to_string(loadlat_golden_path()).expect("committed loadlat golden");
-    let workers = std::env::var("NISIM_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok());
     let jobs = default_jobs();
     let fresh = document(vec![
-        sweep_to_json("loadlat", &loadlat_sweep().with_workers(workers).run(jobs)),
-        sweep_to_json("incast", &incast_sweep().with_workers(workers).run(jobs)),
-        sweep_to_json("mixes", &mixes_sweep().with_workers(workers).run(jobs)),
+        sweep_to_json("loadlat", &loadlat_sweep().run(jobs)),
+        sweep_to_json("incast", &incast_sweep().run(jobs)),
+        sweep_to_json("mixes", &mixes_sweep().run(jobs)),
     ])
     .to_pretty();
     assert!(
@@ -761,12 +758,7 @@ fn loadlat_golden_matches_a_fresh_rerun_byte_for_byte() {
 #[test]
 fn golden_matches_a_fresh_rerun_byte_for_byte() {
     let committed_text = std::fs::read_to_string(golden_path()).expect("committed golden grid");
-    // Honor the CI thread matrix: rerun the suite at the matrix's
-    // intra-run worker count; the document must not depend on it.
-    let workers = std::env::var("NISIM_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok());
-    let fresh = golden_document(default_jobs(), workers).to_pretty();
+    let fresh = golden_document(default_jobs()).to_pretty();
     assert!(
         committed_text == fresh,
         "the golden grid drifted from the simulator's current behaviour;\n\

@@ -1,15 +1,17 @@
 //! Cross-crate property tests for the snapshot subsystem: the
 //! reliability layer's dedup windows must survive the checkpoint file
-//! round trip with their *behaviour* (not just their bytes) intact, and
-//! a snapshot must never restore into a machine whose configuration
-//! fingerprint differs — whichever knob was turned.
+//! round trip with their *behaviour* (not just their bytes) intact, a
+//! snapshot must never restore into a machine whose configuration
+//! fingerprint differs — whichever knob was turned — and a run cut at a
+//! horizon or sliced by event budget must finish exactly as an
+//! uninterrupted one.
 //!
 //! The container is offline (no proptest), so the generator is a small
 //! hand-rolled LCG — deterministic, so failures reproduce exactly.
 
 use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
-use nisim_engine::{json, Dur, Time};
+use nisim_engine::{json, Dur, SimStatus, Time};
 use nisim_net::{BufferCount, NodeId, ReceiverDedup, ReliabilityConfig, SeqNo};
 use nisim_workloads::apps::{factory, AppParams, MacroApp};
 
@@ -279,4 +281,82 @@ fn metrics_toggle_does_not_invalidate_a_snapshot() {
         !matches!(got, Err(SnapshotError::ConfigMismatch { .. })),
         "metrics must not change the fingerprint"
     );
+}
+
+/// Runs a machine to quiescence and renders its report, so two runs
+/// compare byte for byte.
+fn run_to_end(m: &mut Machine, sim: &mut MachineSim) -> String {
+    let status = m.run_slice(sim, Time::from_ns(10_000_000_000), 500_000_000);
+    assert_eq!(status, SimStatus::Drained);
+    format!("{:?}", m.report(sim, status))
+}
+
+/// A run stopped at a horizon that falls between events (the clock is
+/// clamped to the horizon, not to the last fired event) must snapshot
+/// and resume exactly: both the restored copy and the paused original
+/// reproduce the uninterrupted report.
+#[test]
+fn horizon_cut_checkpoint_resumes_identically() {
+    let cfg = base_config();
+    let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, snap_params());
+    let mut golden = Machine::new(cfg.clone(), mk());
+    let mut gsim = MachineSim::new();
+    golden.start(&mut gsim);
+    let golden_report = run_to_end(&mut golden, &mut gsim);
+
+    // Cuts chosen off any round multiple, inside busy stretches.
+    for cut_ns in [777u64, 3_333, 7_919] {
+        let mut m = Machine::new(cfg.clone(), mk());
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        let status = m.run_slice(&mut sim, Time::from_ns(cut_ns), 500_000_000);
+        assert_eq!(status, SimStatus::HorizonReached, "cut {cut_ns}");
+        assert_eq!(sim.now(), Time::from_ns(cut_ns));
+
+        let text = save(&m, &mut sim).expect("snapshot").to_compact();
+        let snap = json::parse(&text).expect("snapshot text parses");
+        let (mut r, mut rsim) = restore(cfg.clone(), mk(), &snap).expect("restore");
+        assert_eq!(
+            golden_report,
+            run_to_end(&mut r, &mut rsim),
+            "cut {cut_ns}: resumed run diverged"
+        );
+        assert_eq!(
+            golden_report,
+            run_to_end(&mut m, &mut sim),
+            "cut {cut_ns}: paused original diverged"
+        );
+    }
+}
+
+/// Event-budget slicing (the chaos suite's kill-and-resume shape): a run
+/// driven in 500-event `run_slice` calls must report exactly what an
+/// uninterrupted run does.
+#[test]
+fn budget_sliced_run_matches_the_uninterrupted_run() {
+    let cfg = MachineConfig::with_ni(NiKind::Cni32Qm)
+        .nodes(4)
+        .flow_buffers(BufferCount::Finite(4));
+    let mk = || factory(MacroApp::Moldyn, 4, 3, MacroApp::Moldyn.default_params());
+    let horizon = Time::from_ns(10_000_000_000);
+
+    let mut whole = Machine::new(cfg.clone(), mk());
+    let mut wsim = MachineSim::new();
+    whole.start(&mut wsim);
+    let whole_report = run_to_end(&mut whole, &mut wsim);
+
+    let mut m = Machine::new(cfg, mk());
+    let mut sim = MachineSim::new();
+    m.start(&mut sim);
+    let mut slices = 0;
+    let status = loop {
+        slices += 1;
+        let status = m.run_slice(&mut sim, horizon, 500);
+        if status != SimStatus::EventBudgetExhausted {
+            break status;
+        }
+    };
+    assert_eq!(status, SimStatus::Drained);
+    assert!(slices > 2, "workload too small to slice meaningfully");
+    assert_eq!(whole_report, format!("{:?}", m.report(&sim, status)));
 }
