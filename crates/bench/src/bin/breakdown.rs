@@ -41,40 +41,5 @@ fn main() -> ExitCode {
 
     let doc = document(vec![sweep_to_json("breakdown", &records)]);
     let text = doc.to_pretty();
-    if let Some(path) = &args.json {
-        std::fs::write(path, &text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-    }
-    let golden = breakdown_golden_path();
-    if args.update_goldens {
-        if let Some(dir) = golden.parent() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-        }
-        std::fs::write(&golden, &text)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", golden.display()));
-        println!("updated {}", golden.display());
-        return ExitCode::SUCCESS;
-    }
-    match std::fs::read_to_string(&golden) {
-        Ok(committed) if committed == text => {
-            println!("breakdown golden matches {}", golden.display());
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!(
-                "breakdown golden DRIFTED from {} — inspect the diff and rerun\n\
-                 with --update-goldens if the change is intended",
-                golden.display()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!(
-                "cannot read {} ({e}); run with --update-goldens to create it",
-                golden.display()
-            );
-            ExitCode::FAILURE
-        }
-    }
+    args.check_golden(&text, &breakdown_golden_path(), "breakdown golden")
 }

@@ -9,7 +9,7 @@
 //! `--json`); `EXPERIMENTS.md` records the paper-vs-measured comparison
 //! and `tests/goldens/` pins the full machine-readable output.
 
-use nisim_core::{Machine, MachineConfig, MachineReport, NiKind, TimeCategory};
+use nisim_core::{Machine, MachineConfig, MachineReport, NiClass, NiKind, TimeCategory};
 use nisim_engine::metrics::Component;
 use nisim_engine::stats::Histogram;
 use nisim_engine::Dur;
@@ -193,9 +193,10 @@ pub const FIG3A_BUFFERS: [BufferCount; 4] = [
 ];
 
 /// The three FIFO-based NIs of Figure 3a.
-pub const FIFO_NIS: [NiKind; 3] = [NiKind::Cm5, NiKind::Udma, NiKind::Ap3000];
+pub const FIFO_NIS: [NiKind; 3] = NiKind::of_classes(&[NiClass::Fifo]);
 
-/// The four coherent NIs of Figure 3b.
+/// The four coherent NIs of Figure 3b, in its bar order (Memory Channel
+/// first); golden order, so not derived from the registry.
 pub const COHERENT_NIS: [NiKind; 4] = [
     NiKind::MemoryChannel,
     NiKind::StartJr,

@@ -13,7 +13,8 @@
 //! variable, or the machine's available parallelism, in that order of
 //! precedence ([`default_jobs`]).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -122,7 +123,7 @@ pub struct Patch {
     pub cni_dead_block_opt: Option<bool>,
     /// Override the RDMA queue-pair NI's QP-state cache capacity.
     pub qp_cache_entries: Option<u32>,
-    /// Force the UDMA NI to always use uncached transfers (suppresses
+    /// Force the UDMA NI to always use uncached transfers (overrides
     /// the pure-UDMA cost model the micro works otherwise select).
     pub udma_uncached_fallback: bool,
     /// Collect the per-component cycle breakdown for this point. Pure
@@ -313,12 +314,9 @@ impl Sweep {
 /// Executes one grid point and builds its record.
 pub fn run_point(point: &SweepPoint) -> RunRecord {
     let mut cfg = MachineConfig::with_ni(point.ni).flow_buffers(point.buffers);
-    // The Table 5 micro-benchmarks characterise the pure UDMA mechanism
-    // (see `round_trip_for`); the macro apps use its threshold-switching
-    // form unchanged.
-    let micro = matches!(point.work, Work::RoundTrip(_) | Work::Bandwidth(_));
-    if micro && point.ni == NiKind::Udma && !point.patch.udma_uncached_fallback {
-        cfg.costs = cfg.costs.pure_udma();
+    // The macro apps use the UDMA NI's threshold-switching form unchanged.
+    if matches!(point.work, Work::RoundTrip(_) | Work::Bandwidth(_)) {
+        cfg = cfg.for_microbenchmark();
     }
     point.patch.apply(&mut cfg);
     let (report, metrics, fingerprint) = match point.work {
@@ -346,10 +344,9 @@ pub fn run_point(point: &SweepPoint) -> RunRecord {
         Work::LogP(payload) => {
             // `measure_logp` fixes its own configuration; fingerprint
             // the equivalent so the record stays honest.
-            let mut lcfg = MachineConfig::with_ni(point.ni).flow_buffers(BufferCount::Finite(8));
-            if point.ni == NiKind::Udma {
-                lcfg.costs = lcfg.costs.pure_udma();
-            }
+            let lcfg = MachineConfig::with_ni(point.ni)
+                .flow_buffers(BufferCount::Finite(8))
+                .for_microbenchmark();
             let fp = record::fingerprint(&lcfg);
             let (r, report) = measure_logp_with_report(point.ni, payload);
             let metrics = vec![
@@ -526,6 +523,49 @@ impl BenchArgs {
             }
         }
         Ok(out)
+    }
+
+    /// Finishes a golden-checked binary: writes `text` to the `--json`
+    /// path if one was given, then rewrites `golden` under
+    /// `--update-goldens` or byte-compares against it, failing on drift.
+    /// `label` names the golden in the messages.
+    pub fn check_golden(&self, text: &str, golden: &Path, label: &str) -> ExitCode {
+        if let Some(path) = &self.json {
+            std::fs::write(path, text)
+                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+            eprintln!("wrote {}", path.display());
+        }
+        if self.update_goldens {
+            if let Some(dir) = golden.parent() {
+                std::fs::create_dir_all(dir)
+                    .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+            }
+            std::fs::write(golden, text)
+                .unwrap_or_else(|e| panic!("writing {}: {e}", golden.display()));
+            println!("updated {}", golden.display());
+            return ExitCode::SUCCESS;
+        }
+        match std::fs::read_to_string(golden) {
+            Ok(committed) if committed == text => {
+                println!("{label} matches {}", golden.display());
+                ExitCode::SUCCESS
+            }
+            Ok(_) => {
+                eprintln!(
+                    "{label} DRIFTED from {} — inspect the diff and rerun\n\
+                     with --update-goldens if the change is intended",
+                    golden.display()
+                );
+                ExitCode::FAILURE
+            }
+            Err(e) => {
+                eprintln!(
+                    "cannot read {} ({e}); run with --update-goldens to create it",
+                    golden.display()
+                );
+                ExitCode::FAILURE
+            }
+        }
     }
 }
 

@@ -210,6 +210,19 @@ mod tests {
     }
 
     #[test]
+    fn ladder_order_is_fifo_then_figure3b_then_modern() {
+        use crate::experiments::{COHERENT_NIS, FIFO_NIS};
+        use nisim_core::NiClass;
+        let mut expect = FIFO_NIS.to_vec();
+        expect.extend(COHERENT_NIS);
+        expect.extend(NiKind::MODERN);
+        assert_eq!(LOADLAT_NIS.to_vec(), expect);
+        let mut fig3b = COHERENT_NIS.to_vec();
+        fig3b.sort_by_key(|&k| k as usize);
+        assert_eq!(fig3b, NiKind::of_classes::<4>(&[NiClass::Coherent]));
+    }
+
+    #[test]
     fn knee_detection_on_synthetic_curves() {
         let flat = LoadCurve {
             ni: "x".into(),

@@ -5,7 +5,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use nisim_core::snapshot::{load_from_file, restore, save_to_file};
-use nisim_core::{Machine, MachineConfig, MachineReport, MachineSim, NiKind, TimeCategory};
+use nisim_core::{
+    Machine, MachineConfig, MachineReport, MachineSim, NiClass, NiKind, TimeCategory,
+};
 use nisim_engine::metrics::MetricsConfig;
 use nisim_engine::{Dur, SimStatus, Time};
 use nisim_net::{BufferCount, CrashWindow, DownWindow, NodeId, Topology};
@@ -45,8 +47,8 @@ fn write_records(path: &str, section: &str, records: &[RunRecord]) -> Result<(),
     std::fs::write(path, doc.to_pretty()).map_err(|e| err(format!("writing {path:?}: {e}")))
 }
 
-/// Usage text shown on parse errors.
-pub const USAGE: &str = "\
+/// The command and flag summary that [`usage`] opens with.
+const USAGE: &str = "\
 usage:
   nisim list
   nisim rtt   --ni <ni> [--payload <bytes>] [--buffers <n|inf>]
@@ -94,12 +96,18 @@ fault injection (any command that builds a machine):
   --reliable <on|off>  retransmission layer (default: on iff faults on)
   --rel-timeout <ns>   initial ack timeout before retransmit
   --rel-retries <n>    retransmissions before giving up
-  --watchdog-us <n>    no-progress watchdog window, microseconds
+  --watchdog-us <n>    no-progress watchdog window, microseconds";
 
-NIs:  cm5, cm5-single-cycle, cm5-coalescing, udma, ap3000, startjr,
-      memchannel, cni512q, cni32qm, cni32qm-throttle,
-      rdma-qp, urma, sgdma
-apps: appbt, barnes, dsmc, em3d, moldyn, spsolve, unstructured";
+/// Usage text shown by `list` and on parse errors: the flag summary,
+/// then every NI key from the registry and the app names.
+pub fn usage() -> String {
+    let keys: Vec<&str> = NiKind::ALL.iter().map(|ni| ni.key()).collect();
+    let rows: Vec<String> = keys.chunks(6).map(|row| row.join(", ")).collect();
+    format!(
+        "{USAGE}\n\nNIs:  {}\napps: appbt, barnes, dsmc, em3d, moldyn, spsolve, unstructured",
+        rows.join(",\n      ")
+    )
+}
 
 /// A CLI failure with a human-readable message.
 #[derive(Debug, PartialEq, Eq)]
@@ -167,24 +175,10 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     Ok(flags)
 }
 
-/// Parses an NI name.
-pub fn parse_ni(name: &str) -> Result<NiKind, CliError> {
-    Ok(match name {
-        "cm5" => NiKind::Cm5,
-        "cm5-single-cycle" => NiKind::Cm5SingleCycle,
-        "cm5-coalescing" => NiKind::Cm5Coalescing,
-        "udma" => NiKind::Udma,
-        "ap3000" => NiKind::Ap3000,
-        "startjr" => NiKind::StartJr,
-        "memchannel" => NiKind::MemoryChannel,
-        "cni512q" => NiKind::Cni512Q,
-        "cni32qm" => NiKind::Cni32Qm,
-        "cni32qm-throttle" => NiKind::Cni32QmThrottle,
-        "rdma-qp" => NiKind::RdmaQp,
-        "urma" => NiKind::Urma,
-        "sgdma" => NiKind::Sgdma,
-        other => return Err(err(format!("unknown NI {other:?}"))),
-    })
+/// The NI design named by the required `--ni` flag.
+fn ni_from(flags: &HashMap<String, String>) -> Result<NiKind, CliError> {
+    let name = required(flags, "ni")?;
+    NiKind::from_key(name).ok_or_else(|| err(format!("unknown NI {name:?}")))
 }
 
 /// Parses a macrobenchmark name.
@@ -481,14 +475,11 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
     };
     let flags = parse_flags(rest)?;
     match cmd.as_str() {
-        "list" => Ok(format!("{USAGE}\n")),
+        "list" => Ok(format!("{}\n", usage())),
         "rtt" => {
-            let ni = parse_ni(required(&flags, "ni")?)?;
+            let ni = ni_from(&flags)?;
             let payload = payload_from(&flags)?;
-            let mut cfg = config_from(&flags, ni)?;
-            if ni == NiKind::Udma {
-                cfg.costs = cfg.costs.pure_udma();
-            }
+            let cfg = config_from(&flags, ni)?.for_microbenchmark();
             let r = measure_round_trip(&cfg, payload);
             Ok(format!(
                 "{}: {} B round trip = {:.2} us (min {:.2}, max {:.2})\n",
@@ -500,12 +491,9 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             ))
         }
         "bw" => {
-            let ni = parse_ni(required(&flags, "ni")?)?;
+            let ni = ni_from(&flags)?;
             let payload = payload_from(&flags)?;
-            let mut cfg = config_from(&flags, ni)?;
-            if ni == NiKind::Udma {
-                cfg.costs = cfg.costs.pure_udma();
-            }
+            let cfg = config_from(&flags, ni)?.for_microbenchmark();
             let r = measure_bandwidth(&cfg, payload);
             Ok(format!(
                 "{}: {} B stream = {:.0} MB/s\n",
@@ -515,7 +503,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             ))
         }
         "run" => {
-            let ni = parse_ni(required(&flags, "ni")?)?;
+            let ni = ni_from(&flags)?;
             let app = parse_app(required(&flags, "app")?)?;
             let cfg = config_from(&flags, ni)?;
             let ckpt = checkpoint_plan(&flags)?;
@@ -616,22 +604,11 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                         err(format!("bad --jobs {v:?} (want a positive integer)"))
                     })?,
                 };
-            let nis = [
-                NiKind::Cm5,
-                NiKind::Cm5Coalescing,
-                NiKind::Udma,
-                NiKind::Ap3000,
-                NiKind::StartJr,
-                NiKind::MemoryChannel,
-                NiKind::Cni512Q,
-                NiKind::Cni32Qm,
-                NiKind::RdmaQp,
-                NiKind::Urma,
-                NiKind::Sgdma,
-            ];
-            let configs = nis
-                .iter()
-                .map(|&ni| Ok((ni, config_from(&flags, ni)?)))
+            // Every design but the paper's §6 variants of Table 2 rows.
+            let configs = NiKind::ALL
+                .into_iter()
+                .filter(|ni| ni.spec().class != NiClass::PaperVariant)
+                .map(|ni| Ok((ni, config_from(&flags, ni)?)))
                 .collect::<Result<Vec<_>, CliError>>()?;
             let reports = parallel_map(&configs, jobs, |(_, cfg)| {
                 run_app(app, cfg, &app.default_params())
@@ -657,7 +634,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "traffic" => {
-            let ni = parse_ni(required(&flags, "ni")?)?;
+            let ni = ni_from(&flags)?;
             let kind = match flags.get("traffic") {
                 None => TrafficKind::PoissonUniform,
                 Some(k) => TrafficKind::from_key(k)
@@ -749,24 +726,18 @@ mod tests {
 
     #[test]
     fn parses_all_ni_names() {
-        for (name, kind) in [
-            ("cm5", NiKind::Cm5),
-            ("cm5-single-cycle", NiKind::Cm5SingleCycle),
-            ("cm5-coalescing", NiKind::Cm5Coalescing),
-            ("udma", NiKind::Udma),
-            ("ap3000", NiKind::Ap3000),
-            ("startjr", NiKind::StartJr),
-            ("memchannel", NiKind::MemoryChannel),
-            ("cni512q", NiKind::Cni512Q),
-            ("cni32qm", NiKind::Cni32Qm),
-            ("cni32qm-throttle", NiKind::Cni32QmThrottle),
-            ("rdma-qp", NiKind::RdmaQp),
-            ("urma", NiKind::Urma),
-            ("sgdma", NiKind::Sgdma),
-        ] {
-            assert_eq!(parse_ni(name).unwrap(), kind);
-        }
-        assert!(parse_ni("cm6").is_err());
+        // `list` names every design, in registry order, by its key.
+        let list = run(&["list"]).unwrap();
+        let (_, tail) = list.split_once("NIs:").unwrap();
+        let (nis, _) = tail.split_once("apps:").unwrap();
+        let listed: Vec<Option<NiKind>> = nis
+            .split(|c: char| c == ',' || c.is_whitespace())
+            .filter(|name| !name.is_empty())
+            .map(NiKind::from_key)
+            .collect();
+        assert_eq!(listed, NiKind::ALL.map(Some));
+        let e = run(&["rtt", "--ni", "cm6"]).unwrap_err();
+        assert!(e.0.contains("unknown NI \"cm6\""), "{e}");
     }
 
     #[test]

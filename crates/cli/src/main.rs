@@ -16,7 +16,7 @@ fn main() {
         Ok(output) => print!("{output}"),
         Err(CliError(msg)) => {
             eprintln!("error: {msg}");
-            eprintln!("{}", nisim_cli::USAGE);
+            eprintln!("{}", nisim_cli::usage());
             std::process::exit(2);
         }
     }

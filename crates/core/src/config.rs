@@ -217,6 +217,17 @@ impl MachineConfig {
         self
     }
 
+    /// This configuration as the micro-benchmarks run it: Table 5
+    /// characterises the pure UDMA mechanism, so the UDMA-based NI never
+    /// switches to uncached transfers for small messages. Every other
+    /// design is unchanged.
+    pub fn for_microbenchmark(mut self) -> MachineConfig {
+        if self.ni == NiKind::Udma {
+            self.costs = self.costs.pure_udma();
+        }
+        self
+    }
+
     /// Duration of `cycles` CPU cycles.
     pub fn cpu_cycles(&self, cycles: u64) -> Dur {
         Dur::cycles(cycles, self.cpu_period.as_ns())

@@ -12,7 +12,8 @@
 //! * [`taxonomy`] — the five-parameter design space (Table 2) as types,
 //! * [`ni`] — the seven NI models (CM-5, UDMA, AP3000, StarT-JR, Memory
 //!   Channel, `CNI_512Q`, `CNI_32Q_m`) plus the single-cycle and
-//!   throttled variants,
+//!   throttled variants, the coalescing extension and three modern
+//!   designs, each one row of the [`NiKind::spec`] registry,
 //! * [`node`] — the per-node hardware (bus/cache/memories) and coherent
 //!   access primitives,
 //! * [`machine`] — the N-node machine, flow control, and event logic,
@@ -85,7 +86,7 @@ pub use event::MachineEvent;
 pub use machine::{
     Machine, MachineReport, MachineSim, NodeSummary, TenantSummary, TraceEvent, TraceKind,
 };
-pub use ni::{NiKind, NiModel, NiUnit};
+pub use ni::{NiClass, NiKind, NiModel, NiUnit};
 pub use node::{Node, NodeHw};
 pub use process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
 pub use snapshot::{config_fingerprint, SnapshotError, SNAPSHOT_VERSION};

@@ -1566,20 +1566,7 @@ pub(crate) mod tests {
 
     #[test]
     fn echo_completes_on_every_ni_kind() {
-        for kind in [
-            NiKind::Cm5,
-            NiKind::Cm5SingleCycle,
-            NiKind::Udma,
-            NiKind::Ap3000,
-            NiKind::StartJr,
-            NiKind::MemoryChannel,
-            NiKind::Cni512Q,
-            NiKind::Cni32Qm,
-            NiKind::Cni32QmThrottle,
-            NiKind::RdmaQp,
-            NiKind::Urma,
-            NiKind::Sgdma,
-        ] {
+        for kind in NiKind::ALL {
             let r = run_kind(kind, BufferCount::Finite(8), 4, 64);
             assert_eq!(r.status, SimStatus::Drained, "{kind}");
             assert!(r.all_quiescent, "{kind} not quiescent");

@@ -14,7 +14,7 @@
 //! The paper charges 12 processor cycles to flush or load the block
 //! buffer; we take those constants verbatim.
 
-use nisim_engine::Time;
+use nisim_engine::{Json, Time};
 
 use crate::costs::CostModel;
 use crate::node::NodeHw;
@@ -139,6 +139,16 @@ impl NiModel for Ap3000Ni {
             t += hw.cycles(cost.block_parse_cycles);
         }
         t
+    }
+
+    // The block buffer empties within each send/drain call, so there is
+    // no dynamic state to checkpoint.
+    fn snapshot(&self) -> Json {
+        Json::obj()
+    }
+
+    fn restore(&mut self, _state: &Json) -> bool {
+        true
     }
 }
 

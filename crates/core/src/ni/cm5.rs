@@ -163,8 +163,8 @@ impl NiModel for Cm5Ni {
 
     // The FIFO window model carries no dynamic state beyond the machine's
     // shared queues, so its checkpoint payload is empty.
-    fn snapshot(&self) -> Option<nisim_engine::Json> {
-        Some(nisim_engine::Json::obj())
+    fn snapshot(&self) -> nisim_engine::Json {
+        nisim_engine::Json::obj()
     }
 
     fn restore(&mut self, _state: &nisim_engine::Json) -> bool {

@@ -30,7 +30,7 @@ use crate::taxonomy::{
 };
 
 use super::cni512q::cni_send_compose;
-use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -282,30 +282,22 @@ impl NiModel for Cni32QmNi {
         self.throttle
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(
-            Json::obj()
-                .set("send_cursor", self.send_q.cursor())
-                .set("recv_cursor", self.recv_q.cursor())
-                .set("rx_cache_used", self.rx_cache_used)
-                .set("displaced_blocks", self.displaced_blocks)
-                .set("dead_blocks_pending", self.dead_blocks_pending)
-                .set("rx_backlog_blocks", self.rx_backlog_blocks),
-        )
+    fn snapshot(&self) -> Json {
+        cursors_snapshot(&self.send_q, &self.recv_q)
+            .set("rx_cache_used", self.rx_cache_used)
+            .set("displaced_blocks", self.displaced_blocks)
+            .set("dead_blocks_pending", self.dead_blocks_pending)
+            .set("rx_backlog_blocks", self.rx_backlog_blocks)
     }
 
     fn restore(&mut self, state: &Json) -> bool {
         let field = |key: &str| state.get(key).and_then(Json::as_u64);
         let (
-            Some(send_cursor),
-            Some(recv_cursor),
             Some(rx_cache_used),
             Some(displaced_blocks),
             Some(dead_blocks_pending),
             Some(rx_backlog_blocks),
         ) = (
-            field("send_cursor"),
-            field("recv_cursor"),
             field("rx_cache_used"),
             field("displaced_blocks"),
             field("dead_blocks_pending"),
@@ -314,17 +306,14 @@ impl NiModel for Cni32QmNi {
         else {
             return false;
         };
-        if rx_cache_used > self.rx_cache_capacity
-            || !self.send_q.set_cursor(send_cursor)
-            || !self.recv_q.set_cursor(recv_cursor)
-        {
+        if rx_cache_used > self.rx_cache_capacity {
             return false;
         }
         self.rx_cache_used = rx_cache_used;
         self.displaced_blocks = displaced_blocks;
         self.dead_blocks_pending = dead_blocks_pending;
         self.rx_backlog_blocks = rx_backlog_blocks;
-        true
+        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
     }
 }
 

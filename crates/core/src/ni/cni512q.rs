@@ -20,7 +20,7 @@
 //! as processor-involved VM spill; it is rare at this queue size and we
 //! model the overflow as network back-pressure instead — see DESIGN.md).
 
-use nisim_engine::Time;
+use nisim_engine::{Json, Time};
 use nisim_mem::{BlockAddr, BlockGeometry};
 
 use crate::config::MachineConfig;
@@ -31,7 +31,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -248,6 +248,19 @@ impl NiModel for Cni512QNi {
             }
             ref other => unreachable!("CNI_512Q deposits only to its queue, got {other:?}"),
         }
+    }
+
+    fn snapshot(&self) -> Json {
+        cursors_snapshot(&self.send_q, &self.recv_q).set("recv_used_blocks", self.recv_used_blocks)
+    }
+
+    fn restore(&mut self, state: &Json) -> bool {
+        let used = state.get("recv_used_blocks").and_then(Json::as_u64);
+        let Some(used) = used.filter(|&u| u <= self.recv_q.capacity_blocks()) else {
+            return false;
+        };
+        self.recv_used_blocks = used;
+        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
     }
 }
 

@@ -15,7 +15,7 @@
 //! side is unchanged from the CM-5 design — which is exactly why
 //! coalescing alone cannot reach AP3000-class performance.
 
-use nisim_engine::Time;
+use nisim_engine::{Json, Time};
 use nisim_mem::BusOp;
 
 use crate::costs::CostModel;
@@ -137,6 +137,16 @@ impl NiModel for CoalescingNi {
         // Loads cannot coalesce: the receive path is word-by-word CM-5.
         self.base
             .drain_fragment(hw, cost, now, payload_bytes, wire_bytes, loc)
+    }
+
+    // The store buffer drains within each send call; the only other
+    // state is the CM-5 base's.
+    fn snapshot(&self) -> Json {
+        self.base.snapshot()
+    }
+
+    fn restore(&mut self, state: &Json) -> bool {
+        self.base.restore(state)
     }
 }
 

@@ -8,7 +8,7 @@
 //! upgrade instead of miss) fall out of the MOESI machinery instead of
 //! being hard-coded.
 
-use nisim_engine::{Dur, Time};
+use nisim_engine::{Dur, Json, Time};
 use nisim_mem::{Addr, BlockAddr, BlockGeometry};
 
 /// A circular, block-aligned queue region of the physical address space.
@@ -95,6 +95,24 @@ impl QueueRegion {
         }
         self.next = next;
         true
+    }
+}
+
+/// The allocation cursors of a send/receive queue pair: the checkpoint
+/// state every queue-based model shares, to which each appends its own.
+pub fn cursors_snapshot(send_q: &QueueRegion, recv_q: &QueueRegion) -> Json {
+    Json::obj()
+        .set("send_cursor", send_q.cursor())
+        .set("recv_cursor", recv_q.cursor())
+}
+
+/// Restores [`cursors_snapshot`] state. Returns `false` if a cursor is
+/// missing or lies outside its queue.
+pub fn restore_cursors(state: &Json, send_q: &mut QueueRegion, recv_q: &mut QueueRegion) -> bool {
+    let cursor = |key: &str| state.get(key).and_then(Json::as_u64);
+    match (cursor("send_cursor"), cursor("recv_cursor")) {
+        (Some(send), Some(recv)) => send_q.set_cursor(send) && recv_q.set_cursor(recv),
+        _ => false,
     }
 }
 

@@ -7,7 +7,7 @@
 //! the memory bus and drops multicast so the comparison isolates the data
 //! transfer and buffering parameters (§4).
 
-use nisim_engine::Time;
+use nisim_engine::{Json, Time};
 
 use crate::config::MachineConfig;
 use crate::costs::CostModel;
@@ -112,6 +112,15 @@ impl NiModel for MemoryChannelNi {
                 .drain_from_memory(hw, cost, now, base, blocks),
             ref other => unreachable!("Memory Channel deposits only to memory, got {other:?}"),
         }
+    }
+
+    // The AP3000-like send side holds no state between calls.
+    fn snapshot(&self) -> Json {
+        self.recv_side.snapshot()
+    }
+
+    fn restore(&mut self, state: &Json) -> bool {
+        self.recv_side.restore(state)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The seven memory-bus network interface models (§4, Table 2).
+//! The memory-bus network interface designs (§4, Table 2).
 //!
 //! Each design implements [`NiModel`]: four timing paths (send, deposit,
 //! drain, detection) plus its buffering policy. The paths are built from
@@ -15,14 +15,18 @@
 //! | `CNI_512Q` | [`cni512q`] | Wisconsin CNI without a cache |
 //! | `CNI_32Q_m` | [`cni32qm`] | Wisconsin CNI with a cache |
 //!
-//! Three modern design points extend the taxonomy past 1998 hardware
-//! (ROADMAP item 3):
+//! Three modern design points extend the taxonomy past 1998 hardware:
 //!
 //! | model | module | abstracts |
 //! |---|---|---|
 //! | `RDMA_QP` | [`rdma_qp`] | InfiniBand-style doorbell + queue pairs |
 //! | `URMA` | [`urma`] | connectionless NI, zero per-pair state |
 //! | `SGDMA` | [`sgdma`] | descriptor-driven scatter-gather DMA engine |
+//!
+//! Every design, including the §6 variants and the coalescing
+//! extension, has one registry row, [`NiKind::spec`]: its key, name,
+//! class, NI memory and constructor. Every NI list and NI fact elsewhere
+//! derives from those rows.
 
 pub mod ap3000;
 pub mod cm5;
@@ -41,7 +45,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use nisim_engine::stats::Counter;
 use nisim_engine::{Dur, Json, Time};
-use nisim_mem::BlockAddr;
+use nisim_mem::{BlockAddr, MemoryKind};
 use nisim_net::{
     BufferCount, FlowControlEndpoint, Fragment, MsgId, NodeId, ReceiverDedup, RelStats,
     SenderReliability, SeqNo,
@@ -92,99 +96,205 @@ pub enum NiKind {
     Sgdma,
 }
 
+/// Where a design sits relative to the paper's Table 2. Every NI list
+/// the experiments iterate ([`NiKind::TABLE2`], [`NiKind::MODERN`], the
+/// Figure 3a FIFO group, ...) is a class filter over [`NiKind::ALL`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NiClass {
+    /// A FIFO-based Table 2 design (the Figure 3a group).
+    Fifo,
+    /// A coherent Table 2 design (the Figure 3b group).
+    Coherent,
+    /// A variant of a Table 2 design the paper evaluates in §6
+    /// (single-cycle `NI_2w`, `CNI_32Q_m`+Throttle).
+    PaperVariant,
+    /// A mechanism the paper describes but does not evaluate.
+    Extension,
+    /// A post-1998 design point.
+    Modern,
+}
+
+/// One NI design's registry row: everything the simulator knows about
+/// the design outside its model file.
+#[derive(Clone, Copy)]
+pub struct NiSpec {
+    /// Short machine-readable key (the CLI's spelling), stable across
+    /// releases — sweep records and goldens are keyed on it.
+    pub key: &'static str,
+    /// The paper's informal name ("CM-5-like NI", ...).
+    pub name: &'static str,
+    /// The design's Table 2 class.
+    pub class: NiClass,
+    /// The node's dedicated NI memory: SRAM, or DRAM-class for the
+    /// 512-block `CNI_512Q` queues (Table 3 footnote).
+    pub ni_memory: MemoryKind,
+    /// Builds one node's model.
+    pub build: fn(&MachineConfig) -> Box<dyn NiModel>,
+}
+
 impl NiKind {
-    /// The seven NIs of Table 2, in the paper's row order.
-    pub const TABLE2: [NiKind; 7] = [
+    /// Every design, in declaration order. Adding a design means a
+    /// variant, an entry here and a [`NiKind::spec`] row.
+    pub const ALL: [NiKind; 13] = [
         NiKind::Cm5,
+        NiKind::Cm5SingleCycle,
+        NiKind::Cm5Coalescing,
         NiKind::Udma,
         NiKind::Ap3000,
         NiKind::StartJr,
         NiKind::MemoryChannel,
         NiKind::Cni512Q,
         NiKind::Cni32Qm,
+        NiKind::Cni32QmThrottle,
+        NiKind::RdmaQp,
+        NiKind::Urma,
+        NiKind::Sgdma,
     ];
 
-    /// The paper's informal name ("CM-5-like NI", ...).
-    pub fn name(self) -> &'static str {
+    /// The seven NIs of Table 2, in the paper's row order.
+    pub const TABLE2: [NiKind; 7] = NiKind::of_classes(&[NiClass::Fifo, NiClass::Coherent]);
+
+    /// The three post-paper design points, in sweep order.
+    pub const MODERN: [NiKind; 3] = NiKind::of_classes(&[NiClass::Modern]);
+
+    /// The design's registry row.
+    pub const fn spec(self) -> NiSpec {
+        use MemoryKind::{NiDram, NiSram};
+        use NiClass::{Coherent, Extension, Fifo, Modern, PaperVariant};
         match self {
-            NiKind::Cm5 => "CM-5-like NI",
-            NiKind::Cm5SingleCycle => "single-cycle NI_2w",
-            NiKind::Cm5Coalescing => "CM-5-like + coalescing",
-            NiKind::Udma => "Udma-based NI",
-            NiKind::Ap3000 => "AP3000-like NI",
-            NiKind::StartJr => "Start-JR-like NI",
-            NiKind::MemoryChannel => "Memory Channel-like NI",
-            NiKind::Cni512Q => "CNI_512Q",
-            NiKind::Cni32Qm => "CNI_32Qm",
-            NiKind::Cni32QmThrottle => "CNI_32Qm+Throttle",
-            NiKind::RdmaQp => "RDMA queue-pair NI",
-            NiKind::Urma => "connectionless URMA NI",
-            NiKind::Sgdma => "scatter-gather DMA NI",
+            NiKind::Cm5 => NiSpec {
+                key: "cm5",
+                name: "CM-5-like NI",
+                class: Fifo,
+                ni_memory: NiSram,
+                build: |_| Box::new(cm5::Cm5Ni::new(false)),
+            },
+            NiKind::Cm5SingleCycle => NiSpec {
+                key: "cm5-single-cycle",
+                name: "single-cycle NI_2w",
+                class: PaperVariant,
+                ni_memory: NiSram,
+                build: |_| Box::new(cm5::Cm5Ni::new(true)),
+            },
+            NiKind::Cm5Coalescing => NiSpec {
+                key: "cm5-coalescing",
+                name: "CM-5-like + coalescing",
+                class: Extension,
+                ni_memory: NiSram,
+                build: |_| Box::new(coalescing::CoalescingNi::new()),
+            },
+            NiKind::Udma => NiSpec {
+                key: "udma",
+                name: "Udma-based NI",
+                class: Fifo,
+                ni_memory: NiSram,
+                build: |_| Box::new(udma::UdmaNi::new()),
+            },
+            NiKind::Ap3000 => NiSpec {
+                key: "ap3000",
+                name: "AP3000-like NI",
+                class: Fifo,
+                ni_memory: NiSram,
+                build: |_| Box::new(ap3000::Ap3000Ni::new()),
+            },
+            NiKind::StartJr => NiSpec {
+                key: "startjr",
+                name: "Start-JR-like NI",
+                class: Coherent,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(startjr::StartJrNi::new(cfg)),
+            },
+            NiKind::MemoryChannel => NiSpec {
+                key: "memchannel",
+                name: "Memory Channel-like NI",
+                class: Coherent,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(memchannel::MemoryChannelNi::new(cfg)),
+            },
+            NiKind::Cni512Q => NiSpec {
+                key: "cni512q",
+                name: "CNI_512Q",
+                class: Coherent,
+                ni_memory: NiDram,
+                build: |cfg| Box::new(cni512q::Cni512QNi::new(cfg)),
+            },
+            NiKind::Cni32Qm => NiSpec {
+                key: "cni32qm",
+                name: "CNI_32Qm",
+                class: Coherent,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(cni32qm::Cni32QmNi::new(cfg, None)),
+            },
+            NiKind::Cni32QmThrottle => NiSpec {
+                key: "cni32qm-throttle",
+                name: "CNI_32Qm+Throttle",
+                class: PaperVariant,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(cni32qm::Cni32QmNi::new(cfg, Some(cfg.costs.throttle_delay))),
+            },
+            NiKind::RdmaQp => NiSpec {
+                key: "rdma-qp",
+                name: "RDMA queue-pair NI",
+                class: Modern,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(rdma_qp::RdmaQpNi::new(cfg)),
+            },
+            NiKind::Urma => NiSpec {
+                key: "urma",
+                name: "connectionless URMA NI",
+                class: Modern,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(urma::UrmaNi::new(cfg)),
+            },
+            NiKind::Sgdma => NiSpec {
+                key: "sgdma",
+                name: "scatter-gather DMA NI",
+                class: Modern,
+                ni_memory: NiSram,
+                build: |cfg| Box::new(sgdma::SgdmaNi::new(cfg)),
+            },
         }
     }
 
-    /// A short machine-readable key (the CLI's spelling), stable across
-    /// releases — sweep records and goldens are keyed on it.
+    /// The paper's informal name ("CM-5-like NI", ...).
+    pub fn name(self) -> &'static str {
+        self.spec().name
+    }
+
+    /// The CLI key, which sweep records and goldens are keyed on.
     pub fn key(self) -> &'static str {
-        match self {
-            NiKind::Cm5 => "cm5",
-            NiKind::Cm5SingleCycle => "cm5-single-cycle",
-            NiKind::Cm5Coalescing => "cm5-coalescing",
-            NiKind::Udma => "udma",
-            NiKind::Ap3000 => "ap3000",
-            NiKind::StartJr => "startjr",
-            NiKind::MemoryChannel => "memchannel",
-            NiKind::Cni512Q => "cni512q",
-            NiKind::Cni32Qm => "cni32qm",
-            NiKind::Cni32QmThrottle => "cni32qm-throttle",
-            NiKind::RdmaQp => "rdma-qp",
-            NiKind::Urma => "urma",
-            NiKind::Sgdma => "sgdma",
-        }
+        self.spec().key
     }
 
     /// Parses a [`key`](NiKind::key) back into a kind.
     pub fn from_key(key: &str) -> Option<NiKind> {
-        [
-            NiKind::Cm5,
-            NiKind::Cm5SingleCycle,
-            NiKind::Cm5Coalescing,
-            NiKind::Udma,
-            NiKind::Ap3000,
-            NiKind::StartJr,
-            NiKind::MemoryChannel,
-            NiKind::Cni512Q,
-            NiKind::Cni32Qm,
-            NiKind::Cni32QmThrottle,
-            NiKind::RdmaQp,
-            NiKind::Urma,
-            NiKind::Sgdma,
-        ]
-        .into_iter()
-        .find(|k| k.key() == key)
+        NiKind::ALL.into_iter().find(|k| k.key() == key)
     }
 
-    /// True for the NIs that buffer incoming messages in plentiful memory
-    /// without processor involvement (the Figure 3b group; the modern
-    /// designs all deposit NI-managed into host memory and belong here
-    /// too).
-    pub fn is_coherent(self) -> bool {
-        matches!(
-            self,
-            NiKind::StartJr
-                | NiKind::MemoryChannel
-                | NiKind::Cni512Q
-                | NiKind::Cni32Qm
-                | NiKind::Cni32QmThrottle
-                | NiKind::RdmaQp
-                | NiKind::Urma
-                | NiKind::Sgdma
-        )
+    /// The designs in any of `classes`, in declaration order. `N` must
+    /// be exactly their count; a `const` that gets it wrong fails to
+    /// compile.
+    pub const fn of_classes<const N: usize>(classes: &[NiClass]) -> [NiKind; N] {
+        let mut out = [NiKind::Cm5; N];
+        let mut n = 0;
+        let mut i = 0;
+        while i < NiKind::ALL.len() {
+            // `==` is not `const`: compare the class discriminants.
+            let class = NiKind::ALL[i].spec().class as u8;
+            let mut c = 0;
+            while c < classes.len() {
+                if classes[c] as u8 == class {
+                    assert!(n < N, "more designs in these classes than N");
+                    out[n] = NiKind::ALL[i];
+                    n += 1;
+                }
+                c += 1;
+            }
+            i += 1;
+        }
+        assert!(n == N, "fewer designs in these classes than N");
+        out
     }
-
-    /// The three post-paper design points (ROADMAP item 3), in sweep
-    /// order.
-    pub const MODERN: [NiKind; 3] = [NiKind::RdmaQp, NiKind::Urma, NiKind::Sgdma];
 }
 
 impl std::fmt::Display for NiKind {
@@ -328,21 +438,15 @@ pub trait NiModel {
         let _ = hw;
     }
 
-    /// Serialises the model's dynamic state for checkpointing. `None`
-    /// (the default) marks the design as unsnapshotable — machine
-    /// snapshots then fail with a typed error instead of silently
-    /// forgetting queue cursors or cache occupancy.
-    fn snapshot(&self) -> Option<Json> {
-        None
-    }
+    /// Serialises the model's dynamic state (queue cursors, cache
+    /// occupancy, ...) for checkpointing; stateless designs write an
+    /// empty object.
+    fn snapshot(&self) -> Json;
 
     /// Restores state captured by [`NiModel::snapshot`] into a freshly
-    /// built model (same configuration). Returns `false` on shape
-    /// mismatch or if the design is unsnapshotable (the default).
-    fn restore(&mut self, state: &Json) -> bool {
-        let _ = state;
-        false
-    }
+    /// built model (same configuration). Returns `false` on a shape
+    /// mismatch or an out-of-range value.
+    fn restore(&mut self, state: &Json) -> bool;
 }
 
 /// A fragment deposited at the receiving NI, awaiting the processor.
@@ -471,27 +575,10 @@ impl NiUnit {
 
     /// Builds a specific NI kind (used by tests and ablations).
     pub fn with_kind(cfg: &MachineConfig, kind: NiKind, buffers: BufferCount) -> NiUnit {
-        let model: Box<dyn NiModel> = match kind {
-            NiKind::Cm5 => Box::new(cm5::Cm5Ni::new(false)),
-            NiKind::Cm5SingleCycle => Box::new(cm5::Cm5Ni::new(true)),
-            NiKind::Cm5Coalescing => Box::new(coalescing::CoalescingNi::new()),
-            NiKind::Udma => Box::new(udma::UdmaNi::new()),
-            NiKind::Ap3000 => Box::new(ap3000::Ap3000Ni::new()),
-            NiKind::StartJr => Box::new(startjr::StartJrNi::new(cfg)),
-            NiKind::MemoryChannel => Box::new(memchannel::MemoryChannelNi::new(cfg)),
-            NiKind::Cni512Q => Box::new(cni512q::Cni512QNi::new(cfg)),
-            NiKind::Cni32Qm => Box::new(cni32qm::Cni32QmNi::new(cfg, None)),
-            NiKind::Cni32QmThrottle => {
-                Box::new(cni32qm::Cni32QmNi::new(cfg, Some(cfg.costs.throttle_delay)))
-            }
-            NiKind::RdmaQp => Box::new(rdma_qp::RdmaQpNi::new(cfg)),
-            NiKind::Urma => Box::new(urma::UrmaNi::new(cfg)),
-            NiKind::Sgdma => Box::new(sgdma::SgdmaNi::new(cfg)),
-        };
         NiUnit {
             kind,
             fc: FlowControlEndpoint::new(buffers),
-            model,
+            model: (kind.spec().build)(cfg),
             rx_ready: VecDeque::new(),
             outstanding: BTreeMap::new(),
             stats: NiStats::default(),
@@ -551,21 +638,7 @@ mod tests {
     #[test]
     fn every_kind_constructs() {
         let cfg = MachineConfig::default();
-        for kind in [
-            NiKind::Cm5,
-            NiKind::Cm5SingleCycle,
-            NiKind::Cm5Coalescing,
-            NiKind::Udma,
-            NiKind::Ap3000,
-            NiKind::StartJr,
-            NiKind::MemoryChannel,
-            NiKind::Cni512Q,
-            NiKind::Cni32Qm,
-            NiKind::Cni32QmThrottle,
-            NiKind::RdmaQp,
-            NiKind::Urma,
-            NiKind::Sgdma,
-        ] {
+        for kind in NiKind::ALL {
             let ni = NiUnit::with_kind(&cfg, kind, BufferCount::Finite(2));
             assert_eq!(ni.kind, kind);
         }
@@ -573,21 +646,8 @@ mod tests {
 
     #[test]
     fn keys_round_trip_for_every_kind() {
-        for kind in [
-            NiKind::Cm5,
-            NiKind::Cm5SingleCycle,
-            NiKind::Cm5Coalescing,
-            NiKind::Udma,
-            NiKind::Ap3000,
-            NiKind::StartJr,
-            NiKind::MemoryChannel,
-            NiKind::Cni512Q,
-            NiKind::Cni32Qm,
-            NiKind::Cni32QmThrottle,
-            NiKind::RdmaQp,
-            NiKind::Urma,
-            NiKind::Sgdma,
-        ] {
+        for (i, kind) in NiKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is in declaration order");
             assert_eq!(NiKind::from_key(kind.key()), Some(kind));
         }
         assert_eq!(NiKind::from_key("no-such-ni"), None);
@@ -595,17 +655,27 @@ mod tests {
 
     #[test]
     fn modern_kinds_are_coherent_and_off_table2() {
+        // Like the coherent Table 2 designs, the modern ones buffer
+        // incoming messages NI-managed in plentiful host memory.
+        let cfg = MachineConfig::default();
         for kind in NiKind::MODERN {
-            assert!(kind.is_coherent(), "{kind:?}");
+            assert_eq!(kind.spec().class, NiClass::Modern, "{kind:?}");
+            let ni = NiUnit::with_kind(&cfg, kind, BufferCount::Finite(2));
+            assert!(ni.model.frees_buffer_at_deposit(), "{kind:?}");
             assert!(!NiKind::TABLE2.contains(&kind), "{kind:?}");
         }
     }
 
     #[test]
     fn table2_order_and_coherence_split() {
-        assert_eq!(NiKind::TABLE2.len(), 7);
-        let coherent: Vec<bool> = NiKind::TABLE2.iter().map(|k| k.is_coherent()).collect();
-        assert_eq!(coherent, [false, false, false, true, true, true, true]);
+        use NiClass::{Coherent, Fifo};
+        let classes: Vec<NiClass> = NiKind::TABLE2.iter().map(|k| k.spec().class).collect();
+        assert_eq!(
+            classes,
+            [Fifo, Fifo, Fifo, Coherent, Coherent, Coherent, Coherent]
+        );
+        assert_eq!(NiKind::TABLE2[3], NiKind::StartJr, "paper row order");
+        assert_eq!(NiKind::TABLE2[4], NiKind::MemoryChannel);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -275,31 +275,23 @@ impl NiModel for RdmaQpNi {
         }
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(
-            Json::obj()
-                .set("send_cursor", self.send_q.cursor())
-                .set("recv_cursor", self.recv_q.cursor())
-                .set(
-                    "lru",
-                    Json::Arr(self.lru.iter().map(|&c| Json::from(c)).collect()),
-                )
-                .set("lookups", self.lookups)
-                .set("hits", self.hits)
-                .set("misses", self.misses)
-                .set("staged_conn", self.staged_conn),
-        )
+    fn snapshot(&self) -> Json {
+        cursors_snapshot(&self.send_q, &self.recv_q)
+            .set(
+                "lru",
+                Json::Arr(self.lru.iter().map(|&c| Json::from(c)).collect()),
+            )
+            .set("lookups", self.lookups)
+            .set("hits", self.hits)
+            .set("misses", self.misses)
+            .set("staged_conn", self.staged_conn)
     }
 
     fn restore(&mut self, state: &Json) -> bool {
         let field = |key: &str| state.get(key).and_then(Json::as_u64);
-        let (Some(send_cursor), Some(recv_cursor), Some(lookups), Some(hits), Some(misses)) = (
-            field("send_cursor"),
-            field("recv_cursor"),
-            field("lookups"),
-            field("hits"),
-            field("misses"),
-        ) else {
+        let (Some(lookups), Some(hits), Some(misses)) =
+            (field("lookups"), field("hits"), field("misses"))
+        else {
             return false;
         };
         let Some(staged_conn) = field("staged_conn").filter(|&c| c <= u32::MAX as u64) else {
@@ -319,11 +311,7 @@ impl NiModel for RdmaQpNi {
         else {
             return false;
         };
-        if lru.len() as u64 > self.capacity
-            || hits + misses != lookups
-            || !self.send_q.set_cursor(send_cursor)
-            || !self.recv_q.set_cursor(recv_cursor)
-        {
+        if lru.len() as u64 > self.capacity || hits + misses != lookups {
             return false;
         }
         self.lru = lru;
@@ -331,7 +319,7 @@ impl NiModel for RdmaQpNi {
         self.hits = hits;
         self.misses = misses;
         self.staged_conn = staged_conn as u32;
-        true
+        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
     }
 }
 
@@ -405,7 +393,7 @@ mod tests {
             ni.lookup(conn);
         }
         ni.stage(12, 0);
-        let snap = ni.snapshot().unwrap();
+        let snap = ni.snapshot();
         let mut fresh = RdmaQpNi::new(&cfg);
         assert!(fresh.restore(&snap));
         assert_eq!(fresh.cached(), ni.cached());

@@ -33,7 +33,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -304,25 +304,15 @@ impl NiModel for SgdmaNi {
         }
     }
 
-    fn snapshot(&self) -> Option<Json> {
+    fn snapshot(&self) -> Json {
         let staged = match self.staged {
             Some((count, elem)) => Json::Arr(vec![Json::from(count), Json::from(elem)]),
             None => Json::Null,
         };
-        Some(
-            Json::obj()
-                .set("send_cursor", self.send_q.cursor())
-                .set("recv_cursor", self.recv_q.cursor())
-                .set("staged", staged),
-        )
+        cursors_snapshot(&self.send_q, &self.recv_q).set("staged", staged)
     }
 
     fn restore(&mut self, state: &Json) -> bool {
-        let field = |key: &str| state.get(key).and_then(Json::as_u64);
-        let (Some(send_cursor), Some(recv_cursor)) = (field("send_cursor"), field("recv_cursor"))
-        else {
-            return false;
-        };
         let staged = match state.get("staged") {
             Some(Json::Null) => None,
             Some(v) => {
@@ -340,11 +330,8 @@ impl NiModel for SgdmaNi {
             }
             None => return false,
         };
-        if !self.send_q.set_cursor(send_cursor) || !self.recv_q.set_cursor(recv_cursor) {
-            return false;
-        }
         self.staged = staged;
-        true
+        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
     }
 }
 
@@ -436,7 +423,7 @@ mod tests {
         let cfg = MachineConfig::default();
         let mut ni = SgdmaNi::new(&cfg);
         ni.stage(0, encode_gather_tag(8, 32));
-        let snap = ni.snapshot().unwrap();
+        let snap = ni.snapshot();
         let mut fresh = SgdmaNi::new(&cfg);
         assert!(fresh.restore(&snap));
         assert_eq!(fresh.staged, Some((8, 32)));

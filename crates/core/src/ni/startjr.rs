@@ -14,7 +14,7 @@
 //! * the receiving processor pays a main-memory miss (120 ns) per block
 //!   to read the message — the memory detour the true CNIs avoid.
 
-use nisim_engine::Time;
+use nisim_engine::{Json, Time};
 use nisim_mem::BlockAddr;
 
 use crate::config::MachineConfig;
@@ -25,7 +25,9 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{layout, next_poll_tick, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{
+    cursors_snapshot, layout, next_poll_tick, restore_cursors, QueueRegion, SLOT_BLOCKS,
+};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -228,6 +230,19 @@ impl NiModel for StartJrNi {
             ref other => unreachable!("StarT-JR deposits only to memory, got {other:?}"),
         }
     }
+
+    fn snapshot(&self) -> Json {
+        cursors_snapshot(&self.send_q, &self.recv_q).set("recv_used_blocks", self.recv_used_blocks)
+    }
+
+    fn restore(&mut self, state: &Json) -> bool {
+        let used = state.get("recv_used_blocks").and_then(Json::as_u64);
+        let Some(used) = used.filter(|&u| u <= self.recv_q.capacity_blocks()) else {
+            return false;
+        };
+        self.recv_used_blocks = used;
+        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +338,24 @@ mod tests {
         let before = hw.cache.stats().snoop_invalidations;
         ni.deposit_fragment(&mut hw, &cost, d1.done, 56, 64);
         assert!(hw.cache.stats().snoop_invalidations > before);
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_state() {
+        let (_, _, mut ni) = setup();
+        let state = |send: u64, recv: u64, used: u64| {
+            Json::obj()
+                .set("send_cursor", send)
+                .set("recv_cursor", recv)
+                .set("recv_used_blocks", used)
+        };
+        let past_end = layout::MEMORY_QUEUE_BLOCKS + 1;
+        assert!(ni.restore(&state(8, 4, 4)));
+        assert_eq!(ni.snapshot().to_compact(), state(8, 4, 4).to_compact());
+        assert!(!ni.restore(&state(past_end, 0, 0)));
+        assert!(!ni.restore(&state(0, past_end, 0)));
+        assert!(!ni.restore(&state(0, 0, past_end)));
+        assert!(!ni.restore(&Json::obj()));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! 96-byte threshold for the macrobenchmarks; the Table 5 microbenchmarks
 //! characterise the pure mechanism with the threshold at 0).
 
-use nisim_engine::Time;
+use nisim_engine::{Json, Time};
 use nisim_mem::BusOp;
 
 use crate::costs::CostModel;
@@ -188,6 +188,16 @@ impl NiModel for UdmaNi {
         let grant = hw.bus.acquire(dma, BusOp::BlockRead);
         hw.main_mem.record_read();
         grant.end + hw.main_mem.read_latency()
+    }
+
+    // DMA transfers complete within each call; the only other state is
+    // the CM-5 fallback's.
+    fn snapshot(&self) -> Json {
+        self.fallback.snapshot()
+    }
+
+    fn restore(&mut self, state: &Json) -> bool {
+        self.fallback.restore(state)
     }
 }
 

@@ -25,7 +25,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -166,21 +166,12 @@ impl NiModel for UrmaNi {
         }
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(
-            Json::obj()
-                .set("send_cursor", self.send_q.cursor())
-                .set("recv_cursor", self.recv_q.cursor()),
-        )
+    fn snapshot(&self) -> Json {
+        cursors_snapshot(&self.send_q, &self.recv_q)
     }
 
     fn restore(&mut self, state: &Json) -> bool {
-        let field = |key: &str| state.get(key).and_then(Json::as_u64);
-        let (Some(send_cursor), Some(recv_cursor)) = (field("send_cursor"), field("recv_cursor"))
-        else {
-            return false;
-        };
-        self.send_q.set_cursor(send_cursor) && self.recv_q.set_cursor(recv_cursor)
+        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
     }
 }
 
@@ -230,11 +221,11 @@ mod tests {
         let (mut hw, cost, mut ni) = setup();
         ni.send_fragment(&mut hw, &cost, Time::ZERO, 64, 72);
         ni.deposit_fragment(&mut hw, &cost, Time::ZERO, 64, 72);
-        let snap = ni.snapshot().unwrap();
+        let snap = ni.snapshot();
         let cfg = MachineConfig::default();
         let mut fresh = UrmaNi::new(&cfg);
         assert!(fresh.restore(&snap));
-        assert_eq!(fresh.snapshot().unwrap().to_compact(), snap.to_compact());
+        assert_eq!(fresh.snapshot().to_compact(), snap.to_compact());
         assert!(!fresh.restore(&Json::obj().set("send_cursor", 1u64)));
     }
 

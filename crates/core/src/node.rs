@@ -53,13 +53,14 @@ pub struct NodeHw {
 
 impl NodeHw {
     /// Builds the hardware for one node of `cfg`'s machine, with the NI
-    /// memory speed appropriate for `ni` (Table 3 footnote: `CNI_512Q`
-    /// uses DRAM-class NI memory).
+    /// memory of `ni`'s registry row (DRAM-class memory runs at
+    /// main-memory speed).
     pub fn new(cfg: &MachineConfig, ni: NiKind) -> NodeHw {
-        let ni_mem = if ni == NiKind::Cni512Q {
-            MemoryDevice::with_latency(MemoryKind::NiDram, cfg.main_memory_latency)
+        let kind = ni.spec().ni_memory;
+        let latency = if kind == MemoryKind::NiDram {
+            cfg.main_memory_latency
         } else {
-            MemoryDevice::with_latency(MemoryKind::NiSram, cfg.ni_memory_latency)
+            cfg.ni_memory_latency
         };
         let mut bus = Bus::new(cfg.bus);
         let mut cache = Cache::new(cfg.cache);
@@ -71,7 +72,7 @@ impl NodeHw {
             bus,
             cache,
             main_mem: MemoryDevice::with_latency(MemoryKind::Main, cfg.main_memory_latency),
-            ni_mem,
+            ni_mem: MemoryDevice::with_latency(kind, latency),
             egress: Link::new(),
             ingress: Link::new(),
             c2c_latency: cfg.cache_to_cache_latency,

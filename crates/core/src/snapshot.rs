@@ -76,13 +76,6 @@ pub enum SnapshotError {
         /// The node whose process refused.
         node: u32,
     },
-    /// The node's NI model does not implement
-    /// [`NiModel::snapshot`](crate::ni::NiModel::snapshot), or refused the
-    /// stored state.
-    UnsupportedModel {
-        /// The node whose model refused.
-        node: u32,
-    },
     /// The machine collects a trace (message lifecycle or metrics spans),
     /// which snapshots do not capture.
     UnsupportedTrace,
@@ -106,9 +99,6 @@ impl std::fmt::Display for SnapshotError {
             ),
             SnapshotError::UnsupportedWorkload { node } => {
                 write!(f, "node {node}: workload does not support checkpointing")
-            }
-            SnapshotError::UnsupportedModel { node } => {
-                write!(f, "node {node}: NI model does not support checkpointing")
             }
             SnapshotError::UnsupportedTrace => {
                 write!(f, "tracing runs cannot be checkpointed")
@@ -559,8 +549,7 @@ fn counter_from(v: u64) -> Counter {
 ///
 /// The scheduler's pending events are drained and re-inserted, so `sim`
 /// is unchanged on return. Fails with a typed error if any node's
-/// workload or NI model does not support checkpointing, or if tracing is
-/// on.
+/// workload does not support checkpointing, or if tracing is on.
 pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotError> {
     if machine.cfg.trace || machine.cfg.metrics.trace || machine.g.trace.is_some() {
         return Err(SnapshotError::UnsupportedTrace);
@@ -591,10 +580,7 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
             .process
             .snapshot()
             .ok_or(SnapshotError::UnsupportedWorkload { node: n.id.0 })?;
-        let model =
-            n.ni.model
-                .snapshot()
-                .ok_or(SnapshotError::UnsupportedModel { node: n.id.0 })?;
+        let model = n.ni.model.snapshot();
         let hw = Json::obj()
             .set("bus", n.hw.bus.snapshot())
             .set("cache", n.hw.cache.snapshot())
@@ -896,7 +882,7 @@ pub fn restore(
         }
         let model = ni.get("model").ok_or_else(|| mal("node model"))?;
         if !n.ni.model.restore(model) {
-            return Err(SnapshotError::UnsupportedModel { node: nid });
+            return Err(mal("node NI model"));
         }
         n.ni.rx_ready = ni
             .get("rx_ready")

@@ -59,8 +59,10 @@ impl Moldyn {
     /// 2×8 B — the Table 4 proportions (≈2 %/27 %/65 %/4 %).
     fn refill(&mut self) {
         let rounds = self.params.intensity;
+        // A fast predecessor's next-round bulks can arrive before this
+        // node leaves the barrier: carry them over instead of zeroing.
+        self.bulks_received -= self.bulks_expected;
         self.bulks_expected = rounds;
-        self.bulks_received = 0;
         let chunk = Dur::ns(self.params.compute.as_ns() / rounds.max(1) as u64 / 2);
         for _ in 0..rounds {
             self.steps.push_back(Step::Compute(chunk));
@@ -174,6 +176,28 @@ mod tests {
         };
         let r = crate::apps::run_app(MacroApp::Moldyn, &cfg, &p);
         assert!(r.fragments_sent > r.app_messages);
+    }
+
+    #[test]
+    fn bulks_arriving_before_the_next_round_count_toward_it() {
+        let bulk = AppMessage {
+            src: NodeId(1),
+            payload_bytes: 3076,
+            tag: TAG_BULK,
+        };
+        let mut m = Moldyn::new(NodeId(2), 8, MacroApp::Moldyn.default_params());
+        let rounds = m.params.intensity;
+        m.refill();
+        // This round's bulks and the first of the next one all arrive
+        // before the barrier releases this node.
+        for _ in 0..=rounds {
+            m.on_app_message(&bulk, Time::ZERO);
+        }
+        m.refill();
+        for _ in 1..rounds {
+            m.on_app_message(&bulk, Time::ZERO);
+        }
+        assert!(m.ready_to_proceed());
     }
 
     #[test]

@@ -137,10 +137,9 @@ pub fn measure_bandwidth_with_report(
 /// Convenience: bandwidth for one NI kind at Table 5 defaults (8 flow
 /// control buffers; pure UDMA for the UDMA-based NI).
 pub fn bandwidth_for(kind: NiKind, payload_bytes: u64) -> BandwidthResult {
-    let mut cfg = MachineConfig::with_ni(kind).flow_buffers(BufferCount::Finite(8));
-    if kind == NiKind::Udma {
-        cfg.costs = cfg.costs.pure_udma();
-    }
+    let cfg = MachineConfig::with_ni(kind)
+        .flow_buffers(BufferCount::Finite(8))
+        .for_microbenchmark();
     measure_bandwidth(&cfg, payload_bytes)
 }
 

@@ -60,10 +60,9 @@ pub fn measure_logp_with_report(
     kind: NiKind,
     payload_bytes: u64,
 ) -> (LogPResult, nisim_core::MachineReport) {
-    let mut cfg = MachineConfig::with_ni(kind).flow_buffers(BufferCount::Finite(8));
-    if kind == NiKind::Udma {
-        cfg.costs = cfg.costs.pure_udma();
-    }
+    let cfg = MachineConfig::with_ni(kind)
+        .flow_buffers(BufferCount::Finite(8))
+        .for_microbenchmark();
     // Round trip bounds L + o terms; occupancies come from the ledgers of
     // a unidirectional stream.
     let rtt = measure_round_trip(&cfg, payload_bytes).mean_us;

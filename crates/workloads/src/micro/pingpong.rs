@@ -161,11 +161,9 @@ pub fn measure_round_trip_with_report(
 
 /// Convenience: round-trip latency for one NI kind at Table 5 defaults.
 pub fn round_trip_for(kind: NiKind, payload_bytes: u64) -> RoundTripResult {
-    let mut cfg = MachineConfig::with_ni(kind).flow_buffers(BufferCount::Finite(8));
-    if kind == NiKind::Udma {
-        // Table 5 characterises the pure UDMA mechanism.
-        cfg.costs = cfg.costs.pure_udma();
-    }
+    let cfg = MachineConfig::with_ni(kind)
+        .flow_buffers(BufferCount::Finite(8))
+        .for_microbenchmark();
     measure_round_trip(&cfg, payload_bytes)
 }
 

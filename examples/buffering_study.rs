@@ -6,18 +6,17 @@
 //! ```text
 //! cargo run --release -p nisim-examples --bin buffering_study [ni]
 //! ```
-//! where `ni` is `cm5` (default), `ap3000`, or `cni32qm`.
+//! where `ni` is any NI key `nisim list` shows (default `cm5`).
 
 use nisim_core::{MachineConfig, NiKind, TimeCategory};
 use nisim_net::BufferCount;
 use nisim_workloads::apps::{run_app, MacroApp};
 
 fn main() {
-    let ni = match std::env::args().nth(1).as_deref() {
-        Some("ap3000") => NiKind::Ap3000,
-        Some("cni32qm") => NiKind::Cni32Qm,
-        _ => NiKind::Cm5,
-    };
+    let ni = std::env::args()
+        .nth(1)
+        .and_then(|key| NiKind::from_key(&key))
+        .unwrap_or(NiKind::Cm5);
     let app = MacroApp::Em3d;
     println!("Buffering study: {app} on the {}\n", ni.name());
     println!(

@@ -26,16 +26,7 @@ fn main() {
         "{:<24} {:>10} {:>9} {:>9} {:>9} {:>9}",
         "NI", "elapsed", "compute", "transfer", "buffering", "bus txns"
     );
-    let kinds = [
-        NiKind::Cm5,
-        NiKind::Udma,
-        NiKind::Ap3000,
-        NiKind::StartJr,
-        NiKind::MemoryChannel,
-        NiKind::Cni512Q,
-        NiKind::Cni32Qm,
-    ];
-    for kind in kinds {
+    for kind in NiKind::TABLE2 {
         let cfg = MachineConfig::with_ni(kind);
         let r = run_app(app, &cfg, &app.default_params());
         println!(

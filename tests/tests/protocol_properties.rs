@@ -61,17 +61,6 @@ fn random_plan(rng: &mut SplitMix64) -> Plan {
     Plan { nodes, sends }
 }
 
-const NI_KINDS: [NiKind; 8] = [
-    NiKind::Cm5,
-    NiKind::Cm5SingleCycle,
-    NiKind::Udma,
-    NiKind::Ap3000,
-    NiKind::StartJr,
-    NiKind::MemoryChannel,
-    NiKind::Cni512Q,
-    NiKind::Cni32Qm,
-];
-
 const BUFFERINGS: [BufferCount; 4] = [
     BufferCount::Finite(1),
     BufferCount::Finite(2),
@@ -80,7 +69,7 @@ const BUFFERINGS: [BufferCount; 4] = [
 ];
 
 fn random_ni(rng: &mut SplitMix64) -> NiKind {
-    NI_KINDS[rng.gen_range(NI_KINDS.len() as u64) as usize]
+    NiKind::ALL[rng.gen_range(NiKind::ALL.len() as u64) as usize]
 }
 
 fn random_buffers(rng: &mut SplitMix64) -> BufferCount {

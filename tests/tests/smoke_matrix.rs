@@ -6,18 +6,6 @@ use nisim_engine::Dur;
 use nisim_net::BufferCount;
 use nisim_workloads::apps::{run_app, AppParams, MacroApp};
 
-const ALL_NIS: [NiKind; 9] = [
-    NiKind::Cm5,
-    NiKind::Cm5SingleCycle,
-    NiKind::Udma,
-    NiKind::Ap3000,
-    NiKind::StartJr,
-    NiKind::MemoryChannel,
-    NiKind::Cni512Q,
-    NiKind::Cni32Qm,
-    NiKind::Cni32QmThrottle,
-];
-
 fn small_params() -> AppParams {
     AppParams {
         iterations: 2,
@@ -29,7 +17,7 @@ fn small_params() -> AppParams {
 #[test]
 fn every_app_on_every_ni_completes() {
     for app in MacroApp::ALL {
-        for ni in ALL_NIS {
+        for ni in NiKind::ALL {
             let cfg = MachineConfig::with_ni(ni).nodes(8);
             let r = run_app(app, &cfg, &small_params());
             assert!(r.all_quiescent, "{app} on {ni} not quiescent");
@@ -51,7 +39,7 @@ fn full_matrix_completes_through_the_sweep_harness() {
     let started = std::time::Instant::now();
     let sweep = Sweep::new("smoke-matrix")
         .apps(&MacroApp::ALL)
-        .nis(&ALL_NIS)
+        .nis(&NiKind::ALL)
         .buffers(&[BufferCount::Finite(1), BufferCount::Infinite])
         .patches(vec![Patch {
             label: "small".into(),
@@ -60,7 +48,7 @@ fn full_matrix_completes_through_the_sweep_harness() {
             ..Patch::default()
         }]);
     let records = sweep.run(nisim_bench::default_jobs());
-    assert_eq!(records.len(), MacroApp::ALL.len() * ALL_NIS.len() * 2);
+    assert_eq!(records.len(), MacroApp::ALL.len() * NiKind::ALL.len() * 2);
     for r in &records {
         assert_eq!(r.status, "drained", "{}/{}/{}", r.work, r.ni, r.buffers);
         assert!(

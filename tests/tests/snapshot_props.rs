@@ -293,39 +293,44 @@ fn run_to_end(m: &mut Machine, sim: &mut MachineSim) -> String {
 
 /// A run stopped at a horizon that falls between events (the clock is
 /// clamped to the horizon, not to the last fired event) must snapshot
-/// and resume exactly: both the restored copy and the paused original
-/// reproduce the uninterrupted report.
+/// and resume exactly on every NI design: both the restored copy and the
+/// paused original reproduce the uninterrupted report.
 #[test]
 fn horizon_cut_checkpoint_resumes_identically() {
-    let cfg = base_config();
-    let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, snap_params());
-    let mut golden = Machine::new(cfg.clone(), mk());
-    let mut gsim = MachineSim::new();
-    golden.start(&mut gsim);
-    let golden_report = run_to_end(&mut golden, &mut gsim);
+    for ni in NiKind::ALL {
+        let cfg = MachineConfig {
+            ni,
+            ..base_config()
+        };
+        let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, snap_params());
+        let mut golden = Machine::new(cfg.clone(), mk());
+        let mut gsim = MachineSim::new();
+        golden.start(&mut gsim);
+        let golden_report = run_to_end(&mut golden, &mut gsim);
 
-    // Cuts chosen off any round multiple, inside busy stretches.
-    for cut_ns in [777u64, 3_333, 7_919] {
-        let mut m = Machine::new(cfg.clone(), mk());
-        let mut sim = MachineSim::new();
-        m.start(&mut sim);
-        let status = m.run_slice(&mut sim, Time::from_ns(cut_ns), 500_000_000);
-        assert_eq!(status, SimStatus::HorizonReached, "cut {cut_ns}");
-        assert_eq!(sim.now(), Time::from_ns(cut_ns));
+        // Cuts chosen off any round multiple, inside busy stretches.
+        for cut_ns in [777u64, 3_333, 7_919] {
+            let mut m = Machine::new(cfg.clone(), mk());
+            let mut sim = MachineSim::new();
+            m.start(&mut sim);
+            let status = m.run_slice(&mut sim, Time::from_ns(cut_ns), 500_000_000);
+            assert_eq!(status, SimStatus::HorizonReached, "{ni:?} cut {cut_ns}");
+            assert_eq!(sim.now(), Time::from_ns(cut_ns));
 
-        let text = save(&m, &mut sim).expect("snapshot").to_compact();
-        let snap = json::parse(&text).expect("snapshot text parses");
-        let (mut r, mut rsim) = restore(cfg.clone(), mk(), &snap).expect("restore");
-        assert_eq!(
-            golden_report,
-            run_to_end(&mut r, &mut rsim),
-            "cut {cut_ns}: resumed run diverged"
-        );
-        assert_eq!(
-            golden_report,
-            run_to_end(&mut m, &mut sim),
-            "cut {cut_ns}: paused original diverged"
-        );
+            let text = save(&m, &mut sim).expect("snapshot").to_compact();
+            let snap = json::parse(&text).expect("snapshot text parses");
+            let (mut r, mut rsim) = restore(cfg.clone(), mk(), &snap).expect("restore");
+            assert_eq!(
+                golden_report,
+                run_to_end(&mut r, &mut rsim),
+                "{ni:?} cut {cut_ns}: resumed run diverged"
+            );
+            assert_eq!(
+                golden_report,
+                run_to_end(&mut m, &mut sim),
+                "{ni:?} cut {cut_ns}: paused original diverged"
+            );
+        }
     }
 }
 
