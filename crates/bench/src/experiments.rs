@@ -4,21 +4,21 @@
 //! workloads × NI designs × buffer levels × config patches) and executed
 //! through the parallel harness in [`crate::harness`]; the fold
 //! functions (`*_from_records`) reduce the resulting [`RunRecord`]s back
-//! to the paper's row/series structures. The `src/bin/*` binaries print
-//! them in the paper's layout (and emit the raw records as JSON with
-//! `--json`); `EXPERIMENTS.md` records the paper-vs-measured comparison
-//! and `tests/goldens/` pins the full machine-readable output.
+//! to the paper's row/series structures. The rows of
+//! [`crate::exp::EXPERIMENTS`] print them in the paper's layout (and
+//! write the raw records as JSON with `nisim exp <name> --json`);
+//! `EXPERIMENTS.md` records the paper-vs-measured comparison and
+//! `tests/goldens/` pins the full machine-readable output.
 
 use nisim_core::{Machine, MachineConfig, MachineReport, NiClass, NiKind, TimeCategory};
 use nisim_engine::metrics::Component;
-use nisim_engine::stats::Histogram;
 use nisim_engine::Dur;
 use nisim_net::{BufferCount, Topology};
-use nisim_workloads::apps::{run_app, MacroApp};
+use nisim_workloads::apps::MacroApp;
 use nisim_workloads::micro::connsweep::SWEEP_ENDPOINTS;
 use nisim_workloads::micro::strided::StridedStrategy;
 
-use crate::harness::{default_jobs, Patch, Sweep, Work};
+use crate::harness::{run_sweeps, Patch, Sweep, Work};
 use crate::record::{lookup, RunRecord};
 
 /// The round-trip payload sizes of Table 5 (bytes).
@@ -108,12 +108,6 @@ pub fn table5_from_records(records: &[RunRecord]) -> (Vec<Table5Row>, f64) {
     (rows, throttled)
 }
 
-/// Runs the two §6.1 microbenchmarks for all seven NIs plus the
-/// throttled-bandwidth row (Table 5).
-pub fn run_table5() -> (Vec<Table5Row>, f64) {
-    table5_from_records(&table5_sweep().run(default_jobs()))
-}
-
 /// One bar of Figure 1: the execution-time decomposition of one
 /// macrobenchmark on the CM-5-like NI with one flow-control buffer.
 #[derive(Clone, Debug)]
@@ -156,12 +150,6 @@ pub fn fig1_from_records(records: &[RunRecord]) -> Vec<Fig1Row> {
         .collect()
 }
 
-/// Runs Figure 1: all seven macrobenchmarks on the CM-5-like NI with
-/// flow-control buffers = 1.
-pub fn run_fig1() -> Vec<Fig1Row> {
-    fig1_from_records(&fig1_sweep().run(default_jobs()))
-}
-
 /// One macrobenchmark measurement point for the Figure 3/4 sweeps.
 #[derive(Clone, Debug)]
 pub struct MacroPoint {
@@ -175,13 +163,6 @@ pub struct MacroPoint {
     pub elapsed_ns: u64,
     /// Execution time normalised to the AP3000-like NI with 8 buffers.
     pub normalized: f64,
-}
-
-/// Per-app normalisation baseline: the AP3000-like NI at 8 flow-control
-/// buffers, as in Figures 3a/3b.
-pub fn ap3000_baseline(app: MacroApp) -> u64 {
-    let cfg = MachineConfig::with_ni(NiKind::Ap3000).flow_buffers(B8);
-    run_app(app, &cfg, &app.default_params()).elapsed.as_ns()
 }
 
 /// The buffer levels of Figure 3a, most to least generous.
@@ -232,12 +213,6 @@ pub fn fig3a_from_records(records: &[RunRecord], app: MacroApp) -> Vec<MacroPoin
     out
 }
 
-/// Runs Figure 3a: the FIFO NIs across buffer levels, per app, normalised
-/// to AP3000@8.
-pub fn run_fig3a(app: MacroApp) -> Vec<MacroPoint> {
-    fig3a_from_records(&fig3a_sweep(&[app]).run(default_jobs()), app)
-}
-
 /// One Figure 3b row: a coherent NI at one buffer, plus the §6.2.2
 /// memory-to-cache transaction count.
 #[derive(Clone, Debug)]
@@ -249,8 +224,9 @@ pub struct Fig3bRow {
     pub mem_reads: u64,
 }
 
-/// The Figure 3b grid for `apps`: coherent NIs at one buffer, plus each
-/// app's AP3000@8 baseline as an extra point.
+/// The Figure 3b grid for `apps`: coherent NIs at one buffer (the
+/// paper's configuration — they are insensitive to it), plus each app's
+/// AP3000@8 baseline as an extra point.
 pub fn fig3b_sweep(apps: &[MacroApp]) -> Sweep {
     let mut sweep = Sweep::new("fig3b")
         .apps(apps)
@@ -283,13 +259,6 @@ pub fn fig3b_from_records(records: &[RunRecord], app: MacroApp) -> Vec<Fig3bRow>
         .collect()
 }
 
-/// Runs Figure 3b: the four coherent NIs with one flow-control buffer
-/// (the paper's configuration — they are insensitive to it), normalised
-/// to AP3000@8.
-pub fn run_fig3b(app: MacroApp) -> Vec<Fig3bRow> {
-    fig3b_from_records(&fig3b_sweep(&[app]).run(default_jobs()), app)
-}
-
 /// The buffer levels of Figure 4.
 pub const FIG4_BUFFERS: [BufferCount; 4] = [
     BufferCount::Finite(1),
@@ -299,7 +268,8 @@ pub const FIG4_BUFFERS: [BufferCount; 4] = [
 ];
 
 /// The Figure 4 grid for `apps`: the single-cycle `NI_2w` across buffer
-/// levels, plus each app's `CNI_32Q_m` baseline as an extra point.
+/// levels, plus each app's `CNI_32Q_m` baseline (which is
+/// buffer-insensitive) as an extra point.
 pub fn fig4_sweep(apps: &[MacroApp]) -> Sweep {
     let mut sweep = Sweep::new("fig4")
         .apps(apps)
@@ -327,24 +297,6 @@ pub fn fig4_from_records(records: &[RunRecord], app: MacroApp) -> Vec<MacroPoint
             }
         })
         .collect()
-}
-
-/// Runs Figure 4: the single-cycle `NI_2w` across buffer levels,
-/// normalised to `CNI_32Q_m` (which is buffer-insensitive).
-pub fn run_fig4(app: MacroApp) -> Vec<MacroPoint> {
-    fig4_from_records(&fig4_sweep(&[app]).run(default_jobs()), app)
-}
-
-/// Runs one macrobenchmark and returns its message-size histogram
-/// (Table 4 regeneration).
-pub fn run_table4(app: MacroApp) -> Histogram {
-    let cfg = MachineConfig::with_ni(NiKind::Cni32Qm);
-    run_app(app, &cfg, &app.default_params()).msg_sizes
-}
-
-/// Runs one macrobenchmark under an explicit configuration (ablations).
-pub fn run_macro(app: MacroApp, cfg: &MachineConfig) -> MachineReport {
-    run_app(app, cfg, &app.default_params())
 }
 
 /// The CNI send-side prefetch ablation grid.
@@ -375,12 +327,6 @@ pub fn ablation_prefetch_from_records(records: &[RunRecord]) -> (f64, f64) {
     (on, off)
 }
 
-/// Ablation: CNI send-side prefetch on/off — 256 B round-trip latency of
-/// `CNI_512Q` (the design choice behind its §6.1.1 win over StarT-JR).
-pub fn ablation_prefetch() -> (f64, f64) {
-    ablation_prefetch_from_records(&ablation_prefetch_sweep().run(default_jobs()))
-}
-
 /// The bursty workload the bypass ablation measures: 40 bursts of 48
 /// 248-byte messages separated by 60 µs of computation.
 pub const BYPASS_BURSTY: Work = Work::Bursty {
@@ -389,7 +335,14 @@ pub const BYPASS_BURSTY: Work = Work::Bursty {
     gap_ns: 60_000,
 };
 
-/// The `CNI_32Q_m` receive-cache bypass ablation grid.
+/// The `CNI_32Q_m` receive-cache bypass ablation grid (§4 improvement 1).
+///
+/// The bypass matters in the *bursty* regime: when a burst overflows the
+/// receive cache, the bypass sends only the overflow to memory so the
+/// rest still drains NI-cache-to-cache; without it, every fresh arrival
+/// evicts live head-of-queue blocks and the whole backlog drains at
+/// memory speed. The fold measures the receiving processor's
+/// data-transfer time (µs, lower is better).
 pub fn ablation_bypass_sweep() -> Sweep {
     Sweep::new("ablation-bypass")
         .works(vec![BYPASS_BURSTY])
@@ -417,18 +370,6 @@ pub fn ablation_bypass_from_records(records: &[RunRecord]) -> (f64, f64) {
         "recv_data_transfer_us",
     );
     (on, off)
-}
-
-/// Ablation: `CNI_32Q_m` receive-cache bypass on/off (§4 improvement 1).
-///
-/// The bypass matters in the *bursty* regime: when a burst overflows the
-/// receive cache, the bypass sends only the overflow to memory so the
-/// rest still drains NI-cache-to-cache; without it, every fresh arrival
-/// evicts live head-of-queue blocks and the whole backlog drains at
-/// memory speed. Measures the receiving processor's data-transfer time
-/// (µs, lower is better); returns `(bypass_on, bypass_off)`.
-pub fn ablation_bypass() -> (f64, f64) {
-    ablation_bypass_from_records(&ablation_bypass_sweep().run(default_jobs()))
 }
 
 /// Helper: a 2-node bursty exchange — `bursts` bursts of `burst_len`
@@ -494,8 +435,8 @@ pub fn bursty_report(cfg: &MachineConfig, bursts: u32, burst_len: u32, gap: Dur)
     })
 }
 
-/// The dead-block head-update ablation grid: 4 KB bandwidth plus a
-/// fixed 60-message stream for writeback counting.
+/// The dead-block head-update ablation grid (§4 improvement 2): 4 KB
+/// bandwidth plus a fixed 60-message stream for writeback counting.
 pub fn ablation_dead_block_sweep() -> Sweep {
     Sweep::new("ablation-dead-block")
         .works(vec![Work::Bandwidth(4096), Work::Stream(60)])
@@ -522,12 +463,6 @@ pub fn ablation_dead_block_from_records(records: &[RunRecord]) -> ((f64, u64), (
         (bw, wb)
     };
     (fold(""), fold("dead-block-off"))
-}
-
-/// Ablation: `CNI_32Q_m` dead-block head-update optimisation on/off —
-/// 4096 B bandwidth and memory writebacks (§4 improvement 2).
-pub fn ablation_dead_block() -> ((f64, u64), (f64, u64)) {
-    ablation_dead_block_from_records(&ablation_dead_block_sweep().run(default_jobs()))
 }
 
 /// The send-throttle sweep grid for `CNI_32Q_m` (Table 5 footnote).
@@ -557,14 +492,6 @@ pub fn ablation_throttle_from_records(records: &[RunRecord], delays_ns: &[u64]) 
             (d, metric(r, "bw_mb_s"))
         })
         .collect()
-}
-
-/// Ablation: send-throttle sweep for `CNI_32Q_m` (Table 5 footnote).
-pub fn ablation_throttle(delays_ns: &[u64]) -> Vec<(u64, f64)> {
-    ablation_throttle_from_records(
-        &ablation_throttle_sweep(delays_ns).run(default_jobs()),
-        delays_ns,
-    )
 }
 
 /// The NI cache-size sweep grid bridging `CNI_32Q_m` towards
@@ -605,12 +532,6 @@ pub fn ablation_ni_cache_from_records(
             (b, rtt, bw)
         })
         .collect()
-}
-
-/// Ablation: NI cache size sweep bridging `CNI_32Q_m` towards
-/// `CNI_512Q`-class capacity.
-pub fn ablation_ni_cache(blocks: &[u32]) -> Vec<(u32, f64, f64)> {
-    ablation_ni_cache_from_records(&ablation_ni_cache_sweep(blocks).run(default_jobs()), blocks)
 }
 
 /// Helper: a fixed 2-node stream of `n` 4096-byte messages, reported.
@@ -660,10 +581,11 @@ pub fn stream_report(cfg: &MachineConfig, n: u32) -> MachineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::default_jobs;
 
     #[test]
     fn table5_reproduces_the_papers_orderings() {
-        let (rows, throttled) = run_table5();
+        let (rows, throttled) = table5_from_records(&table5_sweep().run(default_jobs()));
         let get = |k: NiKind| rows.iter().find(|r| r.kind == k).expect("row");
         let cm5 = get(NiKind::Cm5);
         let udma = get(NiKind::Udma);
@@ -731,7 +653,7 @@ mod tests {
     #[test]
     fn fig1_fractions_are_complete() {
         // One representative app to keep the test fast.
-        let row = &run_fig1()[3]; // em3d
+        let row = &fig1_from_records(&fig1_sweep().run(default_jobs()))[3]; // em3d
         let sum = row.compute + row.data_transfer + row.buffering + row.idle;
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(row.buffering > 0.05, "em3d at B=1 must show buffering");
@@ -739,25 +661,30 @@ mod tests {
 
     #[test]
     fn ablation_prefetch_helps_latency() {
-        let (on, off) = ablation_prefetch();
+        let (on, off) =
+            ablation_prefetch_from_records(&ablation_prefetch_sweep().run(default_jobs()));
         assert!(on < off, "prefetch on {on} vs off {off}");
     }
 
     #[test]
     fn ablation_bypass_helps_bursty_receives() {
-        let (on, off) = ablation_bypass();
+        let (on, off) = ablation_bypass_from_records(&ablation_bypass_sweep().run(default_jobs()));
         assert!(on < off, "bypass on {on} µs vs off {off} µs");
     }
 
     #[test]
     fn ablation_dead_block_saves_writebacks() {
-        let ((_, wb_on), (_, wb_off)) = ablation_dead_block();
+        let ((_, wb_on), (_, wb_off)) =
+            ablation_dead_block_from_records(&ablation_dead_block_sweep().run(default_jobs()));
         assert!(wb_off > wb_on, "dead-block opt must save writebacks");
     }
 }
 
 /// The UDMA-vs-uncached crossover grid: round trips per payload, pure
-/// UDMA (the baseline patch) against the always-uncached fallback.
+/// UDMA (the baseline patch) against the always-uncached fallback. The
+/// paper's macrobenchmarks switch to the UDMA mechanism above a 96-byte
+/// payload because below that its initiation overhead loses to uncached
+/// transfers (§6.1.1); this grid finds the crossover empirically.
 pub fn udma_crossover_sweep(payloads: &[u64]) -> Sweep {
     Sweep::new("udma-crossover")
         .works(payloads.iter().map(|&p| Work::RoundTrip(p)).collect())
@@ -791,20 +718,10 @@ pub fn udma_crossover_from_records(
         .collect()
 }
 
-/// Finds the UDMA/uncached crossover empirically: the paper's
-/// macrobenchmarks switch to the UDMA mechanism above a 96-byte payload
-/// because below that its initiation overhead loses to uncached
-/// transfers (§6.1.1). Returns `(payload, pure_udma_rtt, fallback_rtt)`
-/// per probed size.
-pub fn udma_crossover(payloads: &[u64]) -> Vec<(u64, f64, f64)> {
-    udma_crossover_from_records(
-        &udma_crossover_sweep(payloads).run(default_jobs()),
-        payloads,
-    )
-}
-
 /// The §6.2.2 memory-gap grid: em3d on StarT-JR and `CNI_32Q_m` across
-/// main-memory latencies.
+/// main-memory latencies. §6.2.2's forward-looking claim: as the
+/// processor/memory gap widens, `CNI_32Q_m` (which avoids the
+/// main-memory detour) pulls further ahead of the StarT-JR-like NI.
 pub fn memory_gap_sweep(mem_latencies_ns: &[u64]) -> Sweep {
     Sweep::new("memory-gap")
         .apps(&[MacroApp::Em3d])
@@ -834,19 +751,10 @@ pub fn memory_gap_from_records(records: &[RunRecord], mem_latencies_ns: &[u64]) 
         .collect()
 }
 
-/// §6.2.2's forward-looking claim: as the processor/memory gap widens,
-/// `CNI_32Q_m` (which avoids the main-memory detour) pulls further ahead
-/// of the StarT-JR-like NI. Returns, per memory latency, the ratio
-/// `StarT-JR time / CNI_32Qm time` on em3d (higher = bigger CNI edge).
-pub fn memory_gap_sensitivity(mem_latencies_ns: &[u64]) -> Vec<(u64, f64)> {
-    memory_gap_from_records(
-        &memory_gap_sweep(mem_latencies_ns).run(default_jobs()),
-        mem_latencies_ns,
-    )
-}
-
 /// The network-latency grid: 64 B round trips on the CM-5-like NI and
-/// `CNI_32Q_m` across wire latencies.
+/// `CNI_32Q_m` across wire latencies. The paper's 40 ns network is
+/// nearly free; this grid shows how the NI rankings react when the wire
+/// dominates.
 pub fn network_latency_sweep(latencies_ns: &[u64]) -> Sweep {
     Sweep::new("network-latency")
         .works(vec![Work::RoundTrip(64)])
@@ -885,16 +793,6 @@ pub fn network_latency_from_records(
         .collect()
 }
 
-/// Network-latency sensitivity: the paper's 40 ns network is nearly
-/// free; this sweep shows how the NI rankings react when the wire
-/// dominates. Returns `(latency, cm5_rtt, cni32qm_rtt)` per point.
-pub fn network_latency_sensitivity(latencies_ns: &[u64]) -> Vec<(u64, f64, f64)> {
-    network_latency_from_records(
-        &network_latency_sweep(latencies_ns).run(default_jobs()),
-        latencies_ns,
-    )
-}
-
 /// The LogP characterisation grid: all seven NIs at one payload.
 pub fn logp_sweep(payload: u64) -> Sweep {
     Sweep::new("logp")
@@ -926,10 +824,12 @@ pub fn topology_sweep() -> Sweep {
 #[cfg(test)]
 mod sensitivity_tests {
     use super::*;
+    use crate::harness::default_jobs;
 
     #[test]
     fn udma_crossover_is_between_8_and_256_bytes() {
-        let probe = udma_crossover(&[8, 256]);
+        let records = udma_crossover_sweep(&[8, 256]).run(default_jobs());
+        let probe = udma_crossover_from_records(&records, &[8, 256]);
         let (_, pure8, fb8) = probe[0];
         let (_, pure256, fb256) = probe[1];
         assert!(pure8 > fb8, "uncached must win at 8 B");
@@ -938,7 +838,8 @@ mod sensitivity_tests {
 
     #[test]
     fn cni_edge_grows_with_memory_gap() {
-        let points = memory_gap_sensitivity(&[120, 360]);
+        let records = memory_gap_sweep(&[120, 360]).run(default_jobs());
+        let points = memory_gap_from_records(&records, &[120, 360]);
         assert!(
             points[1].1 > points[0].1,
             "wider memory gap should favour CNI_32Qm: {points:?}"
@@ -1014,11 +915,6 @@ pub fn fig1_differential_from_records(records: &[RunRecord]) -> Vec<Fig1Differen
         .collect()
 }
 
-/// Runs the differential Figure 1 decomposition for every macrobenchmark.
-pub fn run_fig1_differential() -> Vec<Fig1Differential> {
-    fig1_differential_from_records(&fig1_differential_sweep().run(default_jobs()))
-}
-
 /// The packet-loss levels of the fault study (percent).
 pub const FAULT_DROPS_PCT: [u32; 5] = [0, 1, 2, 5, 10];
 
@@ -1063,7 +959,8 @@ pub fn drop_label(pct: u32) -> String {
 
 /// The fault-study grid for one app/NI pair: the pristine baseline plus
 /// one patched run per non-zero drop level (fault seed fixed, reliability
-/// layer on wherever faults are).
+/// layer on wherever faults are). 0% is the pristine baseline: the fault
+/// layer and reliability are fully off there.
 pub fn fault_study_sweep(app: MacroApp, ni: NiKind, drops_pct: &[u32]) -> Sweep {
     let mut patches = vec![Patch::default()];
     for &pct in drops_pct {
@@ -1114,18 +1011,6 @@ pub fn fault_study_from_records(
         .collect()
 }
 
-/// Runs one app/NI pair of the fault study: a sweep over `drops_pct`
-/// with a fixed fault seed and the reliability layer on (at 0% the
-/// fault layer and reliability are fully off — the pristine baseline).
-pub fn run_fault_study(app: MacroApp, ni: NiKind, drops_pct: &[u32]) -> Vec<FaultPoint> {
-    fault_study_from_records(
-        &fault_study_sweep(app, ni, drops_pct).run(default_jobs()),
-        app,
-        ni,
-        drops_pct,
-    )
-}
-
 /// One row of the fault-tolerant Figure 4 sweep: buffer sensitivity of
 /// the single-cycle NI with and without 5% packet loss.
 #[derive(Clone, Debug)]
@@ -1147,7 +1032,9 @@ pub struct FaultBufferPoint {
 }
 
 /// The fault-tolerant Figure 4 grid: clean and lossy runs of the
-/// single-cycle `NI_2w` across buffer levels.
+/// single-cycle `NI_2w` across buffer levels. Tight flow-control
+/// buffering and a lossy wire compound, because a dropped fragment pins
+/// its buffer until the retransmit is acked.
 pub fn fault_fig4_sweep(app: MacroApp, drop_pct: u32) -> Sweep {
     Sweep::new(format!("fault-fig4:{}", app.name()))
         .apps(&[app])
@@ -1193,18 +1080,6 @@ pub fn fault_fig4_from_records(
             }
         })
         .collect()
-}
-
-/// Reruns the Figure 4 buffer sweep (single-cycle `NI_2w`) with
-/// `drop_pct`% packet loss: tight flow-control buffering and a lossy
-/// wire compound, because a dropped fragment pins its buffer until the
-/// retransmit is acked.
-pub fn run_fault_fig4(app: MacroApp, drop_pct: u32) -> Vec<FaultBufferPoint> {
-    fault_fig4_from_records(
-        &fault_fig4_sweep(app, drop_pct).run(default_jobs()),
-        app,
-        drop_pct,
-    )
 }
 
 /// One row of the per-component occupancy breakdown: where one NI
@@ -1289,11 +1164,6 @@ fn breakdown_nis() -> Vec<NiKind> {
     NiKind::TABLE2.into_iter().chain(NiKind::MODERN).collect()
 }
 
-/// Runs the occupancy breakdown for the ten-NI breakdown grid.
-pub fn run_breakdown() -> Vec<BreakdownRow> {
-    breakdown_from_records(&breakdown_sweep().run(default_jobs()))
-}
-
 /// Path of the committed breakdown golden (kept separate from the main
 /// grid so metrics-off goldens stay byte-identical to the seed).
 pub fn breakdown_golden_path() -> std::path::PathBuf {
@@ -1304,8 +1174,7 @@ pub fn breakdown_golden_path() -> std::path::PathBuf {
 /// Runs the breakdown sweep on `jobs` workers and builds the JSON
 /// document `tests/goldens/golden_breakdown.json` pins.
 pub fn breakdown_document(jobs: usize) -> nisim_engine::json::Json {
-    let records = breakdown_sweep().run(jobs);
-    crate::record::document(vec![crate::record::sweep_to_json("breakdown", &records)])
+    crate::record::sections_document(&run_sweeps(&[breakdown_sweep()], jobs))
 }
 
 /// The connection-count sweep grid: the RDMA queue-pair NI against the
@@ -1358,14 +1227,10 @@ pub fn conn_sweep_from_records(records: &[RunRecord]) -> Vec<ConnSweepRow> {
         .collect()
 }
 
-/// Runs the connection-count sweep (the deliverable of the modern-NI
-/// study: RDMA_QP's cliff against URMA's flat line).
-pub fn run_conn_sweep() -> Vec<ConnSweepRow> {
-    conn_sweep_from_records(&conn_sweep().run(default_jobs()))
-}
-
 /// The RDMA eager/rendezvous payload probe: round trips straddling the
-/// default 128 B eager crossover.
+/// default 128 B eager crossover. Below the crossover the RTT grows with
+/// the per-block copy slope; at the crossover the rendezvous handshake
+/// adds a visible step.
 pub const RDMA_KINK_PAYLOADS: [u64; 4] = [32, 96, 160, 224];
 
 /// The eager/rendezvous kink grid: RDMA_QP round trips across
@@ -1392,15 +1257,9 @@ pub fn rdma_kink_from_records(records: &[RunRecord]) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Runs the eager/rendezvous payload probe: below the crossover the RTT
-/// grows with the per-block copy slope; at the crossover the rendezvous
-/// handshake adds a visible step.
-pub fn run_rdma_kink() -> Vec<(u64, f64)> {
-    rdma_kink_from_records(&rdma_kink_sweep().run(default_jobs()))
-}
-
 /// The strided-exchange grid: the scatter-gather NI under both software
-/// strategies (one descriptor-driven send vs one send per row).
+/// strategies (one descriptor-driven send vs one send per row); the
+/// gathered descriptor path must win.
 pub fn strided_sweep() -> Sweep {
     Sweep::new("strided")
         .works(vec![
@@ -1423,16 +1282,10 @@ pub fn strided_from_records(records: &[RunRecord]) -> (f64, f64) {
     (g, f)
 }
 
-/// Runs the strided matrix-row exchange under both strategies; the
-/// gathered descriptor path must win.
-pub fn run_strided() -> (f64, f64) {
-    strided_from_records(&strided_sweep().run(default_jobs()))
-}
-
 /// The golden shape-regression grid: every sweep whose qualitative
 /// claims `EXPERIMENTS.md` records, at the default (paper-shaped)
 /// parameters. `tests/goldens/golden_grid.json` pins the full output;
-/// the `goldens` binary regenerates it and `tests/tests/golden_shapes.rs`
+/// `nisim exp goldens` regenerates it and `tests/tests/golden_shapes.rs`
 /// re-asserts every claim from the committed records.
 pub fn golden_suite() -> Vec<Sweep> {
     // The two extra fig3b points back the coherent buffer-insensitivity
@@ -1474,26 +1327,19 @@ pub fn golden_path() -> std::path::PathBuf {
 /// Runs the golden suite on `jobs` workers and builds the one JSON
 /// document `tests/goldens/golden_grid.json` pins.
 pub fn golden_document(jobs: usize) -> nisim_engine::Json {
-    let sweeps = golden_suite();
-    let sections: Vec<_> = sweeps
-        .iter()
-        .map(|s| (s.name.clone(), s.run(jobs)))
-        .collect();
-    crate::record::document(
-        sections
-            .iter()
-            .map(|(name, records)| crate::record::sweep_to_json(name, records))
-            .collect(),
-    )
+    crate::record::sections_document(&run_sweeps(&golden_suite(), jobs))
 }
 
 #[cfg(test)]
 mod fault_study_tests {
     use super::*;
+    use crate::harness::default_jobs;
 
     #[test]
     fn fault_study_recovers_every_message() {
-        let points = run_fault_study(MacroApp::Em3d, NiKind::Cm5, &[0, 5]);
+        let (app, ni) = (MacroApp::Em3d, NiKind::Cm5);
+        let records = fault_study_sweep(app, ni, &[0, 5]).run(default_jobs());
+        let points = fault_study_from_records(&records, app, ni, &[0, 5]);
         let clean = &points[0];
         let lossy = &points[1];
         assert!(clean.recovered_all && lossy.recovered_all, "{points:?}");
@@ -1507,8 +1353,12 @@ mod fault_study_tests {
 
     #[test]
     fn fault_study_is_deterministic() {
-        let a = run_fault_study(MacroApp::Appbt, NiKind::Ap3000, &[5]);
-        let b = run_fault_study(MacroApp::Appbt, NiKind::Ap3000, &[5]);
+        let (app, ni) = (MacroApp::Appbt, NiKind::Ap3000);
+        let run = || {
+            let records = fault_study_sweep(app, ni, &[5]).run(default_jobs());
+            fault_study_from_records(&records, app, ni, &[5])
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a[0].elapsed_ns, b[0].elapsed_ns);
         assert_eq!(a[0].dropped, b[0].dropped);
         assert_eq!(a[0].retransmits, b[0].retransmits);
@@ -1518,10 +1368,11 @@ mod fault_study_tests {
 #[cfg(test)]
 mod fig1_differential_tests {
     use super::*;
+    use crate::harness::default_jobs;
 
     #[test]
     fn differential_components_are_sane() {
-        let rows = run_fig1_differential();
+        let rows = fig1_differential_from_records(&fig1_differential_sweep().run(default_jobs()));
         for r in &rows {
             assert!(r.buffering >= 0.0 && r.data_transfer >= 0.0, "{r:?}");
             assert!(r.base > 0.0 && r.base <= 1.0, "{r:?}");

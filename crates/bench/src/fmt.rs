@@ -1,4 +1,4 @@
-//! Minimal fixed-width table formatting for the harness binaries.
+//! Minimal fixed-width table formatting for the experiment tables.
 
 /// A simple left-aligned-first-column table printer.
 ///

@@ -6,15 +6,13 @@
 //! ([`parallel_map`]) and the collected [`RunRecord`]s come back in grid
 //! order, so the output is bit-identical no matter how many workers ran
 //! it — `--jobs 1` and `--jobs 8` produce the same JSON bytes. Every
-//! experiment binary and the golden shape-regression suite execute
-//! through this one path.
+//! experiment row and the golden shape-regression suite execute through
+//! this one path.
 //!
 //! The worker count comes from `--jobs`, the `NISIM_JOBS` environment
 //! variable, or the machine's available parallelism, in that order of
 //! precedence ([`default_jobs`]).
 
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -311,6 +309,15 @@ impl Sweep {
     }
 }
 
+/// Runs each sweep on `jobs` workers: one named record list per sweep,
+/// in order.
+pub fn run_sweeps(sweeps: &[Sweep], jobs: usize) -> Vec<(String, Vec<RunRecord>)> {
+    sweeps
+        .iter()
+        .map(|s| (s.name.clone(), s.run(jobs)))
+        .collect()
+}
+
 /// Executes one grid point and builds its record.
 pub fn run_point(point: &SweepPoint) -> RunRecord {
     let mut cfg = MachineConfig::with_ni(point.ni).flow_buffers(point.buffers);
@@ -468,128 +475,6 @@ pub fn default_jobs() -> usize {
         })
 }
 
-/// Shared command-line arguments of the experiment binaries.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BenchArgs {
-    /// Worker threads for sweep execution.
-    pub jobs: usize,
-    /// Where to write the machine-readable results, if anywhere.
-    pub json: Option<PathBuf>,
-    /// Rewrite the committed golden file (the `goldens` binary).
-    pub update_goldens: bool,
-}
-
-impl BenchArgs {
-    /// Parses the process arguments; prints usage and exits on errors.
-    pub fn parse() -> BenchArgs {
-        match Self::from_args(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!("usage: [--jobs <n>] [--json <path>] [--update-goldens]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses an argument list (testable form of [`BenchArgs::parse`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending argument.
-    pub fn from_args(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
-        let mut out = BenchArgs {
-            jobs: default_jobs(),
-            json: None,
-            update_goldens: false,
-        };
-        let mut it = args;
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a value")?;
-                    out.jobs = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad --jobs {v:?} (want a positive integer)"))?;
-                }
-                "--json" => {
-                    let v = it.next().ok_or("--json needs a path")?;
-                    out.json = Some(PathBuf::from(v));
-                }
-                "--update-goldens" => out.update_goldens = true,
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Finishes a golden-checked binary: writes `text` to the `--json`
-    /// path if one was given, then rewrites `golden` under
-    /// `--update-goldens` or byte-compares against it, failing on drift.
-    /// `label` names the golden in the messages.
-    pub fn check_golden(&self, text: &str, golden: &Path, label: &str) -> ExitCode {
-        if let Some(path) = &self.json {
-            std::fs::write(path, text)
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
-        }
-        if self.update_goldens {
-            if let Some(dir) = golden.parent() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-            }
-            std::fs::write(golden, text)
-                .unwrap_or_else(|e| panic!("writing {}: {e}", golden.display()));
-            println!("updated {}", golden.display());
-            return ExitCode::SUCCESS;
-        }
-        match std::fs::read_to_string(golden) {
-            Ok(committed) if committed == text => {
-                println!("{label} matches {}", golden.display());
-                ExitCode::SUCCESS
-            }
-            Ok(_) => {
-                eprintln!(
-                    "{label} DRIFTED from {} — inspect the diff and rerun\n\
-                     with --update-goldens if the change is intended",
-                    golden.display()
-                );
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!(
-                    "cannot read {} ({e}); run with --update-goldens to create it",
-                    golden.display()
-                );
-                ExitCode::FAILURE
-            }
-        }
-    }
-}
-
-/// Writes one sweep's records to the `--json` path, if requested.
-pub fn emit_json(args: &BenchArgs, name: &str, records: &[RunRecord]) {
-    emit_document(args, &[(name, records)]);
-}
-
-/// Writes several sweeps' records as one document to the `--json` path,
-/// if requested.
-pub fn emit_document(args: &BenchArgs, sections: &[(&str, &[RunRecord])]) {
-    if let Some(path) = &args.json {
-        let doc = record::document(
-            sections
-                .iter()
-                .map(|(name, records)| record::sweep_to_json(name, records))
-                .collect(),
-        );
-        record::write_json_file(path, &doc);
-        let n: usize = sections.iter().map(|(_, r)| r.len()).sum();
-        eprintln!("wrote {n} records to {}", path.display());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,19 +610,6 @@ mod tests {
         let a = record::document(vec![record::sweep_to_json("tiny", &serial)]);
         let b = record::document(vec![record::sweep_to_json("tiny", &parallel)]);
         assert_eq!(a.to_pretty(), b.to_pretty());
-    }
-
-    #[test]
-    fn bench_args_parse() {
-        let args = |xs: &[&str]| BenchArgs::from_args(xs.iter().map(|s| s.to_string()));
-        let a = args(&["--jobs", "3", "--json", "out.json"]).unwrap();
-        assert_eq!(a.jobs, 3);
-        assert_eq!(a.json, Some(PathBuf::from("out.json")));
-        assert!(!a.update_goldens);
-        assert!(args(&["--update-goldens"]).unwrap().update_goldens);
-        assert!(args(&["--jobs"]).is_err());
-        assert!(args(&["--jobs", "0"]).is_err());
-        assert!(args(&["--frobnicate"]).is_err());
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //! suite re-asserts the paper's qualitative claims from these records
 //! instead of ad-hoc floats.
 
-use std::io::Write as _;
-use std::path::Path;
-
 use nisim_core::{MachineConfig, MachineReport, TimeCategory};
 use nisim_engine::json::{self, Json};
 use nisim_engine::metrics::{Log2Hist, MetricsBreakdown};
@@ -558,6 +555,17 @@ pub fn document(sweeps: Vec<Json>) -> Json {
         .set("sweeps", Json::Arr(sweeps))
 }
 
+/// Wraps named record lists, in order, as a complete JSON document: the
+/// inverse of [`parse_document`].
+pub fn sections_document(sections: &[(String, Vec<RunRecord>)]) -> Json {
+    document(
+        sections
+            .iter()
+            .map(|(name, records)| sweep_to_json(name, records))
+            .collect(),
+    )
+}
+
 /// Parses a document produced by [`document`] back into named record
 /// lists, in file order.
 ///
@@ -608,19 +616,6 @@ pub fn lookup<'a>(
     records
         .iter()
         .find(|r| r.work == work && r.ni == ni && r.buffers == buffers && r.patch == patch)
-}
-
-/// Writes a JSON document to `path` (pretty form, trailing newline).
-///
-/// # Panics
-///
-/// Panics on I/O failure — bench binaries treat an unwritable `--json`
-/// path as fatal.
-pub fn write_json_file(path: &Path, doc: &Json) {
-    let mut f = std::fs::File::create(path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    f.write_all(doc.to_pretty().as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::path::Path;
 
 use nisim_core::snapshot::{load_from_file, restore, save_to_file};
 use nisim_core::{
@@ -18,6 +19,7 @@ use nisim_workloads::traffic::{
     level_gap_ns, multi_tenant_params, run_traffic, TrafficKind, TrafficSpec, MAX_LOAD_LEVEL,
 };
 
+use nisim_bench::exp::{Runner, EXPERIMENTS};
 use nisim_bench::record::{self, RunRecord};
 use nisim_bench::{default_jobs, parallel_map};
 
@@ -40,11 +42,17 @@ fn record_for(
     )
 }
 
-/// Writes a one-section record document, reporting failures as CLI
-/// errors rather than panics.
+/// Writes `text` to `path`, reporting failures as CLI errors rather
+/// than panics.
+fn write_file(path: impl AsRef<Path>, text: &str) -> Result<(), CliError> {
+    let path = path.as_ref();
+    std::fs::write(path, text).map_err(|e| err(format!("writing {path:?}: {e}")))
+}
+
+/// Writes a one-section record document.
 fn write_records(path: &str, section: &str, records: &[RunRecord]) -> Result<(), CliError> {
     let doc = record::document(vec![record::sweep_to_json(section, records)]);
-    std::fs::write(path, doc.to_pretty()).map_err(|e| err(format!("writing {path:?}: {e}")))
+    write_file(path, &doc.to_pretty())
 }
 
 /// The command and flag summary that [`usage`] opens with.
@@ -59,6 +67,7 @@ usage:
   nisim traffic --ni <ni> [--traffic <shape>] [--load <1..7>]
               [--tenants <n>] [--buffers <n|inf>] [--nodes <n>]
               [--seed <n>] [--json <path>]
+  nisim exp <name> [--jobs <n>] [--json <path>] [--update-goldens]
 
 open-loop traffic (traffic only):
   --traffic <shape>    arrival/destination shape: pois-uni (default),
@@ -98,34 +107,69 @@ fault injection (any command that builds a machine):
   --rel-retries <n>    retransmissions before giving up
   --watchdog-us <n>    no-progress watchdog window, microseconds";
 
+/// Heads the experiment listing in [`usage`].
+const EXP_HEADING: &str = "experiments (nisim exp <name>): text rows print only, records rows also
+take --json, golden rows --json and --update-goldens:";
+
+/// The listing's word for a row's kind, which fixes the flags it takes.
+fn kind(runner: &Runner) -> &'static str {
+    match runner {
+        Runner::Text(_) => "text",
+        Runner::Records(_) => "records",
+        Runner::Golden { .. } => "golden",
+    }
+}
+
 /// Usage text shown by `list` and on parse errors: the flag summary,
-/// then every NI key from the registry and the app names.
+/// every NI key from the registry, the app names, then every row of
+/// [`EXPERIMENTS`].
 pub fn usage() -> String {
     let keys: Vec<&str> = NiKind::ALL.iter().map(|ni| ni.key()).collect();
     let rows: Vec<String> = keys.chunks(6).map(|row| row.join(", ")).collect();
+    let exps: Vec<String> = EXPERIMENTS
+        .iter()
+        .map(|e| format!("  {:<17}{:<8} {}", e.name, kind(&e.runner), e.summary))
+        .collect();
     format!(
-        "{USAGE}\n\nNIs:  {}\napps: appbt, barnes, dsmc, em3d, moldyn, spsolve, unstructured",
-        rows.join(",\n      ")
+        "{USAGE}\n\nNIs:  {}\napps: appbt, barnes, dsmc, em3d, moldyn, spsolve, unstructured\n\n\
+         {EXP_HEADING}\n{}",
+        rows.join(",\n      "),
+        exps.join("\n")
     )
 }
 
-/// A CLI failure with a human-readable message.
+/// A CLI failure.
 #[derive(Debug, PartialEq, Eq)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// Bad arguments or a failed read or write: `nisim` prints the
+    /// message and the usage text, and exits 2.
+    Usage(String),
+    /// A check the command ran did not pass (golden drift, a diverging
+    /// chaos differential): `nisim` prints `output`, then the message,
+    /// and exits 1.
+    Failed {
+        /// What the command printed before the check failed.
+        output: String,
+        /// Why the check failed.
+        msg: String,
+    },
+}
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        match self {
+            CliError::Usage(msg) | CliError::Failed { msg, .. } => f.write_str(msg),
+        }
     }
 }
 
 fn err(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
+    CliError::Usage(msg.into())
 }
 
 /// Every flag [`USAGE`] documents: [`parse_flags`] rejects any other, so
 /// a misspelt flag is an error instead of a silently ignored no-op.
-const FLAGS: [&str; 28] = [
+const FLAGS: [&str; 29] = [
     "ni",
     "payload",
     "buffers",
@@ -154,9 +198,14 @@ const FLAGS: [&str; 28] = [
     "rel-timeout",
     "rel-retries",
     "watchdog-us",
+    "update-goldens",
 ];
 
-/// Parses `--key value` pairs after the subcommand.
+/// The one flag that takes no value.
+const SWITCH: &str = "update-goldens";
+
+/// Parses `--key value` pairs (and the bare [`SWITCH`]) after the
+/// subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
@@ -167,12 +216,29 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
         if !FLAGS.contains(&name) {
             return Err(err(format!("unknown flag --{name}")));
         }
-        let Some(value) = it.next() else {
-            return Err(err(format!("--{name} needs a value")));
+        let value = if name == SWITCH {
+            String::new()
+        } else {
+            let Some(value) = it.next() else {
+                return Err(err(format!("--{name} needs a value")));
+            };
+            value.clone()
         };
-        flags.insert(name.to_string(), value.clone());
+        flags.insert(name.to_string(), value);
     }
     Ok(flags)
+}
+
+/// The worker count: `--jobs` if given, else [`default_jobs`].
+fn jobs_from(flags: &HashMap<String, String>) -> Result<usize, CliError> {
+    match flags.get("jobs") {
+        None => Ok(default_jobs()),
+        Some(v) => v
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| err(format!("bad --jobs {v:?} (want a positive integer)"))),
+    }
 }
 
 /// The NI design named by the required `--ni` flag.
@@ -456,6 +522,97 @@ fn run_app_driven(
     Ok((machine.report(&sim, status), written))
 }
 
+/// The flags `exp` takes; the rest belong to the simulation subcommands.
+const EXP_FLAGS: [&str; 3] = ["jobs", "json", SWITCH];
+
+/// Runs the [`EXPERIMENTS`] row `name`: its text, then the `--json`
+/// document, then (golden rows) the check or rewrite of its golden.
+/// Flags the row cannot honour are rejected before anything runs.
+fn run_exp(name: &str, flags: &HashMap<String, String>) -> Result<String, CliError> {
+    let exp = EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        err(format!(
+            "unknown experiment {name:?} (one of: {})",
+            names.join(", ")
+        ))
+    })?;
+    if let Some(flag) = flags
+        .keys()
+        .filter(|f| !EXP_FLAGS.contains(&f.as_str()))
+        .min()
+    {
+        return Err(err(format!("--{flag} does not apply to exp")));
+    }
+    let json = flags.get("json");
+    if json.is_some() && matches!(exp.runner, Runner::Text(_)) {
+        return Err(err(format!("--json: {name} prints text only")));
+    }
+    let update = flags.contains_key(SWITCH);
+    if update && !matches!(exp.runner, Runner::Golden { .. }) {
+        return Err(err(format!("--update-goldens: {name} has no golden")));
+    }
+    let jobs = jobs_from(flags)?;
+    let mut out = String::new();
+    match exp.runner {
+        Runner::Text(run) => run(&mut out),
+        Runner::Records(run) => {
+            let sections = run(jobs, &mut out);
+            if let Some(path) = json {
+                write_file(path, &record::sections_document(&sections).to_pretty())?;
+                let n: usize = sections.iter().map(|(_, records)| records.len()).sum();
+                out.push_str(&format!("wrote {n} records to {path}\n"));
+            }
+        }
+        Runner::Golden { path, label, run } => {
+            let text = match run(jobs, &mut out) {
+                Ok(text) => text,
+                Err(msg) => return Err(CliError::Failed { output: out, msg }),
+            };
+            if let Some(path) = json {
+                write_file(path, &text)?;
+                out.push_str(&format!("wrote {path}\n"));
+            }
+            return check_golden(&path(), label, &text, update, out);
+        }
+    }
+    Ok(out)
+}
+
+/// Finishes a golden row's `out`: rewrites the committed golden at
+/// `path` with `text` under `--update-goldens`, otherwise byte-compares
+/// the two, failing on drift. `label` names the golden.
+fn check_golden(
+    path: &Path,
+    label: &str,
+    text: &str,
+    update: bool,
+    mut out: String,
+) -> Result<String, CliError> {
+    if update {
+        write_file(path, text)?;
+        out.push_str(&format!("updated {}\n", path.display()));
+        return Ok(out);
+    }
+    let committed = std::fs::read_to_string(path).map_err(|e| {
+        err(format!(
+            "cannot read {} ({e}); run with --update-goldens to create it",
+            path.display()
+        ))
+    })?;
+    if committed != text {
+        return Err(CliError::Failed {
+            output: out,
+            msg: format!(
+                "{label} DRIFTED from {} — inspect the diff and rerun\n\
+                 with --update-goldens if the change is intended",
+                path.display()
+            ),
+        });
+    }
+    out.push_str(&format!("{label} matches {}\n", path.display()));
+    Ok(out)
+}
+
 fn payload_from(flags: &HashMap<String, String>) -> Result<u64, CliError> {
     match flags.get("payload") {
         None => Ok(64),
@@ -473,6 +630,13 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(err("missing subcommand"));
     };
+    if cmd == "exp" {
+        // The experiment name comes before the flags.
+        let Some((name, rest)) = rest.split_first() else {
+            return Err(err("exp needs an experiment name (see `nisim list`)"));
+        };
+        return run_exp(name, &parse_flags(rest)?);
+    }
     let flags = parse_flags(rest)?;
     match cmd.as_str() {
         "list" => Ok(format!("{}\n", usage())),
@@ -585,8 +749,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                     .trace
                     .as_ref()
                     .ok_or_else(|| err("--trace was set but the run produced no trace"))?;
-                std::fs::write(path, sink.to_chrome_jsonl())
-                    .map_err(|e| err(format!("writing {path:?}: {e}")))?;
+                write_file(path, &sink.to_chrome_jsonl())?;
                 out.push_str(&format!("  wrote {} trace spans to {path}\n", sink.len()));
             }
             if let Some(path) = flags.get("json") {
@@ -597,13 +760,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
         }
         "sweep" => {
             let app = parse_app(required(&flags, "app")?)?;
-            let jobs =
-                match flags.get("jobs") {
-                    None => default_jobs(),
-                    Some(v) => v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        err(format!("bad --jobs {v:?} (want a positive integer)"))
-                    })?,
-                };
+            let jobs = jobs_from(&flags)?;
             // Every design but the paper's §6 variants of Table 2 rows.
             let configs = NiKind::ALL
                 .into_iter()
@@ -724,6 +881,14 @@ mod tests {
         main_with_args(&args)
     }
 
+    /// The message of the usage error (exit 2) `args` must produce.
+    fn usage_error(args: &[&str]) -> String {
+        match run(args) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{args:?} must be a usage error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_all_ni_names() {
         // `list` names every design, in registry order, by its key.
@@ -736,8 +901,8 @@ mod tests {
             .map(NiKind::from_key)
             .collect();
         assert_eq!(listed, NiKind::ALL.map(Some));
-        let e = run(&["rtt", "--ni", "cm6"]).unwrap_err();
-        assert!(e.0.contains("unknown NI \"cm6\""), "{e}");
+        let e = usage_error(&["rtt", "--ni", "cm6"]);
+        assert!(e.contains("unknown NI \"cm6\""), "{e}");
     }
 
     #[test]
@@ -779,12 +944,9 @@ mod tests {
 
     #[test]
     fn missing_flags_are_reported() {
-        assert!(run(&["rtt"]).unwrap_err().0.contains("--ni is required"));
-        assert!(run(&["nope"]).unwrap_err().0.contains("unknown subcommand"));
-        assert!(run(&["rtt", "--ni"])
-            .unwrap_err()
-            .0
-            .contains("needs a value"));
+        assert!(usage_error(&["rtt"]).contains("--ni is required"));
+        assert!(usage_error(&["nope"]).contains("unknown subcommand"));
+        assert!(usage_error(&["rtt", "--ni"]).contains("needs a value"));
         assert!(run(&[]).is_err());
     }
 
@@ -807,8 +969,8 @@ mod tests {
                 "--fualt-drop",
             ),
         ] {
-            let e = run(args).unwrap_err();
-            assert!(e.0.contains(&format!("unknown flag {flag}")), "{e}");
+            let e = usage_error(args);
+            assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
         }
     }
 
@@ -821,7 +983,10 @@ mod tests {
             .filter(|name| !name.is_empty())
             .collect();
         for name in &documented {
-            let args = [format!("--{name}"), "x".to_string()];
+            let mut args = vec![format!("--{name}")];
+            if *name != SWITCH {
+                args.push("x".to_string());
+            }
             assert!(parse_flags(&args).is_ok(), "--{name} is documented");
         }
         assert_eq!(
@@ -942,6 +1107,89 @@ mod tests {
     }
 
     #[test]
+    fn list_names_every_experiment_and_cheap_rows_run() {
+        let list = run(&["list"]).unwrap();
+        let (_, rows) = list.split_once(EXP_HEADING).unwrap();
+        let listed: Vec<&str> = rows
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(listed, names);
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), EXPERIMENTS.len(), "experiment names repeat");
+
+        for (name, headline) in [
+            ("table1", "Table 1: switch/router buffering"),
+            ("table2", "Table 2: data transfer and buffering parameters"),
+            ("table3", "Table 3: system parameters"),
+            ("logp", "LogP-style characterisation at 64-byte payloads"),
+            ("modern", "Connection-count sweep: message latency"),
+        ] {
+            let out = run(&["exp", name, "--jobs", "2"]).unwrap();
+            assert!(out.starts_with(headline), "{name}: {out}");
+        }
+    }
+
+    #[test]
+    fn exp_rejects_what_a_row_cannot_honour() {
+        let msg = usage_error(&["exp", "table9"]);
+        assert!(msg.contains("unknown experiment \"table9\""), "{msg}");
+        assert!(EXPERIMENTS.iter().all(|e| msg.contains(e.name)), "{msg}");
+        assert!(usage_error(&["exp"]).contains("experiment name"));
+        for (args, needle) in [
+            (
+                &["exp", "table1", "--frobnicate", "x"][..],
+                "unknown flag --frobnicate",
+            ),
+            (
+                &["exp", "table1", "--ni", "cm5"][..],
+                "--ni does not apply to exp",
+            ),
+            (&["exp", "table1", "--json", "x.json"][..], "--json: table1"),
+            (
+                &["exp", "fig3a", "--update-goldens"][..],
+                "--update-goldens: fig3a",
+            ),
+            (&["exp", "logp", "--jobs"][..], "--jobs needs a value"),
+            (&["exp", "logp", "--jobs", "0"][..], "bad --jobs \"0\""),
+        ] {
+            let msg = usage_error(args);
+            assert!(msg.contains(needle), "{args:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn exp_json_holds_every_section_of_the_row() {
+        let dir = std::env::temp_dir().join("nisim-cli-exp-json-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("modern.json");
+        let out = run(&["exp", "modern", "--json", path.to_str().unwrap()]).unwrap();
+        assert!(
+            out.ends_with(&format!("wrote 16 records to {}\n", path.display())),
+            "{out}"
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let sections = nisim_bench::record::parse_document(&text).unwrap();
+        let names: Vec<&str> = sections.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["connsweep", "rdma-kink", "strided"]);
+        let counts: Vec<usize> = sections.iter().map(|(_, r)| r.len()).collect();
+        assert_eq!(counts, [10, 4, 2]);
+    }
+
+    #[test]
+    fn exp_output_write_failures_are_errors_not_panics() {
+        let missing = std::env::temp_dir().join("nisim-cli-no-such-dir/x.json");
+        let missing = missing.to_str().unwrap();
+        for name in ["logp", "breakdown"] {
+            match run(&["exp", name, "--json", missing]) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(missing), "{msg}"),
+                other => panic!("{name}: expected a write error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn metrics_flags_configure_the_machine() {
         let flags = |pairs: &[(&str, &str)]| {
             pairs
@@ -1025,7 +1273,10 @@ mod tests {
             &flags(&[("nodes", "4"), ("crash", "0-4000@9")]),
             NiKind::Cm5,
         );
-        assert!(out_of_range.unwrap_err().0.contains("out of range"));
+        assert!(out_of_range
+            .unwrap_err()
+            .to_string()
+            .contains("out of range"));
     }
 
     #[test]
@@ -1049,11 +1300,11 @@ mod tests {
         };
         assert!(with(&["--checkpoint", "/tmp/ck.json"])
             .unwrap_err()
-            .0
+            .to_string()
             .contains("--checkpoint-every"));
         assert!(with(&["--checkpoint-every", "100"])
             .unwrap_err()
-            .0
+            .to_string()
             .contains("--checkpoint"));
         assert!(with(&["--checkpoint", "/tmp/ck.json", "--checkpoint-every", "0"]).is_err());
         assert!(with(&["--checkpoint", "/tmp/ck.json", "--checkpoint-every", "lots"]).is_err());
@@ -1101,8 +1352,8 @@ mod tests {
         // The same snapshot against a different config is rejected.
         let mut wrong = resume_args.clone();
         wrong.extend(["--buffers", "2"]);
-        let e = run(&wrong).unwrap_err();
-        assert!(e.0.contains("config"), "{e}");
+        let e = usage_error(&wrong);
+        assert!(e.contains("config"), "{e}");
 
         // Apps whose skeleton cannot snapshot fail with a typed error.
         let barnes = [
@@ -1118,8 +1369,8 @@ mod tests {
             "--checkpoint-every",
             "10",
         ];
-        let e = run(&barnes).unwrap_err();
-        assert!(e.0.contains("workload"), "{e}");
+        let e = usage_error(&barnes);
+        assert!(e.contains("workload"), "{e}");
     }
 
     #[test]
@@ -1175,23 +1426,15 @@ mod tests {
 
     #[test]
     fn traffic_flags_are_validated() {
-        assert!(run(&["traffic"])
-            .unwrap_err()
-            .0
-            .contains("--ni is required"));
-        assert!(run(&["traffic", "--ni", "cm5", "--traffic", "ddos"])
-            .unwrap_err()
-            .0
-            .contains("bad --traffic"));
-        assert!(run(&["traffic", "--ni", "cm5", "--load", "0"])
-            .unwrap_err()
-            .0
-            .contains("bad --load"));
+        assert!(usage_error(&["traffic"]).contains("--ni is required"));
+        assert!(
+            usage_error(&["traffic", "--ni", "cm5", "--traffic", "ddos"]).contains("bad --traffic")
+        );
+        assert!(usage_error(&["traffic", "--ni", "cm5", "--load", "0"]).contains("bad --load"));
         assert!(run(&["traffic", "--ni", "cm5", "--load", "9"]).is_err());
-        assert!(run(&["traffic", "--ni", "cm5", "--tenants", "1"])
-            .unwrap_err()
-            .0
-            .contains("bad --tenants"));
+        assert!(
+            usage_error(&["traffic", "--ni", "cm5", "--tenants", "1"]).contains("bad --tenants")
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Regenerate the golden file after an intended behaviour change with
 //!
 //! ```text
-//! cargo run --release -p nisim-bench --bin goldens -- --update-goldens
+//! cargo run --release -p nisim-cli --bin nisim -- exp goldens --update-goldens
 //! ```
 
 use nisim_bench::record::{lookup, parse_document, RunRecord};
@@ -28,7 +28,7 @@ fn committed() -> Vec<(String, Vec<RunRecord>)> {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "cannot read the committed golden grid at {} ({e}); regenerate it with\n\
-             `cargo run --release -p nisim-bench --bin goldens -- --update-goldens`",
+             `cargo run --release -p nisim-cli --bin nisim -- exp goldens --update-goldens`",
             path.display()
         )
     });
@@ -470,7 +470,7 @@ fn golden_breakdown_occupancy_shapes() {
     let text = std::fs::read_to_string(breakdown_golden_path()).unwrap_or_else(|e| {
         panic!(
             "cannot read the committed breakdown golden ({e}); regenerate it with\n\
-             `cargo run --release -p nisim-bench --bin breakdown -- --update-goldens`"
+             `cargo run --release -p nisim-cli --bin nisim -- exp breakdown --update-goldens`"
         )
     });
     let doc = parse_document(&text).expect("breakdown golden parses");
@@ -529,7 +529,7 @@ fn breakdown_golden_matches_a_fresh_rerun_byte_for_byte() {
         committed_text == fresh,
         "the breakdown golden drifted from the simulator's current behaviour;\n\
          if the change is intended, regenerate with\n\
-         `cargo run --release -p nisim-bench --bin breakdown -- --update-goldens`"
+         `cargo run --release -p nisim-cli --bin nisim -- exp breakdown --update-goldens`"
     );
 }
 
@@ -538,7 +538,7 @@ fn committed_loadlat() -> Vec<(String, Vec<RunRecord>)> {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "cannot read the committed load/latency golden at {} ({e}); regenerate it with\n\
-             `cargo run --release -p nisim-bench --bin loadlat -- --update-goldens`",
+             `cargo run --release -p nisim-cli --bin nisim -- exp loadlat --update-goldens`",
             path.display()
         )
     });
@@ -749,7 +749,7 @@ fn loadlat_golden_matches_a_fresh_rerun_byte_for_byte() {
         committed_text == fresh,
         "the loadlat golden drifted from the simulator's current behaviour;\n\
          if the change is intended, regenerate with\n\
-         `cargo run --release -p nisim-bench --bin loadlat -- --update-goldens`"
+         `cargo run --release -p nisim-cli --bin nisim -- exp loadlat --update-goldens`"
     );
 }
 
@@ -763,7 +763,7 @@ fn golden_matches_a_fresh_rerun_byte_for_byte() {
         committed_text == fresh,
         "the golden grid drifted from the simulator's current behaviour;\n\
          if the change is intended, regenerate with\n\
-         `cargo run --release -p nisim-bench --bin goldens -- --update-goldens`"
+         `cargo run --release -p nisim-cli --bin nisim -- exp goldens --update-goldens`"
     );
 }
 

@@ -32,7 +32,7 @@ fn full_matrix_completes_through_the_sweep_harness() {
 
     // The full design-space cross product — every NI × every app × a
     // tight and a loose buffer level — at reduced node count and scale,
-    // driven through the same parallel harness the experiment binaries
+    // driven through the same parallel harness the experiment rows
     // use. Time-bounded so a pathological slowdown fails rather than
     // hangs: the simulated work is tiny (the budget is wall-clock slack
     // for slow CI machines, not an expected runtime).
