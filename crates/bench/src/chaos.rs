@@ -38,7 +38,8 @@ fn horizon() -> Time {
     Time::from_ns(60_000_000_000)
 }
 
-fn params() -> AppParams {
+/// The workload parameters every grid point runs with.
+pub fn params() -> AppParams {
     AppParams {
         iterations: 2,
         intensity: 4,
@@ -104,7 +105,9 @@ fn patch_key(p: &ChaosPoint) -> &'static str {
     }
 }
 
-fn record_of(
+/// The run record of a finished (or resumed) grid-point run — what the
+/// differential compares byte for byte.
+pub fn record_of(
     p: &ChaosPoint,
     cfg: &MachineConfig,
     m: &Machine,

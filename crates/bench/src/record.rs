@@ -11,6 +11,7 @@
 //! instead of ad-hoc floats.
 
 use nisim_core::{MachineConfig, MachineReport, TimeCategory};
+use nisim_engine::codec::{Codec, DecodeError, Fields};
 use nisim_engine::json::{self, Json};
 use nisim_engine::metrics::{Log2Hist, MetricsBreakdown};
 use nisim_engine::SimStatus;
@@ -273,245 +274,120 @@ impl RunRecord {
 
     /// Serializes to a JSON object (deterministic key order).
     pub fn to_json(&self) -> Json {
-        let pairs_u64 = |items: &[(u64, u64)]| -> Json {
-            Json::Arr(
-                items
-                    .iter()
-                    .map(|&(a, b)| Json::Arr(vec![Json::from(a), Json::from(b)]))
-                    .collect(),
-            )
-        };
-        let mut v = Json::obj()
-            .set("work", self.work.as_str())
-            .set("ni", self.ni.as_str())
-            .set("buffers", self.buffers.as_str())
-            .set("patch", self.patch.as_str())
-            .set("fingerprint", self.fingerprint.as_str())
-            .set("status", self.status.as_str())
-            .set("quiescent", self.quiescent)
-            .set("elapsed_ns", self.elapsed_ns)
-            .set(
-                "accounting_ns",
-                Json::Arr(self.accounting_ns.iter().map(|&x| Json::from(x)).collect()),
-            );
-        let mut counters = Json::obj();
-        for (name, value) in &self.counters {
-            counters = counters.set(name, *value);
-        }
-        v = v.set("counters", counters);
-        v = v.set("msg_sizes", pairs_u64(&self.msg_sizes));
-        v = v.set(
-            "latency",
-            Json::obj()
-                .set("count", self.latency.count)
-                .set("mean_ns", self.latency.mean_ns)
-                .set("min_ns", self.latency.min_ns)
-                .set("max_ns", self.latency.max_ns),
-        );
-        let mut metrics = Json::obj();
-        for (name, value) in &self.metrics {
-            metrics = metrics.set(name, *value);
-        }
-        v = v.set("metrics", metrics);
-        v = v.set(
-            "stall",
-            match &self.stall {
-                None => Json::Null,
-                Some(s) => Json::obj()
-                    .set("at_ns", s.at_ns)
-                    .set("reason", s.reason.as_str())
-                    .set("wedged", s.wedged),
-            },
-        );
-        // The breakdown key is appended only when present: metrics-off
-        // records must serialize to the exact bytes of the seed schema.
-        if let Some(b) = &self.breakdown {
-            v = v.set("breakdown", b.to_json());
-        }
-        // Likewise the traffic block: only open-loop records carry it.
-        if !self.tenants.is_empty() {
-            v = v.set(
-                "tenants",
-                Json::Arr(
-                    self.tenants
-                        .iter()
-                        .map(|t| {
-                            Json::obj()
-                                .set("name", t.name.as_str())
-                                .set("offered", t.offered)
-                                .set("delivered", t.delivered)
-                                .set("p50_ns", t.p50_ns)
-                                .set("p99_ns", t.p99_ns)
-                                .set("p999_ns", t.p999_ns)
-                                .set("hist", t.latency.to_json())
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        v
+        self.encode()
     }
 
     /// Rebuilds a record from its JSON form.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or mistyped field.
+    /// Returns the JSON path and reason of the first invalid field.
     pub fn from_json(v: &Json) -> Result<RunRecord, String> {
-        let text = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("record field {key:?} missing or not a string"))
+        RunRecord::decode(v).map_err(|e| e.to_string())
+    }
+}
+
+nisim_engine::struct_codec! { StallBrief { at_ns, reason, wedged } }
+nisim_engine::struct_codec! { LatencyBrief { count, mean_ns, min_ns, max_ns } }
+
+/// The tenant's histogram is stored under `hist`.
+impl Codec for TenantBrief {
+    fn encode(&self) -> Json {
+        Json::obj()
+            .set("name", self.name.encode())
+            .set("offered", self.offered.encode())
+            .set("delivered", self.delivered.encode())
+            .set("p50_ns", self.p50_ns.encode())
+            .set("p99_ns", self.p99_ns.encode())
+            .set("p999_ns", self.p999_ns.encode())
+            .set("hist", self.latency.encode())
+    }
+    fn decode(v: &Json) -> Result<TenantBrief, DecodeError> {
+        let mut f = Fields::of(v)?;
+        let t = TenantBrief {
+            name: f.get("name")?,
+            offered: f.get("offered")?,
+            delivered: f.get("delivered")?,
+            p50_ns: f.get("p50_ns")?,
+            p99_ns: f.get("p99_ns")?,
+            p999_ns: f.get("p999_ns")?,
+            latency: f.get("hist")?,
         };
-        let num = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("record field {key:?} missing or not a u64"))
-        };
-        let accounting = v
-            .get("accounting_ns")
-            .and_then(Json::as_arr)
-            .filter(|a| a.len() == 4)
-            .ok_or("accounting_ns must be a 4-element array")?;
-        let mut accounting_ns = [0u64; 4];
-        for (i, x) in accounting.iter().enumerate() {
-            accounting_ns[i] = x.as_u64().ok_or("accounting_ns entries must be u64")?;
+        f.finish().map(|()| t)
+    }
+}
+
+/// A list of named values, stored as one JSON object.
+fn named<T: Codec>(items: &[(String, T)]) -> Json {
+    Json::Obj(items.iter().map(|(k, x)| (k.clone(), x.encode())).collect())
+}
+
+fn named_from<T: Codec>(v: &Json) -> Result<Vec<(String, T)>, DecodeError> {
+    let Json::Obj(pairs) = v else {
+        return Err(DecodeError::new("expected an object"));
+    };
+    pairs
+        .iter()
+        .map(|(k, x)| Ok((k.clone(), T::decode(x).map_err(|e| e.in_key(k))?)))
+        .collect()
+}
+
+/// The breakdown and tenant keys are appended only when present, so
+/// metrics-off and closed-loop records keep the bytes of the seed schema.
+impl Codec for RunRecord {
+    fn encode(&self) -> Json {
+        let mut v = Json::obj()
+            .set("work", self.work.encode())
+            .set("ni", self.ni.encode())
+            .set("buffers", self.buffers.encode())
+            .set("patch", self.patch.encode())
+            .set("fingerprint", self.fingerprint.encode())
+            .set("status", self.status.encode())
+            .set("quiescent", self.quiescent.encode())
+            .set("elapsed_ns", self.elapsed_ns.encode())
+            .set("accounting_ns", self.accounting_ns.encode())
+            .set("counters", named(&self.counters))
+            .set("msg_sizes", self.msg_sizes.encode())
+            .set("latency", self.latency.encode())
+            .set("metrics", named(&self.metrics))
+            .set("stall", self.stall.encode());
+        if let Some(b) = &self.breakdown {
+            v = v.set("breakdown", b.encode());
         }
-        let counters = match v.get("counters") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, x)| {
-                    x.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("counter {k:?} not a u64"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("counters must be an object".into()),
+        if !self.tenants.is_empty() {
+            v = v.set("tenants", self.tenants.encode());
+        }
+        v
+    }
+
+    fn decode(v: &Json) -> Result<RunRecord, DecodeError> {
+        let mut f = Fields::of(v)?;
+        let r = RunRecord {
+            work: f.get("work")?,
+            ni: f.get("ni")?,
+            buffers: f.get("buffers")?,
+            patch: f.get("patch")?,
+            fingerprint: f.get("fingerprint")?,
+            status: f.get("status")?,
+            quiescent: f.get("quiescent")?,
+            elapsed_ns: f.get("elapsed_ns")?,
+            accounting_ns: f.get("accounting_ns")?,
+            counters: f.with("counters", named_from)?,
+            msg_sizes: f.get("msg_sizes")?,
+            latency: f.get("latency")?,
+            metrics: f.with("metrics", named_from)?,
+            stall: f.get("stall")?,
+            breakdown: f
+                .optional("breakdown")
+                .map(Codec::decode)
+                .transpose()
+                .map_err(|e| e.in_key("breakdown"))?,
+            tenants: f
+                .optional("tenants")
+                .map_or(Ok(Vec::new()), Codec::decode)
+                .map_err(|e| e.in_key("tenants"))?,
         };
-        let msg_sizes = v
-            .get("msg_sizes")
-            .and_then(Json::as_arr)
-            .ok_or("msg_sizes must be an array")?
-            .iter()
-            .map(|p| {
-                let p = p.as_arr().filter(|p| p.len() == 2);
-                match p {
-                    Some([a, b]) => match (a.as_u64(), b.as_u64()) {
-                        (Some(a), Some(b)) => Ok((a, b)),
-                        _ => Err("msg_sizes entries must be u64 pairs".to_string()),
-                    },
-                    _ => Err("msg_sizes entries must be pairs".to_string()),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let latency = {
-            let l = v.get("latency").ok_or("latency missing")?;
-            let f = |key: &str| -> Result<f64, String> {
-                l.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("latency field {key:?} missing"))
-            };
-            LatencyBrief {
-                count: l
-                    .get("count")
-                    .and_then(Json::as_u64)
-                    .ok_or("latency count missing")?,
-                mean_ns: f("mean_ns")?,
-                min_ns: f("min_ns")?,
-                max_ns: f("max_ns")?,
-            }
-        };
-        let metrics = match v.get("metrics") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, x)| {
-                    x.as_f64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("metric {k:?} not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("metrics must be an object".into()),
-        };
-        let breakdown = match v.get("breakdown") {
-            None | Some(Json::Null) => None,
-            Some(b) => Some(
-                MetricsBreakdown::from_json(b)
-                    .ok_or("breakdown malformed or sum-to-total violated")?,
-            ),
-        };
-        let tenants = match v.get("tenants") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|t| {
-                    let tf = |key: &str| -> Result<f64, String> {
-                        t.get(key)
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| format!("tenant field {key:?} missing"))
-                    };
-                    Ok(TenantBrief {
-                        name: t
-                            .get("name")
-                            .and_then(Json::as_str)
-                            .ok_or("tenant name missing")?
-                            .to_string(),
-                        offered: t
-                            .get("offered")
-                            .and_then(Json::as_u64)
-                            .ok_or("tenant offered missing")?,
-                        delivered: t
-                            .get("delivered")
-                            .and_then(Json::as_u64)
-                            .ok_or("tenant delivered missing")?,
-                        p50_ns: tf("p50_ns")?,
-                        p99_ns: tf("p99_ns")?,
-                        p999_ns: tf("p999_ns")?,
-                        latency: t
-                            .get("hist")
-                            .and_then(Log2Hist::from_json)
-                            .ok_or("tenant hist malformed")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            Some(_) => return Err("tenants must be an array".into()),
-        };
-        let stall = match v.get("stall") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(StallBrief {
-                at_ns: s.get("at_ns").and_then(Json::as_u64).ok_or("stall at_ns")?,
-                reason: s
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or("stall reason")?
-                    .to_string(),
-                wedged: s
-                    .get("wedged")
-                    .and_then(Json::as_u64)
-                    .ok_or("stall wedged")?,
-            }),
-        };
-        Ok(RunRecord {
-            work: text("work")?,
-            ni: text("ni")?,
-            buffers: text("buffers")?,
-            patch: text("patch")?,
-            fingerprint: text("fingerprint")?,
-            status: text("status")?,
-            quiescent: v
-                .get("quiescent")
-                .and_then(Json::as_bool)
-                .ok_or("quiescent missing")?,
-            elapsed_ns: num("elapsed_ns")?,
-            accounting_ns,
-            counters,
-            msg_sizes,
-            latency,
-            metrics,
-            stall,
-            breakdown,
-            tenants,
-        })
+        f.finish().map(|()| r)
     }
 }
 

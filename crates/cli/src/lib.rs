@@ -721,6 +721,16 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             if let Some(stall) = &r.stall {
                 out.push_str(&format!("{stall}"));
             }
+            let undrained = match r.status {
+                SimStatus::HorizonReached => Some("horizon reached"),
+                SimStatus::EventBudgetExhausted => Some("event budget exhausted"),
+                SimStatus::Drained | SimStatus::Stalled => None,
+            };
+            if let Some(why) = undrained {
+                out.push_str(&format!(
+                    "  status         {why}: the run ended undrained\n"
+                ));
+            }
             if let Some(path) = resume {
                 out.push_str(&format!("  resumed from {path}\n"));
             }
@@ -1288,6 +1298,33 @@ mod tests {
         assert!(out.contains("faults"), "{out}");
         assert!(out.contains("reliability"), "{out}");
         assert!(!out.contains("STALLED"), "{out}");
+    }
+
+    #[test]
+    fn run_reports_a_run_that_ends_undrained() {
+        // The crash window opens after the 10 s horizon, so its event is
+        // still pending when the run stops.
+        let args = [
+            "run",
+            "--app",
+            "em3d",
+            "--ni",
+            "cm5",
+            "--nodes",
+            "4",
+            "--crash",
+            "20000000000-20000001000@1",
+            "--reliable",
+            "on",
+        ];
+        let out = run(&args).unwrap();
+        assert!(out.contains("elapsed        10000000 us"), "{out}");
+        assert!(
+            out.contains("status         horizon reached: the run ended undrained"),
+            "{out}"
+        );
+        let drained = run(&["run", "--app", "em3d", "--ni", "cm5", "--nodes", "4"]).unwrap();
+        assert!(!drained.contains("status"), "{drained}");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use std::fmt;
 
+use nisim_engine::codec::ensure;
 use nisim_engine::{Dur, Time};
 
 /// Where a span of processor time went.
@@ -141,17 +142,15 @@ impl TimeLedger {
             self.totals[c.index()] += other.get(c);
         }
     }
+}
 
-    /// The raw category totals in [`TimeCategory::ALL`] order (for
-    /// checkpointing).
-    pub fn totals(&self) -> [Dur; 4] {
-        self.totals
-    }
-
-    /// Rebuilds a ledger from checkpointed parts: the category totals in
-    /// [`TimeCategory::ALL`] order plus the coverage stamp.
-    pub fn from_parts(totals: [Dur; 4], stamp: Time) -> TimeLedger {
-        TimeLedger { totals, stamp }
+// A checkpointed ledger covers its node's run from time zero, and every
+// charge advances the stamp by exactly what it adds to one category.
+nisim_engine::struct_codec! {
+    TimeLedger { totals, stamp }
+    check |l: &TimeLedger| {
+        let covered = l.totals.iter().try_fold(0u64, |sum, d| sum.checked_add(d.as_ns()));
+        ensure(covered == Some(l.stamp.as_ns()), "category totals do not sum to the stamp")
     }
 }
 

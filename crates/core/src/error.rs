@@ -12,7 +12,8 @@
 
 use std::fmt;
 
-use nisim_engine::{Dur, Time};
+use nisim_engine::codec::{Codec, DecodeError, Fields};
+use nisim_engine::{Dur, Json, Time};
 use nisim_net::{FlowStats, MsgId, NodeId, RelStats};
 
 /// A protocol state that the loss-free simulator treats as impossible.
@@ -127,6 +128,92 @@ pub struct Violation {
     pub at: Time,
     /// What happened.
     pub kind: ProtocolViolation,
+}
+
+/// `{"at", "kind", ...}`: the kind's fields sit beside `at`, under the
+/// keys below.
+impl Codec for Violation {
+    fn encode(&self) -> Json {
+        use ProtocolViolation as P;
+        let (kind, fields) = match self.kind {
+            P::SendStepWithoutCurrentSend { node } => ("send_step", vec![("node", node.encode())]),
+            P::ResendWithoutPending { node } => ("resend", vec![("node", node.encode())]),
+            P::DrainWithoutReady { node } => ("drain", vec![("node", node.encode())]),
+            P::AckForUnknownFragment { node, msg } => (
+                "unknown_ack",
+                vec![("node", node.encode()), ("msg", msg.encode())],
+            ),
+            P::ReturnForUnknownFragment { node, msg } => (
+                "unknown_return",
+                vec![("node", node.encode()), ("msg", msg.encode())],
+            ),
+            P::RetryForUnknownFragment { node, msg } => (
+                "unknown_retry",
+                vec![("node", node.encode()), ("msg", msg.encode())],
+            ),
+            P::EventScheduledInPast { at, now } => (
+                "past_schedule",
+                vec![("sched_at", at.encode()), ("sched_now", now.encode())],
+            ),
+            P::RetryCapExhausted {
+                node,
+                msg,
+                attempts,
+            } => (
+                "retry_cap",
+                vec![
+                    ("node", node.encode()),
+                    ("msg", msg.encode()),
+                    ("attempts", attempts.encode()),
+                ],
+            ),
+        };
+        let head = Json::obj().set("at", self.at.encode()).set("kind", kind);
+        fields.into_iter().fold(head, |v, (k, x)| v.set(k, x))
+    }
+
+    fn decode(v: &Json) -> Result<Violation, DecodeError> {
+        use ProtocolViolation as P;
+        let mut f = Fields::of(v)?;
+        let at = f.get("at")?;
+        let kind = match f.get::<String>("kind")?.as_str() {
+            "send_step" => P::SendStepWithoutCurrentSend {
+                node: f.get("node")?,
+            },
+            "resend" => P::ResendWithoutPending {
+                node: f.get("node")?,
+            },
+            "drain" => P::DrainWithoutReady {
+                node: f.get("node")?,
+            },
+            "unknown_ack" => P::AckForUnknownFragment {
+                node: f.get("node")?,
+                msg: f.get("msg")?,
+            },
+            "unknown_return" => P::ReturnForUnknownFragment {
+                node: f.get("node")?,
+                msg: f.get("msg")?,
+            },
+            "unknown_retry" => P::RetryForUnknownFragment {
+                node: f.get("node")?,
+                msg: f.get("msg")?,
+            },
+            "past_schedule" => P::EventScheduledInPast {
+                at: f.get("sched_at")?,
+                now: f.get("sched_now")?,
+            },
+            "retry_cap" => P::RetryCapExhausted {
+                node: f.get("node")?,
+                msg: f.get("msg")?,
+                attempts: f.get("attempts")?,
+            },
+            other => {
+                return Err(DecodeError::new(format!("unknown violation `{other}`")).in_key("kind"))
+            }
+        };
+        f.finish()?;
+        Ok(Violation { at, kind })
+    }
 }
 
 impl fmt::Display for Violation {

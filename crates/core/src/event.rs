@@ -12,7 +12,8 @@
 //! docs: processor steps, wire arrivals, acks and their timers, deposit
 //! completions, and the return-to-sender retry path of §5.1.2.
 
-use nisim_engine::Event;
+use nisim_engine::codec::{Codec, DecodeError, Fields};
+use nisim_engine::{Event, Json};
 use nisim_net::{MsgId, NodeId};
 
 use crate::machine::{EvCtx, Machine, MachineSim};
@@ -99,6 +100,73 @@ impl MachineEvent {
             MachineEvent::Retry { src, .. } => src.index(),
             MachineEvent::NodeCrash { node } => *node,
         }
+    }
+}
+
+/// `{"t": kind, ...}` with the variant's fields under the keys below.
+impl Codec for MachineEvent {
+    fn encode(&self) -> Json {
+        let v = |t: &str| Json::obj().set("t", t);
+        match *self {
+            MachineEvent::ProcRun { node } => v("proc_run").set("node", node.encode()),
+            MachineEvent::Arrival { wire, corrupted } => v("arrival")
+                .set("wire", wire.encode())
+                .set("corrupted", corrupted.encode()),
+            MachineEvent::AckArrival { src, msg } => v("ack_arrival")
+                .set("src", src.encode())
+                .set("msg", msg.encode()),
+            MachineEvent::AckTimeout { src, msg, attempt } => v("ack_timeout")
+                .set("src", src.encode())
+                .set("msg", msg.encode())
+                .set("attempt", attempt.encode()),
+            MachineEvent::DepositDone { dst, frees_buffer } => v("deposit_done")
+                .set("dst", dst.encode())
+                .set("frees_buffer", frees_buffer.encode()),
+            MachineEvent::ReturnArrival { wire } => v("return_arrival").set("wire", wire.encode()),
+            MachineEvent::Retry { src, msg } => {
+                v("retry").set("src", src.encode()).set("msg", msg.encode())
+            }
+            MachineEvent::NodeCrash { node } => v("node_crash").set("node", node.encode()),
+        }
+    }
+
+    fn decode(v: &Json) -> Result<MachineEvent, DecodeError> {
+        let mut f = Fields::of(v)?;
+        let ev = match f.get::<String>("t")?.as_str() {
+            "proc_run" => MachineEvent::ProcRun {
+                node: f.get("node")?,
+            },
+            "arrival" => MachineEvent::Arrival {
+                wire: f.get("wire")?,
+                corrupted: f.get("corrupted")?,
+            },
+            "ack_arrival" => MachineEvent::AckArrival {
+                src: f.get("src")?,
+                msg: f.get("msg")?,
+            },
+            "ack_timeout" => MachineEvent::AckTimeout {
+                src: f.get("src")?,
+                msg: f.get("msg")?,
+                attempt: f.get("attempt")?,
+            },
+            "deposit_done" => MachineEvent::DepositDone {
+                dst: f.get("dst")?,
+                frees_buffer: f.get("frees_buffer")?,
+            },
+            "return_arrival" => MachineEvent::ReturnArrival {
+                wire: f.get("wire")?,
+            },
+            "retry" => MachineEvent::Retry {
+                src: f.get("src")?,
+                msg: f.get("msg")?,
+            },
+            "node_crash" => MachineEvent::NodeCrash {
+                node: f.get("node")?,
+            },
+            other => return Err(DecodeError::new(format!("unknown event `{other}`")).in_key("t")),
+        };
+        f.finish()?;
+        Ok(ev)
     }
 }
 

@@ -14,7 +14,7 @@
 //! The paper charges 12 processor cycles to flush or load the block
 //! buffer; we take those constants verbatim.
 
-use nisim_engine::{Json, Time};
+use nisim_engine::Time;
 
 use crate::costs::CostModel;
 use crate::node::NodeHw;
@@ -143,13 +143,7 @@ impl NiModel for Ap3000Ni {
 
     // The block buffer empties within each send/drain call, so there is
     // no dynamic state to checkpoint.
-    fn snapshot(&self) -> Json {
-        Json::obj()
-    }
-
-    fn restore(&mut self, _state: &Json) -> bool {
-        true
-    }
+    nisim_engine::state_fields! { {  } }
 }
 
 #[cfg(test)]

@@ -163,13 +163,7 @@ impl NiModel for Cm5Ni {
 
     // The FIFO window model carries no dynamic state beyond the machine's
     // shared queues, so its checkpoint payload is empty.
-    fn snapshot(&self) -> nisim_engine::Json {
-        nisim_engine::Json::obj()
-    }
-
-    fn restore(&mut self, _state: &nisim_engine::Json) -> bool {
-        true
-    }
+    nisim_engine::state_fields! { {  } }
 }
 
 #[cfg(test)]

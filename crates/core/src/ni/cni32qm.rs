@@ -18,7 +18,8 @@
 //! benches. The `+Throttle` variant adds a fixed inter-send delay that
 //! paces the sender to the receiver's consumption rate (Table 5).
 
-use nisim_engine::{Dur, Json, Time};
+use nisim_engine::codec::ensure;
+use nisim_engine::{Dur, Time};
 use nisim_mem::{BlockAddr, BlockGeometry, BusOp};
 
 use crate::config::MachineConfig;
@@ -30,7 +31,7 @@ use crate::taxonomy::{
 };
 
 use super::cni512q::cni_send_compose;
-use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -282,38 +283,28 @@ impl NiModel for Cni32QmNi {
         self.throttle
     }
 
-    fn snapshot(&self) -> Json {
-        cursors_snapshot(&self.send_q, &self.recv_q)
-            .set("rx_cache_used", self.rx_cache_used)
-            .set("displaced_blocks", self.displaced_blocks)
-            .set("dead_blocks_pending", self.dead_blocks_pending)
-            .set("rx_backlog_blocks", self.rx_backlog_blocks)
-    }
-
-    fn restore(&mut self, state: &Json) -> bool {
-        let field = |key: &str| state.get(key).and_then(Json::as_u64);
-        let (
-            Some(rx_cache_used),
-            Some(displaced_blocks),
-            Some(dead_blocks_pending),
-            Some(rx_backlog_blocks),
-        ) = (
-            field("rx_cache_used"),
-            field("displaced_blocks"),
-            field("dead_blocks_pending"),
-            field("rx_backlog_blocks"),
-        )
-        else {
-            return false;
-        };
-        if rx_cache_used > self.rx_cache_capacity {
-            return false;
+    // Occupancy moves in whole slots; displaced and dead blocks only
+    // accumulate with their optimisation turned off.
+    nisim_engine::state_fields! {
+        {
+            send_cursor: send_q.next, recv_cursor: recv_q.next, rx_cache_used, displaced_blocks,
+            dead_blocks_pending, rx_backlog_blocks
         }
-        self.rx_cache_used = rx_cache_used;
-        self.displaced_blocks = displaced_blocks;
-        self.dead_blocks_pending = dead_blocks_pending;
-        self.rx_backlog_blocks = rx_backlog_blocks;
-        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+        check |n: &Cni32QmNi| {
+            check_cursors(&n.send_q, &n.recv_q)?;
+            let slots = [n.rx_cache_used, n.displaced_blocks, n.rx_backlog_blocks];
+            ensure(
+                slots.iter().all(|b| b.is_multiple_of(SLOT_BLOCKS))
+                    && n.rx_cache_used <= n.rx_cache_capacity
+                    && n.rx_backlog_blocks <= layout::MEMORY_QUEUE_BLOCKS,
+                "receive occupancy not in whole slots within capacity",
+            )?;
+            ensure(
+                (n.displaced_blocks == 0 || !n.bypass)
+                    && (n.dead_blocks_pending == 0 || !n.dead_block_opt),
+                "blocks displaced or dead under the optimisation that prevents them",
+            )
+        }
     }
 }
 

@@ -20,7 +20,8 @@
 //! as processor-involved VM spill; it is rare at this queue size and we
 //! model the overflow as network back-pressure instead — see DESIGN.md).
 
-use nisim_engine::{Json, Time};
+use nisim_engine::codec::ensure;
+use nisim_engine::Time;
 use nisim_mem::{BlockAddr, BlockGeometry};
 
 use crate::config::MachineConfig;
@@ -31,7 +32,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -250,17 +251,16 @@ impl NiModel for Cni512QNi {
         }
     }
 
-    fn snapshot(&self) -> Json {
-        cursors_snapshot(&self.send_q, &self.recv_q).set("recv_used_blocks", self.recv_used_blocks)
-    }
-
-    fn restore(&mut self, state: &Json) -> bool {
-        let used = state.get("recv_used_blocks").and_then(Json::as_u64);
-        let Some(used) = used.filter(|&u| u <= self.recv_q.capacity_blocks()) else {
-            return false;
-        };
-        self.recv_used_blocks = used;
-        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+    nisim_engine::state_fields! {
+        { send_cursor: send_q.next, recv_cursor: recv_q.next, recv_used_blocks }
+        check |n: &Cni512QNi| {
+            check_cursors(&n.send_q, &n.recv_q)?;
+            ensure(
+                n.recv_used_blocks.is_multiple_of(SLOT_BLOCKS)
+                    && n.recv_used_blocks <= n.recv_q.capacity_blocks(),
+                "receive queue occupancy not in whole slots within capacity",
+            )
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 //! side is unchanged from the CM-5 design — which is exactly why
 //! coalescing alone cannot reach AP3000-class performance.
 
+use nisim_engine::codec::DecodeError;
 use nisim_engine::{Json, Time};
 use nisim_mem::BusOp;
 
@@ -145,7 +146,7 @@ impl NiModel for CoalescingNi {
         self.base.snapshot()
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         self.base.restore(state)
     }
 }

@@ -8,7 +8,8 @@
 //! upgrade instead of miss) fall out of the MOESI machinery instead of
 //! being hard-coded.
 
-use nisim_engine::{Dur, Json, Time};
+use nisim_engine::codec::{ensure, DecodeError};
+use nisim_engine::{Dur, Time};
 use nisim_mem::{Addr, BlockAddr, BlockGeometry};
 
 /// A circular, block-aligned queue region of the physical address space.
@@ -20,7 +21,9 @@ use nisim_mem::{Addr, BlockAddr, BlockGeometry};
 pub struct QueueRegion {
     base: Addr,
     blocks: u64,
-    next: u64,
+    /// The circular allocation cursor, in blocks from `base` — the
+    /// region's only checkpoint state.
+    pub(crate) next: u64,
     geo: BlockGeometry,
 }
 
@@ -81,39 +84,14 @@ impl QueueRegion {
         let first = self.geo.block_of(self.base);
         (0..self.blocks).map(move |i| self.geo.block_at(first, i))
     }
-
-    /// The circular allocation cursor (for checkpointing).
-    pub fn cursor(&self) -> u64 {
-        self.next
-    }
-
-    /// Restores the circular allocation cursor. Returns `false` if the
-    /// cursor lies outside the region.
-    pub fn set_cursor(&mut self, next: u64) -> bool {
-        if next > self.blocks {
-            return false;
-        }
-        self.next = next;
-        true
-    }
 }
 
-/// The allocation cursors of a send/receive queue pair: the checkpoint
-/// state every queue-based model shares, to which each appends its own.
-pub fn cursors_snapshot(send_q: &QueueRegion, recv_q: &QueueRegion) -> Json {
-    Json::obj()
-        .set("send_cursor", send_q.cursor())
-        .set("recv_cursor", recv_q.cursor())
-}
-
-/// Restores [`cursors_snapshot`] state. Returns `false` if a cursor is
-/// missing or lies outside its queue.
-pub fn restore_cursors(state: &Json, send_q: &mut QueueRegion, recv_q: &mut QueueRegion) -> bool {
-    let cursor = |key: &str| state.get(key).and_then(Json::as_u64);
-    match (cursor("send_cursor"), cursor("recv_cursor")) {
-        (Some(send), Some(recv)) => send_q.set_cursor(send) && recv_q.set_cursor(recv),
-        _ => false,
-    }
+/// Checks restored allocation cursors: each lies within its region.
+pub fn check_cursors(send_q: &QueueRegion, recv_q: &QueueRegion) -> Result<(), DecodeError> {
+    ensure(
+        send_q.next <= send_q.blocks && recv_q.next <= recv_q.blocks,
+        "queue cursor past the end of its region",
+    )
 }
 
 /// Queue slot size in blocks: one maximum-size network message (256 B)

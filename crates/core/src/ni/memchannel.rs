@@ -7,6 +7,7 @@
 //! the memory bus and drops multicast so the comparison isolates the data
 //! transfer and buffering parameters (§4).
 
+use nisim_engine::codec::DecodeError;
 use nisim_engine::{Json, Time};
 
 use crate::config::MachineConfig;
@@ -119,7 +120,7 @@ impl NiModel for MemoryChannelNi {
         self.recv_side.snapshot()
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         self.recv_side.restore(state)
     }
 }

@@ -43,6 +43,7 @@ pub mod urma;
 
 use std::collections::{BTreeMap, VecDeque};
 
+use nisim_engine::codec::{self, Codec, DecodeError, State};
 use nisim_engine::stats::Counter;
 use nisim_engine::{Dur, Json, Time};
 use nisim_mem::{BlockAddr, MemoryKind};
@@ -336,6 +337,42 @@ pub enum DepositLoc {
     },
 }
 
+/// `["fifo"]`, or `[kind, base, blocks]` with kind `mem`, `niq` or `nic`.
+impl Codec for DepositLoc {
+    fn encode(&self) -> Json {
+        let (tag, slot) = match *self {
+            DepositLoc::NiFifo => return Json::Arr(vec![Json::from("fifo")]),
+            DepositLoc::Memory { base, blocks } => ("mem", (base, blocks)),
+            DepositLoc::NiQueue { base, blocks } => ("niq", (base, blocks)),
+            DepositLoc::NiCache { base, blocks } => ("nic", (base, blocks)),
+        };
+        Json::Arr(vec![Json::from(tag), slot.0.encode(), slot.1.encode()])
+    }
+    fn decode(v: &Json) -> Result<DepositLoc, DecodeError> {
+        let items = codec::array(v)?;
+        let slot = || <(String, BlockAddr, u64)>::decode(v).map(|(_, base, blocks)| (base, blocks));
+        match items.first().and_then(Json::as_str) {
+            Some("fifo") if items.len() == 1 => Ok(DepositLoc::NiFifo),
+            Some("mem") => slot().map(|(base, blocks)| DepositLoc::Memory { base, blocks }),
+            Some("niq") => slot().map(|(base, blocks)| DepositLoc::NiQueue { base, blocks }),
+            Some("nic") => slot().map(|(base, blocks)| DepositLoc::NiCache { base, blocks }),
+            _ => Err(DecodeError::new("unknown deposit location")),
+        }
+    }
+}
+
+impl DepositLoc {
+    /// The queue slot the fragment occupies, if it has one.
+    pub fn slot(&self) -> Option<(BlockAddr, u64)> {
+        match *self {
+            DepositLoc::NiFifo => None,
+            DepositLoc::Memory { base, blocks }
+            | DepositLoc::NiQueue { base, blocks }
+            | DepositLoc::NiCache { base, blocks } => Some((base, blocks)),
+        }
+    }
+}
+
 /// Result of a send-path computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SendPath {
@@ -440,13 +477,17 @@ pub trait NiModel {
 
     /// Serialises the model's dynamic state (queue cursors, cache
     /// occupancy, ...) for checkpointing; stateless designs write an
-    /// empty object.
+    /// empty object. Implementations declare the state with
+    /// [`nisim_engine::state_fields!`].
     fn snapshot(&self) -> Json;
 
     /// Restores state captured by [`NiModel::snapshot`] into a freshly
-    /// built model (same configuration). Returns `false` on a shape
-    /// mismatch or an out-of-range value.
-    fn restore(&mut self, state: &Json) -> bool;
+    /// built model (same configuration).
+    ///
+    /// # Errors
+    ///
+    /// Fails on a shape mismatch or an out-of-range value.
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError>;
 }
 
 /// A fragment deposited at the receiving NI, awaiting the processor.
@@ -483,6 +524,12 @@ impl RxEntry {
     }
 }
 
+nisim_engine::struct_codec! {
+    RxEntry {
+        msg_id, src, transfer_id, frag, tag, total_payload, ready_at, loc, frees_buffer_at_drain
+    }
+}
+
 /// One network message on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireMsg {
@@ -516,6 +563,16 @@ impl WireMsg {
     }
 }
 
+// The connection is resolved by the sender, so it is never 0 on the
+// wire, and a node never sends to itself (`Machine::start_send`).
+nisim_engine::struct_codec! {
+    WireMsg { id, src, dst, transfer_id, frag, tag, total_payload, seq, conn }
+    check |w: &WireMsg| {
+        codec::ensure(w.conn != 0, "connection 0 on the wire")?;
+        codec::ensure(w.src != w.dst, "a node sends to itself")
+    }
+}
+
 /// A sent fragment awaiting its ack (its flow-control buffer is held).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutstandingFrag {
@@ -533,6 +590,8 @@ pub struct OutstandingFrag {
     pub gave_up: bool,
 }
 
+nisim_engine::struct_codec! { OutstandingFrag { wire, backoff, attempt, gave_up } }
+
 /// NI-level statistics.
 #[derive(Clone, Debug, Default)]
 pub struct NiStats {
@@ -543,6 +602,8 @@ pub struct NiStats {
     /// Payload bytes sent.
     pub payload_bytes_sent: Counter,
 }
+
+nisim_engine::struct_codec! { NiStats { fragments_sent, fragments_received, payload_bytes_sent } }
 
 /// One node's NI: the design-specific model plus the design-independent
 /// machinery (flow control endpoint, receive queue, statistics).
@@ -605,6 +666,33 @@ impl NiUnit {
     /// The earliest time any queued fragment becomes consumable.
     pub fn next_ready_at(&self) -> Option<Time> {
         self.rx_ready.iter().map(|e| e.ready_at).min()
+    }
+}
+
+impl State for Box<dyn NiModel> {
+    fn snapshot(&self) -> Json {
+        (**self).snapshot()
+    }
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        (**self).restore(v)
+    }
+}
+
+/// The NI's checkpoint state. Outstanding fragments are keyed by their
+/// own wire id; rx_ready entries hold the flow-control buffer until the
+/// drain exactly when the design does not free it at deposit.
+impl State for NiUnit {
+    nisim_engine::state_fields! {
+        { fc, model, rx_ready, outstanding, stats, rel_tx, rel_rx, rel_stats }
+        check |ni: &NiUnit| {
+            let keyed = ni.outstanding.iter().all(|(id, o)| *id == o.wire.id);
+            codec::ensure(keyed, "outstanding entry not keyed by its wire id")?;
+            let at_drain = !ni.model.frees_buffer_at_deposit();
+            codec::ensure(
+                ni.rx_ready.iter().all(|e| e.frees_buffer_at_drain == at_drain),
+                "received fragment releases its buffer at the wrong point for this design",
+            )
+        }
     }
 }
 

@@ -24,7 +24,8 @@
 //! state-capacity cliff the connection-count sweep exposes, and the
 //! modern restatement of the paper's "location of buffers" question.
 
-use nisim_engine::{Json, Time};
+use nisim_engine::codec::ensure;
+use nisim_engine::Time;
 
 use crate::config::MachineConfig;
 use crate::costs::CostModel;
@@ -34,7 +35,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -275,51 +276,22 @@ impl NiModel for RdmaQpNi {
         }
     }
 
-    fn snapshot(&self) -> Json {
-        cursors_snapshot(&self.send_q, &self.recv_q)
-            .set(
-                "lru",
-                Json::Arr(self.lru.iter().map(|&c| Json::from(c)).collect()),
-            )
-            .set("lookups", self.lookups)
-            .set("hits", self.hits)
-            .set("misses", self.misses)
-            .set("staged_conn", self.staged_conn)
-    }
-
-    fn restore(&mut self, state: &Json) -> bool {
-        let field = |key: &str| state.get(key).and_then(Json::as_u64);
-        let (Some(lookups), Some(hits), Some(misses)) =
-            (field("lookups"), field("hits"), field("misses"))
-        else {
-            return false;
-        };
-        let Some(staged_conn) = field("staged_conn").filter(|&c| c <= u32::MAX as u64) else {
-            return false;
-        };
-        let Some(lru) = state.get("lru").and_then(Json::as_arr) else {
-            return false;
-        };
-        let Some(lru) = lru
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .filter(|&c| c <= u32::MAX as u64)
-                    .map(|c| c as u32)
-            })
-            .collect::<Option<Vec<u32>>>()
-        else {
-            return false;
-        };
-        if lru.len() as u64 > self.capacity || hits + misses != lookups {
-            return false;
+    // Every lookup is a hit or a miss, and a connection enters the LRU
+    // list only on a miss and appears in it at most once.
+    nisim_engine::state_fields! {
+        {
+            send_cursor: send_q.next, recv_cursor: recv_q.next, lru, lookups, hits, misses,
+            staged_conn
         }
-        self.lru = lru;
-        self.lookups = lookups;
-        self.hits = hits;
-        self.misses = misses;
-        self.staged_conn = staged_conn as u32;
-        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+        check |n: &RdmaQpNi| {
+            check_cursors(&n.send_q, &n.recv_q)?;
+            ensure(n.hits.checked_add(n.misses) == Some(n.lookups), "hits + misses != lookups")?;
+            let distinct = n.lru.iter().collect::<std::collections::BTreeSet<_>>().len();
+            ensure(
+                distinct == n.lru.len() && n.lru.len() as u64 <= n.capacity.min(n.misses),
+                "QP cache list repeats a connection or outgrows its capacity",
+            )
+        }
     }
 }
 
@@ -327,6 +299,7 @@ impl NiModel for RdmaQpNi {
 mod tests {
     use super::*;
     use crate::ni::NiKind;
+    use nisim_engine::Json;
 
     fn setup() -> (NodeHw, CostModel, RdmaQpNi) {
         let cfg = MachineConfig::default().qp_cache_entries(4);
@@ -395,7 +368,7 @@ mod tests {
         ni.stage(12, 0);
         let snap = ni.snapshot();
         let mut fresh = RdmaQpNi::new(&cfg);
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.cached(), ni.cached());
         assert_eq!(fresh.counters(), ni.counters());
         // Books that don't balance are rejected.
@@ -409,11 +382,17 @@ mod tests {
                 .set("misses", misses)
                 .set("staged_conn", 0u64)
         };
-        assert!(!RdmaQpNi::new(&cfg).restore(&forged(vec![1], 1, 1, 1)));
+        assert!(RdmaQpNi::new(&cfg)
+            .restore(&forged(vec![1], 1, 1, 1))
+            .is_err());
         // An over-capacity LRU is rejected.
-        assert!(!RdmaQpNi::new(&cfg).restore(&forged((0..9).collect(), 9, 0, 9)));
+        assert!(RdmaQpNi::new(&cfg)
+            .restore(&forged((0..9).collect(), 9, 0, 9))
+            .is_err());
         // A well-formed forgery of the same shape is accepted.
-        assert!(RdmaQpNi::new(&cfg).restore(&forged(vec![1, 2], 2, 0, 2)));
+        RdmaQpNi::new(&cfg)
+            .restore(&forged(vec![1, 2], 2, 0, 2))
+            .unwrap();
     }
 
     #[test]

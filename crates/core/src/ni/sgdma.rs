@@ -23,7 +23,8 @@
 //! gather/scatter over byte buffers — used by the property suite to
 //! prove the round trip (gathered bytes == strided source bytes).
 
-use nisim_engine::{Json, Time};
+use nisim_engine::codec::ensure;
+use nisim_engine::Time;
 
 use crate::config::MachineConfig;
 use crate::costs::CostModel;
@@ -33,7 +34,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -304,34 +305,17 @@ impl NiModel for SgdmaNi {
         }
     }
 
-    fn snapshot(&self) -> Json {
-        let staged = match self.staged {
-            Some((count, elem)) => Json::Arr(vec![Json::from(count), Json::from(elem)]),
-            None => Json::Null,
-        };
-        cursors_snapshot(&self.send_q, &self.recv_q).set("staged", staged)
-    }
-
-    fn restore(&mut self, state: &Json) -> bool {
-        let staged = match state.get("staged") {
-            Some(Json::Null) => None,
-            Some(v) => {
-                let Some([count, elem]) = v.as_arr().and_then(|a| <&[Json; 2]>::try_from(a).ok())
-                else {
-                    return false;
-                };
-                let (Some(count), Some(elem)) = (count.as_u64(), elem.as_u64()) else {
-                    return false;
-                };
-                if count == 0 || elem == 0 {
-                    return false;
-                }
-                Some((count, elem))
-            }
-            None => return false,
-        };
-        self.staged = staged;
-        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+    // A staged descriptor was decoded from a gather tag, which never
+    // yields a zero count or element size.
+    nisim_engine::state_fields! {
+        { send_cursor: send_q.next, recv_cursor: recv_q.next, staged }
+        check |n: &SgdmaNi| {
+            check_cursors(&n.send_q, &n.recv_q)?;
+            ensure(
+                n.staged.is_none_or(|(count, elem)| count > 0 && elem > 0),
+                "staged descriptor with a zero count or element size",
+            )
+        }
     }
 }
 
@@ -339,6 +323,7 @@ impl NiModel for SgdmaNi {
 mod tests {
     use super::*;
     use crate::ni::NiKind;
+    use nisim_engine::Json;
 
     fn setup() -> (NodeHw, CostModel, SgdmaNi) {
         let cfg = MachineConfig::default();
@@ -425,9 +410,11 @@ mod tests {
         ni.stage(0, encode_gather_tag(8, 32));
         let snap = ni.snapshot();
         let mut fresh = SgdmaNi::new(&cfg);
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.staged, Some((8, 32)));
-        assert!(!fresh.restore(&Json::obj().set("send_cursor", 0u64)));
+        assert!(fresh
+            .restore(&Json::obj().set("send_cursor", 0u64))
+            .is_err());
         let bad = Json::obj()
             .set("send_cursor", 0u64)
             .set("recv_cursor", 0u64)
@@ -435,7 +422,7 @@ mod tests {
                 "staged",
                 Json::Arr(vec![Json::from(0u64), Json::from(4u64)]),
             );
-        assert!(!fresh.restore(&bad), "degenerate geometry rejected");
+        assert!(fresh.restore(&bad).is_err(), "degenerate geometry rejected");
     }
 
     #[test]

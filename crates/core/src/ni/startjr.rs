@@ -14,7 +14,8 @@
 //! * the receiving processor pays a main-memory miss (120 ns) per block
 //!   to read the message — the memory detour the true CNIs avoid.
 
-use nisim_engine::{Json, Time};
+use nisim_engine::codec::ensure;
+use nisim_engine::Time;
 use nisim_mem::BlockAddr;
 
 use crate::config::MachineConfig;
@@ -25,9 +26,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{
-    cursors_snapshot, layout, next_poll_tick, restore_cursors, QueueRegion, SLOT_BLOCKS,
-};
+use super::coherent::{check_cursors, layout, next_poll_tick, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -231,17 +230,16 @@ impl NiModel for StartJrNi {
         }
     }
 
-    fn snapshot(&self) -> Json {
-        cursors_snapshot(&self.send_q, &self.recv_q).set("recv_used_blocks", self.recv_used_blocks)
-    }
-
-    fn restore(&mut self, state: &Json) -> bool {
-        let used = state.get("recv_used_blocks").and_then(Json::as_u64);
-        let Some(used) = used.filter(|&u| u <= self.recv_q.capacity_blocks()) else {
-            return false;
-        };
-        self.recv_used_blocks = used;
-        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+    nisim_engine::state_fields! {
+        { send_cursor: send_q.next, recv_cursor: recv_q.next, recv_used_blocks }
+        check |n: &StartJrNi| {
+            check_cursors(&n.send_q, &n.recv_q)?;
+            ensure(
+                n.recv_used_blocks.is_multiple_of(SLOT_BLOCKS)
+                    && n.recv_used_blocks <= n.recv_q.capacity_blocks(),
+                "receive queue occupancy not in whole slots within capacity",
+            )
+        }
     }
 }
 
@@ -249,6 +247,7 @@ impl NiModel for StartJrNi {
 mod tests {
     use super::*;
     use crate::ni::NiKind;
+    use nisim_engine::Json;
     use nisim_mem::BusOp;
 
     fn setup() -> (NodeHw, CostModel, StartJrNi) {
@@ -350,12 +349,12 @@ mod tests {
                 .set("recv_used_blocks", used)
         };
         let past_end = layout::MEMORY_QUEUE_BLOCKS + 1;
-        assert!(ni.restore(&state(8, 4, 4)));
+        ni.restore(&state(8, 4, 4)).unwrap();
         assert_eq!(ni.snapshot().to_compact(), state(8, 4, 4).to_compact());
-        assert!(!ni.restore(&state(past_end, 0, 0)));
-        assert!(!ni.restore(&state(0, past_end, 0)));
-        assert!(!ni.restore(&state(0, 0, past_end)));
-        assert!(!ni.restore(&Json::obj()));
+        assert!(ni.restore(&state(past_end, 0, 0)).is_err());
+        assert!(ni.restore(&state(0, past_end, 0)).is_err());
+        assert!(ni.restore(&state(0, 0, past_end)).is_err());
+        assert!(ni.restore(&Json::obj()).is_err());
     }
 
     #[test]

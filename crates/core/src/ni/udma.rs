@@ -18,6 +18,7 @@
 //! 96-byte threshold for the macrobenchmarks; the Table 5 microbenchmarks
 //! characterise the pure mechanism with the threshold at 0).
 
+use nisim_engine::codec::DecodeError;
 use nisim_engine::{Json, Time};
 use nisim_mem::BusOp;
 
@@ -196,7 +197,7 @@ impl NiModel for UdmaNi {
         self.fallback.snapshot()
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         self.fallback.restore(state)
     }
 }

@@ -15,7 +15,7 @@
 //! composes into a cacheable send queue and rings a doorbell; deposits
 //! land in plentiful host memory without processor involvement.
 
-use nisim_engine::{Json, Time};
+use nisim_engine::Time;
 
 use crate::config::MachineConfig;
 use crate::costs::CostModel;
@@ -25,7 +25,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{cursors_snapshot, layout, restore_cursors, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -166,12 +166,9 @@ impl NiModel for UrmaNi {
         }
     }
 
-    fn snapshot(&self) -> Json {
-        cursors_snapshot(&self.send_q, &self.recv_q)
-    }
-
-    fn restore(&mut self, state: &Json) -> bool {
-        restore_cursors(state, &mut self.send_q, &mut self.recv_q)
+    nisim_engine::state_fields! {
+        { send_cursor: send_q.next, recv_cursor: recv_q.next }
+        check |n: &UrmaNi| check_cursors(&n.send_q, &n.recv_q)
     }
 }
 
@@ -179,6 +176,7 @@ impl NiModel for UrmaNi {
 mod tests {
     use super::*;
     use crate::ni::NiKind;
+    use nisim_engine::Json;
 
     fn setup() -> (NodeHw, CostModel, UrmaNi) {
         let cfg = MachineConfig::default();
@@ -224,9 +222,11 @@ mod tests {
         let snap = ni.snapshot();
         let cfg = MachineConfig::default();
         let mut fresh = UrmaNi::new(&cfg);
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.snapshot().to_compact(), snap.to_compact());
-        assert!(!fresh.restore(&Json::obj().set("send_cursor", 1u64)));
+        assert!(fresh
+            .restore(&Json::obj().set("send_cursor", 1u64))
+            .is_err());
     }
 
     #[test]

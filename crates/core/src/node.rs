@@ -6,7 +6,8 @@
 //! required bus reservations and MOESI state changes and returns the
 //! completion time.
 
-use nisim_engine::{Dur, Time};
+use nisim_engine::codec::{ascending, decode_items, ensure, Codec, DecodeError, Fields, State};
+use nisim_engine::{Dur, Json, Time};
 use nisim_mem::{
     read_fill_state, snoop_transition, BlockAddr, Bus, Cache, MemoryDevice, MemoryKind, MoesiState,
     SnoopKind,
@@ -211,6 +212,10 @@ impl NodeHw {
     }
 }
 
+impl State for NodeHw {
+    nisim_engine::state_fields! { { bus, cache, main_mem, ni_mem, egress, ingress } }
+}
+
 /// One node of the simulated machine.
 pub struct Node {
     /// The node's identity.
@@ -241,7 +246,7 @@ pub struct Node {
 /// shared state — an id depends only on the allocating node's own event
 /// chain. 24 bits of node (machines top out far below that) over 40 bits
 /// of local counter.
-const ID_NODE_SHIFT: u32 = 40;
+pub(crate) const ID_NODE_SHIFT: u32 = 40;
 
 impl Node {
     /// True when this node holds no unfinished work: its program is done
@@ -265,6 +270,54 @@ impl Node {
         let local = self.next_transfer_id;
         self.next_transfer_id += 1;
         ((self.id.0 as u64) << ID_NODE_SHIFT) | local
+    }
+}
+
+impl Node {
+    /// The node's checkpoint state, with its process's state (taken by
+    /// the caller, which reports an unsnapshotable workload) under
+    /// `process`. Assembly entries are stored as `[src, transfer, count]`.
+    pub(crate) fn snapshot(&self, process: Json) -> Json {
+        let assembling: Vec<(u32, u64, u32)> = (self.assembling.iter())
+            .map(|(&(src, transfer), &count)| (src, transfer, count))
+            .collect();
+        Json::obj()
+            .set("hw", self.hw.snapshot())
+            .set("ni", self.ni.snapshot())
+            .set("proc", self.proc.encode())
+            .set("ledger", self.ledger.encode())
+            .set("process", process)
+            .set("next_msg_id", self.next_msg_id.encode())
+            .set("next_transfer_id", self.next_transfer_id.encode())
+            .set("assembling", assembling.encode())
+    }
+
+    /// Restores [`Node::snapshot`] state. Every first send of a fragment
+    /// mints exactly one message id, so the node's fragments-sent count
+    /// equals its message allocator; ids held locally lie below their
+    /// allocators (`Machine::check_restored` checks those held elsewhere).
+    pub(crate) fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(v)?;
+        f.with("hw", |j| self.hw.restore(j))?;
+        f.with("ni", |j| self.ni.restore(j))?;
+        self.proc = f.get("proc")?;
+        self.ledger = f.get("ledger")?;
+        f.with("process", |j| self.process.restore(j))?;
+        self.next_msg_id = f.get("next_msg_id")?;
+        self.next_transfer_id = f.get("next_transfer_id")?;
+        self.assembling = f.with("assembling", |j| {
+            let entries = decode_items::<(u32, u64, u32)>(j);
+            ascending(entries.map(|e| e.map(|(src, transfer, count)| ((src, transfer), count))))
+        })?;
+        f.finish()?;
+        ensure(
+            self.ni.stats.fragments_sent.get() == self.next_msg_id,
+            "fragments sent != message ids minted",
+        )?;
+        ensure(
+            self.next_msg_id < 1 << ID_NODE_SHIFT && self.next_transfer_id < 1 << ID_NODE_SHIFT,
+            "id allocator past its node's id space",
+        )
     }
 }
 

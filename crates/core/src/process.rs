@@ -7,6 +7,7 @@
 //! paper's macrobenchmarks use (message-passing codes use handlers
 //! directly; shared-memory codes use request/response handler pairs).
 
+use nisim_engine::codec::{DecodeError, Fields};
 use nisim_engine::{Dur, Json, Time};
 use nisim_net::NodeId;
 
@@ -46,6 +47,8 @@ impl SendSpec {
         self
     }
 }
+
+nisim_engine::struct_codec! { SendSpec [ dst, payload_bytes, tag, conn ] }
 
 /// A fully received application message, as seen by a handler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -122,6 +125,21 @@ pub trait Process {
     /// deadlock/quiescence reporting. Implementations should track this.
     fn is_done(&self) -> bool;
 
+    /// Checks that this process's program or handlers could have issued
+    /// `spec` (its `conn` is 0 unless the process pins connections).
+    /// Restore holds every queued or in-flight message to its sender's
+    /// check, so a forged payload cannot exhaust memory and a forged tag
+    /// cannot reach a handler that never expects it. The default accepts
+    /// any send.
+    ///
+    /// # Errors
+    ///
+    /// Describes why the process never sends `spec`.
+    fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
+        let _ = spec;
+        Ok(())
+    }
+
     /// Serialises the process's dynamic state for checkpointing. `None`
     /// (the default) marks the workload as unsnapshotable — machine
     /// snapshots then fail with a typed error instead of silently
@@ -131,11 +149,15 @@ pub trait Process {
     }
 
     /// Restores state captured by [`Process::snapshot`] into a freshly
-    /// built process (same node, same parameters). Returns `false` on
-    /// shape mismatch or if the process is unsnapshotable (the default).
-    fn restore(&mut self, state: &Json) -> bool {
+    /// built process (same node, same parameters).
+    ///
+    /// # Errors
+    ///
+    /// Fails on a shape mismatch or an out-of-range value, and always
+    /// for an unsnapshotable process (the default).
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         let _ = state;
-        false
+        Err(DecodeError::new("workload does not support checkpointing"))
     }
 }
 
@@ -156,12 +178,16 @@ impl Process for IdleProcess {
         true
     }
 
+    fn check_send(&self, _spec: &SendSpec) -> Result<(), DecodeError> {
+        Err(DecodeError::new("an idle process sends nothing"))
+    }
+
     fn snapshot(&self) -> Option<Json> {
         Some(Json::obj())
     }
 
-    fn restore(&mut self, _state: &Json) -> bool {
-        true
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
+        Fields::of(state)?.finish()
     }
 }
 

@@ -15,7 +15,8 @@
 
 use std::collections::VecDeque;
 
-use nisim_engine::Time;
+use nisim_engine::codec::{ensure, Codec, DecodeError};
+use nisim_engine::{Json, Time};
 use nisim_net::Fragment;
 
 use crate::ni::WireMsg;
@@ -32,6 +33,24 @@ pub enum ProcPhase {
     BlockedSend,
 }
 
+impl Codec for ProcPhase {
+    fn encode(&self) -> Json {
+        Json::from(match self {
+            ProcPhase::Busy => "busy",
+            ProcPhase::Idle => "idle",
+            ProcPhase::BlockedSend => "blocked-send",
+        })
+    }
+    fn decode(v: &Json) -> Result<ProcPhase, DecodeError> {
+        match v.as_str() {
+            Some("busy") => Ok(ProcPhase::Busy),
+            Some("idle") => Ok(ProcPhase::Idle),
+            Some("blocked-send") => Ok(ProcPhase::BlockedSend),
+            _ => Err(DecodeError::new("unknown processor phase")),
+        }
+    }
+}
+
 /// An application send in progress (fragments not yet handed to the NI).
 #[derive(Clone, Debug)]
 pub struct SendInProgress {
@@ -46,6 +65,13 @@ pub struct SendInProgress {
     /// Whether the send-space check for the current fragment has already
     /// been performed (and charged).
     pub checked_space: bool,
+}
+
+// A send whose last fragment went out is dropped at once, so a stored
+// send always has a fragment left.
+nisim_engine::struct_codec! {
+    SendInProgress { spec, transfer_id, frags, next, checked_space }
+    check |s: &SendInProgress| ensure(s.next < s.frags.len(), "no fragment left to send")
 }
 
 impl SendInProgress {
@@ -76,6 +102,13 @@ pub struct ProcState {
     pub wake_pending: bool,
     /// Fully assembled application messages handled so far.
     pub app_messages_handled: u64,
+}
+
+nisim_engine::struct_codec! {
+    ProcState {
+        phase, busy_until, program_done, current_send, queued_sends, pending_resends, wake_pending,
+        app_messages_handled
+    }
 }
 
 impl ProcState {

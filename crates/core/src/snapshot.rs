@@ -24,23 +24,20 @@
 //! saving a tracing machine fails with [`SnapshotError::UnsupportedTrace`]
 //! rather than silently truncating the trace.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
+use nisim_engine::codec::{self, ensure, Codec, DecodeError, Fields, State};
 use nisim_engine::json::{u64_from_hex, u64_hex};
-use nisim_engine::metrics::{ComponentCycles, Log2Hist};
-use nisim_engine::stats::{Counter, Histogram, Summary};
 use nisim_engine::{Dur, Json, Time};
-use nisim_mem::{Addr, BlockGeometry};
-use nisim_net::{MsgId, NodeId, SeqNo};
+use nisim_net::{Fragment, MsgId, NodeId};
 
-use crate::accounting::TimeLedger;
 use crate::config::MachineConfig;
-use crate::error::{ProtocolViolation, Violation};
 use crate::event::MachineEvent;
-use crate::machine::{Machine, MachineSim};
-use crate::ni::{DepositLoc, OutstandingFrag, RxEntry, WireMsg};
+use crate::machine::{Machine, MachineMetrics, MachineSim};
+use crate::ni::{util, WireMsg};
+use crate::node::ID_NODE_SHIFT;
 use crate::process::{Process, SendSpec};
-use crate::processor::{ProcPhase, SendInProgress};
+use crate::processor::ProcPhase;
 
 /// Format version written into (and required of) every snapshot.
 ///
@@ -111,8 +108,8 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn mal(what: &str) -> SnapshotError {
-    SnapshotError::Malformed(what.to_string())
+fn malformed(e: DecodeError) -> SnapshotError {
+    SnapshotError::Malformed(e.to_string())
 }
 
 /// FNV-1a fingerprint of the configuration's canonical `Debug` rendering
@@ -127,418 +124,19 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
     h
 }
 
-// ---------------------------------------------------------------------
-// Field codecs. Encoders are infallible; decoders return `Option` and
-// are lifted to `SnapshotError::Malformed` at the restore boundary.
-// ---------------------------------------------------------------------
-
-fn as_bool(v: &Json) -> Option<bool> {
-    if let Json::Bool(b) = v {
-        Some(*b)
-    } else {
-        None
-    }
+/// The scheduler's part of a snapshot: clock, next sequence number,
+/// events fired, and the pending `(time, seq, event)` entries.
+struct SimState {
+    now: Time,
+    seq: u64,
+    fired: u64,
+    events: Vec<(Time, u64, MachineEvent)>,
 }
 
-fn get_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key).and_then(Json::as_u64)
-}
+nisim_engine::struct_codec! { SimState { now, seq, fired, events } }
 
-fn node_id(raw: u64) -> Option<NodeId> {
-    (raw <= u32::MAX as u64).then_some(NodeId(raw as u32))
-}
-
-fn frag_to_json(f: &nisim_net::Fragment) -> Json {
-    Json::Arr(vec![
-        Json::from(f.index),
-        Json::from(f.of),
-        Json::from(f.payload_bytes),
-        Json::from(f.offset),
-    ])
-}
-
-fn frag_from_json(v: &Json) -> Option<nisim_net::Fragment> {
-    let [index, of, payload_bytes, offset] =
-        v.as_arr().and_then(|a| <&[Json; 4]>::try_from(a).ok())?;
-    let index = index.as_u64()?;
-    let of = of.as_u64()?;
-    if index > u32::MAX as u64 || of > u32::MAX as u64 {
-        return None;
-    }
-    Some(nisim_net::Fragment {
-        index: index as u32,
-        of: of as u32,
-        payload_bytes: payload_bytes.as_u64()?,
-        offset: offset.as_u64()?,
-    })
-}
-
-fn wire_to_json(w: &WireMsg) -> Json {
-    Json::obj()
-        .set("id", w.id.0)
-        .set("src", w.src.0)
-        .set("dst", w.dst.0)
-        .set("transfer_id", w.transfer_id)
-        .set("frag", frag_to_json(&w.frag))
-        .set("tag", w.tag)
-        .set("total_payload", w.total_payload)
-        .set(
-            "seq",
-            match w.seq {
-                Some(s) => Json::from(s.0),
-                None => Json::Null,
-            },
-        )
-        .set("conn", w.conn)
-}
-
-fn wire_from_json(v: &Json) -> Option<WireMsg> {
-    let seq = match v.get("seq")? {
-        Json::Null => None,
-        s => Some(SeqNo(s.as_u64()?)),
-    };
-    let tag = get_u64(v, "tag")?;
-    let conn = get_u64(v, "conn")?;
-    if tag > u32::MAX as u64 || conn > u32::MAX as u64 {
-        return None;
-    }
-    Some(WireMsg {
-        id: MsgId(get_u64(v, "id")?),
-        src: node_id(get_u64(v, "src")?)?,
-        dst: node_id(get_u64(v, "dst")?)?,
-        transfer_id: get_u64(v, "transfer_id")?,
-        frag: frag_from_json(v.get("frag")?)?,
-        tag: tag as u32,
-        total_payload: get_u64(v, "total_payload")?,
-        seq,
-        conn: conn as u32,
-    })
-}
-
-fn loc_to_json(loc: &DepositLoc) -> Json {
-    let tagged = |tag: &str, base: nisim_mem::BlockAddr, blocks: u64| {
-        Json::Arr(vec![
-            Json::from(tag),
-            Json::from(base.raw()),
-            Json::from(blocks),
-        ])
-    };
-    match loc {
-        DepositLoc::NiFifo => Json::Arr(vec![Json::from("fifo")]),
-        DepositLoc::Memory { base, blocks } => tagged("mem", *base, *blocks),
-        DepositLoc::NiQueue { base, blocks } => tagged("niq", *base, *blocks),
-        DepositLoc::NiCache { base, blocks } => tagged("nic", *base, *blocks),
-    }
-}
-
-fn loc_from_json(v: &Json, geo: BlockGeometry) -> Option<DepositLoc> {
-    let arr = v.as_arr()?;
-    let tag = arr.first()?.as_str()?;
-    if tag == "fifo" {
-        return (arr.len() == 1).then_some(DepositLoc::NiFifo);
-    }
-    let [_, base, blocks] = <&[Json; 3]>::try_from(arr).ok()?;
-    let raw = base.as_u64()?;
-    let base = geo.block_of(Addr::new(raw));
-    if base.raw() != raw {
-        return None; // stored base must be block-aligned
-    }
-    let blocks = blocks.as_u64()?;
-    match tag {
-        "mem" => Some(DepositLoc::Memory { base, blocks }),
-        "niq" => Some(DepositLoc::NiQueue { base, blocks }),
-        "nic" => Some(DepositLoc::NiCache { base, blocks }),
-        _other => None,
-    }
-}
-
-fn rx_to_json(e: &RxEntry) -> Json {
-    Json::obj()
-        .set("msg_id", e.msg_id.0)
-        .set("src", e.src.0)
-        .set("transfer_id", e.transfer_id)
-        .set("frag", frag_to_json(&e.frag))
-        .set("tag", e.tag)
-        .set("total_payload", e.total_payload)
-        .set("ready_at", e.ready_at.as_ns())
-        .set("loc", loc_to_json(&e.loc))
-        .set("frees_buffer_at_drain", e.frees_buffer_at_drain)
-}
-
-fn rx_from_json(v: &Json, geo: BlockGeometry) -> Option<RxEntry> {
-    let tag = get_u64(v, "tag")?;
-    if tag > u32::MAX as u64 {
-        return None;
-    }
-    Some(RxEntry {
-        msg_id: MsgId(get_u64(v, "msg_id")?),
-        src: node_id(get_u64(v, "src")?)?,
-        transfer_id: get_u64(v, "transfer_id")?,
-        frag: frag_from_json(v.get("frag")?)?,
-        tag: tag as u32,
-        total_payload: get_u64(v, "total_payload")?,
-        ready_at: Time::from_ns(get_u64(v, "ready_at")?),
-        loc: loc_from_json(v.get("loc")?, geo)?,
-        frees_buffer_at_drain: as_bool(v.get("frees_buffer_at_drain")?)?,
-    })
-}
-
-fn outstanding_to_json(o: &OutstandingFrag) -> Json {
-    Json::obj()
-        .set("wire", wire_to_json(&o.wire))
-        .set("backoff", o.backoff.as_ns())
-        .set("attempt", o.attempt)
-        .set("gave_up", o.gave_up)
-}
-
-fn outstanding_from_json(v: &Json) -> Option<OutstandingFrag> {
-    let attempt = get_u64(v, "attempt")?;
-    if attempt > u32::MAX as u64 {
-        return None;
-    }
-    Some(OutstandingFrag {
-        wire: wire_from_json(v.get("wire")?)?,
-        backoff: Dur::ns(get_u64(v, "backoff")?),
-        attempt: attempt as u32,
-        gave_up: as_bool(v.get("gave_up")?)?,
-    })
-}
-
-fn spec_to_json(s: &SendSpec) -> Json {
-    Json::Arr(vec![
-        Json::from(s.dst.0),
-        Json::from(s.payload_bytes),
-        Json::from(s.tag),
-        Json::from(s.conn),
-    ])
-}
-
-fn spec_from_json(v: &Json) -> Option<SendSpec> {
-    let [dst, payload, tag, conn] = v.as_arr().and_then(|a| <&[Json; 4]>::try_from(a).ok())?;
-    let tag = tag.as_u64()?;
-    let conn = conn.as_u64()?;
-    if tag > u32::MAX as u64 || conn > u32::MAX as u64 {
-        return None;
-    }
-    Some(SendSpec {
-        dst: node_id(dst.as_u64()?)?,
-        payload_bytes: payload.as_u64()?,
-        tag: tag as u32,
-        conn: conn as u32,
-    })
-}
-
-fn event_to_json(ev: &MachineEvent) -> Json {
-    match ev {
-        MachineEvent::ProcRun { node } => Json::obj().set("t", "proc_run").set("node", *node),
-        MachineEvent::Arrival { wire, corrupted } => Json::obj()
-            .set("t", "arrival")
-            .set("wire", wire_to_json(wire))
-            .set("corrupted", *corrupted),
-        MachineEvent::AckArrival { src, msg } => Json::obj()
-            .set("t", "ack_arrival")
-            .set("src", src.0)
-            .set("msg", msg.0),
-        MachineEvent::AckTimeout { src, msg, attempt } => Json::obj()
-            .set("t", "ack_timeout")
-            .set("src", src.0)
-            .set("msg", msg.0)
-            .set("attempt", *attempt),
-        MachineEvent::DepositDone { dst, frees_buffer } => Json::obj()
-            .set("t", "deposit_done")
-            .set("dst", *dst)
-            .set("frees_buffer", *frees_buffer),
-        MachineEvent::ReturnArrival { wire } => Json::obj()
-            .set("t", "return_arrival")
-            .set("wire", wire_to_json(wire)),
-        MachineEvent::Retry { src, msg } => Json::obj()
-            .set("t", "retry")
-            .set("src", src.0)
-            .set("msg", msg.0),
-        MachineEvent::NodeCrash { node } => Json::obj().set("t", "node_crash").set("node", *node),
-    }
-}
-
-fn event_from_json(v: &Json) -> Option<MachineEvent> {
-    let tag = v.get("t")?.as_str()?;
-    match tag {
-        "proc_run" => Some(MachineEvent::ProcRun {
-            node: get_u64(v, "node")? as usize,
-        }),
-        "arrival" => Some(MachineEvent::Arrival {
-            wire: wire_from_json(v.get("wire")?)?,
-            corrupted: as_bool(v.get("corrupted")?)?,
-        }),
-        "ack_arrival" => Some(MachineEvent::AckArrival {
-            src: node_id(get_u64(v, "src")?)?,
-            msg: MsgId(get_u64(v, "msg")?),
-        }),
-        "ack_timeout" => {
-            let attempt = get_u64(v, "attempt")?;
-            if attempt > u32::MAX as u64 {
-                return None;
-            }
-            Some(MachineEvent::AckTimeout {
-                src: node_id(get_u64(v, "src")?)?,
-                msg: MsgId(get_u64(v, "msg")?),
-                attempt: attempt as u32,
-            })
-        }
-        "deposit_done" => Some(MachineEvent::DepositDone {
-            dst: get_u64(v, "dst")? as usize,
-            frees_buffer: as_bool(v.get("frees_buffer")?)?,
-        }),
-        "return_arrival" => Some(MachineEvent::ReturnArrival {
-            wire: wire_from_json(v.get("wire")?)?,
-        }),
-        "retry" => Some(MachineEvent::Retry {
-            src: node_id(get_u64(v, "src")?)?,
-            msg: MsgId(get_u64(v, "msg")?),
-        }),
-        "node_crash" => Some(MachineEvent::NodeCrash {
-            node: get_u64(v, "node")? as usize,
-        }),
-        other => {
-            let _ = other;
-            None
-        }
-    }
-}
-
-/// True if every node `ev` names — the node its handler runs on, and
-/// both ends of a wire message — is one of the machine's `nodes`.
-fn event_nodes_in_range(ev: &MachineEvent, nodes: usize) -> bool {
-    let wire_ok = |w: &WireMsg| w.src.index() < nodes && w.dst.index() < nodes;
-    match ev {
-        MachineEvent::Arrival { wire, .. } | MachineEvent::ReturnArrival { wire } => wire_ok(wire),
-        MachineEvent::ProcRun { .. }
-        | MachineEvent::AckArrival { .. }
-        | MachineEvent::AckTimeout { .. }
-        | MachineEvent::DepositDone { .. }
-        | MachineEvent::Retry { .. }
-        | MachineEvent::NodeCrash { .. } => ev.node_of() < nodes,
-    }
-}
-
-fn violation_to_json(v: &Violation) -> Json {
-    let base = Json::obj().set("at", v.at.as_ns());
-    match v.kind {
-        ProtocolViolation::SendStepWithoutCurrentSend { node } => {
-            base.set("kind", "send_step").set("node", node.0)
-        }
-        ProtocolViolation::ResendWithoutPending { node } => {
-            base.set("kind", "resend").set("node", node.0)
-        }
-        ProtocolViolation::DrainWithoutReady { node } => {
-            base.set("kind", "drain").set("node", node.0)
-        }
-        ProtocolViolation::AckForUnknownFragment { node, msg } => base
-            .set("kind", "unknown_ack")
-            .set("node", node.0)
-            .set("msg", msg.0),
-        ProtocolViolation::ReturnForUnknownFragment { node, msg } => base
-            .set("kind", "unknown_return")
-            .set("node", node.0)
-            .set("msg", msg.0),
-        ProtocolViolation::RetryForUnknownFragment { node, msg } => base
-            .set("kind", "unknown_retry")
-            .set("node", node.0)
-            .set("msg", msg.0),
-        ProtocolViolation::EventScheduledInPast { at, now } => base
-            .set("kind", "past_schedule")
-            .set("sched_at", at.as_ns())
-            .set("sched_now", now.as_ns()),
-        ProtocolViolation::RetryCapExhausted {
-            node,
-            msg,
-            attempts,
-        } => base
-            .set("kind", "retry_cap")
-            .set("node", node.0)
-            .set("msg", msg.0)
-            .set("attempts", attempts),
-    }
-}
-
-fn violation_from_json(v: &Json) -> Option<Violation> {
-    let at = Time::from_ns(get_u64(v, "at")?);
-    let node = || node_id(get_u64(v, "node")?);
-    let msg = || Some(MsgId(get_u64(v, "msg")?));
-    let kind = match v.get("kind")?.as_str()? {
-        "send_step" => ProtocolViolation::SendStepWithoutCurrentSend { node: node()? },
-        "resend" => ProtocolViolation::ResendWithoutPending { node: node()? },
-        "drain" => ProtocolViolation::DrainWithoutReady { node: node()? },
-        "unknown_ack" => ProtocolViolation::AckForUnknownFragment {
-            node: node()?,
-            msg: msg()?,
-        },
-        "unknown_return" => ProtocolViolation::ReturnForUnknownFragment {
-            node: node()?,
-            msg: msg()?,
-        },
-        "unknown_retry" => ProtocolViolation::RetryForUnknownFragment {
-            node: node()?,
-            msg: msg()?,
-        },
-        "past_schedule" => ProtocolViolation::EventScheduledInPast {
-            at: Time::from_ns(get_u64(v, "sched_at")?),
-            now: Time::from_ns(get_u64(v, "sched_now")?),
-        },
-        "retry_cap" => {
-            let attempts = get_u64(v, "attempts")?;
-            if attempts > u32::MAX as u64 {
-                return None;
-            }
-            ProtocolViolation::RetryCapExhausted {
-                node: node()?,
-                msg: msg()?,
-                attempts: attempts as u32,
-            }
-        }
-        other => {
-            let _ = other;
-            return None;
-        }
-    };
-    Some(Violation { at, kind })
-}
-
-fn send_in_progress_to_json(s: &SendInProgress) -> Json {
-    Json::obj()
-        .set("spec", spec_to_json(&s.spec))
-        .set("transfer_id", s.transfer_id)
-        .set(
-            "frags",
-            Json::Arr(s.frags.iter().map(frag_to_json).collect()),
-        )
-        .set("next", s.next)
-        .set("checked_space", s.checked_space)
-}
-
-fn send_in_progress_from_json(v: &Json) -> Option<SendInProgress> {
-    let frags = v
-        .get("frags")?
-        .as_arr()?
-        .iter()
-        .map(frag_from_json)
-        .collect::<Option<Vec<_>>>()?;
-    let next = get_u64(v, "next")? as usize;
-    if next > frags.len() {
-        return None;
-    }
-    Some(SendInProgress {
-        spec: spec_from_json(v.get("spec")?)?,
-        transfer_id: get_u64(v, "transfer_id")?,
-        frags,
-        next,
-        checked_space: as_bool(v.get("checked_space")?)?,
-    })
-}
-
-fn counter_from(v: u64) -> Counter {
-    let mut c = Counter::new();
-    c.add(v);
-    c
+impl State for MachineMetrics {
+    nisim_engine::state_fields! { { cycles, msg_rtt, frag_queue, rel_cycles: rel.cycles } }
 }
 
 // ---------------------------------------------------------------------
@@ -554,25 +152,17 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
     if machine.cfg.trace || machine.cfg.metrics.trace || machine.g.trace.is_some() {
         return Err(SnapshotError::UnsupportedTrace);
     }
-    let entries = sim.drain_entries();
-    let events: Vec<Json> = entries
-        .iter()
-        .map(|(at, seq, ev)| {
-            Json::Arr(vec![
-                Json::from(at.as_ns()),
-                Json::from(*seq),
-                event_to_json(ev),
-            ])
-        })
-        .collect();
-    let sim_json = Json::obj()
-        .set("now", sim.now().as_ns())
-        .set("seq", sim.next_seq())
-        .set("fired", sim.events_fired())
-        .set("events", Json::Arr(events));
+    let events = sim.drain_entries();
+    let sim_state = SimState {
+        now: sim.now(),
+        seq: sim.next_seq(),
+        fired: sim.events_fired(),
+        events,
+    };
+    let sim_json = sim_state.encode();
     // `drain_entries` is destructive: put the queue back before any
     // fallible per-node work below can bail out.
-    sim.restore_entries(entries);
+    sim.restore_entries(sim_state.events);
 
     let mut nodes = Vec::with_capacity(machine.nodes.len());
     for n in &machine.nodes {
@@ -580,148 +170,23 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
             .process
             .snapshot()
             .ok_or(SnapshotError::UnsupportedWorkload { node: n.id.0 })?;
-        let model = n.ni.model.snapshot();
-        let hw = Json::obj()
-            .set("bus", n.hw.bus.snapshot())
-            .set("cache", n.hw.cache.snapshot())
-            .set("main_mem", n.hw.main_mem.snapshot())
-            .set("ni_mem", n.hw.ni_mem.snapshot())
-            .set("egress", n.hw.egress.snapshot())
-            .set("ingress", n.hw.ingress.snapshot());
-        let ni = Json::obj()
-            .set("fc", n.ni.fc.snapshot())
-            .set("model", model)
-            .set(
-                "rx_ready",
-                Json::Arr(n.ni.rx_ready.iter().map(rx_to_json).collect()),
-            )
-            .set(
-                "outstanding",
-                Json::Arr(
-                    n.ni.outstanding
-                        .iter()
-                        .map(|(id, o)| Json::Arr(vec![Json::from(id.0), outstanding_to_json(o)]))
-                        .collect(),
-                ),
-            )
-            .set(
-                "stats",
-                Json::obj()
-                    .set("fragments_sent", n.ni.stats.fragments_sent.get())
-                    .set("fragments_received", n.ni.stats.fragments_received.get())
-                    .set("payload_bytes_sent", n.ni.stats.payload_bytes_sent.get()),
-            )
-            .set("rel_tx", n.ni.rel_tx.snapshot())
-            .set("rel_rx", n.ni.rel_rx.snapshot())
-            .set(
-                "rel_stats",
-                Json::obj()
-                    .set("retransmits", n.ni.rel_stats.retransmits)
-                    .set("dup_discards", n.ni.rel_stats.dup_discards)
-                    .set("corrupt_discards", n.ni.rel_stats.corrupt_discards)
-                    .set("gave_up", n.ni.rel_stats.gave_up)
-                    .set("crash_lost", n.ni.rel_stats.crash_lost),
-            );
-        let proc = Json::obj()
-            .set(
-                "phase",
-                match n.proc.phase {
-                    ProcPhase::Busy => "busy",
-                    ProcPhase::Idle => "idle",
-                    ProcPhase::BlockedSend => "blocked-send",
-                },
-            )
-            .set("busy_until", n.proc.busy_until.as_ns())
-            .set("program_done", n.proc.program_done)
-            .set(
-                "current_send",
-                match &n.proc.current_send {
-                    Some(s) => send_in_progress_to_json(s),
-                    None => Json::Null,
-                },
-            )
-            .set(
-                "queued_sends",
-                Json::Arr(n.proc.queued_sends.iter().map(spec_to_json).collect()),
-            )
-            .set(
-                "pending_resends",
-                Json::Arr(n.proc.pending_resends.iter().map(wire_to_json).collect()),
-            )
-            .set("wake_pending", n.proc.wake_pending)
-            .set("app_messages_handled", n.proc.app_messages_handled);
-        let ledger = Json::obj()
-            .set(
-                "totals",
-                Json::Arr(
-                    n.ledger
-                        .totals()
-                        .iter()
-                        .map(|d| Json::from(d.as_ns()))
-                        .collect(),
-                ),
-            )
-            .set("stamp", n.ledger.stamp().as_ns());
-        nodes.push(
-            Json::obj()
-                .set("hw", hw)
-                .set("ni", ni)
-                .set("proc", proc)
-                .set("ledger", ledger)
-                .set("process", process)
-                .set("next_msg_id", n.next_msg_id)
-                .set("next_transfer_id", n.next_transfer_id)
-                .set(
-                    "assembling",
-                    Json::Arr(
-                        n.assembling
-                            .iter()
-                            .map(|(&(src, transfer), &count)| {
-                                Json::Arr(vec![
-                                    Json::from(src),
-                                    Json::from(transfer),
-                                    Json::from(count),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-        );
+        nodes.push(n.snapshot(process));
     }
-
     let g = &machine.g;
     let mut mach = Json::obj()
-        .set("msg_size_hist", g.msg_size_hist.to_json())
-        .set(
-            "transfer_started",
-            Json::Arr(
-                g.transfer_started
-                    .iter()
-                    .map(|(&id, &at)| Json::Arr(vec![Json::from(id), Json::from(at.as_ns())]))
-                    .collect(),
-            ),
-        )
-        .set("app_messages", g.app_messages)
-        .set("msg_latency", g.msg_latency.to_json())
+        .set("msg_size_hist", g.msg_size_hist.encode())
+        .set("transfer_started", g.transfer_started.encode())
+        .set("app_messages", g.app_messages.encode())
+        .set("msg_latency", g.msg_latency.encode())
         .set("fabric", g.fabric.snapshot())
-        .set(
-            "violations",
-            Json::Arr(g.violations.iter().map(violation_to_json).collect()),
-        )
-        .set("progress", g.progress)
+        .set("violations", g.violations.encode())
+        .set("progress", g.progress.encode())
         .set("nodes", Json::Arr(nodes));
     if let Some(plan) = &g.fault {
         mach = mach.set("fault", plan.snapshot());
     }
     if let Some(mm) = &g.metrics {
-        mach = mach.set(
-            "metrics",
-            Json::obj()
-                .set("cycles", mm.cycles.to_json())
-                .set("msg_rtt", mm.msg_rtt.to_json())
-                .set("frag_queue", mm.frag_queue.to_json())
-                .set("rel_cycles", mm.rel.cycles.to_json()),
-        );
+        mach = mach.set("metrics", mm.snapshot());
     }
 
     Ok(Json::obj()
@@ -756,315 +221,471 @@ pub fn save_to_file(
 /// `cfg` and `factory` must reproduce the run the snapshot was taken
 /// from: the configuration is checked against the stored fingerprint,
 /// and the factory's fresh processes are overwritten via
-/// [`Process::restore`]. The returned pair is ready for
-/// `run_watched` — do **not** call [`Machine::start`] on it (the
-/// scheduler already holds the pending events).
+/// [`Process::restore`]. Every struct checks its own fields as it
+/// decodes, then one pass checks what spans structs (see
+/// [`check_restored`]); a failure is [`SnapshotError::Malformed`] naming
+/// the JSON path. The returned pair is ready for `run_watched` — do
+/// **not** call [`Machine::start`] on it (the scheduler already holds
+/// the pending events).
 pub fn restore(
     cfg: MachineConfig,
     factory: impl FnMut(NodeId) -> Box<dyn Process>,
     v: &Json,
 ) -> Result<(Machine, MachineSim), SnapshotError> {
-    let version = get_u64(v, "version").ok_or_else(|| mal("missing version"))?;
+    let mut f = Fields::of(v).map_err(malformed)?;
+    let version: u64 = f.get("version").map_err(malformed)?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::Version { found: version });
     }
     let expected = config_fingerprint(&cfg);
-    let found = v
-        .get("config_fingerprint")
-        .and_then(Json::as_str)
-        .and_then(u64_from_hex)
-        .ok_or_else(|| mal("missing config fingerprint"))?;
+    let found = f
+        .with("config_fingerprint", |j| {
+            let hex = String::decode(j)?;
+            u64_from_hex(&hex).ok_or_else(|| DecodeError::new("expected 16 hex digits"))
+        })
+        .map_err(malformed)?;
     if found != expected {
         return Err(SnapshotError::ConfigMismatch { expected, found });
     }
     if cfg.trace || cfg.metrics.trace {
         return Err(SnapshotError::UnsupportedTrace);
     }
-    let geo = BlockGeometry::new(cfg.cache.block_bytes);
     let mut machine = Machine::new(cfg, factory);
-
-    let m = v.get("machine").ok_or_else(|| mal("missing machine"))?;
-    machine.g.msg_size_hist = m
-        .get("msg_size_hist")
-        .and_then(Histogram::from_json)
-        .ok_or_else(|| mal("msg_size_hist"))?;
-    let mut transfer_started = BTreeMap::new();
-    for entry in m
-        .get("transfer_started")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal("transfer_started"))?
-    {
-        let [id, at] = entry
-            .as_arr()
-            .and_then(|a| <&[Json; 2]>::try_from(a).ok())
-            .ok_or_else(|| mal("transfer_started entry"))?;
-        let (Some(id), Some(at)) = (id.as_u64(), at.as_u64()) else {
-            return Err(mal("transfer_started entry"));
-        };
-        transfer_started.insert(id, Time::from_ns(at));
-    }
-    machine.g.transfer_started = transfer_started;
-    machine.g.app_messages = get_u64(m, "app_messages").ok_or_else(|| mal("app_messages"))?;
-    machine.g.msg_latency = m
-        .get("msg_latency")
-        .and_then(Summary::from_json)
-        .ok_or_else(|| mal("msg_latency"))?;
-    if !machine
-        .g
-        .fabric
-        .restore(m.get("fabric").ok_or_else(|| mal("fabric"))?)
-    {
-        return Err(mal("fabric"));
-    }
-    machine.g.violations = m
-        .get("violations")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal("violations"))?
-        .iter()
-        .map(violation_from_json)
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| mal("violations"))?;
-    machine.g.progress = get_u64(m, "progress").ok_or_else(|| mal("progress"))?;
-    match (&mut machine.g.fault, m.get("fault")) {
-        (Some(plan), Some(fj)) => {
-            if !plan.restore(fj) {
-                return Err(mal("fault plan"));
-            }
-        }
-        (None, None) => {}
-        _ => return Err(mal("fault presence mismatch")),
-    }
-    match (&mut machine.g.metrics, m.get("metrics")) {
-        (Some(mm), Some(mj)) => {
-            mm.cycles = mj
-                .get("cycles")
-                .and_then(ComponentCycles::from_json)
-                .ok_or_else(|| mal("metrics cycles"))?;
-            mm.msg_rtt = mj
-                .get("msg_rtt")
-                .and_then(Log2Hist::from_json)
-                .ok_or_else(|| mal("metrics msg_rtt"))?;
-            mm.frag_queue = mj
-                .get("frag_queue")
-                .and_then(Log2Hist::from_json)
-                .ok_or_else(|| mal("metrics frag_queue"))?;
-            mm.rel.cycles = mj
-                .get("rel_cycles")
-                .and_then(ComponentCycles::from_json)
-                .ok_or_else(|| mal("metrics rel_cycles"))?;
-        }
-        (None, None) => {}
-        _ => return Err(mal("metrics presence mismatch")),
-    }
-
-    let nodes = m
-        .get("nodes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal("nodes"))?;
-    if nodes.len() != machine.nodes.len() {
-        return Err(mal("node count"));
-    }
-    for (n, nj) in machine.nodes.iter_mut().zip(nodes) {
-        let nid = n.id.0;
-        let hw = nj.get("hw").ok_or_else(|| mal("node hw"))?;
-        let hw_ok = hw.get("bus").is_some_and(|j| n.hw.bus.restore(j))
-            && hw.get("cache").is_some_and(|j| n.hw.cache.restore(j))
-            && hw.get("main_mem").is_some_and(|j| n.hw.main_mem.restore(j))
-            && hw.get("ni_mem").is_some_and(|j| n.hw.ni_mem.restore(j))
-            && hw.get("egress").is_some_and(|j| n.hw.egress.restore(j))
-            && hw.get("ingress").is_some_and(|j| n.hw.ingress.restore(j));
-        if !hw_ok {
-            return Err(mal("node hw"));
-        }
-        let ni = nj.get("ni").ok_or_else(|| mal("node ni"))?;
-        if !ni.get("fc").is_some_and(|j| n.ni.fc.restore(j)) {
-            return Err(mal("node flow control"));
-        }
-        let model = ni.get("model").ok_or_else(|| mal("node model"))?;
-        if !n.ni.model.restore(model) {
-            return Err(mal("node NI model"));
-        }
-        n.ni.rx_ready = ni
-            .get("rx_ready")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| mal("rx_ready"))?
-            .iter()
-            .map(|e| rx_from_json(e, geo))
-            .collect::<Option<VecDeque<_>>>()
-            .ok_or_else(|| mal("rx_ready"))?;
-        let mut outstanding = BTreeMap::new();
-        for entry in ni
-            .get("outstanding")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| mal("outstanding"))?
-        {
-            let [id, o] = entry
-                .as_arr()
-                .and_then(|a| <&[Json; 2]>::try_from(a).ok())
-                .ok_or_else(|| mal("outstanding entry"))?;
-            let id = id.as_u64().ok_or_else(|| mal("outstanding entry"))?;
-            let o = outstanding_from_json(o).ok_or_else(|| mal("outstanding entry"))?;
-            outstanding.insert(MsgId(id), o);
-        }
-        n.ni.outstanding = outstanding;
-        let stats = ni.get("stats").ok_or_else(|| mal("ni stats"))?;
-        let (Some(sent), Some(received), Some(payload)) = (
-            get_u64(stats, "fragments_sent"),
-            get_u64(stats, "fragments_received"),
-            get_u64(stats, "payload_bytes_sent"),
-        ) else {
-            return Err(mal("ni stats"));
-        };
-        n.ni.stats.fragments_sent = counter_from(sent);
-        n.ni.stats.fragments_received = counter_from(received);
-        n.ni.stats.payload_bytes_sent = counter_from(payload);
-        if !ni.get("rel_tx").is_some_and(|j| n.ni.rel_tx.restore(j)) {
-            return Err(mal("rel_tx"));
-        }
-        if !ni.get("rel_rx").is_some_and(|j| n.ni.rel_rx.restore(j)) {
-            return Err(mal("rel_rx"));
-        }
-        let rel = ni.get("rel_stats").ok_or_else(|| mal("rel_stats"))?;
-        let (Some(retransmits), Some(dups), Some(corrupts), Some(gave_up), Some(crash_lost)) = (
-            get_u64(rel, "retransmits"),
-            get_u64(rel, "dup_discards"),
-            get_u64(rel, "corrupt_discards"),
-            get_u64(rel, "gave_up"),
-            get_u64(rel, "crash_lost"),
-        ) else {
-            return Err(mal("rel_stats"));
-        };
-        n.ni.rel_stats.retransmits = retransmits;
-        n.ni.rel_stats.dup_discards = dups;
-        n.ni.rel_stats.corrupt_discards = corrupts;
-        n.ni.rel_stats.gave_up = gave_up;
-        n.ni.rel_stats.crash_lost = crash_lost;
-
-        let proc = nj.get("proc").ok_or_else(|| mal("proc"))?;
-        n.proc.phase = match proc.get("phase").and_then(Json::as_str) {
-            Some("busy") => ProcPhase::Busy,
-            Some("idle") => ProcPhase::Idle,
-            Some("blocked-send") => ProcPhase::BlockedSend,
-            _other => return Err(mal("proc phase")),
-        };
-        n.proc.busy_until =
-            Time::from_ns(get_u64(proc, "busy_until").ok_or_else(|| mal("busy_until"))?);
-        n.proc.program_done = proc
-            .get("program_done")
-            .and_then(as_bool)
-            .ok_or_else(|| mal("program_done"))?;
-        n.proc.current_send = match proc
-            .get("current_send")
-            .ok_or_else(|| mal("current_send"))?
-        {
-            Json::Null => None,
-            s => Some(send_in_progress_from_json(s).ok_or_else(|| mal("current_send"))?),
-        };
-        n.proc.queued_sends = proc
-            .get("queued_sends")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| mal("queued_sends"))?
-            .iter()
-            .map(spec_from_json)
-            .collect::<Option<VecDeque<_>>>()
-            .ok_or_else(|| mal("queued_sends"))?;
-        n.proc.pending_resends = proc
-            .get("pending_resends")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| mal("pending_resends"))?
-            .iter()
-            .map(wire_from_json)
-            .collect::<Option<VecDeque<_>>>()
-            .ok_or_else(|| mal("pending_resends"))?;
-        n.proc.wake_pending = proc
-            .get("wake_pending")
-            .and_then(as_bool)
-            .ok_or_else(|| mal("wake_pending"))?;
-        n.proc.app_messages_handled =
-            get_u64(proc, "app_messages_handled").ok_or_else(|| mal("app_messages_handled"))?;
-
-        let ledger = nj.get("ledger").ok_or_else(|| mal("ledger"))?;
-        let totals = ledger
-            .get("totals")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| mal("ledger totals"))?
-            .iter()
-            .map(|d| d.as_u64().map(Dur::ns))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| mal("ledger totals"))?;
-        let totals: [Dur; 4] = totals.try_into().map_err(|_| mal("ledger totals"))?;
-        let stamp = Time::from_ns(get_u64(ledger, "stamp").ok_or_else(|| mal("ledger stamp"))?);
-        n.ledger = TimeLedger::from_parts(totals, stamp);
-
-        let process = nj.get("process").ok_or_else(|| mal("process"))?;
-        if !n.process.restore(process) {
-            return Err(SnapshotError::UnsupportedWorkload { node: nid });
-        }
-
-        n.next_msg_id = get_u64(nj, "next_msg_id").ok_or_else(|| mal("next_msg_id"))?;
-        n.next_transfer_id =
-            get_u64(nj, "next_transfer_id").ok_or_else(|| mal("next_transfer_id"))?;
-        let mut assembling = BTreeMap::new();
-        for entry in nj
-            .get("assembling")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| mal("assembling"))?
-        {
-            let parts = entry
-                .as_arr()
-                .and_then(|a| <&[Json; 3]>::try_from(a).ok())
-                .ok_or_else(|| mal("assembling entry"))?;
-            let nums = parts
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| mal("assembling entry"))?;
-            let [src, transfer, count] = nums[..] else {
-                return Err(mal("assembling entry"));
-            };
-            if src > u32::MAX as u64 || count > u32::MAX as u64 {
-                return Err(mal("assembling entry"));
-            }
-            assembling.insert((src as u32, transfer), count as u32);
-        }
-        n.assembling = assembling;
-    }
-
-    let sj = v.get("sim").ok_or_else(|| mal("missing sim"))?;
-    let now = Time::from_ns(get_u64(sj, "now").ok_or_else(|| mal("sim now"))?);
-    let seq = get_u64(sj, "seq").ok_or_else(|| mal("sim seq"))?;
-    let fired = get_u64(sj, "fired").ok_or_else(|| mal("sim fired"))?;
-    let mut entries = Vec::new();
-    for e in sj
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal("sim events"))?
-    {
-        let [at, eseq, ev] = e
-            .as_arr()
-            .and_then(|a| <&[Json; 3]>::try_from(a).ok())
-            .ok_or_else(|| mal("sim event"))?;
-        let (Some(at), Some(eseq), Some(ev)) = (at.as_u64(), eseq.as_u64(), event_from_json(ev))
-        else {
-            return Err(mal("sim event"));
-        };
-        if !event_nodes_in_range(&ev, machine.nodes.len()) {
-            return Err(mal("sim event node out of range"));
-        }
-        if Time::from_ns(at) < now {
-            return Err(mal("sim event in the past"));
-        }
-        entries.push((Time::from_ns(at), eseq, ev));
-    }
-    let sim = MachineSim::from_parts(now, seq, fired, entries);
+    let restored = (|| {
+        let sim: SimState = f.get("sim")?;
+        f.with("machine", |j| machine.restore_state(j))?;
+        f.finish()?;
+        check_restored(&machine, &sim)?;
+        Ok(sim)
+    })();
+    let sim = restored.map_err(malformed)?;
+    let sim = MachineSim::from_parts(sim.now, sim.seq, sim.fired, sim.events);
     Ok((machine, sim))
+}
+
+impl Machine {
+    /// Restores the `machine` part of a snapshot into a machine freshly
+    /// built from the same configuration. The fault plan and metrics
+    /// keys must be present exactly when the configuration enables them.
+    fn restore_state(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(v)?;
+        let g = &mut self.g;
+        g.msg_size_hist = f.get("msg_size_hist")?;
+        g.transfer_started = f.get("transfer_started")?;
+        g.app_messages = f.get("app_messages")?;
+        g.msg_latency = f.get("msg_latency")?;
+        f.with("fabric", |j| g.fabric.restore(j))?;
+        g.violations = f.get("violations")?;
+        g.progress = f.get("progress")?;
+        f.with("nodes", |j| {
+            let items = codec::array(j)?;
+            ensure(
+                items.len() == self.nodes.len(),
+                format!(
+                    "{} nodes, this machine has {}",
+                    items.len(),
+                    self.nodes.len()
+                ),
+            )?;
+            for (i, (n, nj)) in self.nodes.iter_mut().zip(items).enumerate() {
+                n.restore(nj).map_err(|e| e.in_index(i))?;
+            }
+            Ok(())
+        })?;
+        if let Some(plan) = &mut self.g.fault {
+            f.with("fault", |j| plan.restore(j))?;
+        }
+        if let Some(mm) = &mut self.g.metrics {
+            f.with("metrics", |j| mm.restore(j))?;
+        }
+        f.finish()
+    }
+}
+
+/// The first failing `(condition, reason)` pair, as an error.
+fn all(checks: &[(bool, &str)]) -> Result<(), DecodeError> {
+    checks.iter().try_for_each(|&(ok, what)| ensure(ok, what))
+}
+
+/// `e` as seen from the snapshot root, under `machine.nodes[i].key`.
+fn at_node(i: usize, key: &str, e: DecodeError) -> DecodeError {
+    e.in_key(key).in_index(i).in_key("nodes").in_key("machine")
+}
+
+/// The cross-struct pass: invariants that tie a restored machine's parts
+/// to each other and to the scheduler, which no single struct's decoder
+/// can see. Each follows from how the event handlers move state; DESIGN
+/// §6.6 gives the reasons.
+fn check_restored(m: &Machine, sim: &SimState) -> Result<(), DecodeError> {
+    let mut pending = Pending {
+        runs: vec![Vec::new(); m.nodes.len()],
+        ..Pending::default()
+    };
+    for (i, &(at, seq, ev)) in sim.events.iter().enumerate() {
+        let fresh = seq < sim.seq && pending.seqs.insert(seq);
+        all(&[
+            (at >= sim.now, "event in the past"),
+            (fresh, "sequence number reused"),
+        ])
+        .and_then(|()| check_event(m, &ev))
+        .map_err(|e| e.in_index(i).in_key("events").in_key("sim"))?;
+        match ev {
+            MachineEvent::ProcRun { node } => pending.runs[node].push(at),
+            MachineEvent::DepositDone { dst, frees_buffer } => {
+                let held = pending.deposits.entry((dst, at)).or_default();
+                *held += usize::from(frees_buffer);
+            }
+            MachineEvent::AckTimeout { src, msg, attempt } => {
+                pending.timers.insert((src, msg, attempt));
+            }
+            MachineEvent::Arrival { .. }
+            | MachineEvent::AckArrival { .. }
+            | MachineEvent::ReturnArrival { .. }
+            | MachineEvent::Retry { .. }
+            | MachineEvent::NodeCrash { .. } => {}
+        }
+    }
+    // A port's `free_at` ends a back-to-back run of transmissions that
+    // began at a request time no later than the latest pending event
+    // (or now), and that run is part of the port's `busy` time.
+    let horizon = sim.events.iter().map(|e| e.0).fold(sim.now, Time::max);
+    let port = |free_at: Time, busy: Dur| ensure(free_at <= horizon + busy, "free_at too late");
+    for (i, n) in m.nodes.iter().enumerate() {
+        let hw = &n.hw;
+        port(hw.bus.free_at(), hw.bus.stats().busy)
+            .map_err(|e| e.in_key("bus"))
+            .and_then(|()| {
+                port(hw.egress.free_at(), hw.egress.busy()).map_err(|e| e.in_key("egress"))
+            })
+            .and_then(|()| {
+                port(hw.ingress.free_at(), hw.ingress.busy()).map_err(|e| e.in_key("ingress"))
+            })
+            .map_err(|e| at_node(i, "hw", e))?;
+        check_ni(m, i, sim.now, &pending).map_err(|e| at_node(i, "ni", e))?;
+        check_proc(m, i, &pending.runs[i]).map_err(|e| at_node(i, "proc", e))?;
+        for (k, (&(src, transfer), &count)) in n.assembling.iter().enumerate() {
+            ensure(
+                count >= 1 && in_flight(m, transfer),
+                "assembly of a transfer not in flight",
+            )
+            .and_then(|()| check_id(m, transfer, src as usize, IdKind::Transfer))
+            .map_err(|e| at_node(i, "assembling", e.in_index(k)))?;
+        }
+    }
+    let g = &m.g;
+    let handled: u64 = m.nodes.iter().map(|n| n.proc.app_messages_handled).sum();
+    let started: u64 = m.nodes.iter().map(|n| n.next_transfer_id).sum();
+    let swallowed = g
+        .fault
+        .as_ref()
+        .map_or(Vec::new(), |p| p.swallowed_sources().collect());
+    all(&[
+        (
+            handled == g.app_messages,
+            "app_messages != messages the nodes handled",
+        ),
+        (
+            g.msg_latency.count() <= g.app_messages,
+            "more latency samples than messages",
+        ),
+        (
+            g.msg_size_hist.total() == started,
+            "message sizes != transfers started",
+        ),
+        (
+            g.violations.iter().all(|v| v.at <= sim.now),
+            "violation in the future",
+        ),
+        (
+            swallowed.iter().all(|n| n.index() < m.nodes.len()),
+            "fault plan names a bad node",
+        ),
+    ])
+    .map_err(|e| e.in_key("machine"))?;
+    for (k, (&id, &at)) in g.transfer_started.iter().enumerate() {
+        ensure(at <= sim.now, "transfer started in the future")
+            .and_then(|()| check_id(m, id, (id >> ID_NODE_SHIFT) as usize, IdKind::Transfer))
+            .map_err(|e| e.in_index(k).in_key("transfer_started").in_key("machine"))?;
+    }
+    for (k, (_, link)) in g.fabric.links().enumerate() {
+        port(link.free_at(), link.busy())
+            .map_err(|e| e.in_index(k).in_key("fabric").in_key("machine"))?;
+    }
+    Ok(())
+}
+
+/// The pending events node state must agree with.
+#[derive(Default)]
+struct Pending {
+    /// Per node, the times of its pending processor runs.
+    runs: Vec<Vec<Time>>,
+    /// Per `(node, time)`, the pending deposits that release a buffer.
+    deposits: BTreeMap<(usize, Time), usize>,
+    /// Every armed ack timer, as `(sender, fragment, attempt)`.
+    timers: BTreeSet<(NodeId, MsgId, u32)>,
+    seqs: BTreeSet<u64>,
+}
+
+/// Dedup (or a duplicate-free wire) makes every accepted fragment a
+/// first delivery, so the transfer it belongs to has not completed.
+fn in_flight(m: &Machine, transfer: u64) -> bool {
+    let unique = m.cfg.reliability.enabled || m.cfg.fault.dup_p == 0.0;
+    !unique || m.g.transfer_started.contains_key(&transfer)
+}
+
+#[derive(Clone, Copy)]
+enum IdKind {
+    Msg,
+    Transfer,
+}
+
+/// Checks that `id` was minted by `node`: it carries the node in its
+/// high bits and its local part lies below the node's allocator.
+fn check_id(m: &Machine, id: u64, node: usize, kind: IdKind) -> Result<(), DecodeError> {
+    let minted = m.nodes.get(node).is_some_and(|n| {
+        let next = match kind {
+            IdKind::Msg => n.next_msg_id,
+            IdKind::Transfer => n.next_transfer_id,
+        };
+        id >> ID_NODE_SHIFT == node as u64 && id & ((1 << ID_NODE_SHIFT) - 1) < next
+    });
+    ensure(minted, "id not minted by its node")
+}
+
+/// Checks fragment `frag` of a message `src` sent with ids `msg` and
+/// `transfer`, and `spec` (the message as its sender asked for it): the
+/// ids were minted by `src` — and since a node finishes one transfer
+/// before it starts the next, every earlier transfer minted at least one
+/// message id before this fragment's — the sender's process sends such
+/// messages, and the fragment is the one [`nisim_net::fragment_payload`]
+/// cuts at its index.
+fn check_sent(
+    m: &Machine,
+    src: usize,
+    (msg, transfer): (MsgId, u64),
+    frag: &Fragment,
+    spec: &SendSpec,
+) -> Result<(), DecodeError> {
+    check_id(m, msg.0, src, IdKind::Msg)?;
+    check_id(m, transfer, src, IdKind::Transfer)?;
+    let local = |id: u64| id & ((1 << ID_NODE_SHIFT) - 1);
+    let ordered = local(msg.0) >= local(transfer) + u64::from(frag.index);
+    ensure(ordered, "message id minted before its transfer's")?;
+    m.nodes[src].process.check_send(spec)?;
+    check_frag(m, frag, spec.payload_bytes)
+}
+
+/// Checks a wire message: both ends exist, it is a fragment its sender
+/// sent ([`check_sent`]), and its sequence number was issued.
+fn check_wire(m: &Machine, w: &WireMsg) -> Result<(), DecodeError> {
+    let (src, dst) = (w.src.index(), w.dst.index());
+    ensure(
+        src < m.nodes.len() && dst < m.nodes.len(),
+        "node out of range",
+    )?;
+    // Senders resolve connection 0 to `dst + 1` (`Machine::do_send_step`).
+    let conn = if w.conn == w.dst.0 + 1 { 0 } else { w.conn };
+    let spec = SendSpec::new(w.dst, w.total_payload, w.tag).on_conn(conn);
+    check_sent(m, src, (w.id, w.transfer_id), &w.frag, &spec)?;
+    let issued = m.nodes[src].ni.rel_tx.issued(w.dst);
+    let seq_ok = match w.seq {
+        Some(seq) => m.cfg.reliability.enabled && seq.0 < issued,
+        None => !m.cfg.reliability.enabled,
+    };
+    ensure(seq_ok, "sequence number not issued")
+}
+
+/// A fragment must be exactly the one the messaging layer cuts from a
+/// payload of `total` bytes at its index.
+fn check_frag(m: &Machine, frag: &Fragment, total: u64) -> Result<(), DecodeError> {
+    let max = m.cfg.net.max_payload_bytes();
+    let count = total.div_ceil(max).max(1);
+    let fits = u64::from(frag.index) < count && u64::from(frag.of) == count && {
+        let offset = u64::from(frag.index) * max;
+        frag.offset == offset && frag.payload_bytes == (total - offset).min(max)
+    };
+    ensure(fits, "fragment geometry does not match its payload")
+}
+
+fn check_event(m: &Machine, ev: &MachineEvent) -> Result<(), DecodeError> {
+    ensure(
+        ev.node_of() < m.nodes.len(),
+        "event names a node that does not exist",
+    )?;
+    let rel = m.cfg.reliability;
+    match *ev {
+        MachineEvent::Arrival { wire, .. } | MachineEvent::ReturnArrival { wire } => {
+            check_wire(m, &wire).map_err(|e| e.in_key("wire"))
+        }
+        MachineEvent::AckArrival { src, msg } | MachineEvent::Retry { src, msg } => {
+            check_id(m, msg.0, src.index(), IdKind::Msg)
+        }
+        MachineEvent::AckTimeout { src, msg, attempt } => {
+            ensure(
+                rel.enabled && attempt <= rel.max_retries,
+                "ack timer out of range",
+            )?;
+            check_id(m, msg.0, src.index(), IdKind::Msg)
+        }
+        MachineEvent::DepositDone { dst, frees_buffer } => ensure(
+            frees_buffer == m.nodes[dst].ni.model.frees_buffer_at_deposit(),
+            "deposit releases its buffer at the wrong point for this design",
+        ),
+        MachineEvent::ProcRun { .. } | MachineEvent::NodeCrash { .. } => Ok(()),
+    }
+}
+
+/// The NI of node `i` against the scheduler: the receive buffers held
+/// are exactly those queued drains and deposits will free, every
+/// fragment awaiting an ack holds one send buffer and (with reliability)
+/// a live timer for its attempt, and every id it holds was minted.
+fn check_ni(m: &Machine, i: usize, now: Time, pending: &Pending) -> Result<(), DecodeError> {
+    let ni = &m.nodes[i].ni;
+    let max_blocks = util::blocks(m.cfg.net.max_message_bytes);
+    for (k, e) in ni.rx_ready.iter().enumerate() {
+        let slot_ok = e.loc.slot().is_none_or(|(base, blocks)| {
+            base.raw() % m.cfg.cache.block_bytes == 0 && (1..=max_blocks).contains(&blocks)
+        });
+        let deposited = e.ready_at <= now || pending.deposits.contains_key(&(i, e.ready_at));
+        let src = e.src.index();
+        let spec = SendSpec::new(NodeId(i as u32), e.total_payload, e.tag);
+        all(&[
+            (src != i && src < m.nodes.len(), "bad source node"),
+            (slot_ok, "deposit slot unaligned or oversized"),
+            (deposited, "ready later than any pending deposit"),
+            (
+                in_flight(m, e.transfer_id),
+                "fragment of a transfer not in flight",
+            ),
+        ])
+        .and_then(|()| check_sent(m, src, (e.msg_id, e.transfer_id), &e.frag, &spec))
+        .map_err(|e| e.in_index(k).in_key("rx_ready"))?;
+    }
+    let held_to_drain = ni
+        .rx_ready
+        .iter()
+        .filter(|e| e.frees_buffer_at_drain)
+        .count();
+    let held_to_deposit: usize = pending
+        .deposits
+        .range((i, Time::ZERO)..=(i, Time::MAX))
+        .map(|d| d.1)
+        .sum();
+    all(&[
+        (
+            ni.fc.recv_in_use() as usize == held_to_drain + held_to_deposit,
+            "receive buffers held != those queued drains and deposits will free",
+        ),
+        (
+            ni.fc.send_in_use() as usize == ni.outstanding.len(),
+            "send buffers held != fragments awaiting an ack",
+        ),
+    ])
+    .map_err(|e| e.in_key("fc"))?;
+    let (rel, cfg) = (m.cfg.reliability, &m.cfg);
+    // A retry backoff starts at `retry_backoff` and doubles per return,
+    // capped at `retry_backoff_max`.
+    let (b0, cap) = (cfg.retry_backoff.as_ns(), cfg.retry_backoff_max.as_ns());
+    let doubled = |b: u64| {
+        b == b0
+            || (b0 > 0
+                && (b == cap || (b < cap && b.is_multiple_of(b0) && (b / b0).is_power_of_two())))
+    };
+    for (k, (id, o)) in ni.outstanding.iter().enumerate() {
+        // Each attempt arms one timer; the current one is pending until
+        // it fires, which retransmits or (at the cap) gives up.
+        let timed = pending.timers.contains(&(o.wire.src, *id, o.attempt));
+        let attempts_ok = if rel.enabled {
+            o.attempt <= rel.max_retries
+                && timed != o.gave_up
+                && (!o.gave_up || o.attempt == rel.max_retries)
+        } else {
+            o.attempt == 0 && !o.gave_up
+        };
+        all(&[
+            (
+                o.wire.src.index() == i,
+                "outstanding fragment sent by another node",
+            ),
+            (
+                doubled(o.backoff.as_ns()),
+                "backoff not reachable by doubling",
+            ),
+            (
+                attempts_ok,
+                "retransmission attempt disagrees with its timer",
+            ),
+        ])
+        .and_then(|()| check_wire(m, &o.wire))
+        .map_err(|e| e.in_index(k).in_key("outstanding"))?;
+    }
+    // A receiver can only have accepted sequence numbers its sender issued.
+    let peer = |p: NodeId| p.index() < m.nodes.len() && p.index() != i;
+    let issued = |src: NodeId| {
+        ni.rel_rx.high_water(src) <= m.nodes[src.index()].ni.rel_tx.issued(NodeId(i as u32))
+    };
+    ensure(ni.rel_tx.peers().all(peer), "sequence state for a bad peer")
+        .map_err(|e| e.in_key("rel_tx"))?;
+    ensure(
+        ni.rel_rx.peers().all(|p| peer(p) && issued(p)),
+        "dedup window past what its peer issued",
+    )
+    .map_err(|e| e.in_key("rel_rx"))
+}
+
+/// The processor of node `i` against its pending runs: a busy processor
+/// has exactly one, at the end of its busy period, where its ledger
+/// stamp also stands; a waiting one has one exactly when a wake is
+/// pending. Its sends go to other nodes, as its process sends them.
+fn check_proc(m: &Machine, i: usize, runs: &[Time]) -> Result<(), DecodeError> {
+    let n = &m.nodes[i];
+    let p = &n.proc;
+    let scheduled = match p.phase {
+        ProcPhase::Busy => {
+            runs == [p.busy_until] && n.ledger.stamp() == p.busy_until && !p.wake_pending
+        }
+        ProcPhase::Idle | ProcPhase::BlockedSend => runs.len() == usize::from(p.wake_pending),
+    };
+    all(&[
+        (scheduled, "processor phase disagrees with its pending runs"),
+        (
+            !p.program_done || n.process.is_done(),
+            "program done but its process is not",
+        ),
+    ])?;
+    let spec_ok = |s: &SendSpec| {
+        ensure(
+            s.dst.index() < m.nodes.len() && s.dst.index() != i,
+            "send to a bad node",
+        )?;
+        n.process.check_send(s)
+    };
+    for (k, s) in p.queued_sends.iter().enumerate() {
+        spec_ok(s).map_err(|e| e.in_index(k).in_key("queued_sends"))?;
+    }
+    if let Some(s) = &p.current_send {
+        let cut = s.frags.len() == s.frags[0].of as usize
+            && (s.frags.iter().enumerate()).all(|(k, f)| {
+                f.index as usize == k && check_frag(m, f, s.spec.payload_bytes).is_ok()
+            });
+        spec_ok(&s.spec)
+            .and_then(|()| check_id(m, s.transfer_id, i, IdKind::Transfer))
+            .and_then(|()| ensure(cut, "fragments do not match the payload"))
+            .map_err(|e| e.in_key("current_send"))?;
+    }
+    for (k, w) in p.pending_resends.iter().enumerate() {
+        ensure(w.src.index() == i, "resend of another node's fragment")
+            .and_then(|()| check_wire(m, w))
+            .map_err(|e| e.in_index(k).in_key("pending_resends"))?;
+    }
+    Ok(())
 }
 
 /// Reads and parses a snapshot file written by [`save_to_file`].
 pub fn load_from_file(path: &std::path::Path) -> Result<Json, SnapshotError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
-    nisim_engine::json::parse(&text).map_err(|e| mal(&format!("json: {e:?}")))
+    nisim_engine::json::parse(&text).map_err(|e| SnapshotError::Malformed(format!("json: {e:?}")))
 }
 
 #[cfg(test)]
@@ -1116,30 +737,16 @@ mod tests {
         }
 
         fn snapshot(&self) -> Option<Json> {
-            Some(
-                Json::obj()
-                    .set("to_send", u64::from(self.to_send))
-                    .set("echoes_left", u64::from(self.echoes_left))
-                    .set("done", self.done),
-            )
+            Some(self.snapshot())
         }
 
-        fn restore(&mut self, state: &Json) -> bool {
-            let (Some(to_send), Some(echoes_left), Some(done)) = (
-                get_u64(state, "to_send"),
-                get_u64(state, "echoes_left"),
-                state.get("done").and_then(as_bool),
-            ) else {
-                return false;
-            };
-            if to_send > u32::MAX as u64 || echoes_left > u32::MAX as u64 {
-                return false;
-            }
-            self.to_send = to_send as u32;
-            self.echoes_left = echoes_left as u32;
-            self.done = done;
-            true
+        fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
+            self.restore(state)
         }
+    }
+
+    impl SnapEchoer {
+        nisim_engine::state_fields! { { to_send, echoes_left, done } }
     }
 
     fn snap_factory(count: u32, payload: u64) -> impl FnMut(NodeId) -> Box<dyn Process> {

@@ -17,6 +17,8 @@
 //!   for experiment reporting,
 //! * [`json`] — a dependency-free JSON value type with a deterministic
 //!   serializer, used for machine-readable sweep results,
+//! * [`codec`] — the checkpoint state codec over [`Json`]: one
+//!   [`codec::Codec`] trait and the [`state_fields!`] field lists,
 //! * [`metrics`] — per-component cycle accounting and exactly-mergeable
 //!   log2 latency histograms (observational only; off by default),
 //! * [`trace`] — a Chrome-trace-viewable JSONL span sink for the
@@ -40,6 +42,7 @@
 //! assert_eq!(sim.now(), Time::from_ns(15));
 //! ```
 
+pub mod codec;
 pub mod json;
 pub mod metrics;
 pub mod rng;

@@ -7,6 +7,9 @@
 
 use std::fmt;
 
+use nisim_engine::codec::{Codec, DecodeError};
+use nisim_engine::Json;
+
 /// A physical byte address.
 ///
 /// # Example
@@ -74,6 +77,17 @@ impl BlockAddr {
     #[inline]
     pub const fn raw(self) -> u64 {
         self.0
+    }
+}
+
+/// The raw base address. Decoding cannot know the block size, so the
+/// restoring side checks alignment against its geometry.
+impl Codec for BlockAddr {
+    fn encode(&self) -> Json {
+        self.0.encode()
+    }
+    fn decode(v: &Json) -> Result<BlockAddr, DecodeError> {
+        u64::decode(v).map(BlockAddr)
     }
 }
 

@@ -22,6 +22,7 @@
 //! layered on top by the caller, which matches a split-transaction bus —
 //! the address/data phases occupy the bus, the DRAM access itself does not.
 
+use nisim_engine::codec::{ensure, Codec, DecodeError, Fields, State};
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist};
 use nisim_engine::stats::{Counter, Summary};
 use nisim_engine::{Dur, Json, Time};
@@ -315,79 +316,56 @@ impl Bus {
             self.stats.busy.as_ns() as f64 / elapsed.as_ns() as f64
         }
     }
+}
 
-    /// Serialises the dynamic state (free time, per-class counts, busy
-    /// time, queueing summary, data bytes, metrics when enabled) for
-    /// checkpointing. The configuration is not included.
-    pub fn snapshot(&self) -> Json {
-        let counts = Json::Arr(
-            self.stats
-                .counts
-                .iter()
-                .map(|c| Json::from(c.get()))
-                .collect(),
-        );
+/// The dynamic state: free time, per-class counts, busy time, queueing
+/// summary, data bytes and, when enabled, the metrics. The configuration
+/// is not included; the metrics keys must be present exactly when the
+/// restoring bus has metrics enabled.
+impl State for Bus {
+    fn snapshot(&self) -> Json {
         let mut v = Json::obj()
-            .set("free_at", self.free_at.as_ns())
-            .set("counts", counts)
-            .set("busy", self.stats.busy.as_ns())
-            .set("queueing", self.stats.queueing.to_json())
-            .set("data_bytes", self.stats.data_bytes.get());
+            .set("free_at", self.free_at.encode())
+            .set("counts", self.stats.counts.encode())
+            .set("busy", self.stats.busy.encode())
+            .set("queueing", self.stats.queueing.encode())
+            .set("data_bytes", self.stats.data_bytes.encode());
         if let Some(m) = &self.metrics {
-            v = v.set("cycles", m.cycles.to_json());
-            v = v.set("grant_wait", m.grant_wait.to_json());
+            v = v
+                .set("cycles", m.cycles.encode())
+                .set("grant_wait", m.grant_wait.encode());
         }
         v
     }
 
-    /// Restores state captured by [`Bus::snapshot`] into a bus built with
-    /// the same configuration (and metrics enablement). Returns `false`
-    /// on any shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let Some(counts) = v.get("counts").and_then(Json::as_arr) else {
-            return false;
+    /// Every transaction adds its occupancy to `busy` and its data to
+    /// `data_bytes` ([`Bus::acquire`]), so both must equal the per-class
+    /// counts times the configured per-class cost.
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(v)?;
+        self.free_at = f.get("free_at")?;
+        self.stats.counts = f.get("counts")?;
+        self.stats.busy = f.get("busy")?;
+        self.stats.queueing = f.get("queueing")?;
+        self.stats.data_bytes = f.get("data_bytes")?;
+        if let Some(m) = &mut self.metrics {
+            m.cycles = f.get("cycles")?;
+            m.grant_wait = f.get("grant_wait")?;
+        }
+        f.finish()?;
+        let per_class = |cost: &dyn Fn(BusOp) -> u64| {
+            BusOp::ALL.iter().try_fold(0u64, |sum, &op| {
+                sum.checked_add(self.stats.count(op).checked_mul(cost(op))?)
+            })
         };
-        if counts.len() != self.stats.counts.len() {
-            return false;
-        }
-        let mut restored = [Counter::new(); 6];
-        for (slot, count) in restored.iter_mut().zip(counts) {
-            let Some(n) = count.as_u64() else {
-                return false;
-            };
-            slot.add(n);
-        }
-        let (Some(free_at), Some(busy), Some(data_bytes), Some(queueing)) = (
-            v.get("free_at").and_then(Json::as_u64),
-            v.get("busy").and_then(Json::as_u64),
-            v.get("data_bytes").and_then(Json::as_u64),
-            v.get("queueing").and_then(Summary::from_json),
-        ) else {
-            return false;
-        };
-        self.free_at = Time::from_ns(free_at);
-        self.stats.counts = restored;
-        self.stats.busy = Dur::ns(busy);
-        self.stats.queueing = queueing;
-        self.stats.data_bytes = Counter::new();
-        self.stats.data_bytes.add(data_bytes);
-        match (&mut self.metrics, v.get("cycles"), v.get("grant_wait")) {
-            (Some(m), Some(cycles), Some(grant_wait)) => {
-                match (
-                    ComponentCycles::from_json(cycles),
-                    Log2Hist::from_json(grant_wait),
-                ) {
-                    (Some(cycles), Some(grant_wait)) => {
-                        m.cycles = cycles;
-                        m.grant_wait = grant_wait;
-                    }
-                    _ => return false,
-                }
-            }
-            (None, None, None) => {}
-            _ => return false,
-        }
-        true
+        ensure(
+            per_class(&|op| self.cfg.occupancy(op).as_ns()) == Some(self.stats.busy.as_ns()),
+            "busy time does not match the transaction counts",
+        )?;
+        ensure(
+            per_class(&|op| op.data_bytes(&self.cfg)) == Some(self.stats.data_bytes.get()),
+            "data bytes do not match the transaction counts",
+        )
     }
 }
 
@@ -488,7 +466,7 @@ mod tests {
 
         let mut fresh = Bus::new(BusConfig::default());
         fresh.enable_metrics();
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.free_at(), bus.free_at());
         assert_eq!(fresh.stats().count(BusOp::BlockRead), 1);
         assert_eq!(fresh.stats().busy, bus.stats().busy);
@@ -501,10 +479,20 @@ mod tests {
         assert_eq!(fresh.snapshot().to_compact(), snap.to_compact());
         // Metrics-enablement mismatch is rejected both ways.
         let mut plain = Bus::new(BusConfig::default());
-        assert!(!plain.restore(&snap));
+        assert!(plain.restore(&snap).is_err());
         let mut with = Bus::new(BusConfig::default());
         with.enable_metrics();
-        assert!(!with.restore(&plain.snapshot()));
+        assert!(with.restore(&plain.snapshot()).is_err());
+        // Counts that disagree with the busy time are rejected.
+        let Json::Obj(mut pairs) = snap else {
+            unreachable!("bus snapshots are objects")
+        };
+        pairs[2].1 = Json::from(bus.stats().busy.as_ns() + 1);
+        let err = fresh.restore(&Json::Obj(pairs)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "busy time does not match the transaction counts"
+        );
     }
 
     #[test]

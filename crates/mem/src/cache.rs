@@ -10,6 +10,7 @@
 //! data values, the timing model only needs to know where the freshest copy
 //! of each block lives.
 
+use nisim_engine::codec::{decode_items, ensure, Codec, DecodeError, Fields, State};
 use nisim_engine::metrics::{Component, ComponentCycles};
 use nisim_engine::{Dur, Json};
 
@@ -369,117 +370,114 @@ impl Cache {
             l.state = MoesiState::Invalid;
         }
     }
+}
 
-    /// Serialises the dynamic state — the slot count, every slot that
-    /// differs from an empty line as `[slot, tag, state, lru]` in
-    /// ascending slot order (the public [`Cache::iter`] loses LRU order),
-    /// the LRU clock, the stats, the visit bitmap and, when enabled, the
-    /// stall metrics. Geometry is derived from the config and not
-    /// included.
-    ///
-    /// Invalid lines that kept a stale tag or lru are written too:
-    /// lookups ignore them, but storing them makes save → restore → save
-    /// a byte-for-byte fixed point.
-    pub fn snapshot(&self) -> Json {
-        let lines = Json::Arr(
-            self.sets
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| **l != EMPTY)
-                .map(|(slot, l)| {
-                    Json::Arr(vec![
-                        Json::from(slot as u64),
-                        Json::from(l.tag),
-                        Json::from(l.state.index()),
-                        Json::from(l.lru),
-                    ])
-                })
-                .collect(),
-        );
+/// The dynamic state — the slot count, every slot that differs from an
+/// empty line as `[slot, tag, state, lru]` in ascending slot order (the
+/// public [`Cache::iter`] loses LRU order), the LRU clock, the stats,
+/// the visit bitmap and, when enabled, the stall metrics. Geometry comes
+/// from the config and is not included.
+///
+/// Invalid lines that kept a stale tag or lru are written too: lookups
+/// ignore them, but storing them makes save → restore → save a
+/// byte-for-byte fixed point.
+impl State for Cache {
+    fn snapshot(&self) -> Json {
+        let lines: Vec<(usize, u64, MoesiState, u64)> = (self.sets.iter().enumerate())
+            .filter(|(_, l)| **l != EMPTY)
+            .map(|(slot, l)| (slot, l.tag, l.state, l.lru))
+            .collect();
         let mut v = Json::obj()
-            .set("slots", self.sets.len() as u64)
-            .set("lines", lines)
-            .set("clock", self.clock)
-            .set("hits", self.stats.hits)
-            .set("misses", self.stats.misses)
-            .set("dirty_evictions", self.stats.dirty_evictions)
-            .set("snoop_invalidations", self.stats.snoop_invalidations)
-            .set("visited", self.visited as u64);
+            .set("slots", self.sets.len().encode())
+            .set("lines", lines.encode())
+            .set("clock", self.clock.encode())
+            .set("hits", self.stats.hits.encode())
+            .set("misses", self.stats.misses.encode())
+            .set("dirty_evictions", self.stats.dirty_evictions.encode())
+            .set(
+                "snoop_invalidations",
+                self.stats.snoop_invalidations.encode(),
+            )
+            .set("visited", self.visited.encode());
         if let Some(m) = &self.metrics {
-            v = v.set("metrics", m.cycles.to_json());
+            v = v.set("metrics", m.cycles.encode());
         }
         v
     }
 
-    /// Restores state captured by [`Cache::snapshot`] into a cache built
-    /// with the same configuration (and the same metrics enablement).
-    /// Returns `false` on any shape mismatch — a slot count other than
-    /// this cache's, a slot out of range, repeated or out of ascending
-    /// order, or an unknown state; the cache contents are unspecified
-    /// afterwards and the caller must discard it.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let (Some(slots), Some(lines)) = (
-            v.get("slots").and_then(Json::as_u64),
-            v.get("lines").and_then(Json::as_arr),
-        ) else {
-            return false;
-        };
-        if slots != self.sets.len() as u64 {
-            return false;
-        }
+    /// Every stored line was placed by [`Cache::insert`], so its tag is a
+    /// block base that maps to the line's set, and its LRU stamp is a
+    /// past value of the clock. Lines come in strictly ascending slot
+    /// order, and the metrics key must be present exactly when the
+    /// restoring cache has metrics enabled.
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(v)?;
+        let slots: usize = f.get("slots")?;
+        ensure(
+            slots == self.sets.len(),
+            format!("{slots} slots, but this cache has {}", self.sets.len()),
+        )?;
         self.sets.fill(EMPTY);
-        let mut next = 0; // lowest slot the next entry may name
-        for line in lines {
-            let Some([slot, tag, state, lru]) =
-                line.as_arr().and_then(|a| <&[Json; 4]>::try_from(a).ok())
-            else {
-                return false;
-            };
-            let (Some(slot), Some(tag), Some(idx), Some(lru)) =
-                (slot.as_u64(), tag.as_u64(), state.as_u64(), lru.as_u64())
-            else {
-                return false;
-            };
-            let Some(&state) = MoesiState::ALL.get(idx as usize) else {
-                return false;
-            };
-            if slot < next || slot >= slots {
-                return false;
+        f.with("lines", |j| {
+            let mut next = 0; // lowest slot the next entry may name
+            for (i, line) in decode_items::<(usize, u64, MoesiState, u64)>(j).enumerate() {
+                let (slot, tag, state, lru) = line?;
+                self.check_line(next, slot, tag)
+                    .map_err(|e| e.in_index(i))?;
+                self.sets[slot] = Line { tag, state, lru };
+                next = slot + 1;
             }
-            self.sets[slot as usize] = Line { tag, state, lru };
-            next = slot + 1;
+            Ok(())
+        })?;
+        self.clock = f.get("clock")?;
+        self.stats.hits = f.get("hits")?;
+        self.stats.misses = f.get("misses")?;
+        self.stats.dirty_evictions = f.get("dirty_evictions")?;
+        self.stats.snoop_invalidations = f.get("snoop_invalidations")?;
+        self.visited = f.get("visited")?;
+        if let Some(m) = &mut self.metrics {
+            m.cycles = f.get("metrics")?;
         }
-        let field = |key: &str| v.get(key).and_then(Json::as_u64);
-        let (Some(clock), Some(hits), Some(misses), Some(dirty), Some(snoops), Some(visited)) = (
-            field("clock"),
-            field("hits"),
-            field("misses"),
-            field("dirty_evictions"),
-            field("snoop_invalidations"),
-            field("visited"),
-        ) else {
-            return false;
-        };
-        if visited > u8::MAX as u64 {
-            return false;
+        f.finish()?;
+        ensure(
+            self.sets.iter().all(|l| l.lru <= self.clock),
+            "a line's LRU stamp is ahead of the clock",
+        )?;
+        ensure(
+            self.stats
+                .hits
+                .checked_add(self.stats.misses)
+                .is_some_and(|n| n <= self.clock),
+            "more lookups than clock ticks",
+        )?;
+        let mut seen = 1 << MoesiState::Invalid.index();
+        for l in &self.sets {
+            seen |= 1 << l.state.index();
         }
-        self.clock = clock;
-        self.stats = CacheStats {
-            hits,
-            misses,
-            dirty_evictions: dirty,
-            snoop_invalidations: snoops,
-        };
-        self.visited = visited as u8;
-        match (&mut self.metrics, v.get("metrics")) {
-            (Some(m), Some(j)) => match ComponentCycles::from_json(j) {
-                Some(cycles) => m.cycles = cycles,
-                None => return false,
+        ensure(
+            if cfg!(debug_assertions) {
+                self.visited & seen == seen && self.visited >> MoesiState::ALL.len() == 0
+            } else {
+                self.visited == 0
             },
-            (None, None) => {}
-            _ => return false,
-        }
-        true
+            "visit bitmap disagrees with the stored lines",
+        )
+    }
+}
+
+impl Cache {
+    /// Checks one stored line: slot in range and after the previous one,
+    /// tag a block base that maps to the slot's set.
+    fn check_line(&self, next: usize, slot: usize, tag: u64) -> Result<(), DecodeError> {
+        ensure(
+            (next..self.sets.len()).contains(&slot),
+            "slot out of range or out of ascending order",
+        )?;
+        ensure(
+            tag.is_multiple_of(self.cfg.block_bytes)
+                && self.set_index(BlockAddr::from_raw(tag)) == slot / self.ways,
+            "tag is not a block that maps to this slot's set",
+        )
     }
 }
 
@@ -526,21 +524,21 @@ mod tests {
         let snap = c.snapshot();
 
         let mut fresh = Cache::new(CacheConfig::fully_associative(2, 64));
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.stats(), c.stats());
         assert_eq!(fresh.visited_mask(), c.visited_mask());
         assert_eq!(fresh.lookup(b0), MoesiState::Modified);
         assert_eq!(fresh.lookup(b1), MoesiState::Shared);
         // LRU order survived: the next conflict insert must evict b1.
         let mut replay = Cache::new(CacheConfig::fully_associative(2, 64));
-        assert!(replay.restore(&snap));
+        replay.restore(&snap).unwrap();
         let ev = replay.insert(b2, MoesiState::Exclusive).unwrap();
         assert_eq!(ev.block, b1);
         // Mismatched geometry and truncated snapshots are rejected.
         let mut wrong = Cache::new(CacheConfig::fully_associative(4, 64));
-        assert!(!wrong.restore(&snap));
+        assert!(wrong.restore(&snap).is_err());
         let mut again = Cache::new(CacheConfig::fully_associative(2, 64));
-        assert!(!again.restore(&Json::obj().set("clock", 1u64)));
+        assert!(again.restore(&Json::obj().set("clock", 1u64)).is_err());
     }
 
     /// `snap` with the value under `key` replaced.
@@ -583,7 +581,9 @@ mod tests {
 
         let text = snap.to_compact();
         let mut fresh = small();
-        assert!(fresh.restore(&nisim_engine::json::parse(&text).unwrap()));
+        fresh
+            .restore(&nisim_engine::json::parse(&text).unwrap())
+            .unwrap();
         assert_eq!(fresh.snapshot().to_compact(), text, "save-restore-save");
         assert_eq!(fresh.state_of(b0), MoesiState::Modified);
         assert!(!fresh.contains(b1));
@@ -592,7 +592,7 @@ mod tests {
         // Restore overwrites: lines absent from the snapshot come back empty.
         let mut dirty = small();
         dirty.insert(block(&dirty, 0x80), MoesiState::Exclusive);
-        assert!(dirty.restore(&snap));
+        dirty.restore(&snap).unwrap();
         assert_eq!(dirty.snapshot().to_compact(), text);
     }
 
@@ -636,6 +636,19 @@ mod tests {
                 ]),
             ),
             ("bad state index", lines(vec![entry(&[1, 0x40, 99, 1])])),
+            // A tag one block over maps to the next set, not this slot's.
+            (
+                "tag of another set",
+                lines(vec![entry(&[1, 0x80, exclusive, 1])]),
+            ),
+            (
+                "unaligned tag",
+                lines(vec![entry(&[1, 0x41, exclusive, 1])]),
+            ),
+            (
+                "lru ahead of the clock",
+                lines(vec![entry(&[1, 0x40, exclusive, 99])]),
+            ),
             ("short entry", lines(vec![entry(&[1, 0x40, exclusive])])),
             (
                 "long entry",
@@ -643,9 +656,9 @@ mod tests {
             ),
         ];
         let mut fresh = small();
-        assert!(fresh.restore(&snap), "control snapshot must restore");
+        fresh.restore(&snap).expect("control snapshot must restore");
         for (what, bad) in cases {
-            assert!(!small().restore(&bad), "{what} must be rejected");
+            assert!(small().restore(&bad).is_err(), "{what} must be rejected");
         }
     }
 

@@ -8,8 +8,9 @@
 //! * the large `CNI_512Q` queue memory: 120 ns (it is big enough that it
 //!   would be built from commodity DRAM).
 
+use nisim_engine::codec::State;
 use nisim_engine::stats::Counter;
-use nisim_engine::{Dur, Json};
+use nisim_engine::Dur;
 
 /// What a memory device models; affects the default latency.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -107,30 +108,11 @@ impl MemoryDevice {
     pub fn writes(&self) -> u64 {
         self.writes.get()
     }
+}
 
-    /// Serialises the access counters for checkpointing. Kind and latency
-    /// come from the configuration and are not included.
-    pub fn snapshot(&self) -> Json {
-        Json::obj()
-            .set("reads", self.reads.get())
-            .set("writes", self.writes.get())
-    }
-
-    /// Restores counters captured by [`MemoryDevice::snapshot`]. Returns
-    /// `false` on shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let (Some(reads), Some(writes)) = (
-            v.get("reads").and_then(Json::as_u64),
-            v.get("writes").and_then(Json::as_u64),
-        ) else {
-            return false;
-        };
-        self.reads = Counter::new();
-        self.reads.add(reads);
-        self.writes = Counter::new();
-        self.writes.add(writes);
-        true
-    }
+/// The access counters; kind and latency come from the configuration.
+impl State for MemoryDevice {
+    nisim_engine::state_fields! { { reads, writes } }
 }
 
 #[cfg(test)]
@@ -169,10 +151,14 @@ mod tests {
         m.record_write();
         let snap = m.snapshot();
         let mut fresh = MemoryDevice::new(MemoryKind::Main);
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.reads(), 2);
         assert_eq!(fresh.writes(), 1);
-        assert!(!fresh.restore(&Json::obj().set("reads", 1u64)));
+        let truncated = nisim_engine::Json::obj().set("reads", 1u64);
+        assert_eq!(
+            fresh.restore(&truncated).unwrap_err().to_string(),
+            "missing key `writes`"
+        );
     }
 
     #[test]

@@ -17,6 +17,9 @@
 
 use std::fmt;
 
+use nisim_engine::codec::{Codec, DecodeError};
+use nisim_engine::Json;
+
 /// The five MOESI states. `Invalid` doubles as "not present".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum MoesiState {
@@ -34,6 +37,19 @@ pub enum MoesiState {
     /// Not present.
     #[default]
     Invalid,
+}
+
+/// A state is its [`MoesiState::index`].
+impl Codec for MoesiState {
+    fn encode(&self) -> Json {
+        self.index().encode()
+    }
+    fn decode(v: &Json) -> Result<MoesiState, DecodeError> {
+        MoesiState::ALL
+            .get(usize::decode(v)?)
+            .copied()
+            .ok_or_else(|| DecodeError::new("unknown MOESI state index"))
+    }
 }
 
 impl MoesiState {

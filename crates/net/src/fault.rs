@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use nisim_engine::json::{u64_from_hex, u64_hex};
-use nisim_engine::{Dur, Json, SplitMix64, Time};
+use nisim_engine::codec::{ensure, State};
+use nisim_engine::{Dur, SplitMix64, Time};
 
 use crate::msg::NodeId;
 
@@ -265,6 +265,11 @@ impl FaultPlan {
         self.swallowed.get(&src).copied().unwrap_or(0)
     }
 
+    /// The source nodes with traffic swallowed so far, ascending.
+    pub fn swallowed_sources(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.swallowed.keys().copied()
+    }
+
     /// True if `node` is crashed at `now`.
     pub fn crashed_at(&self, now: Time, node: NodeId) -> bool {
         self.cfg
@@ -324,72 +329,30 @@ impl FaultPlan {
             corrupted,
         }
     }
+}
 
-    /// Serialises the PRNG position, the counters and the per-source
-    /// swallow map for checkpointing. The config is not included — the
-    /// restoring side must build the plan from the same [`FaultConfig`].
-    pub fn snapshot(&self) -> Json {
-        let swallowed = Json::Arr(
-            self.swallowed
-                .iter()
-                .map(|(src, n)| Json::Arr(vec![Json::from(src.0 as u64), Json::from(*n)]))
-                .collect(),
-        );
-        Json::obj()
-            .set("rng", u64_hex(self.rng.state()))
-            .set("offered", self.stats.offered)
-            .set("dropped", self.stats.dropped)
-            .set("blackholed", self.stats.blackholed)
-            .set("duplicated", self.stats.duplicated)
-            .set("corrupted", self.stats.corrupted)
-            .set("jittered", self.stats.jittered)
-            .set("swallowed", swallowed)
-    }
-
-    /// Restores state captured by [`FaultPlan::snapshot`]. Returns
-    /// `false` on shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let Some(rng) = v.get("rng").and_then(Json::as_str).and_then(u64_from_hex) else {
-            return false;
-        };
-        let field = |key: &str| v.get(key).and_then(Json::as_u64);
-        let (Some(offered), Some(dropped), Some(blackholed)) =
-            (field("offered"), field("dropped"), field("blackholed"))
-        else {
-            return false;
-        };
-        let (Some(duplicated), Some(corrupted), Some(jittered)) =
-            (field("duplicated"), field("corrupted"), field("jittered"))
-        else {
-            return false;
-        };
-        let Some(pairs) = v.get("swallowed").and_then(Json::as_arr) else {
-            return false;
-        };
-        let mut swallowed = BTreeMap::new();
-        for pair in pairs {
-            let Some([src, n]) = pair.as_arr().and_then(|p| <&[Json; 2]>::try_from(p).ok()) else {
-                return false;
-            };
-            let (Some(src), Some(n)) = (src.as_u64(), n.as_u64()) else {
-                return false;
-            };
-            if src > u32::MAX as u64 {
-                return false;
-            }
-            swallowed.insert(NodeId(src as u32), n);
+/// The PRNG position, the counters and the per-source swallow map. The
+/// config is not included: the restoring side builds the plan from the
+/// same [`FaultConfig`]. The counters must agree with each other the
+/// way [`FaultPlan::deliveries`] moves them.
+impl State for FaultPlan {
+    nisim_engine::state_fields! {
+        {
+            rng, offered: stats.offered, dropped: stats.dropped, blackholed: stats.blackholed,
+            duplicated: stats.duplicated, corrupted: stats.corrupted, jittered: stats.jittered,
+            swallowed
         }
-        self.rng = SplitMix64::from_state(rng);
-        self.stats = FaultStats {
-            offered,
-            dropped,
-            blackholed,
-            duplicated,
-            corrupted,
-            jittered,
-        };
-        self.swallowed = swallowed;
-        true
+        check |p: &FaultPlan| {
+            let s = p.stats;
+            let swallowed = p.swallowed.values().try_fold(0u64, |sum, &n| sum.checked_add(n));
+            ensure(swallowed == Some(s.blackholed), "swallow map does not sum to blackholed")?;
+            let passed = s.offered.checked_sub(s.lost()).filter(|&n| s.duplicated <= n);
+            let deliveries = passed.and_then(|n| n.checked_add(s.duplicated));
+            ensure(
+                deliveries.is_some_and(|d| s.corrupted <= d && s.jittered <= d),
+                "fault counters exceed the messages offered",
+            )
+        }
     }
 }
 
@@ -584,7 +547,7 @@ mod tests {
         }
         let snap = cut.snapshot();
         let mut resumed = FaultPlan::new(cfg);
-        assert!(resumed.restore(&snap));
+        resumed.restore(&snap).unwrap();
         assert_eq!(resumed.stats(), cut.stats());
         for i in 200..400 {
             let now = Time::from_ns(i * 7);
@@ -592,7 +555,11 @@ mod tests {
         }
         assert_eq!(golden.stats(), resumed.stats());
         assert_eq!(golden.swallowed_from(A), resumed.swallowed_from(A));
-        assert!(!resumed.restore(&Json::obj().set("rng", "xyz")));
+        let bad_rng = nisim_engine::Json::obj().set("rng", "xyz");
+        assert_eq!(
+            resumed.restore(&bad_rng).unwrap_err().to_string(),
+            "rng: expected 16 hex digits"
+        );
     }
 
     #[test]

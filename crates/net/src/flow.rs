@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use nisim_engine::Json;
+use nisim_engine::codec::{ensure, State};
 
 /// Number of flow-control buffers in each direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -221,68 +221,6 @@ impl FlowControlEndpoint {
         self.recv_in_use -= 1;
     }
 
-    /// Serialises the held-buffer counts and statistics for
-    /// checkpointing. The capacity comes from the configuration and is
-    /// not included.
-    pub fn snapshot(&self) -> Json {
-        Json::obj()
-            .set("send_in_use", self.send_in_use as u64)
-            .set("recv_in_use", self.recv_in_use as u64)
-            .set("send_allocs", self.stats.send_allocs)
-            .set("send_alloc_failures", self.stats.send_alloc_failures)
-            .set("recv_allocs", self.stats.recv_allocs)
-            .set("recv_rejects", self.stats.recv_rejects)
-            .set("acks", self.stats.acks)
-            .set("returns_absorbed", self.stats.returns_absorbed)
-            .set("retries", self.stats.retries)
-    }
-
-    /// Restores state captured by [`FlowControlEndpoint::snapshot`] into
-    /// an endpoint built with the same capacity. Returns `false` on
-    /// shape mismatch or counts over capacity.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let field = |key: &str| v.get(key).and_then(Json::as_u64);
-        let (Some(send_in_use), Some(recv_in_use)) = (field("send_in_use"), field("recv_in_use"))
-        else {
-            return false;
-        };
-        if send_in_use > u32::MAX as u64 || recv_in_use > u32::MAX as u64 {
-            return false;
-        }
-        if let BufferCount::Finite(cap) = self.buffers {
-            if send_in_use > cap as u64 || recv_in_use > cap as u64 {
-                return false;
-            }
-        }
-        let (Some(send_allocs), Some(send_alloc_failures), Some(recv_allocs)) = (
-            field("send_allocs"),
-            field("send_alloc_failures"),
-            field("recv_allocs"),
-        ) else {
-            return false;
-        };
-        let (Some(recv_rejects), Some(acks), Some(returns_absorbed), Some(retries)) = (
-            field("recv_rejects"),
-            field("acks"),
-            field("returns_absorbed"),
-            field("retries"),
-        ) else {
-            return false;
-        };
-        self.send_in_use = send_in_use as u32;
-        self.recv_in_use = recv_in_use as u32;
-        self.stats = FlowStats {
-            send_allocs,
-            send_alloc_failures,
-            recv_allocs,
-            recv_rejects,
-            acks,
-            returns_absorbed,
-            retries,
-        };
-        true
-    }
-
     /// Checks the conservation invariant: every allocation is matched by
     /// at most one release, and holds never exceed capacity.
     pub fn check_invariants(&self) {
@@ -297,9 +235,40 @@ impl FlowControlEndpoint {
     }
 }
 
+/// The held-buffer counts and statistics; the capacity comes from the
+/// configuration. Holds stay within capacity, and every send buffer
+/// held is an allocation not yet acked (returns keep theirs held).
+impl State for FlowControlEndpoint {
+    nisim_engine::state_fields! {
+        {
+            send_in_use, recv_in_use, send_allocs: stats.send_allocs,
+            send_alloc_failures: stats.send_alloc_failures, recv_allocs: stats.recv_allocs,
+            recv_rejects: stats.recv_rejects, acks: stats.acks,
+            returns_absorbed: stats.returns_absorbed, retries: stats.retries
+        }
+        check |fc: &FlowControlEndpoint| {
+            let s = fc.stats;
+            ensure(
+                fc.buffers.has_free(fc.send_in_use.saturating_sub(1))
+                    && fc.buffers.has_free(fc.recv_in_use.saturating_sub(1)),
+                "buffers held over capacity",
+            )?;
+            ensure(
+                s.acks.checked_add(u64::from(fc.send_in_use)) == Some(s.send_allocs),
+                "send buffers held != allocations - acks",
+            )?;
+            ensure(
+                u64::from(fc.recv_in_use) <= s.recv_allocs && s.retries <= s.returns_absorbed,
+                "flow statistics inconsistent with the buffers held",
+            )
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nisim_engine::Json;
 
     #[test]
     fn send_buffers_bound_injections() {
@@ -382,7 +351,7 @@ mod tests {
         let snap = fc.snapshot();
 
         let mut fresh = FlowControlEndpoint::new(BufferCount::Finite(2));
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.send_in_use(), fc.send_in_use());
         assert_eq!(fresh.recv_in_use(), fc.recv_in_use());
         assert_eq!(fresh.stats(), fc.stats());
@@ -393,8 +362,22 @@ mod tests {
             crowded.try_alloc_send();
         }
         let over = crowded.snapshot();
-        assert!(!FlowControlEndpoint::new(BufferCount::Finite(2)).restore(&over));
-        assert!(FlowControlEndpoint::new(BufferCount::Finite(4)).restore(&over));
+        assert!(FlowControlEndpoint::new(BufferCount::Finite(2))
+            .restore(&over)
+            .is_err());
+        FlowControlEndpoint::new(BufferCount::Finite(4))
+            .restore(&over)
+            .unwrap();
+        // A held count the allocations and acks do not account for is
+        // rejected too.
+        let Json::Obj(mut pairs) = snap else {
+            unreachable!("flow snapshots are objects")
+        };
+        pairs[0].1 = Json::from(0u64);
+        assert_eq!(
+            fresh.restore(&Json::Obj(pairs)).unwrap_err().to_string(),
+            "send buffers held != allocations - acks"
+        );
     }
 
     #[test]

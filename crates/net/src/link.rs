@@ -5,7 +5,7 @@
 //! is modelled as a serially-reusable resource.
 
 use nisim_engine::stats::Counter;
-use nisim_engine::{Dur, Json, Time};
+use nisim_engine::{Dur, Time};
 
 use crate::msg::NetConfig;
 
@@ -81,41 +81,15 @@ impl Link {
             self.busy.as_ns() as f64 / elapsed.as_ns() as f64
         }
     }
-
-    /// Serialises the port state for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::obj()
-            .set("free_at", self.free_at.as_ns())
-            .set("messages", self.messages.get())
-            .set("bytes", self.bytes.get())
-            .set("busy", self.busy.as_ns())
-    }
-
-    /// Restores state captured by [`Link::snapshot`]. Returns `false` on
-    /// shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let field = |key: &str| v.get(key).and_then(Json::as_u64);
-        let (Some(free_at), Some(messages), Some(bytes), Some(busy)) = (
-            field("free_at"),
-            field("messages"),
-            field("bytes"),
-            field("busy"),
-        ) else {
-            return false;
-        };
-        self.free_at = Time::from_ns(free_at);
-        self.messages = Counter::new();
-        self.messages.add(messages);
-        self.bytes = Counter::new();
-        self.bytes.add(bytes);
-        self.busy = Dur::ns(busy);
-        true
-    }
 }
+
+nisim_engine::struct_codec! { Link { free_at, messages, bytes, busy } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nisim_engine::codec::Codec;
+    use nisim_engine::Json;
 
     #[test]
     fn serialises_back_to_back() {
@@ -153,14 +127,12 @@ mod tests {
         let mut port = Link::new();
         port.transmit(&cfg, Time::ZERO, 100);
         port.transmit(&cfg, Time::ZERO, 28);
-        let snap = port.snapshot();
-        let mut fresh = Link::new();
-        assert!(fresh.restore(&snap));
+        let fresh = Link::decode(&port.encode()).unwrap();
         assert_eq!(fresh.free_at(), port.free_at());
         assert_eq!(fresh.messages(), 2);
         assert_eq!(fresh.bytes(), 128);
         assert_eq!(fresh.busy(), port.busy());
-        assert!(!fresh.restore(&Json::obj().set("free_at", 1u64)));
+        assert!(Link::decode(&Json::obj().set("free_at", 1u64)).is_err());
     }
 
     #[test]

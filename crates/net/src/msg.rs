@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use nisim_engine::Dur;
+use nisim_engine::codec::{ensure, Codec, DecodeError};
+use nisim_engine::{Dur, Json};
 
 /// Identity of one node of the parallel machine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -28,9 +29,27 @@ impl fmt::Display for NodeId {
     }
 }
 
+impl Codec for NodeId {
+    fn encode(&self) -> Json {
+        self.0.encode()
+    }
+    fn decode(v: &Json) -> Result<NodeId, DecodeError> {
+        u32::decode(v).map(NodeId)
+    }
+}
+
 /// Unique identity of one network message (one fragment on the wire).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct MsgId(pub u64);
+
+impl Codec for MsgId {
+    fn encode(&self) -> Json {
+        self.0.encode()
+    }
+    fn decode(v: &Json) -> Result<MsgId, DecodeError> {
+        u64::decode(v).map(MsgId)
+    }
+}
 
 /// Network timing and message geometry (Table 3 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -95,6 +114,11 @@ pub struct Fragment {
     pub payload_bytes: u64,
     /// Byte offset of this fragment's payload within the whole payload.
     pub offset: u64,
+}
+
+nisim_engine::struct_codec! {
+    Fragment [ index, of, payload_bytes, offset ]
+    check |f: &Fragment| ensure(f.index < f.of, "fragment index not below its count")
 }
 
 impl Fragment {

@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use nisim_engine::codec::{ascending, decode_items, ensure, Codec, DecodeError};
 use nisim_engine::metrics::{Component, ComponentCycles};
 use nisim_engine::{Dur, Json};
 
@@ -31,6 +32,15 @@ use crate::msg::NodeId;
 /// A per-`(sender, receiver)` message sequence number.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNo(pub u64);
+
+impl Codec for SeqNo {
+    fn encode(&self) -> Json {
+        self.0.encode()
+    }
+    fn decode(v: &Json) -> Result<SeqNo, DecodeError> {
+        u64::decode(v).map(SeqNo)
+    }
+}
 
 impl fmt::Debug for SeqNo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -122,42 +132,26 @@ impl SenderReliability {
         SeqNo(s)
     }
 
+    /// The destinations sequence numbers were issued towards, ascending.
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.next.keys().copied()
+    }
+
     /// Sequence numbers handed out towards `dst` so far.
     pub fn issued(&self, dst: NodeId) -> u64 {
         self.next.get(&dst).copied().unwrap_or(0)
     }
+}
 
-    /// Serialises the per-destination counters for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Arr(
-            self.next
-                .iter()
-                .map(|(dst, n)| Json::Arr(vec![Json::from(dst.0 as u64), Json::from(*n)]))
-                .collect(),
-        )
+/// The per-destination counters, as `[dst, next]` pairs.
+impl Codec for SenderReliability {
+    fn encode(&self) -> Json {
+        self.next.encode()
     }
-
-    /// Restores counters captured by [`SenderReliability::snapshot`].
-    /// Returns `false` on shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let Some(pairs) = v.as_arr() else {
-            return false;
-        };
-        let mut next = BTreeMap::new();
-        for pair in pairs {
-            let Some([dst, n]) = pair.as_arr().and_then(|p| <&[Json; 2]>::try_from(p).ok()) else {
-                return false;
-            };
-            let (Some(dst), Some(n)) = (dst.as_u64(), n.as_u64()) else {
-                return false;
-            };
-            if dst > u32::MAX as u64 {
-                return false;
-            }
-            next.insert(NodeId(dst as u32), n);
-        }
-        self.next = next;
-        true
+    fn decode(v: &Json) -> Result<SenderReliability, DecodeError> {
+        Ok(SenderReliability {
+            next: Codec::decode(v)?,
+        })
     }
 }
 
@@ -201,58 +195,50 @@ impl ReceiverDedup {
             .is_some_and(|w| seq.0 < w.floor || w.seen.contains(&seq.0))
     }
 
+    /// The senders a window is kept for, ascending.
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.windows.keys().copied()
+    }
+
+    /// One past the highest sequence number accepted from `src` (0 if
+    /// none): every accepted number lies below it.
+    pub fn high_water(&self, src: NodeId) -> u64 {
+        self.windows
+            .get(&src)
+            .map_or(0, |w| w.seen.last().map_or(w.floor, |&s| s + 1))
+    }
+
     /// Entries currently tracked above the floor for `src` (diagnostic:
     /// the size of the reorder window).
     pub fn pending_window(&self, src: NodeId) -> usize {
         self.windows.get(&src).map_or(0, |w| w.seen.len())
     }
+}
 
-    /// Serialises every window — floor plus the sparse accepted set —
-    /// for checkpointing.
-    pub fn snapshot(&self) -> Json {
+/// Every window as `[src, floor, [accepted...]]`. The accepted set is
+/// compacted whenever the floor advances ([`ReceiverDedup::accept`]), so
+/// every entry lies strictly above the floor.
+impl Codec for ReceiverDedup {
+    fn encode(&self) -> Json {
         Json::Arr(
-            self.windows
-                .iter()
-                .map(|(src, w)| {
-                    let seen = Json::Arr(w.seen.iter().map(|&s| Json::from(s)).collect());
-                    Json::Arr(vec![Json::from(src.0 as u64), Json::from(w.floor), seen])
-                })
+            (self.windows.iter())
+                .map(|(&src, w)| (src, w.floor, w.seen.clone()).encode())
                 .collect(),
         )
     }
-
-    /// Restores windows captured by [`ReceiverDedup::snapshot`]. Returns
-    /// `false` on shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let Some(entries) = v.as_arr() else {
-            return false;
-        };
-        let mut windows = BTreeMap::new();
-        for entry in entries {
-            let Some([src, floor, seen]) =
-                entry.as_arr().and_then(|p| <&[Json; 3]>::try_from(p).ok())
-            else {
-                return false;
-            };
-            let (Some(src), Some(floor), Some(seen)) =
-                (src.as_u64(), floor.as_u64(), seen.as_arr())
-            else {
-                return false;
-            };
-            if src > u32::MAX as u64 {
-                return false;
-            }
-            let mut set = BTreeSet::new();
-            for s in seen {
-                let Some(s) = s.as_u64() else {
-                    return false;
-                };
-                set.insert(s);
-            }
-            windows.insert(NodeId(src as u32), SeqWindow { floor, seen: set });
-        }
-        self.windows = windows;
-        true
+    fn decode(v: &Json) -> Result<ReceiverDedup, DecodeError> {
+        let windows = decode_items::<(NodeId, u64, BTreeSet<u64>)>(v)
+            .enumerate()
+            .map(|(i, w)| {
+                let (src, floor, seen) = w?;
+                let compact = seen.first().is_none_or(|&s| s > floor);
+                ensure(compact, "accepted entry at or below the floor")
+                    .map_err(|e| e.in_index(i))?;
+                Ok((src, SeqWindow { floor, seen }))
+            });
+        Ok(ReceiverDedup {
+            windows: ascending(windows)?,
+        })
     }
 }
 
@@ -282,6 +268,12 @@ impl RelStats {
         self.corrupt_discards += other.corrupt_discards;
         self.gave_up += other.gave_up;
         self.crash_lost += other.crash_lost;
+    }
+}
+
+nisim_engine::struct_codec! {
+    RelStats {
+        retransmits, dup_discards, corrupt_discards, gave_up, crash_lost
     }
 }
 
@@ -476,10 +468,9 @@ mod tests {
         rx.accept(A, SeqNo(2));
         rx.accept(A, SeqNo(5)); // floor 1, seen {2, 5}
         rx.accept(B, SeqNo(0));
-        let snap = rx.snapshot();
+        let snap = rx.encode();
 
-        let mut fresh = ReceiverDedup::default();
-        assert!(fresh.restore(&snap));
+        let mut fresh = ReceiverDedup::decode(&snap).unwrap();
         assert_eq!(fresh.pending_window(A), 2);
         assert!(fresh.already_seen(A, SeqNo(0)));
         assert!(fresh.already_seen(A, SeqNo(2)));
@@ -489,7 +480,10 @@ mod tests {
         assert!(!fresh.accept(A, SeqNo(2)));
         assert!(fresh.accept(A, SeqNo(1))); // floor compacts past 2
         assert_eq!(fresh.pending_window(A), 1);
-        assert!(!fresh.restore(&Json::from(3u64)));
+        assert!(ReceiverDedup::decode(&Json::from(3u64)).is_err());
+        // An accepted entry at the floor cannot be: accept compacts it.
+        let stale = Json::Arr(vec![(A, 1u64, BTreeSet::from([1u64])).encode()]);
+        assert!(ReceiverDedup::decode(&stale).is_err());
     }
 
     #[test]
@@ -498,9 +492,7 @@ mod tests {
         tx.next_seq(A);
         tx.next_seq(B);
         tx.next_seq(B);
-        let snap = tx.snapshot();
-        let mut fresh = SenderReliability::default();
-        assert!(fresh.restore(&snap));
+        let mut fresh = SenderReliability::decode(&tx.encode()).unwrap();
         assert_eq!(fresh.issued(A), 1);
         assert_eq!(fresh.issued(B), 2);
         assert_eq!(fresh.next_seq(B), SeqNo(2));

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use nisim_engine::codec::{ascending, decode_items, ensure, Codec, DecodeError, State};
 use nisim_engine::{Dur, Json, Time};
 
 use crate::link::Link;
@@ -163,6 +164,11 @@ impl Fabric {
         }
     }
 
+    /// Every materialised link, keyed `(from, to)`, in key order.
+    pub fn links(&self) -> impl Iterator<Item = (&(u32, u32), &Link)> {
+        self.links.iter()
+    }
+
     /// Total bytes carried per link, for hot-link analysis.
     pub fn link_loads(&self) -> Vec<((u32, u32), u64)> {
         let mut v: Vec<((u32, u32), u64)> =
@@ -170,51 +176,33 @@ impl Fabric {
         v.sort_unstable();
         v
     }
+}
 
-    /// Serialises every materialised link for checkpointing. Empty for
-    /// the ideal topology, which holds no link state.
-    pub fn snapshot(&self) -> Json {
+/// Every materialised link as `[from, to, link]`, in key order; empty
+/// for the ideal topology, which holds no link state. A link exists only
+/// once a route crossed it, so each must be one hop of this topology.
+impl State for Fabric {
+    fn snapshot(&self) -> Json {
         Json::Arr(
-            self.links
-                .iter()
-                .map(|(&(from, to), link)| {
-                    Json::Arr(vec![
-                        Json::from(from as u64),
-                        Json::from(to as u64),
-                        link.snapshot(),
-                    ])
-                })
+            (self.links.iter())
+                .map(|(&(from, to), link)| (from, to, link.clone()).encode())
                 .collect(),
         )
     }
 
-    /// Restores links captured by [`Fabric::snapshot`]. Returns `false`
-    /// on shape mismatch.
-    pub fn restore(&mut self, v: &Json) -> bool {
-        let Some(entries) = v.as_arr() else {
-            return false;
-        };
-        let mut links = BTreeMap::new();
-        for entry in entries {
-            let Some([from, to, state]) =
-                entry.as_arr().and_then(|p| <&[Json; 3]>::try_from(p).ok())
-            else {
-                return false;
-            };
-            let (Some(from), Some(to)) = (from.as_u64(), to.as_u64()) else {
-                return false;
-            };
-            if from > u32::MAX as u64 || to > u32::MAX as u64 {
-                return false;
-            }
-            let mut link = Link::new();
-            if !link.restore(state) {
-                return false;
-            }
-            links.insert((from as u32, to as u32), link);
-        }
-        self.links = links;
-        true
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let links = decode_items::<(u32, u32, Link)>(v)
+            .enumerate()
+            .map(|(i, entry)| {
+                let (from, to, link) = entry?;
+                let hop = from < self.nodes
+                    && to < self.nodes
+                    && self.topology.route(NodeId(from), NodeId(to), self.nodes) == [(from, to)];
+                ensure(hop, "not a hop of this topology").map_err(|e| e.in_index(i))?;
+                Ok(((from, to), link))
+            });
+        self.links = ascending(links)?;
+        Ok(())
     }
 }
 
@@ -290,7 +278,7 @@ mod tests {
         let snap = f.snapshot();
 
         let mut fresh = Fabric::new(Topology::Ring, 8, Dur::ns(40));
-        assert!(fresh.restore(&snap));
+        fresh.restore(&snap).unwrap();
         assert_eq!(fresh.link_loads(), f.link_loads());
         // The restored links carry their reservation horizon: a message
         // over the same first hop queues exactly as it would have.
@@ -300,7 +288,13 @@ mod tests {
         // Ideal fabrics snapshot to an empty list.
         let ideal = Fabric::new(Topology::Ideal, 8, Dur::ns(40));
         assert_eq!(ideal.snapshot(), Json::Arr(Vec::new()));
-        assert!(!fresh.restore(&Json::from(1u64)));
+        assert!(fresh.restore(&Json::from(1u64)).is_err());
+        // Only hops of the topology can hold link state.
+        let far = Json::Arr(vec![(0u32, 4u32, Link::new()).encode()]);
+        assert_eq!(
+            fresh.restore(&far).unwrap_err().to_string(),
+            "[0]: not a hop of this topology"
+        );
     }
 
     #[test]

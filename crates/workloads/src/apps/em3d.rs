@@ -15,11 +15,12 @@
 use std::collections::VecDeque;
 
 use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_engine::codec::{ensure, DecodeError};
 use nisim_engine::{Dur, Json, SplitMix64, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{step_from_json, step_to_json, Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, SkeletonProcess, Step};
 
 /// Tag of an edge-update message (12 B payload -> 20 B wire).
 pub const TAG_UPDATE: u32 = 40;
@@ -96,35 +97,39 @@ impl Skeleton for Em3d {
     }
 
     // The neighbour set is a pure function of (node, nodes, seed), so
-    // only the program counter state needs to cross a checkpoint.
-    fn snapshot(&self) -> Option<Json> {
-        Some(
-            Json::obj()
-                .set("iters_left", u64::from(self.iters_left))
-                .set(
-                    "steps",
-                    Json::Arr(self.steps.iter().map(step_to_json).collect()),
-                ),
+    // only the program counter state needs to cross a checkpoint. Every
+    // queued step is one `refill` makes: the compute phase, an update to
+    // a neighbour, or the barrier.
+    /// Em3d only sends its two-integer updates, to its neighbours.
+    fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
+        ensure(
+            self.neighbors.contains(&spec.dst) && *spec == SendSpec::new(spec.dst, 12, TAG_UPDATE),
+            "a message em3d never sends",
         )
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
-        let Some(iters_left) = state.get("iters_left").and_then(Json::as_u64) else {
-            return false;
-        };
-        let Some(steps) = state.get("steps").and_then(Json::as_arr).and_then(|a| {
-            a.iter()
-                .map(step_from_json)
-                .collect::<Option<VecDeque<_>>>()
-        }) else {
-            return false;
-        };
-        if iters_left > u64::from(self.params.iterations) {
-            return false;
+    fn snapshot(&self) -> Option<Json> {
+        Some(self.snapshot())
+    }
+
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
+        self.restore(state)
+    }
+}
+
+impl Em3d {
+    nisim_engine::state_fields! {
+        { iters_left, steps }
+        check |e: &Em3d| {
+            ensure(e.iters_left <= e.params.iterations, "more iterations left than the run has")?;
+            let refilled = |s: &Step| match s {
+                Step::Compute(d) => *d == e.params.compute,
+                Step::Send(spec) => Skeleton::check_send(e, spec).is_ok(),
+                Step::Barrier => true,
+                Step::WaitUntilReady | Step::Done => false,
+            };
+            ensure(e.steps.iter().all(refilled), "a step em3d never queues")
         }
-        self.iters_left = iters_left as u32;
-        self.steps = steps;
-        true
     }
 }
 

@@ -14,11 +14,12 @@
 use std::collections::VecDeque;
 
 use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_engine::codec::{ensure, DecodeError};
 use nisim_engine::{Dur, Json, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{step_from_json, step_to_json, Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, SkeletonProcess, Step};
 
 /// Sparks carry their remaining hop budget in the tag above this base.
 pub const TAG_SPARK_BASE: u32 = 600;
@@ -148,57 +149,54 @@ impl Skeleton for Spsolve {
         }
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        let levels = |v: &[u32]| Json::Arr(v.iter().map(|&x| Json::from(x)).collect());
-        Some(
-            Json::obj()
-                .set("iters_left", u64::from(self.iters_left))
-                .set(
-                    "steps",
-                    Json::Arr(self.steps.iter().map(step_to_json).collect()),
-                )
-                .set("acc", levels(&self.acc))
-                .set("fired", levels(&self.fired)),
-        )
+    /// Spsolve sends 12-byte sparks whose tag carries a hop budget, and
+    /// header-only completion notices.
+    fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
+        let spark = (TAG_SPARK_BASE + 1..=TAG_SPARK_BASE + SPARK_TTL).contains(&spec.tag);
+        let shape = if spark {
+            SendSpec::new(spec.dst, 12, spec.tag)
+        } else {
+            SendSpec::new(spec.dst, 0, TAG_NOTICE)
+        };
+        ensure(*spec == shape, "a message spsolve never sends")
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
-        let levels = |v: &Json| -> Option<Vec<u32>> {
-            v.as_arr()?
-                .iter()
-                .map(|x| {
-                    let x = x.as_u64()?;
-                    (x <= u32::MAX as u64).then_some(x as u32)
-                })
-                .collect()
-        };
-        let Some(iters_left) = state.get("iters_left").and_then(Json::as_u64) else {
-            return false;
-        };
-        let Some(steps) = state.get("steps").and_then(Json::as_arr).and_then(|a| {
-            a.iter()
-                .map(step_from_json)
-                .collect::<Option<VecDeque<_>>>()
-        }) else {
-            return false;
-        };
-        let (Some(acc), Some(fired)) = (
-            state.get("acc").and_then(&levels),
-            state.get("fired").and_then(&levels),
-        ) else {
-            return false;
-        };
-        if iters_left > u64::from(self.params.iterations)
-            || acc.len() != self.acc.len()
-            || fired.len() != self.fired.len()
-        {
-            return false;
+    fn snapshot(&self) -> Option<Json> {
+        Some(self.snapshot())
+    }
+
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
+        self.restore(state)
+    }
+}
+
+impl Spsolve {
+    // Every queued step is one `refill` makes, and an element fires (and
+    // resets its count) on its IN_DEGREE-th operand.
+    nisim_engine::state_fields! {
+        { iters_left, steps, acc, fired }
+        check |p: &Spsolve| {
+            ensure(p.iters_left <= p.params.iterations, "more iterations left than the run has")?;
+            let seed_dst = |hop: u64| NodeId(((p.me.0 as u64 + hop) % p.nodes as u64) as u32);
+            let refilled = |s: &Step| match s {
+                Step::Compute(d) => *d == p.params.compute,
+                Step::Send(spec) => {
+                    (spec.dst == seed_dst(1) || spec.dst == seed_dst(2))
+                        && spec.tag == TAG_SPARK_BASE + SPARK_TTL
+                        && Skeleton::check_send(p, spec).is_ok()
+                }
+                Step::Barrier => true,
+                Step::WaitUntilReady | Step::Done => false,
+            };
+            ensure(p.steps.iter().all(refilled), "a step spsolve never queues")?;
+            let levels = SPARK_TTL as usize + 1;
+            ensure(
+                p.acc.len() == levels
+                    && p.fired.len() == levels
+                    && p.acc.iter().all(|&a| a < IN_DEGREE),
+                "operand counts out of range",
+            )
         }
-        self.iters_left = iters_left as u32;
-        self.steps = steps;
-        self.acc = acc;
-        self.fired = fired;
-        true
     }
 }
 

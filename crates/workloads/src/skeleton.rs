@@ -9,6 +9,7 @@
 //! the paper's runs do the same through Tempest.
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_engine::codec::{self, Codec, DecodeError, Fields};
 use nisim_engine::{Dur, Json, Time};
 use nisim_net::NodeId;
 
@@ -38,55 +39,35 @@ pub enum Step {
     Done,
 }
 
-/// Serialises a [`SendSpec`] for checkpointing (shared by skeletons that
-/// queue sends in their dynamic state).
-pub fn spec_to_json(s: &SendSpec) -> Json {
-    Json::Arr(vec![
-        Json::from(s.dst.0),
-        Json::from(s.payload_bytes),
-        Json::from(s.tag),
-        Json::from(s.conn),
-    ])
-}
-
-/// Inverse of [`spec_to_json`].
-pub fn spec_from_json(v: &Json) -> Option<SendSpec> {
-    let [dst, payload, tag, conn] = v.as_arr().and_then(|a| <&[Json; 4]>::try_from(a).ok())?;
-    let dst = dst.as_u64()?;
-    let tag = tag.as_u64()?;
-    let conn = conn.as_u64()?;
-    if dst > u32::MAX as u64 || tag > u32::MAX as u64 || conn > u32::MAX as u64 {
-        return None;
+/// `["compute", ns]`, `["send", spec]`, `["wait"]`, `["barrier"]` or
+/// `["done"]`.
+impl Codec for Step {
+    fn encode(&self) -> Json {
+        let tag = |t: &str| Json::from(t);
+        Json::Arr(match self {
+            Step::Compute(d) => vec![tag("compute"), d.encode()],
+            Step::Send(spec) => vec![tag("send"), spec.encode()],
+            Step::WaitUntilReady => vec![tag("wait")],
+            Step::Barrier => vec![tag("barrier")],
+            Step::Done => vec![tag("done")],
+        })
     }
-    Some(SendSpec {
-        dst: NodeId(dst as u32),
-        payload_bytes: payload.as_u64()?,
-        tag: tag as u32,
-        conn: conn as u32,
-    })
-}
-
-/// Serialises a program [`Step`] for checkpointing.
-pub fn step_to_json(s: &Step) -> Json {
-    match s {
-        Step::Compute(d) => Json::Arr(vec![Json::from("compute"), Json::from(d.as_ns())]),
-        Step::Send(spec) => Json::Arr(vec![Json::from("send"), spec_to_json(spec)]),
-        Step::WaitUntilReady => Json::Arr(vec![Json::from("wait")]),
-        Step::Barrier => Json::Arr(vec![Json::from("barrier")]),
-        Step::Done => Json::Arr(vec![Json::from("done")]),
-    }
-}
-
-/// Inverse of [`step_to_json`].
-pub fn step_from_json(v: &Json) -> Option<Step> {
-    let arr = v.as_arr()?;
-    match (arr.first()?.as_str()?, arr.len()) {
-        ("compute", 2) => Some(Step::Compute(Dur::ns(arr[1].as_u64()?))),
-        ("send", 2) => Some(Step::Send(spec_from_json(&arr[1])?)),
-        ("wait", 1) => Some(Step::WaitUntilReady),
-        ("barrier", 1) => Some(Step::Barrier),
-        ("done", 1) => Some(Step::Done),
-        _other => None,
+    fn decode(v: &Json) -> Result<Step, DecodeError> {
+        let items = codec::array(v)?;
+        let arg = || {
+            items
+                .get(1)
+                .ok_or_else(|| DecodeError::new("missing step argument"))
+        };
+        let step = match (items.first().and_then(Json::as_str), items.len()) {
+            (Some("compute"), 2) => Step::Compute(Dur::decode(arg()?).map_err(|e| e.in_index(1))?),
+            (Some("send"), 2) => Step::Send(SendSpec::decode(arg()?).map_err(|e| e.in_index(1))?),
+            (Some("wait"), 1) => Step::WaitUntilReady,
+            (Some("barrier"), 1) => Step::Barrier,
+            (Some("done"), 1) => Step::Done,
+            _ => return Err(DecodeError::new("unknown program step")),
+        };
+        Ok(step)
     }
 }
 
@@ -105,6 +86,17 @@ pub trait Skeleton {
         true
     }
 
+    /// Checks an application send of the skeleton's steps or handler
+    /// replies (see [`Process::check_send`]). The default accepts any.
+    ///
+    /// # Errors
+    ///
+    /// Describes why the skeleton never sends `spec`.
+    fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
+        let _ = spec;
+        Ok(())
+    }
+
     /// Serialises the skeleton's dynamic state for checkpointing. `None`
     /// (the default) marks the workload unsnapshotable; machine
     /// checkpoints then fail with a typed error.
@@ -113,11 +105,15 @@ pub trait Skeleton {
     }
 
     /// Restores state captured by [`Skeleton::snapshot`] into a freshly
-    /// constructed skeleton (same node, same parameters). Returns `false`
-    /// on shape mismatch or if unsnapshotable (the default).
-    fn restore(&mut self, state: &Json) -> bool {
+    /// constructed skeleton (same node, same parameters).
+    ///
+    /// # Errors
+    ///
+    /// Fails on a shape mismatch or an out-of-range value, and always
+    /// for an unsnapshotable skeleton (the default).
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         let _ = state;
-        false
+        Err(DecodeError::new("workload does not support checkpointing"))
     }
 }
 
@@ -131,6 +127,26 @@ enum Mode {
     InBarrier,
     /// Finished.
     Finished,
+}
+
+impl Codec for Mode {
+    fn encode(&self) -> Json {
+        Json::from(match self {
+            Mode::Stepping => "stepping",
+            Mode::Waiting => "waiting",
+            Mode::InBarrier => "in-barrier",
+            Mode::Finished => "finished",
+        })
+    }
+    fn decode(v: &Json) -> Result<Mode, DecodeError> {
+        match v.as_str() {
+            Some("stepping") => Ok(Mode::Stepping),
+            Some("waiting") => Ok(Mode::Waiting),
+            Some("in-barrier") => Ok(Mode::InBarrier),
+            Some("finished") => Ok(Mode::Finished),
+            _ => Err(DecodeError::new("unknown skeleton mode")),
+        }
+    }
 }
 
 /// Adapts a [`Skeleton`] to the simulator's [`Process`] interface and
@@ -275,61 +291,64 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
         self.mode == Mode::Finished
     }
 
+    /// Barrier messages go from every other node to the root and back;
+    /// everything else is the skeleton's.
+    fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
+        if spec.tag < BARRIER_TAG_BASE {
+            return self.skeleton.check_send(spec);
+        }
+        let (tag, to_root) = if self.is_root() {
+            (TAG_BARRIER_RELEASE, false)
+        } else {
+            (TAG_BARRIER_ARRIVE, true)
+        };
+        codec::ensure(
+            *spec == SendSpec::new(spec.dst, BARRIER_PAYLOAD, tag) && (spec.dst.0 == 0) == to_root,
+            "a barrier message this node never sends",
+        )
+    }
+
     fn snapshot(&self) -> Option<Json> {
         let skeleton = self.skeleton.snapshot()?;
         Some(
             Json::obj()
-                .set(
-                    "mode",
-                    match self.mode {
-                        Mode::Stepping => "stepping",
-                        Mode::Waiting => "waiting",
-                        Mode::InBarrier => "in-barrier",
-                        Mode::Finished => "finished",
-                    },
-                )
-                .set(
-                    "barrier_sends",
-                    Json::Arr(self.barrier_sends.iter().map(spec_to_json).collect()),
-                )
-                .set("barrier_arrivals", u64::from(self.barrier_arrivals))
-                .set("barrier_released", self.barrier_released)
+                .set("mode", self.mode.encode())
+                .set("barrier_sends", self.barrier_sends.encode())
+                .set("barrier_arrivals", self.barrier_arrivals.encode())
+                .set("barrier_released", self.barrier_released.encode())
                 .set("skeleton", skeleton),
         )
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
-        let mode = match state.get("mode").and_then(Json::as_str) {
-            Some("stepping") => Mode::Stepping,
-            Some("waiting") => Mode::Waiting,
-            Some("in-barrier") => Mode::InBarrier,
-            Some("finished") => Mode::Finished,
-            _other => return false,
+    /// Only the root counts arrivals, and it resets the count as soon as
+    /// every node has arrived; queued barrier messages go to other nodes.
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(state)?;
+        self.mode = f.get("mode")?;
+        self.barrier_sends = f.get("barrier_sends")?;
+        self.barrier_arrivals = f.get("barrier_arrivals")?;
+        self.barrier_released = f.get("barrier_released")?;
+        f.with("skeleton", |j| self.skeleton.restore(j))?;
+        f.finish()?;
+        let arrivals_ok = if self.is_root() {
+            self.barrier_arrivals < self.nodes
+        } else {
+            self.barrier_arrivals == 0
         };
-        let Some(sends) = state
-            .get("barrier_sends")
-            .and_then(Json::as_arr)
-            .and_then(|a| a.iter().map(spec_from_json).collect::<Option<Vec<_>>>())
-        else {
-            return false;
-        };
-        let Some(arrivals) = state.get("barrier_arrivals").and_then(Json::as_u64) else {
-            return false;
-        };
-        let Some(Json::Bool(released)) = state.get("barrier_released") else {
-            return false;
-        };
-        let Some(inner) = state.get("skeleton") else {
-            return false;
-        };
-        if arrivals > u64::from(self.nodes) || !self.skeleton.restore(inner) {
-            return false;
+        codec::ensure(arrivals_ok, "barrier arrival count out of range")?;
+        let (me, nodes) = (self.node, self.nodes);
+        for s in &self.barrier_sends {
+            codec::ensure(
+                s.dst != me && s.dst.0 < nodes,
+                "barrier message to a bad node",
+            )?;
+            codec::ensure(
+                s.tag >= BARRIER_TAG_BASE,
+                "application message in the barrier queue",
+            )?;
+            self.check_send(s)?;
         }
-        self.mode = mode;
-        self.barrier_sends = sends;
-        self.barrier_arrivals = arrivals as u32;
-        self.barrier_released = *released;
-        true
+        Ok(())
     }
 }
 

@@ -32,7 +32,8 @@ use std::rc::Rc;
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
 use nisim_core::{Machine, MachineConfig, MachineReport, TenantSummary};
-use nisim_engine::json::{u64_from_hex, u64_hex, Json};
+use nisim_engine::codec::{ensure, restore_each, Codec, DecodeError, Fields, State};
+use nisim_engine::json::Json;
 use nisim_engine::metrics::Log2Hist;
 use nisim_engine::{Dur, SplitMix64, Time};
 use nisim_net::NodeId;
@@ -606,93 +607,104 @@ impl Process for TrafficProcess {
         self.injectors.iter().all(Injector::exhausted)
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        let injectors = Json::Arr(
-            self.injectors
-                .iter()
-                .map(|inj| {
-                    Json::Arr(vec![
-                        Json::from(inj.next_at),
-                        Json::from(inj.sent as u64),
-                        Json::from(inj.state as u64),
-                        Json::from(inj.state_until),
-                        Json::Str(u64_hex(inj.rng.state())),
-                    ])
-                })
-                .collect(),
-        );
-        let counts = |v: &[u64]| Json::Arr(v.iter().map(|&x| Json::from(x)).collect());
-        Some(
-            Json::obj()
-                .set("injectors", injectors)
-                .set("offered", counts(&self.offered))
-                .set("delivered", counts(&self.delivered))
-                .set(
-                    "recv",
-                    Json::Arr(self.recv.iter().map(Log2Hist::to_json).collect()),
-                ),
-        )
+    /// Each message carries its tenant in the tag and that tenant's
+    /// payload.
+    fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
+        let (tenant, _) = decode_tag(spec.tag);
+        let fits = self
+            .injectors
+            .get(tenant)
+            .is_some_and(|inj| *spec == SendSpec::new(spec.dst, inj.spec.payload_bytes, spec.tag));
+        ensure(fits, "a message no tenant sends")
     }
 
-    fn restore(&mut self, state: &Json) -> bool {
-        let n = self.injectors.len();
-        let Some(injectors) = state.get("injectors").and_then(Json::as_arr) else {
-            return false;
-        };
-        let (Some(offered), Some(delivered), Some(recv)) = (
-            state.get("offered").and_then(Json::as_arr),
-            state.get("delivered").and_then(Json::as_arr),
-            state.get("recv").and_then(Json::as_arr),
-        ) else {
-            return false;
-        };
-        if injectors.len() != n || offered.len() != n || delivered.len() != n || recv.len() != n {
-            return false;
-        }
-        let mut new_inj = Vec::with_capacity(n);
-        for v in injectors {
-            let Some(fields) = v.as_arr().filter(|f| f.len() == 5) else {
-                return false;
-            };
-            let nums: Option<Vec<u64>> = fields[..4].iter().map(Json::as_u64).collect();
-            let rng = fields[4].as_str().and_then(u64_from_hex);
-            let (Some(nums), Some(rng)) = (nums, rng) else {
-                return false;
-            };
-            new_inj.push((nums[0], nums[1] as u32, nums[2] as u8, nums[3], rng));
-        }
-        let parse_counts =
-            |items: &[Json]| -> Option<Vec<u64>> { items.iter().map(Json::as_u64).collect() };
-        let (Some(offered), Some(delivered)) = (parse_counts(offered), parse_counts(delivered))
-        else {
-            return false;
-        };
-        let hists: Option<Vec<Log2Hist>> = recv.iter().map(Log2Hist::from_json).collect();
-        let Some(hists) = hists else {
-            return false;
-        };
-        for (inj, (next_at, sent, mstate, state_until, rng)) in
-            self.injectors.iter_mut().zip(new_inj)
-        {
-            inj.next_at = next_at;
-            inj.sent = sent;
-            inj.state = mstate;
-            inj.state_until = state_until;
-            inj.rng = SplitMix64::from_state(rng);
-        }
-        self.offered = offered;
-        self.delivered = delivered;
-        self.recv = hists;
+    fn snapshot(&self) -> Option<Json> {
+        Some(self.snapshot())
+    }
+
+    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
+        self.restore(state)?;
         // Fold the restored history into the fresh sink exactly once,
         // so a resumed run's machine-wide totals equal the
         // uninterrupted run's (later deliveries add on top).
         let mut s = self.sink.borrow_mut();
-        for t in 0..n {
+        for t in 0..self.injectors.len() {
             s.offered[t] += self.offered[t];
             s.delivered[t] += self.delivered[t];
             s.latency[t].merge(&self.recv[t]);
         }
-        true
+        Ok(())
+    }
+}
+
+/// One injector's dynamic state, `[next_at, sent, state, state_until,
+/// rng]`; its spec comes from the traffic parameters.
+impl State for Injector {
+    fn snapshot(&self) -> Json {
+        (
+            self.next_at,
+            self.sent,
+            self.state,
+            self.state_until,
+            self.rng.clone(),
+        )
+            .encode()
+    }
+
+    /// An injector never sends past its quota, and only an MMPP injector
+    /// leaves modulation state 0 (of two).
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        (
+            self.next_at,
+            self.sent,
+            self.state,
+            self.state_until,
+            self.rng,
+        ) = Codec::decode(v)?;
+        let mmpp = matches!(self.spec.arrivals, ArrivalProcess::Mmpp { .. });
+        ensure(
+            self.sent <= self.spec.messages_per_node
+                && (self.state == 0 || (mmpp && self.state == 1)),
+            "injector past its quota or in an unknown modulation state",
+        )
+    }
+}
+
+impl TrafficProcess {
+    fn snapshot(&self) -> Json {
+        let injectors = self.injectors.iter().map(State::snapshot).collect();
+        Json::obj()
+            .set("injectors", Json::Arr(injectors))
+            .set("offered", self.offered.encode())
+            .set("delivered", self.delivered.encode())
+            .set("recv", self.recv.encode())
+    }
+
+    /// Per tenant: one offer per injected message, one delivery per
+    /// recorded latency.
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(v)?;
+        f.with("injectors", |j| restore_each(&mut self.injectors, j))?;
+        self.offered = f.get("offered")?;
+        self.delivered = f.get("delivered")?;
+        self.recv = f.get("recv")?;
+        f.finish()?;
+        let n = self.injectors.len();
+        ensure(
+            self.offered.len() == n && self.delivered.len() == n && self.recv.len() == n,
+            "per-tenant state of the wrong length",
+        )?;
+        let offers =
+            (self.injectors.iter().zip(&self.offered)).all(|(i, &o)| u64::from(i.sent) == o);
+        let deliveries = self
+            .recv
+            .iter()
+            .zip(&self.delivered)
+            .all(|(h, &d)| h.count() == d);
+        ensure(
+            offers && deliveries,
+            "per-tenant counts disagree with the injectors or histograms",
+        )
     }
 }
 

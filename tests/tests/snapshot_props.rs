@@ -11,6 +11,7 @@
 
 use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
+use nisim_engine::codec::Codec;
 use nisim_engine::{json, Dur, SimStatus, Time};
 use nisim_net::{BufferCount, NodeId, ReceiverDedup, ReliabilityConfig, SeqNo};
 use nisim_workloads::apps::{factory, AppParams, MacroApp};
@@ -48,12 +49,12 @@ fn receiver_dedup_behaviour_survives_the_file_round_trip() {
             dedup.accept(src, seq);
         }
 
-        let text = dedup.snapshot().to_compact();
+        let text = dedup.encode().to_compact();
         let parsed = json::parse(&text).unwrap();
-        let mut copy = ReceiverDedup::default();
-        assert!(copy.restore(&parsed), "case {case}: restore rejected");
+        let mut copy = ReceiverDedup::decode(&parsed)
+            .unwrap_or_else(|e| panic!("case {case}: restore rejected: {e}"));
         assert_eq!(
-            copy.snapshot().to_compact(),
+            copy.encode().to_compact(),
             text,
             "case {case}: snapshot not idempotent"
         );
