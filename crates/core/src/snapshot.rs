@@ -50,7 +50,10 @@ use crate::processor::ProcPhase;
 ///
 /// Version 4: cache lines stored sparsely — the slot count plus only the
 /// slots that differ from an empty line, as `[slot, tag, state, lru]`.
-pub const SNAPSHOT_VERSION: u64 = 4;
+///
+/// Version 5: the bus no longer keeps (or stores) a queueing-delay
+/// summary.
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -24,7 +24,7 @@
 
 use nisim_engine::codec::{ensure, Codec, DecodeError, Fields, State};
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist};
-use nisim_engine::stats::{Counter, Summary};
+use nisim_engine::stats::Counter;
 use nisim_engine::{Dur, Json, Time};
 
 /// The transaction types the study's NIs generate.
@@ -162,8 +162,6 @@ pub struct BusStats {
     counts: [Counter; 6],
     /// Total time the bus was occupied.
     pub busy: Dur,
-    /// Queueing delay distribution (ns).
-    pub queueing: Summary,
     /// Total data bytes moved.
     pub data_bytes: Counter,
 }
@@ -283,7 +281,6 @@ impl Bus {
         self.stats.busy += occupancy;
         self.stats.data_bytes.add(op.data_bytes(&self.cfg));
         let wait = start.saturating_since(now);
-        self.stats.queueing.record(wait.as_ns() as f64);
         if let Some(m) = &mut self.metrics {
             m.cycles.charge(Component::BusArbitration, wait);
             m.cycles.charge(op.component(), occupancy);
@@ -318,8 +315,8 @@ impl Bus {
     }
 }
 
-/// The dynamic state: free time, per-class counts, busy time, queueing
-/// summary, data bytes and, when enabled, the metrics. The configuration
+/// The dynamic state: free time, per-class counts, busy time, data bytes
+/// and, when enabled, the metrics. The configuration
 /// is not included; the metrics keys must be present exactly when the
 /// restoring bus has metrics enabled.
 impl State for Bus {
@@ -328,7 +325,6 @@ impl State for Bus {
             .set("free_at", self.free_at.encode())
             .set("counts", self.stats.counts.encode())
             .set("busy", self.stats.busy.encode())
-            .set("queueing", self.stats.queueing.encode())
             .set("data_bytes", self.stats.data_bytes.encode());
         if let Some(m) = &self.metrics {
             v = v
@@ -346,7 +342,6 @@ impl State for Bus {
         self.free_at = f.get("free_at")?;
         self.stats.counts = f.get("counts")?;
         self.stats.busy = f.get("busy")?;
-        self.stats.queueing = f.get("queueing")?;
         self.stats.data_bytes = f.get("data_bytes")?;
         if let Some(m) = &mut self.metrics {
             m.cycles = f.get("cycles")?;
@@ -471,7 +466,6 @@ mod tests {
         assert_eq!(fresh.stats().count(BusOp::BlockRead), 1);
         assert_eq!(fresh.stats().busy, bus.stats().busy);
         assert_eq!(fresh.stats().data_bytes.get(), bus.stats().data_bytes.get());
-        assert_eq!(fresh.stats().queueing, bus.stats().queueing);
         let (m, fm) = (bus.metrics().unwrap(), fresh.metrics().unwrap());
         assert_eq!(fm.cycles.total(), m.cycles.total());
         assert_eq!(fm.grant_wait.count(), m.grant_wait.count());

@@ -142,9 +142,10 @@ fn any_config_perturbation_is_rejected_at_restore() {
     }
 }
 
-/// Version-4 snapshots store cache lines sparsely. A snapshot stamped
-/// with the previous version must be rejected as a
-/// [`SnapshotError::Version`], and a wire `conn` forged past `u32::MAX`
+/// Version-5 snapshots drop the bus's queueing summary. A snapshot
+/// stamped with an earlier version (4 wrote the summary, 3 stored every
+/// cache line) must be rejected as a [`SnapshotError::Version`], and a
+/// wire `conn` forged past `u32::MAX`
 /// must be rejected as [`SnapshotError::Malformed`] — never silently
 /// truncated into a valid connection.
 #[test]
@@ -156,14 +157,14 @@ fn stale_version_and_forged_conn_are_rejected() {
     let current = format!("\"version\":{SNAPSHOT_VERSION}");
     let text = snap.to_compact();
     assert!(text.contains(&current));
-    let stale = json::parse(&text.replace(&current, "\"version\":3")).unwrap();
-    assert!(
-        matches!(
-            restore(cfg.clone(), mk(&cfg), &stale),
-            Err(SnapshotError::Version { found: 3 })
-        ),
-        "a version-3 stamp must be refused"
-    );
+    for old in [3, 4] {
+        let stale = json::parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap();
+        assert_eq!(
+            restore(cfg.clone(), mk(&cfg), &stale).err(),
+            Some(SnapshotError::Version { found: old }),
+            "a version-{old} stamp must be refused"
+        );
+    }
 
     // Tamper the first in-flight wire message's conn. Cuts grow until
     // one lands with a message on the wire (the key only appears there).
