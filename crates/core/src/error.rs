@@ -176,7 +176,7 @@ impl Codec for Violation {
         use ProtocolViolation as P;
         let mut f = Fields::of(v)?;
         let at = f.get("at")?;
-        let kind = match f.get::<String>("kind")?.as_str() {
+        let kind = match f.tag("kind")? {
             "send_step" => P::SendStepWithoutCurrentSend {
                 node: f.get("node")?,
             },

@@ -132,7 +132,7 @@ impl Codec for MachineEvent {
 
     fn decode(v: &Json) -> Result<MachineEvent, DecodeError> {
         let mut f = Fields::of(v)?;
-        let ev = match f.get::<String>("t")?.as_str() {
+        let ev = match f.tag("t")? {
             "proc_run" => MachineEvent::ProcRun {
                 node: f.get("node")?,
             },

@@ -350,7 +350,11 @@ impl Codec for DepositLoc {
     }
     fn decode(v: &Json) -> Result<DepositLoc, DecodeError> {
         let items = codec::array(v)?;
-        let slot = || <(String, BlockAddr, u64)>::decode(v).map(|(_, base, blocks)| (base, blocks));
+        let slot = || -> Result<(BlockAddr, u64), DecodeError> {
+            let items = codec::array_of(v, 3)?;
+            let base = BlockAddr::decode(&items[1]).map_err(|e| e.in_index(1))?;
+            Ok((base, u64::decode(&items[2]).map_err(|e| e.in_index(2))?))
+        };
         match items.first().and_then(Json::as_str) {
             Some("fifo") if items.len() == 1 => Ok(DepositLoc::NiFifo),
             Some("mem") => slot().map(|(base, blocks)| DepositLoc::Memory { base, blocks }),

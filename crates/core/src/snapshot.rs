@@ -281,15 +281,7 @@ impl Machine {
         g.violations = f.get("violations")?;
         g.progress = f.get("progress")?;
         f.with("nodes", |j| {
-            let items = codec::array(j)?;
-            ensure(
-                items.len() == self.nodes.len(),
-                format!(
-                    "{} nodes, this machine has {}",
-                    items.len(),
-                    self.nodes.len()
-                ),
-            )?;
+            let items = codec::array_of(j, self.nodes.len())?;
             for (i, (n, nj)) in self.nodes.iter_mut().zip(items).enumerate() {
                 n.restore(nj).map_err(|e| e.in_index(i))?;
             }
@@ -510,18 +502,31 @@ fn check_frag(m: &Machine, frag: &Fragment, total: u64) -> Result<(), DecodeErro
     ensure(fits, "fragment geometry does not match its payload")
 }
 
+/// An event names nodes that exist and fragments their sender minted.
+/// Without faults or retransmission nothing is lost, duplicated or
+/// retried after its ack, so every message an arrival, ack, return or
+/// retry carries is still awaiting that ack.
 fn check_event(m: &Machine, ev: &MachineEvent) -> Result<(), DecodeError> {
     ensure(
         ev.node_of() < m.nodes.len(),
         "event names a node that does not exist",
     )?;
     let rel = m.cfg.reliability;
+    let awaited = |src: NodeId, msg: MsgId| {
+        let lossless = m.g.fault.is_none() && !rel.enabled;
+        ensure(
+            !lossless || m.nodes[src.index()].ni.outstanding.contains_key(&msg),
+            "message is not awaiting an ack",
+        )
+    };
     match *ev {
         MachineEvent::Arrival { wire, .. } | MachineEvent::ReturnArrival { wire } => {
-            check_wire(m, &wire).map_err(|e| e.in_key("wire"))
+            check_wire(m, &wire).map_err(|e| e.in_key("wire"))?;
+            awaited(wire.src, wire.id)
         }
         MachineEvent::AckArrival { src, msg } | MachineEvent::Retry { src, msg } => {
-            check_id(m, msg.0, src.index(), IdKind::Msg)
+            check_id(m, msg.0, src.index(), IdKind::Msg)?;
+            awaited(src, msg)
         }
         MachineEvent::AckTimeout { src, msg, attempt } => {
             ensure(
@@ -544,17 +549,19 @@ fn check_event(m: &Machine, ev: &MachineEvent) -> Result<(), DecodeError> {
 /// a live timer for its attempt, and every id it holds was minted.
 fn check_ni(m: &Machine, i: usize, now: Time, pending: &Pending) -> Result<(), DecodeError> {
     let ni = &m.nodes[i].ni;
-    let max_blocks = util::blocks(m.cfg.net.max_message_bytes);
     for (k, e) in ni.rx_ready.iter().enumerate() {
+        // Every design deposits a fragment into the blocks its wire size
+        // needs, at a block-aligned slot.
+        let wire_blocks = util::blocks(e.frag.payload_bytes + m.cfg.net.header_bytes);
         let slot_ok = e.loc.slot().is_none_or(|(base, blocks)| {
-            base.raw() % m.cfg.cache.block_bytes == 0 && (1..=max_blocks).contains(&blocks)
+            base.raw().is_multiple_of(m.cfg.cache.block_bytes) && blocks == wire_blocks
         });
         let deposited = e.ready_at <= now || pending.deposits.contains_key(&(i, e.ready_at));
         let src = e.src.index();
         let spec = SendSpec::new(NodeId(i as u32), e.total_payload, e.tag);
         all(&[
             (src != i && src < m.nodes.len(), "bad source node"),
-            (slot_ok, "deposit slot unaligned or oversized"),
+            (slot_ok, "deposit slot unaligned or of the wrong size"),
             (deposited, "ready later than any pending deposit"),
             (
                 in_flight(m, e.transfer_id),
@@ -1005,7 +1012,7 @@ mod tests {
         let (mut resumed, mut rsim) = restore(cfg(), snap_factory(4, 200), &snap).expect("restore");
         let resumed_report = run_to_end(&mut resumed, &mut rsim);
         let rb = resumed_report.breakdown.as_ref().expect("breakdown");
-        assert_eq!(gb.to_json().to_compact(), rb.to_json().to_compact());
+        assert_eq!(gb.encode().to_compact(), rb.encode().to_compact());
         assert_eq!(report_key(&resumed_report), report_key(&golden_report));
     }
 

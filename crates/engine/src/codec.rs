@@ -12,11 +12,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use crate::json::Json;
-use crate::json::{u64_from_hex, u64_hex};
-use crate::metrics::{ComponentCycles, Log2Hist, MetricsBreakdown};
+use crate::json::{u64_from_hex, u64_hex, Json};
 use crate::rng::SplitMix64;
-use crate::stats::{Counter, Histogram, Summary};
+use crate::stats::Counter;
 use crate::time::{Dur, Time};
 
 /// A decode failure: what was wrong, and the JSON path where.
@@ -198,11 +196,7 @@ impl<T: Codec> State for T {
 /// Fails on a length mismatch or on the first element that fails,
 /// naming its index.
 pub fn restore_each<T: State>(items: &mut [T], v: &Json) -> Result<(), DecodeError> {
-    let values = array(v)?;
-    ensure(
-        values.len() == items.len(),
-        format!("expected {} elements, found {}", items.len(), values.len()),
-    )?;
+    let values = array_of(v, items.len())?;
     for (i, (item, value)) in items.iter_mut().zip(values).enumerate() {
         item.restore(value).map_err(|e| e.in_index(i))?;
     }
@@ -213,6 +207,19 @@ pub fn restore_each<T: State>(items: &mut [T], v: &Json) -> Result<(), DecodeErr
 pub fn array(v: &Json) -> Result<&[Json], DecodeError> {
     v.as_arr()
         .ok_or_else(|| DecodeError::new("expected an array"))
+}
+
+/// The elements of a JSON array of exactly `len` elements.
+pub fn array_of(v: &Json, len: usize) -> Result<&[Json], DecodeError> {
+    let items = array(v)?;
+    if items.len() == len {
+        Ok(items)
+    } else {
+        let found = items.len();
+        Err(DecodeError::new(format!(
+            "expected {len} elements, found {found}"
+        )))
+    }
 }
 
 /// Decodes every element of an array, naming a failing element's index.
@@ -312,11 +319,7 @@ macro_rules! tuple_codec {
                 Json::Arr(vec![$(self.$i.encode()),+])
             }
             fn decode(v: &Json) -> Result<Self, DecodeError> {
-                let items = array(v)?;
-                ensure(
-                    items.len() == $n,
-                    format!("expected {} elements, found {}", $n, items.len()),
-                )?;
+                let items = array_of(v, $n)?;
                 Ok(($($t::decode(&items[$i]).map_err(|e| e.in_index($i))?,)+))
             }
         }
@@ -326,41 +329,6 @@ tuple_codec!(2; A 0, B 1);
 tuple_codec!(3; A 0, B 1, C 2);
 tuple_codec!(4; A 0, B 1, C 2, D 3);
 tuple_codec!(5; A 0, B 1, C 2, D 3, E 4);
-
-/// Beyond the shape [`Summary::from_json`] checks, the accumulators must
-/// be finite (a NaN mean would poison every report that prints it) and a
-/// non-empty summary's range must not be inverted.
-impl Codec for Summary {
-    fn encode(&self) -> Json {
-        self.to_json()
-    }
-    fn decode(v: &Json) -> Result<Summary, DecodeError> {
-        let s = Summary::from_json(v).ok_or_else(|| DecodeError::new("malformed summary"))?;
-        let finite = s.mean().is_finite() && s.variance().is_finite() && s.sum().is_finite();
-        ensure(
-            finite && (s.count() == 0 || s.min() <= s.max()),
-            "summary out of range",
-        )?;
-        Ok(s)
-    }
-}
-
-/// Codecs for the engine's statistics, which keep their own JSON form.
-macro_rules! own_json_codec {
-    ($($ty:ty),*) => {$(
-        impl Codec for $ty {
-            fn encode(&self) -> Json {
-                self.to_json()
-            }
-            fn decode(v: &Json) -> Result<$ty, DecodeError> {
-                let what = concat!("malformed ", stringify!($ty));
-                <$ty>::from_json(v).ok_or_else(|| DecodeError::new(what))
-            }
-        }
-    )*};
-}
-
-own_json_codec!(Histogram, Log2Hist, ComponentCycles, MetricsBreakdown);
 
 /// The generator state, as the 16-hex-digit string of [`u64_hex`] (JSON
 /// numbers stop at 2^53).
@@ -412,6 +380,15 @@ impl<'a> Fields<'a> {
             .optional(key)
             .ok_or_else(|| DecodeError::new(format!("missing key `{key}`")))?;
         f(v).map_err(|e| e.in_key(key))
+    }
+
+    /// The string under `key` (an enum's variant tag), which must be the
+    /// next key.
+    pub fn tag(&mut self, key: &str) -> Result<&'a str, DecodeError> {
+        self.with(key, |j| {
+            j.as_str()
+                .ok_or_else(|| DecodeError::new("expected a string"))
+        })
     }
 
     /// Decodes the value under `key`, which must be the next key.
@@ -547,12 +524,7 @@ macro_rules! struct_codec {
                 $crate::Json::Arr(vec![$($crate::codec::Codec::encode(&self.$field)),*])
             }
             fn decode(v: &$crate::Json) -> ::std::result::Result<$ty, $crate::codec::DecodeError> {
-                let items = $crate::codec::array(v)?;
-                let want = [$(stringify!($field)),*].len();
-                $crate::codec::ensure(
-                    items.len() == want,
-                    format!("expected {want} elements, found {}", items.len()),
-                )?;
+                let items = $crate::codec::array_of(v, [$(stringify!($field)),*].len())?;
                 let mut at = items.iter().enumerate();
                 let value = $ty {
                     $($field: {

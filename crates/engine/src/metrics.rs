@@ -31,6 +31,7 @@
 //! exist only for this module's own merge paths and for tests; the
 //! `nisim-analysis` lint forbids them outside this file.
 
+use crate::codec::{ensure, Codec, DecodeError, Fields};
 use crate::stats::{interpolated_percentile, Percentiles};
 use crate::{Dur, Json};
 
@@ -292,30 +293,29 @@ impl ComponentCycles {
             self.raw_add(c, ns);
         }
     }
+}
 
-    /// Serialises the breakdown as `{component_key: ns, ...}` (zeros
-    /// omitted) for checkpointing.
-    pub fn to_json(&self) -> Json {
+/// `{component_key: ns, ...}` in reporting order, zeros omitted.
+impl Codec for ComponentCycles {
+    fn encode(&self) -> Json {
+        let nonzero = self.iter().filter(|&(_, ns)| ns > 0);
         Json::Obj(
-            self.iter()
-                .filter(|&(_, ns)| ns > 0)
-                .map(|(c, ns)| (c.key().to_string(), Json::Num(ns as f64)))
+            nonzero
+                .map(|(c, ns)| (c.key().to_string(), ns.encode()))
                 .collect(),
         )
     }
-
-    /// Rebuilds a breakdown from [`ComponentCycles::to_json`] output.
-    /// Returns `None` on unknown keys or schema mismatch.
-    pub fn from_json(v: &Json) -> Option<ComponentCycles> {
-        let mut cycles = ComponentCycles::new();
-        let pairs = match v {
-            Json::Obj(pairs) => pairs,
-            _ => return None,
+    fn decode(v: &Json) -> Result<ComponentCycles, DecodeError> {
+        let Json::Obj(pairs) = v else {
+            return Err(DecodeError::new("expected an object"));
         };
+        let mut cycles = ComponentCycles::new();
         for (key, ns) in pairs {
-            cycles.raw_add(Component::from_key(key)?, ns.as_u64()?);
+            let c = Component::from_key(key);
+            let c = c.ok_or_else(|| DecodeError::new(format!("unknown component `{key}`")))?;
+            cycles.raw_add(c, u64::decode(ns).map_err(|e| e.in_key(key))?);
         }
-        Some(cycles)
+        Ok(cycles)
     }
 }
 
@@ -470,48 +470,29 @@ impl Log2Hist {
             self.raw_record(i, c);
         }
     }
+}
 
-    /// Serialises the histogram: `{"count": n, "buckets": [[i,c]..]}`.
-    /// Shared by breakdown records and checkpoints.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("count".to_string(), Json::Num(self.count() as f64)),
-            (
-                "buckets".to_string(),
-                Json::Arr(
-                    self.nonzero()
-                        .map(|(i, c)| Json::Arr(vec![Json::Num(i as f64), Json::Num(c as f64)]))
-                        .collect(),
-                ),
-            ),
-        ])
+/// `{"count": n, "buckets": [[i, c], ...]}`, shared by breakdown records
+/// and checkpoints; the bucket counts must sum to `count`.
+impl Codec for Log2Hist {
+    fn encode(&self) -> Json {
+        let buckets: Vec<(usize, u64)> = self.nonzero().collect();
+        Json::obj()
+            .set("count", self.count())
+            .set("buckets", buckets.encode())
     }
-
-    /// Parses [`Log2Hist::to_json`] output back, re-checking that the
-    /// bucket sum matches the recorded count. `None` on any mismatch.
-    pub fn from_json(v: &Json) -> Option<Log2Hist> {
+    fn decode(v: &Json) -> Result<Log2Hist, DecodeError> {
+        let mut f = Fields::of(v)?;
+        let count: u64 = f.get("count")?;
+        let buckets: Vec<(usize, u64)> = f.get("buckets")?;
+        f.finish()?;
         let mut h = Log2Hist::new();
-        let buckets = match v.get("buckets") {
-            Some(Json::Arr(items)) => items,
-            _ => return None,
-        };
-        for item in buckets {
-            let pair = match item {
-                Json::Arr(pair) if pair.len() == 2 => pair,
-                _ => return None,
-            };
-            let i = pair[0].as_u64()? as usize;
-            let c = pair[1].as_u64()?;
-            if i >= LOG2_BUCKETS {
-                return None;
-            }
+        for (i, c) in buckets {
+            ensure(i < LOG2_BUCKETS, "bucket index out of range")?;
             h.raw_record(i, c);
         }
-        let count = v.get("count")?.as_u64()?;
-        if h.count() != count {
-            return None;
-        }
-        Some(h)
+        ensure(h.count() == count, "bucket counts do not sum to the count")?;
+        Ok(h)
     }
 }
 
@@ -537,52 +518,39 @@ impl MetricsBreakdown {
         self.frag_queue.merge(&other.frag_queue);
         self.bus_grant_wait.merge(&other.bus_grant_wait);
     }
+}
 
-    /// Serializes the breakdown with a stable key order: total first,
-    /// then every component (zeros included) in [`Component::ALL`] order,
-    /// then the three histograms.
-    pub fn to_json(&self) -> Json {
-        let components = Json::Obj(
-            self.cycles
-                .iter()
-                .map(|(c, ns)| (c.key().to_string(), Json::Num(ns as f64)))
-                .collect(),
-        );
-        Json::Obj(vec![
-            (
-                "total_ns".to_string(),
-                Json::Num(self.cycles.total().as_ns() as f64),
-            ),
-            ("components".to_string(), components),
-            ("msg_rtt".to_string(), self.msg_rtt.to_json()),
-            ("frag_queue".to_string(), self.frag_queue.to_json()),
-            ("bus_grant_wait".to_string(), self.bus_grant_wait.to_json()),
-        ])
+/// Total first, then every component (zeros included) in reporting
+/// order, then the three histograms; the components must sum to the
+/// total.
+impl Codec for MetricsBreakdown {
+    fn encode(&self) -> Json {
+        let components = self
+            .cycles
+            .iter()
+            .map(|(c, ns)| (c.key().to_string(), ns.encode()));
+        Json::obj()
+            .set("total_ns", self.cycles.total().as_ns())
+            .set("components", Json::Obj(components.collect()))
+            .set("msg_rtt", self.msg_rtt.encode())
+            .set("frag_queue", self.frag_queue.encode())
+            .set("bus_grant_wait", self.bus_grant_wait.encode())
     }
-
-    /// Parses [`to_json`](MetricsBreakdown::to_json) output back,
-    /// re-checking the sum-to-total identity. Returns `None` on any
-    /// schema or identity violation.
-    pub fn from_json(v: &Json) -> Option<MetricsBreakdown> {
-        let mut cycles = ComponentCycles::new();
-        let components = match v.get("components") {
-            Some(Json::Obj(pairs)) => pairs,
-            _ => return None,
+    fn decode(v: &Json) -> Result<MetricsBreakdown, DecodeError> {
+        let mut f = Fields::of(v)?;
+        let total: u64 = f.get("total_ns")?;
+        let b = MetricsBreakdown {
+            cycles: f.get("components")?,
+            msg_rtt: f.get("msg_rtt")?,
+            frag_queue: f.get("frag_queue")?,
+            bus_grant_wait: f.get("bus_grant_wait")?,
         };
-        for (key, ns) in components {
-            let c = Component::from_key(key)?;
-            cycles.raw_add(c, ns.as_u64()?);
-        }
-        let total = v.get("total_ns")?.as_u64()?;
-        if cycles.total().as_ns() != total {
-            return None;
-        }
-        Some(MetricsBreakdown {
-            cycles,
-            msg_rtt: Log2Hist::from_json(v.get("msg_rtt")?)?,
-            frag_queue: Log2Hist::from_json(v.get("frag_queue")?)?,
-            bus_grant_wait: Log2Hist::from_json(v.get("bus_grant_wait")?)?,
-        })
+        f.finish()?;
+        ensure(
+            b.cycles.total().as_ns() == total,
+            "components do not sum to the total",
+        )?;
+        Ok(b)
     }
 }
 
@@ -661,15 +629,15 @@ mod tests {
         b.msg_rtt.record(1_500);
         b.frag_queue.record(0);
         b.bus_grant_wait.record(16);
-        let j = b.to_json();
-        let back = MetricsBreakdown::from_json(&j).expect("parses");
+        let j = b.encode();
+        let back = MetricsBreakdown::decode(&j).expect("parses");
         assert_eq!(back, b);
         // A corrupted total must be rejected, not silently accepted.
         let mut bad = j.clone();
         if let Json::Obj(pairs) = &mut bad {
             pairs[0].1 = Json::Num(1.0);
         }
-        assert!(MetricsBreakdown::from_json(&bad).is_none());
+        assert!(MetricsBreakdown::decode(&bad).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::codec::{ensure, Codec, DecodeError, Fields};
 use crate::json::{f64_bits_hex, f64_from_bits_hex, Json};
 
 /// The three tail percentiles the load/latency studies report, in
@@ -217,33 +218,6 @@ impl Summary {
         self.max
     }
 
-    /// Serialises the exact internal state for checkpointing. Floats are
-    /// encoded as IEEE-754 bit patterns so the ±∞ min/max sentinels and
-    /// the Welford `m2` accumulator survive byte-exactly.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("count", self.count)
-            .set("mean", f64_bits_hex(self.mean))
-            .set("m2", f64_bits_hex(self.m2))
-            .set("min", f64_bits_hex(self.min))
-            .set("max", f64_bits_hex(self.max))
-            .set("sum", f64_bits_hex(self.sum))
-    }
-
-    /// Rebuilds a summary from [`Summary::to_json`] output. Returns
-    /// `None` on any schema mismatch.
-    pub fn from_json(v: &Json) -> Option<Summary> {
-        let bits = |key: &str| f64_from_bits_hex(v.get(key)?.as_str()?);
-        Some(Summary {
-            count: v.get("count")?.as_u64()?,
-            mean: bits("mean")?,
-            m2: bits("m2")?,
-            min: bits("min")?,
-            max: bits("max")?,
-            sum: bits("sum")?,
-        })
-    }
-
     /// Merges another summary into this one.
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
@@ -395,29 +369,62 @@ impl Histogram {
             self.record_n(v, c);
         }
     }
+}
 
-    /// Serialises the histogram as `[[value, count], ...]` for
-    /// checkpointing; totals are rebuilt on restore.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.iter()
-                .map(|(v, c)| Json::Arr(vec![Json::from(v), Json::from(c)]))
-                .collect(),
-        )
+/// The exact internal state, floats as IEEE-754 bit patterns so the ±∞
+/// min/max sentinels and the Welford `m2` accumulator survive
+/// byte-exactly. No accumulator may be NaN, and a non-empty summary's
+/// mean and range must be finite and ordered: reports print them, and
+/// JSON cannot hold a non-finite number.
+impl Codec for Summary {
+    fn encode(&self) -> Json {
+        let bits = |x: f64| Json::from(f64_bits_hex(x));
+        Json::obj()
+            .set("count", self.count)
+            .set("mean", bits(self.mean))
+            .set("m2", bits(self.m2))
+            .set("min", bits(self.min))
+            .set("max", bits(self.max))
+            .set("sum", bits(self.sum))
     }
+    fn decode(v: &Json) -> Result<Summary, DecodeError> {
+        let mut f = Fields::of(v)?;
+        let count = f.get("count")?;
+        let mut bits = |key: &str| {
+            let hex = |j: &Json| j.as_str().and_then(f64_from_bits_hex);
+            f.with(key, |j| {
+                hex(j).ok_or_else(|| DecodeError::new("expected 16 hex digits"))
+            })
+        };
+        let s = Summary {
+            count,
+            mean: bits("mean")?,
+            m2: bits("m2")?,
+            min: bits("min")?,
+            max: bits("max")?,
+            sum: bits("sum")?,
+        };
+        f.finish()?;
+        let no_nan = [s.mean, s.m2, s.min, s.max, s.sum]
+            .iter()
+            .all(|x| !x.is_nan());
+        let shown = [s.mean, s.min, s.max].iter().all(|x| x.is_finite()) && s.min <= s.max;
+        ensure(no_nan && (s.count == 0 || shown), "summary out of range")?;
+        Ok(s)
+    }
+}
 
-    /// Rebuilds a histogram from [`Histogram::to_json`] output. Returns
-    /// `None` on any schema mismatch.
-    pub fn from_json(v: &Json) -> Option<Histogram> {
+/// `[[value, count], ...]` in ascending value order; totals are rebuilt.
+impl Codec for Histogram {
+    fn encode(&self) -> Json {
+        self.iter().collect::<Vec<_>>().encode()
+    }
+    fn decode(v: &Json) -> Result<Histogram, DecodeError> {
         let mut h = Histogram::new();
-        for item in v.as_arr()? {
-            let pair = item.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            h.record_n(pair[0].as_u64()?, pair[1].as_u64()?);
+        for (value, count) in BTreeMap::<u64, u64>::decode(v)? {
+            h.record_n(value, count);
         }
-        Some(h)
+        Ok(h)
     }
 }
 
@@ -528,13 +535,13 @@ mod tests {
         for x in [1.0, 5.5, -2.25, 1e300] {
             s.record(x);
         }
-        let back = Summary::from_json(&s.to_json()).expect("parses");
+        let back = Summary::decode(&s.encode()).expect("parses");
         assert_eq!(back, s);
         // The empty summary's ±∞ sentinels survive the round trip.
-        let empty = Summary::from_json(&Summary::new().to_json()).expect("parses");
+        let empty = Summary::decode(&Summary::new().encode()).expect("parses");
         assert_eq!(empty, Summary::new());
         assert_eq!(empty.min(), f64::INFINITY);
-        assert!(Summary::from_json(&Json::obj()).is_none());
+        assert!(Summary::decode(&Json::obj()).is_err());
     }
 
     #[test]
@@ -543,12 +550,9 @@ mod tests {
         h.record_n(12, 67);
         h.record_n(32, 32);
         h.record(999);
-        assert_eq!(Histogram::from_json(&h.to_json()), Some(h));
-        assert_eq!(
-            Histogram::from_json(&Json::Arr(vec![])),
-            Some(Histogram::new())
-        );
-        assert!(Histogram::from_json(&Json::Num(1.0)).is_none());
+        assert_eq!(Histogram::decode(&h.encode()), Ok(h));
+        assert_eq!(Histogram::decode(&Json::Arr(vec![])), Ok(Histogram::new()));
+        assert!(Histogram::decode(&Json::Num(1.0)).is_err());
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn hist_merge_is_exact_associative_and_commutative() {
 }
 
 /// Components sum to the total after any charge sequence and any merge
-/// tree — the invariant `MetricsBreakdown::from_json` re-checks and the
+/// tree — the invariant `MetricsBreakdown::decode` re-checks and the
 /// breakdown experiment asserts on every record.
 #[test]
 fn cycles_components_sum_to_total_under_merges() {

@@ -8,6 +8,7 @@
 //! The container is offline (no proptest), so the generator is a small
 //! hand-rolled LCG — deterministic, so failures reproduce exactly.
 
+use nisim_engine::codec::Codec;
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist};
 use nisim_engine::{json, Event, Sim, SimStatus, SplitMix64, Time};
 
@@ -239,8 +240,8 @@ fn log2_hist_round_trips_through_its_json_codec() {
             };
             h.record(v);
         }
-        let text = h.to_json().to_compact();
-        let back = Log2Hist::from_json(&json::parse(&text).unwrap());
+        let text = h.encode().to_compact();
+        let back = Log2Hist::decode(&json::parse(&text).unwrap()).ok();
         assert_eq!(back, Some(h), "case {case}");
     }
 }
@@ -255,8 +256,8 @@ fn component_cycles_round_trip_through_their_json_codec() {
             let comp = Component::ALL[rng.below(Component::ALL.len() as u64) as usize];
             c.charge(comp, nisim_engine::Dur::ns(rng.next() >> 24));
         }
-        let text = c.to_json().to_compact();
-        let back = ComponentCycles::from_json(&json::parse(&text).unwrap());
+        let text = c.encode().to_compact();
+        let back = ComponentCycles::decode(&json::parse(&text).unwrap()).ok();
         assert_eq!(back, Some(c), "case {case}");
     }
 }

@@ -413,11 +413,14 @@ impl State for Cache {
     fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(v)?;
         let slots: usize = f.get("slots")?;
-        ensure(
-            slots == self.sets.len(),
-            format!("{slots} slots, but this cache has {}", self.sets.len()),
-        )?;
+        if slots != self.sets.len() {
+            let has = self.sets.len();
+            return Err(DecodeError::new(format!(
+                "{slots} slots, this cache has {has}"
+            )));
+        }
         self.sets.fill(EMPTY);
+        let (mut max_lru, mut seen) = (0, 1u8 << MoesiState::Invalid.index());
         f.with("lines", |j| {
             let mut next = 0; // lowest slot the next entry may name
             for (i, line) in decode_items::<(usize, u64, MoesiState, u64)>(j).enumerate() {
@@ -425,7 +428,7 @@ impl State for Cache {
                 self.check_line(next, slot, tag)
                     .map_err(|e| e.in_index(i))?;
                 self.sets[slot] = Line { tag, state, lru };
-                next = slot + 1;
+                (next, max_lru, seen) = (slot + 1, max_lru.max(lru), seen | 1 << state.index());
             }
             Ok(())
         })?;
@@ -439,21 +442,11 @@ impl State for Cache {
             m.cycles = f.get("metrics")?;
         }
         f.finish()?;
+        let lookups = self.stats.hits.checked_add(self.stats.misses);
         ensure(
-            self.sets.iter().all(|l| l.lru <= self.clock),
-            "a line's LRU stamp is ahead of the clock",
+            max_lru <= self.clock && lookups.is_some_and(|n| n <= self.clock),
+            "LRU stamps or lookups ahead of the clock",
         )?;
-        ensure(
-            self.stats
-                .hits
-                .checked_add(self.stats.misses)
-                .is_some_and(|n| n <= self.clock),
-            "more lookups than clock ticks",
-        )?;
-        let mut seen = 1 << MoesiState::Invalid.index();
-        for l in &self.sets {
-            seen |= 1 << l.state.index();
-        }
         ensure(
             if cfg!(debug_assertions) {
                 self.visited & seen == seen && self.visited >> MoesiState::ALL.len() == 0

@@ -173,6 +173,30 @@ const UNCONSTRAINED: &[(&str, &str)] = &[
         "timestamps: a transfer's start is any past instant",
     ),
     (
+        "sim.events[*][2].msg",
+        "fragment identity: under faults an ack, timer or retry may be stale",
+    ),
+    (
+        "machine.nodes[*].ni.outstanding[*][1].wire.seq",
+        "sequence number: any number the sender issued to that peer",
+    ),
+    (
+        "machine.nodes[*].ni.rx_ready[*].loc[1]",
+        "queue slot: which slot of the region a fragment landed in is recorded nowhere else",
+    ),
+    (
+        "machine.nodes[*].ni.model.send_cursor",
+        "queue cursor: any point of the region is a valid next slot",
+    ),
+    (
+        "machine.nodes[*].ni.model.recv_cursor",
+        "queue cursor, as send",
+    ),
+    (
+        "machine.nodes[*].process.barrier_arrivals",
+        "program state: the root's arrivals counted so far this epoch",
+    ),
+    (
         "sim.events[*][0]",
         "timestamps: a pending event may lie arbitrarily far ahead",
     ),
