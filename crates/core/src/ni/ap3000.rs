@@ -143,7 +143,7 @@ impl NiModel for Ap3000Ni {
 
     // The block buffer empties within each send/drain call, so there is
     // no dynamic state to checkpoint.
-    nisim_engine::state_fields! { {  } }
+    nisim_engine::state_fields! { {} }
 }
 
 #[cfg(test)]

@@ -163,7 +163,7 @@ impl NiModel for Cm5Ni {
 
     // The FIFO window model carries no dynamic state beyond the machine's
     // shared queues, so its checkpoint payload is empty.
-    nisim_engine::state_fields! { {  } }
+    nisim_engine::state_fields! { {} }
 }
 
 #[cfg(test)]

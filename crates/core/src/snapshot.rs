@@ -225,8 +225,8 @@ pub fn save_to_file(
 /// from: the configuration is checked against the stored fingerprint,
 /// and the factory's fresh processes are overwritten via
 /// [`Process::restore`]. Every struct checks its own fields as it
-/// decodes, then one pass checks what spans structs (see
-/// [`check_restored`]); a failure is [`SnapshotError::Malformed`] naming
+/// decodes, then one pass checks what spans structs (DESIGN §6.6); a
+/// failure is [`SnapshotError::Malformed`] naming
 /// the JSON path. The returned pair is ready for `run_watched` — do
 /// **not** call [`Machine::start`] on it (the scheduler already holds
 /// the pending events).

@@ -1,5 +1,5 @@
 //! The checkpoint state codec: one [`Codec`] trait for values that
-//! encode to and decode from [`Json`], and the [`state_fields!`] field
+//! encode to and decode from [`Json`], and the [`state_fields!`](crate::state_fields) field
 //! list that gives a struct both directions from one list of fields.
 //!
 //! Decoding is strict and canonical: objects must hold exactly the
