@@ -11,7 +11,7 @@
 //! instead of ad-hoc floats.
 
 use nisim_core::{MachineConfig, MachineReport, TimeCategory};
-use nisim_engine::codec::{Codec, DecodeError, Fields};
+use nisim_engine::codec::{ensure, Codec, DecodeError, Fields};
 use nisim_engine::json::{self, Json};
 use nisim_engine::metrics::{Log2Hist, MetricsBreakdown};
 use nisim_engine::SimStatus;
@@ -450,35 +450,38 @@ pub fn sections_document(sections: &[(String, Vec<RunRecord>)]) -> Json {
 /// Returns a message describing the first structural mismatch.
 pub fn parse_document(text: &str) -> Result<Vec<(String, Vec<RunRecord>)>, String> {
     let v = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = v
-        .get("schema")
-        .and_then(Json::as_u64)
-        .ok_or("document schema missing")?;
-    if schema != SCHEMA_VERSION {
+    let doc = Document::decode(&v).map_err(|e| e.to_string())?;
+    if doc.schema != SCHEMA_VERSION {
         return Err(format!(
-            "unsupported schema {schema} (expected {SCHEMA_VERSION})"
+            "unsupported schema {} (expected {SCHEMA_VERSION})",
+            doc.schema
         ));
     }
-    v.get("sweeps")
-        .and_then(Json::as_arr)
-        .ok_or("document sweeps missing")?
-        .iter()
-        .map(|s| {
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("sweep name missing")?
-                .to_string();
-            let records = s
-                .get("records")
-                .and_then(Json::as_arr)
-                .ok_or("sweep records missing")?
-                .iter()
-                .map(RunRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((name, records))
-        })
-        .collect()
+    Ok(doc
+        .sweeps
+        .into_iter()
+        .map(|s| (s.name, s.records))
+        .collect())
+}
+
+/// The document [`document`] writes.
+struct Document {
+    schema: u64,
+    generator: String,
+    sweeps: Vec<Section>,
+}
+
+/// One named section [`sweep_to_json`] writes.
+struct Section {
+    name: String,
+    points: u64,
+    records: Vec<RunRecord>,
+}
+
+nisim_engine::struct_codec! { Document { schema, generator, sweeps } }
+nisim_engine::struct_codec! {
+    Section { name, points, records }
+    check |s: &Section| ensure(s.points == s.records.len() as u64, "points != records")
 }
 
 /// Finds the record for one grid point.

@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use nisim_engine::codec::{ensure, State};
+use nisim_engine::codec::{ensure, DecodeError, State};
 
 /// Number of flow-control buffers in each direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -221,23 +221,33 @@ impl FlowControlEndpoint {
         self.recv_in_use -= 1;
     }
 
-    /// Checks the conservation invariant: every allocation is matched by
-    /// at most one release, and holds never exceed capacity.
-    pub fn check_invariants(&self) {
-        if let BufferCount::Finite(cap) = self.buffers {
-            assert!(self.send_in_use <= cap, "send buffers over capacity");
-            assert!(self.recv_in_use <= cap, "recv buffers over capacity");
-        }
-        assert!(
-            self.stats.acks <= self.stats.send_allocs,
-            "more acks than sends"
-        );
+    /// Checks the conservation invariants: holds stay within capacity,
+    /// every send buffer held is an allocation not yet acked (a return
+    /// keeps its buffer), and retries never outnumber returns.
+    ///
+    /// # Errors
+    ///
+    /// Names the first invariant that does not hold.
+    pub fn check_invariants(&self) -> Result<(), DecodeError> {
+        let s = self.stats;
+        ensure(
+            self.buffers.has_free(self.send_in_use.saturating_sub(1))
+                && self.buffers.has_free(self.recv_in_use.saturating_sub(1)),
+            "buffers held over capacity",
+        )?;
+        ensure(
+            s.acks.checked_add(u64::from(self.send_in_use)) == Some(s.send_allocs),
+            "send buffers held != allocations - acks",
+        )?;
+        ensure(
+            u64::from(self.recv_in_use) <= s.recv_allocs && s.retries <= s.returns_absorbed,
+            "flow statistics inconsistent with the buffers held",
+        )
     }
 }
 
 /// The held-buffer counts and statistics; the capacity comes from the
-/// configuration. Holds stay within capacity, and every send buffer
-/// held is an allocation not yet acked (returns keep theirs held).
+/// configuration.
 impl State for FlowControlEndpoint {
     nisim_engine::state_fields! {
         {
@@ -246,22 +256,7 @@ impl State for FlowControlEndpoint {
             recv_rejects: stats.recv_rejects, acks: stats.acks,
             returns_absorbed: stats.returns_absorbed, retries: stats.retries
         }
-        check |fc: &FlowControlEndpoint| {
-            let s = fc.stats;
-            ensure(
-                fc.buffers.has_free(fc.send_in_use.saturating_sub(1))
-                    && fc.buffers.has_free(fc.recv_in_use.saturating_sub(1)),
-                "buffers held over capacity",
-            )?;
-            ensure(
-                s.acks.checked_add(u64::from(fc.send_in_use)) == Some(s.send_allocs),
-                "send buffers held != allocations - acks",
-            )?;
-            ensure(
-                u64::from(fc.recv_in_use) <= s.recv_allocs && s.retries <= s.returns_absorbed,
-                "flow statistics inconsistent with the buffers held",
-            )
-        }
+        check FlowControlEndpoint::check_invariants
     }
 }
 
@@ -279,7 +274,7 @@ mod tests {
         assert_eq!(fc.stats().send_alloc_failures, 1);
         fc.ack_received();
         assert!(fc.try_alloc_send());
-        fc.check_invariants();
+        fc.check_invariants().unwrap();
     }
 
     #[test]
@@ -290,7 +285,7 @@ mod tests {
         assert_eq!(fc.stats().recv_rejects, 1);
         fc.free_recv();
         assert!(fc.try_alloc_recv());
-        fc.check_invariants();
+        fc.check_invariants().unwrap();
     }
 
     #[test]
@@ -355,7 +350,7 @@ mod tests {
         assert_eq!(fresh.send_in_use(), fc.send_in_use());
         assert_eq!(fresh.recv_in_use(), fc.recv_in_use());
         assert_eq!(fresh.stats(), fc.stats());
-        fresh.check_invariants();
+        fresh.check_invariants().unwrap();
         // Counts over the endpoint's capacity are rejected.
         let mut crowded = FlowControlEndpoint::new(BufferCount::Finite(4));
         for _ in 0..3 {
