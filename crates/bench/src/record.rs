@@ -87,7 +87,7 @@ pub struct TenantBrief {
     /// 99.9th percentile (ns).
     pub p999_ns: f64,
     /// The full per-tenant latency histogram.
-    pub latency: Log2Hist,
+    pub hist: Log2Hist,
 }
 
 /// One sweep point's structured result.
@@ -224,7 +224,7 @@ impl RunRecord {
                         p50_ns: ps.p50,
                         p99_ns: ps.p99,
                         p999_ns: ps.p999,
-                        latency: t.latency.clone(),
+                        hist: t.latency.clone(),
                     }
                 })
                 .collect(),
@@ -290,31 +290,8 @@ impl RunRecord {
 nisim_engine::struct_codec! { StallBrief { at_ns, reason, wedged } }
 nisim_engine::struct_codec! { LatencyBrief { count, mean_ns, min_ns, max_ns } }
 
-/// The tenant's histogram is stored under `hist`.
-impl Codec for TenantBrief {
-    fn encode(&self) -> Json {
-        Json::obj()
-            .set("name", self.name.encode())
-            .set("offered", self.offered.encode())
-            .set("delivered", self.delivered.encode())
-            .set("p50_ns", self.p50_ns.encode())
-            .set("p99_ns", self.p99_ns.encode())
-            .set("p999_ns", self.p999_ns.encode())
-            .set("hist", self.latency.encode())
-    }
-    fn decode(v: &Json) -> Result<TenantBrief, DecodeError> {
-        let mut f = Fields::of(v)?;
-        let t = TenantBrief {
-            name: f.get("name")?,
-            offered: f.get("offered")?,
-            delivered: f.get("delivered")?,
-            p50_ns: f.get("p50_ns")?,
-            p99_ns: f.get("p99_ns")?,
-            p999_ns: f.get("p999_ns")?,
-            latency: f.get("hist")?,
-        };
-        f.finish().map(|()| t)
-    }
+nisim_engine::struct_codec! {
+    TenantBrief { name, offered, delivered, p50_ns, p99_ns, p999_ns, hist }
 }
 
 /// A list of named values, stored as one JSON object.

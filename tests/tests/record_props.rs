@@ -131,9 +131,9 @@ fn arbitrary_record(rng: &mut Lcg) -> RunRecord {
         },
         tenants: (0..rng.below(4))
             .map(|i| {
-                let mut latency = nisim_engine::metrics::Log2Hist::default();
+                let mut hist = nisim_engine::metrics::Log2Hist::default();
                 for _ in 0..rng.below(30) {
-                    latency.record(rng.next() >> rng.below(50));
+                    hist.record(rng.next() >> rng.below(50));
                 }
                 TenantBrief {
                     name: format!("tenant{i}"),
@@ -142,7 +142,7 @@ fn arbitrary_record(rng: &mut Lcg) -> RunRecord {
                     p50_ns: rng.float().abs(),
                     p99_ns: rng.float().abs(),
                     p999_ns: rng.float().abs(),
-                    latency,
+                    hist,
                 }
             })
             .collect(),
