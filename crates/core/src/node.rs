@@ -306,7 +306,7 @@ impl Node {
         self.next_msg_id = f.get("next_msg_id")?;
         self.next_transfer_id = f.get("next_transfer_id")?;
         self.assembling = f.with("assembling", |j| {
-            let entries = decode_items::<(u32, u64, u32)>(j);
+            let entries = decode_items::<(u32, u64, u32)>(j)?;
             ascending(entries.map(|e| e.map(|(src, transfer, count)| ((src, transfer), count))))
         })?;
         f.finish()?;

@@ -225,36 +225,25 @@ pub fn array_of(v: &Json, len: usize) -> Result<&[Json], DecodeError> {
 /// Decodes every element of an array, naming a failing element's index.
 pub fn decode_items<'a, T: Codec + 'a>(
     v: &'a Json,
-) -> impl Iterator<Item = Result<T, DecodeError>> + 'a {
-    let (items, err) = match v.as_arr() {
-        Some(items) => (items, None),
-        None => (&[][..], Some(Err(DecodeError::new("expected an array")))),
-    };
-    err.into_iter().chain(
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| T::decode(item).map_err(|e| e.in_index(i))),
-    )
+) -> Result<impl Iterator<Item = Result<T, DecodeError>> + 'a, DecodeError> {
+    let items = array(v)?.iter().enumerate();
+    Ok(items.map(|(i, item)| T::decode(item).map_err(|e| e.in_index(i))))
 }
 
-impl<T: Codec> Codec for Vec<T> {
-    fn encode(&self) -> Json {
-        Json::Arr(self.iter().map(T::encode).collect())
-    }
-    fn decode(v: &Json) -> Result<Vec<T>, DecodeError> {
-        decode_items(v).collect()
-    }
+macro_rules! sequence_codec {
+    ($($seq:ident),*) => {$(
+        impl<T: Codec> Codec for $seq<T> {
+            fn encode(&self) -> Json {
+                Json::Arr(self.iter().map(T::encode).collect())
+            }
+            fn decode(v: &Json) -> Result<$seq<T>, DecodeError> {
+                decode_items(v)?.collect()
+            }
+        }
+    )*};
 }
 
-impl<T: Codec> Codec for VecDeque<T> {
-    fn encode(&self) -> Json {
-        Json::Arr(self.iter().map(T::encode).collect())
-    }
-    fn decode(v: &Json) -> Result<VecDeque<T>, DecodeError> {
-        decode_items(v).collect()
-    }
-}
+sequence_codec!(Vec, VecDeque);
 
 impl<T: Codec, const N: usize> Codec for [T; N] {
     fn encode(&self) -> Json {
@@ -281,7 +270,7 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
         )
     }
     fn decode(v: &Json) -> Result<BTreeMap<K, V>, DecodeError> {
-        ascending(decode_items::<(K, V)>(v))
+        ascending(decode_items::<(K, V)>(v)?)
     }
 }
 
@@ -291,7 +280,7 @@ impl<T: Codec + Ord> Codec for BTreeSet<T> {
         Json::Arr(self.iter().map(T::encode).collect())
     }
     fn decode(v: &Json) -> Result<BTreeSet<T>, DecodeError> {
-        let map: BTreeMap<T, ()> = ascending(decode_items::<T>(v).map(|r| r.map(|t| (t, ()))))?;
+        let map: BTreeMap<T, ()> = ascending(decode_items::<T>(v)?.map(|r| r.map(|t| (t, ()))))?;
         Ok(map.into_keys().collect())
     }
 }

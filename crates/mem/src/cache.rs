@@ -423,7 +423,7 @@ impl State for Cache {
         let (mut max_lru, mut seen) = (0, 1u8 << MoesiState::Invalid.index());
         f.with("lines", |j| {
             let mut next = 0; // lowest slot the next entry may name
-            for (i, line) in decode_items::<(usize, u64, MoesiState, u64)>(j).enumerate() {
+            for (i, line) in decode_items::<(usize, u64, MoesiState, u64)>(j)?.enumerate() {
                 let (slot, tag, state, lru) = line?;
                 self.check_line(next, slot, tag)
                     .map_err(|e| e.in_index(i))?;

@@ -227,7 +227,7 @@ impl Codec for ReceiverDedup {
         )
     }
     fn decode(v: &Json) -> Result<ReceiverDedup, DecodeError> {
-        let windows = decode_items::<(NodeId, u64, BTreeSet<u64>)>(v)
+        let windows = decode_items::<(NodeId, u64, BTreeSet<u64>)>(v)?
             .enumerate()
             .map(|(i, w)| {
                 let (src, floor, seen) = w?;

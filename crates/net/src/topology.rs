@@ -191,7 +191,7 @@ impl State for Fabric {
     }
 
     fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
-        let links = decode_items::<(u32, u32, Link)>(v)
+        let links = decode_items::<(u32, u32, Link)>(v)?
             .enumerate()
             .map(|(i, entry)| {
                 let (from, to, link) = entry?;
