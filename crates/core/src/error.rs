@@ -135,37 +135,30 @@ pub struct Violation {
 impl Codec for Violation {
     fn encode(&self) -> Json {
         use ProtocolViolation as P;
+        let node = |n: NodeId| ("node", n.encode());
+        let msg = |m: MsgId| ("msg", m.encode());
         let (kind, fields) = match self.kind {
-            P::SendStepWithoutCurrentSend { node } => ("send_step", vec![("node", node.encode())]),
-            P::ResendWithoutPending { node } => ("resend", vec![("node", node.encode())]),
-            P::DrainWithoutReady { node } => ("drain", vec![("node", node.encode())]),
-            P::AckForUnknownFragment { node, msg } => (
-                "unknown_ack",
-                vec![("node", node.encode()), ("msg", msg.encode())],
-            ),
-            P::ReturnForUnknownFragment { node, msg } => (
-                "unknown_return",
-                vec![("node", node.encode()), ("msg", msg.encode())],
-            ),
-            P::RetryForUnknownFragment { node, msg } => (
-                "unknown_retry",
-                vec![("node", node.encode()), ("msg", msg.encode())],
-            ),
+            P::SendStepWithoutCurrentSend { node: n } => ("send_step", vec![node(n)]),
+            P::ResendWithoutPending { node: n } => ("resend", vec![node(n)]),
+            P::DrainWithoutReady { node: n } => ("drain", vec![node(n)]),
+            P::AckForUnknownFragment { node: n, msg: m } => ("unknown_ack", vec![node(n), msg(m)]),
+            P::ReturnForUnknownFragment { node: n, msg: m } => {
+                ("unknown_return", vec![node(n), msg(m)])
+            }
+            P::RetryForUnknownFragment { node: n, msg: m } => {
+                ("unknown_retry", vec![node(n), msg(m)])
+            }
             P::EventScheduledInPast { at, now } => (
                 "past_schedule",
                 vec![("sched_at", at.encode()), ("sched_now", now.encode())],
             ),
             P::RetryCapExhausted {
-                node,
-                msg,
+                node: n,
+                msg: m,
                 attempts,
             } => (
                 "retry_cap",
-                vec![
-                    ("node", node.encode()),
-                    ("msg", msg.encode()),
-                    ("attempts", attempts.encode()),
-                ],
+                vec![node(n), msg(m), ("attempts", attempts.encode())],
             ),
         };
         let head = Json::obj().set("at", self.at.encode()).set("kind", kind);
