@@ -271,9 +271,7 @@ impl Node {
         self.next_transfer_id += 1;
         ((self.id.0 as u64) << ID_NODE_SHIFT) | local
     }
-}
 
-impl Node {
     /// The node's checkpoint state, with its process's state (taken by
     /// the caller, which reports an unsnapshotable workload) under
     /// `process`. Assembly entries are stored as `[src, transfer, count]`.
@@ -295,7 +293,7 @@ impl Node {
     /// Restores [`Node::snapshot`] state. Every first send of a fragment
     /// mints exactly one message id, so the node's fragments-sent count
     /// equals its message allocator; ids held locally lie below their
-    /// allocators (`Machine::check_restored` checks those held elsewhere).
+    /// allocators (the cross-struct pass in `snapshot.rs` checks the rest).
     pub(crate) fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(v)?;
         f.with("hw", |j| self.hw.restore(j))?;

@@ -48,7 +48,7 @@ impl SendSpec {
     }
 }
 
-nisim_engine::struct_codec! { SendSpec [ dst, payload_bytes, tag, conn ] }
+nisim_engine::struct_codec! { SendSpec [dst, payload_bytes, tag, conn] }
 
 /// A fully received application message, as seen by a handler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -117,7 +117,7 @@ pub struct Fragment {
 }
 
 nisim_engine::struct_codec! {
-    Fragment [ index, of, payload_bytes, offset ]
+    Fragment [index, of, payload_bytes, offset]
     check |f: &Fragment| ensure(f.index < f.of, "fragment index not below its count")
 }
 
