@@ -130,7 +130,7 @@ const UNCONSTRAINED: &[(&str, &str)] = &[
     ),
     (
         "machine.nodes[*].proc.queued_sends",
-        "program state: handler replies awaiting their turn, within the process's payload bound",
+        "program state: handler replies awaiting their turn, each one its process sends",
     ),
     (
         "machine.nodes[*].ni.rel_stats",
