@@ -333,24 +333,32 @@ fn check_restored(m: &Machine, sim: &SimState) -> Result<(), DecodeError> {
             MachineEvent::AckTimeout { src, msg, attempt } => {
                 pending.timers.insert((src, msg, attempt));
             }
-            MachineEvent::Arrival { .. }
-            | MachineEvent::AckArrival { .. }
-            | MachineEvent::ReturnArrival { .. }
-            | MachineEvent::Retry { .. }
-            | MachineEvent::NodeCrash { .. } => {}
+            MachineEvent::Arrival { wire, .. } | MachineEvent::ReturnArrival { wire } => {
+                pending.carried.insert((wire.src, wire.id));
+            }
+            MachineEvent::AckArrival { src, msg } | MachineEvent::Retry { src, msg } => {
+                pending.carried.insert((src, msg));
+            }
+            MachineEvent::NodeCrash { .. } => {}
         }
     }
     // A port's `free_at` ends a back-to-back run of transmissions that
     // began at a request time no later than the latest pending event
-    // (or now), and that run is part of the port's `busy` time.
+    // (or now), and that run is part of the port's `busy` time. The one
+    // request no event follows is the injection of a fragment the fault
+    // layer lost: its sender's bus and egress are then left unbounded.
     let horizon = sim.events.iter().map(|e| e.0).fold(sim.now, Time::max);
     let port = |free_at: Time, busy: Dur| ensure(free_at <= horizon + busy, "free_at too late");
     for (i, n) in m.nodes.iter().enumerate() {
         let hw = &n.hw;
-        port(hw.bus.free_at(), hw.bus.stats().busy)
+        let resent = |id: &MsgId| n.proc.pending_resends.iter().any(|w| w.id == *id);
+        let lost = (n.ni.outstanding.keys())
+            .any(|id| !pending.carried.contains(&(n.id, *id)) && !resent(id));
+        let sent = |free_at, busy| if lost { Ok(()) } else { port(free_at, busy) };
+        sent(hw.bus.free_at(), hw.bus.stats().busy)
             .map_err(|e| e.in_key("bus"))
             .and_then(|()| {
-                port(hw.egress.free_at(), hw.egress.busy()).map_err(|e| e.in_key("egress"))
+                sent(hw.egress.free_at(), hw.egress.busy()).map_err(|e| e.in_key("egress"))
             })
             .and_then(|()| {
                 port(hw.ingress.free_at(), hw.ingress.busy()).map_err(|e| e.in_key("ingress"))
@@ -418,6 +426,9 @@ struct Pending {
     deposits: BTreeMap<(usize, Time), usize>,
     /// Every armed ack timer, as `(sender, fragment, attempt)`.
     timers: BTreeSet<(NodeId, MsgId, u32)>,
+    /// Every fragment an event still carries (on the wire, or its ack,
+    /// return or retry), as `(sender, fragment)`.
+    carried: BTreeSet<(NodeId, MsgId)>,
     seqs: BTreeSet<u64>,
 }
 
