@@ -513,11 +513,13 @@ macro_rules! struct_codec {
                 $crate::Json::Arr(vec![$($crate::codec::Codec::encode(&self.$field)),*])
             }
             fn decode(v: &$crate::Json) -> ::std::result::Result<$ty, $crate::codec::DecodeError> {
-                let items = $crate::codec::array_of(v, [$(stringify!($field)),*].len())?;
-                let mut at = items.iter().enumerate();
+                let mut at = $crate::codec::array_of(v, [$(stringify!($field)),*].len())?
+                    .iter()
+                    .enumerate();
+                let mut next = || at.next().ok_or_else(|| $crate::codec::DecodeError::new("short array"));
                 let value = $ty {
                     $($field: {
-                        let (i, item) = at.next().expect("length checked above");
+                        let (i, item) = next()?;
                         $crate::codec::Codec::decode(item).map_err(|e| e.in_index(i))?
                     }),*
                 };
