@@ -31,7 +31,7 @@ use crate::taxonomy::{
 };
 
 use super::cni512q::cni_send_compose;
-use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -287,11 +287,10 @@ impl NiModel for Cni32QmNi {
     // accumulate with their optimisation turned off.
     nisim_engine::state_fields! {
         {
-            send_cursor: send_q.next, recv_cursor: recv_q.next, rx_cache_used, displaced_blocks,
+            send_cursor: send_q, recv_cursor: recv_q, rx_cache_used, displaced_blocks,
             dead_blocks_pending, rx_backlog_blocks
         }
         check |n: &Cni32QmNi| {
-            check_cursors(&n.send_q, &n.recv_q)?;
             let slots = [n.rx_cache_used, n.displaced_blocks, n.rx_backlog_blocks];
             ensure(
                 slots.iter().all(|b| b.is_multiple_of(SLOT_BLOCKS))

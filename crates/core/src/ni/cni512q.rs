@@ -32,7 +32,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -252,9 +252,8 @@ impl NiModel for Cni512QNi {
     }
 
     nisim_engine::state_fields! {
-        { send_cursor: send_q.next, recv_cursor: recv_q.next, recv_used_blocks }
+        { send_cursor: send_q, recv_cursor: recv_q, recv_used_blocks }
         check |n: &Cni512QNi| {
-            check_cursors(&n.send_q, &n.recv_q)?;
             ensure(
                 n.recv_used_blocks.is_multiple_of(SLOT_BLOCKS)
                     && n.recv_used_blocks <= n.recv_q.capacity_blocks(),

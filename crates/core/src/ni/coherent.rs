@@ -8,8 +8,8 @@
 //! upgrade instead of miss) fall out of the MOESI machinery instead of
 //! being hard-coded.
 
-use nisim_engine::codec::{ensure, DecodeError};
-use nisim_engine::{Dur, Time};
+use nisim_engine::codec::{ensure, Codec, DecodeError, State};
+use nisim_engine::{Dur, Json, Time};
 use nisim_mem::{Addr, BlockAddr, BlockGeometry};
 
 /// A circular, block-aligned queue region of the physical address space.
@@ -21,9 +21,7 @@ use nisim_mem::{Addr, BlockAddr, BlockGeometry};
 pub struct QueueRegion {
     base: Addr,
     blocks: u64,
-    /// The circular allocation cursor, in blocks from `base` — the
-    /// region's only checkpoint state.
-    pub(crate) next: u64,
+    next: u64,
     geo: BlockGeometry,
 }
 
@@ -86,12 +84,19 @@ impl QueueRegion {
     }
 }
 
-/// Checks restored allocation cursors: each lies within its region.
-pub fn check_cursors(send_q: &QueueRegion, recv_q: &QueueRegion) -> Result<(), DecodeError> {
-    ensure(
-        send_q.next <= send_q.blocks && recv_q.next <= recv_q.blocks,
-        "queue cursor past the end of its region",
-    )
+/// A region's checkpoint state is its allocation cursor, which lies
+/// within the region.
+impl State for QueueRegion {
+    fn snapshot(&self) -> Json {
+        self.next.encode()
+    }
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        self.next = u64::decode(v)?;
+        ensure(
+            self.next <= self.blocks,
+            "queue cursor past the end of its region",
+        )
+    }
 }
 
 /// Queue slot size in blocks: one maximum-size network message (256 B)

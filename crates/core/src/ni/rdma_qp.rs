@@ -35,7 +35,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -280,11 +280,10 @@ impl NiModel for RdmaQpNi {
     // list only on a miss and appears in it at most once.
     nisim_engine::state_fields! {
         {
-            send_cursor: send_q.next, recv_cursor: recv_q.next, lru, lookups, hits, misses,
+            send_cursor: send_q, recv_cursor: recv_q, lru, lookups, hits, misses,
             staged_conn
         }
         check |n: &RdmaQpNi| {
-            check_cursors(&n.send_q, &n.recv_q)?;
             ensure(n.hits.checked_add(n.misses) == Some(n.lookups), "hits + misses != lookups")?;
             let distinct = n.lru.iter().collect::<std::collections::BTreeSet<_>>().len();
             ensure(

@@ -34,7 +34,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -308,9 +308,8 @@ impl NiModel for SgdmaNi {
     // A staged descriptor was decoded from a gather tag, which never
     // yields a zero count or element size.
     nisim_engine::state_fields! {
-        { send_cursor: send_q.next, recv_cursor: recv_q.next, staged }
+        { send_cursor: send_q, recv_cursor: recv_q, staged }
         check |n: &SgdmaNi| {
-            check_cursors(&n.send_q, &n.recv_q)?;
             ensure(
                 n.staged.is_none_or(|(count, elem)| count > 0 && elem > 0),
                 "staged descriptor with a zero count or element size",

@@ -25,7 +25,7 @@ use crate::taxonomy::{
     TransferParams, TransferSize,
 };
 
-use super::coherent::{check_cursors, layout, QueueRegion, SLOT_BLOCKS};
+use super::coherent::{layout, QueueRegion, SLOT_BLOCKS};
 use super::util::blocks;
 use super::{DepositLoc, DepositPath, NiModel, SendPath};
 
@@ -167,8 +167,7 @@ impl NiModel for UrmaNi {
     }
 
     nisim_engine::state_fields! {
-        { send_cursor: send_q.next, recv_cursor: recv_q.next }
-        check |n: &UrmaNi| check_cursors(&n.send_q, &n.recv_q)
+        { send_cursor: send_q, recv_cursor: recv_q }
     }
 }
 
