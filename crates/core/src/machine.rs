@@ -1250,14 +1250,6 @@ impl Machine {
                 &entry.loc,
             );
             node.ledger.charge_to(t, TimeCategory::DataTransfer);
-            if std::env::var("NISIM_TRACE_DRAIN").is_ok() {
-                eprintln!(
-                    "drain node{nid} dur={} frag={:?} loc={:?}",
-                    (t - now).as_ns(),
-                    entry.frag.payload_bytes,
-                    entry.loc
-                );
-            }
             if entry.frees_buffer_at_drain {
                 node.ni.fc.free_recv();
             }
