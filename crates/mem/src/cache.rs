@@ -92,6 +92,79 @@ const EMPTY: Line = Line {
     lru: 0,
 };
 
+/// Lines per page of a cache's line table, rounded down to a power of
+/// two of whole sets; a set wider than this is a page of its own.
+const PAGE_LINES: usize = 64;
+
+/// A cache's line table, allocated a page at a time: a page holds a
+/// power of two of whole sets, at most [`PAGE_LINES`] lines unless one
+/// set is wider, and is allocated on its first write; every line of a
+/// page never written reads as [`EMPTY`]. A run pays only for the lines
+/// it touches, where a 1 MB cache would otherwise write 16,384 empty
+/// lines at construction. No set spans pages, so each set is one slice,
+/// and the last page holds only the slots below `len`.
+#[derive(Clone, Debug)]
+struct Lines {
+    pages: Vec<Option<Box<[Line]>>>,
+    ways: usize,
+    /// log2 of the sets per page.
+    shift: u32,
+    len: usize,
+}
+
+impl Lines {
+    fn new(len: usize, ways: usize) -> Lines {
+        let shift = (PAGE_LINES / ways).max(1).ilog2();
+        Lines {
+            pages: vec![None; len.div_ceil(ways << shift)],
+            ways,
+            shift,
+            len,
+        }
+    }
+
+    /// Where `set` starts within its page.
+    fn offset(&self, set: usize) -> usize {
+        (set & ((1 << self.shift) - 1)) * self.ways
+    }
+
+    /// The valid line of `set` that holds `tag`, if any.
+    fn find(&self, set: usize, tag: u64) -> Option<&Line> {
+        let page = self.pages[set >> self.shift].as_deref()?;
+        let start = self.offset(set);
+        (page[start..start + self.ways].iter()).find(|l| l.state.is_valid() && l.tag == tag)
+    }
+
+    /// [`Lines::find`], for writing.
+    fn find_mut(&mut self, set: usize, tag: u64) -> Option<&mut Line> {
+        let start = self.offset(set);
+        let page = self.pages[set >> self.shift].as_deref_mut()?;
+        (page[start..start + self.ways].iter_mut()).find(|l| l.state.is_valid() && l.tag == tag)
+    }
+
+    /// The lines of `set`, allocating its page on first write.
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        let (page, start, ways) = (set >> self.shift, self.offset(set), self.ways);
+        let page_len = ways << self.shift;
+        let room = self.len - page * page_len;
+        let lines = self.pages[page].get_or_insert_with(|| vec![EMPTY; page_len.min(room)].into());
+        &mut lines[start..start + ways]
+    }
+
+    /// Every line of the written pages, with its slot, in slot order.
+    fn written(&self) -> impl Iterator<Item = (usize, &Line)> {
+        let page_len = self.ways << self.shift;
+        (self.pages.iter().enumerate())
+            .filter_map(move |(i, p)| Some((i * page_len, p.as_deref()?)))
+            .flat_map(|(base, p)| p.iter().enumerate().map(move |(k, l)| (base + k, l)))
+    }
+
+    /// Drops every page: all lines read as [`EMPTY`] again.
+    fn clear(&mut self) {
+        self.pages.fill(None);
+    }
+}
+
 /// A set-associative, MOESI-state cache (tags only).
 ///
 /// # Example
@@ -113,8 +186,7 @@ const EMPTY: Line = Line {
 pub struct Cache {
     cfg: CacheConfig,
     geo: BlockGeometry,
-    sets: Vec<Line>,
-    ways: usize,
+    lines: Lines,
     clock: u64,
     stats: CacheStats,
     /// Bitmap of every [`MoesiState`] a line of this cache has ever
@@ -159,8 +231,7 @@ impl Cache {
         let mut cache = Cache {
             cfg,
             geo,
-            sets: vec![EMPTY; blocks as usize],
-            ways: cfg.ways as usize,
+            lines: Lines::new(blocks as usize, cfg.ways as usize),
             clock: 0,
             stats: CacheStats::default(),
             visited: 0,
@@ -233,40 +304,26 @@ impl Cache {
         ((block.raw() / self.cfg.block_bytes) % sets) as usize
     }
 
-    fn set_range(&self, block: BlockAddr) -> std::ops::Range<usize> {
-        let start = self.set_index(block) * self.ways;
-        start..start + self.ways
-    }
-
-    fn find(&self, block: BlockAddr) -> Option<usize> {
-        let range = self.set_range(block);
-        self.sets[range.clone()]
-            .iter()
-            .position(|l| l.state.is_valid() && l.tag == block.raw())
-            .map(|i| range.start + i)
-    }
-
     /// The MOESI state of `block` (`Invalid` if not present).
     pub fn state_of(&self, block: BlockAddr) -> MoesiState {
-        self.find(block)
-            .map(|i| self.sets[i].state)
-            .unwrap_or(MoesiState::Invalid)
+        (self.lines.find(self.set_index(block), block.raw()))
+            .map_or(MoesiState::Invalid, |l| l.state)
     }
 
     /// True if the block is present in a valid state.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.find(block).is_some()
+        (self.lines.find(self.set_index(block), block.raw())).is_some()
     }
 
     /// Looks up `block`, recording a hit or miss and refreshing LRU on hit.
     /// Returns the state found (`Invalid` on miss).
     pub fn lookup(&mut self, block: BlockAddr) -> MoesiState {
         self.clock += 1;
-        match self.find(block) {
-            Some(i) => {
+        match self.lines.find_mut(self.set_index(block), block.raw()) {
+            Some(line) => {
                 self.stats.hits += 1;
-                self.sets[i].lru = self.clock;
-                self.sets[i].state
+                line.lru = self.clock;
+                line.state
             }
             None => {
                 self.stats.misses += 1;
@@ -282,21 +339,18 @@ impl Cache {
     ///
     /// Panics if the block is not resident.
     pub fn set_state(&mut self, block: BlockAddr, state: MoesiState) {
-        let i = self
-            .find(block)
-            .unwrap_or_else(|| panic!("set_state on non-resident {block:?}"));
-        self.sets[i].state = state;
+        (self.lines.find_mut(self.set_index(block), block.raw()))
+            .unwrap_or_else(|| panic!("set_state on non-resident {block:?}"))
+            .state = state;
         self.note_visit(state);
     }
 
     /// Invalidates `block` if present, returning its prior state.
     pub fn invalidate(&mut self, block: BlockAddr) -> MoesiState {
-        match self.find(block) {
-            Some(i) => {
-                let prior = self.sets[i].state;
-                self.sets[i].state = MoesiState::Invalid;
+        match self.lines.find_mut(self.set_index(block), block.raw()) {
+            Some(line) => {
                 self.stats.snoop_invalidations += 1;
-                prior
+                std::mem::replace(&mut line.state, MoesiState::Invalid)
             }
             None => MoesiState::Invalid,
         }
@@ -309,27 +363,30 @@ impl Cache {
     pub fn insert(&mut self, block: BlockAddr, state: MoesiState) -> Option<Eviction> {
         self.clock += 1;
         self.note_visit(state);
-        if let Some(i) = self.find(block) {
-            self.sets[i].state = state;
-            self.sets[i].lru = self.clock;
+        let set = self.set_index(block);
+        let line = Line {
+            tag: block.raw(),
+            state,
+            lru: self.clock,
+        };
+        if let Some(resident) = self.lines.find_mut(set, block.raw()) {
+            *resident = line;
             return None;
         }
-        let range = self.set_range(block);
+        let set = self.lines.set_mut(set);
         // Prefer an invalid slot; otherwise evict the least-recently-used.
-        let slot = self.sets[range.clone()]
+        let way = set
             .iter()
             .position(|l| !l.state.is_valid())
-            .map(|i| range.start + i)
             .unwrap_or_else(|| {
-                self.sets[range.clone()]
-                    .iter()
+                set.iter()
                     .enumerate()
                     .min_by_key(|(_, l)| l.lru)
-                    .map(|(i, _)| range.start + i)
+                    .map(|(i, _)| i)
                     .expect("cache set cannot be empty")
             });
-        let victim = self.sets[slot];
-        let eviction = victim.state.is_valid().then(|| {
+        let victim = std::mem::replace(&mut set[way], line);
+        victim.state.is_valid().then(|| {
             if victim.state.dirty() {
                 self.stats.dirty_evictions += 1;
             }
@@ -337,26 +394,19 @@ impl Cache {
                 block: BlockAddr::from_raw(victim.tag),
                 state: victim.state,
             }
-        });
-        self.sets[slot] = Line {
-            tag: block.raw(),
-            state,
-            lru: self.clock,
-        };
-        eviction
+        })
     }
 
     /// Number of valid lines currently resident.
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().filter(|l| l.state.is_valid()).count()
+        self.iter().count()
     }
 
     /// Iterates over all resident `(block, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, MoesiState)> + '_ {
-        self.sets
-            .iter()
-            .filter(|l| l.state.is_valid())
-            .map(|l| (BlockAddr::from_raw(l.tag), l.state))
+        (self.lines.written())
+            .filter(|(_, l)| l.state.is_valid())
+            .map(|(_, l)| (BlockAddr::from_raw(l.tag), l.state))
     }
 
     /// The block that `addr` falls in, for convenience.
@@ -366,7 +416,13 @@ impl Cache {
 
     /// Clears every line (used between experiment phases).
     pub fn flush_all(&mut self) {
-        for l in &mut self.sets {
+        for l in self
+            .lines
+            .pages
+            .iter_mut()
+            .flatten()
+            .flat_map(|p| p.iter_mut())
+        {
             l.state = MoesiState::Invalid;
         }
     }
@@ -383,12 +439,12 @@ impl Cache {
 /// byte-for-byte fixed point.
 impl State for Cache {
     fn snapshot(&self) -> Json {
-        let lines: Vec<(usize, u64, MoesiState, u64)> = (self.sets.iter().enumerate())
+        let lines: Vec<(usize, u64, MoesiState, u64)> = (self.lines.written())
             .filter(|(_, l)| **l != EMPTY)
             .map(|(slot, l)| (slot, l.tag, l.state, l.lru))
             .collect();
         let mut v = Json::obj()
-            .set("slots", self.sets.len().encode())
+            .set("slots", self.lines.len.encode())
             .set("lines", lines.encode())
             .set("clock", self.clock.encode())
             .set("hits", self.stats.hits.encode())
@@ -413,13 +469,14 @@ impl State for Cache {
     fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(v)?;
         let slots: usize = f.get("slots")?;
-        if slots != self.sets.len() {
-            let has = self.sets.len();
+        if slots != self.lines.len {
+            let has = self.lines.len;
             return Err(DecodeError::new(format!(
                 "{slots} slots, this cache has {has}"
             )));
         }
-        self.sets.fill(EMPTY);
+        self.lines.clear();
+        let ways = self.lines.ways;
         let (mut max_lru, mut seen) = (0, 1u8 << MoesiState::Invalid.index());
         f.with("lines", |j| {
             let mut next = 0; // lowest slot the next entry may name
@@ -427,7 +484,7 @@ impl State for Cache {
                 let (slot, tag, state, lru) = line?;
                 self.check_line(next, slot, tag)
                     .map_err(|e| e.in_index(i))?;
-                self.sets[slot] = Line { tag, state, lru };
+                self.lines.set_mut(slot / ways)[slot % ways] = Line { tag, state, lru };
                 (next, max_lru, seen) = (slot + 1, max_lru.max(lru), seen | 1 << state.index());
             }
             Ok(())
@@ -463,12 +520,12 @@ impl Cache {
     /// tag a block base that maps to the slot's set.
     fn check_line(&self, next: usize, slot: usize, tag: u64) -> Result<(), DecodeError> {
         ensure(
-            (next..self.sets.len()).contains(&slot),
+            (next..self.lines.len).contains(&slot),
             "slot out of range or out of ascending order",
         )?;
         ensure(
             tag.is_multiple_of(self.cfg.block_bytes)
-                && self.set_index(BlockAddr::from_raw(tag)) == slot / self.ways,
+                && self.set_index(BlockAddr::from_raw(tag)) == slot / self.lines.ways,
             "tag is not a block that maps to this slot's set",
         )
     }
@@ -652,6 +709,62 @@ mod tests {
         fresh.restore(&snap).expect("control snapshot must restore");
         for (what, bad) in cases {
             assert!(small().restore(&bad).is_err(), "{what} must be rejected");
+        }
+    }
+
+    #[test]
+    fn restore_replaces_pages_written_elsewhere() {
+        // 64 sets x 4 ways: pages of 16 sets, four pages.
+        let cfg = CacheConfig {
+            size_bytes: 256 * 64,
+            block_bytes: 64,
+            ways: 4,
+        };
+        let fill = |sets: &[u64]| {
+            let mut c = Cache::new(cfg);
+            for (k, &set) in sets.iter().enumerate() {
+                let b = block(&c, (set + 64 * k as u64) * 64);
+                c.insert(b, MoesiState::Modified);
+                c.lookup(b);
+            }
+            c
+        };
+        let (a, mut b) = (fill(&[0, 1, 40]), fill(&[17, 33, 63, 63]));
+        let snap = a.snapshot();
+        b.restore(&snap).unwrap();
+        assert_eq!(b.snapshot().to_compact(), snap.to_compact());
+        assert_eq!(b.valid_lines(), 3);
+        // Pages 1 and 3 were never written in `a`: every lookup misses.
+        for set in (16..32).chain(48..64) {
+            assert_eq!(
+                b.lookup(block(&b, set * 64)),
+                MoesiState::Invalid,
+                "set {set}"
+            );
+        }
+        assert_eq!(b.lookup(block(&b, (40 + 128) * 64)), MoesiState::Modified);
+    }
+
+    #[test]
+    fn pages_hold_whole_sets_within_the_line_count() {
+        // A 100-way set is a page of its own. A page of 24-way sets holds
+        // two, but this cache has one: its page must stop at 24 slots.
+        for ways in [100u32, 24] {
+            let mut c = Cache::new(CacheConfig::fully_associative(ways, 64));
+            let n = u64::from(ways);
+            for k in 0..n {
+                assert!(c.insert(block(&c, k * 64), MoesiState::Exclusive).is_none());
+            }
+            assert_eq!(c.valid_lines(), ways as usize);
+            c.lookup(block(&c, 0)); // block 1 becomes LRU
+            let ev = c.insert(block(&c, n * 64), MoesiState::Shared).unwrap();
+            assert_eq!(ev.block, block(&c, 64), "{ways} ways");
+            let slots: Vec<u64> = (c.snapshot().get("lines").and_then(Json::as_arr))
+                .unwrap()
+                .iter()
+                .map(|l| l.as_arr().unwrap()[0].as_u64().unwrap())
+                .collect();
+            assert_eq!(slots, (0..n).collect::<Vec<_>>(), "{ways} ways");
         }
     }
 
