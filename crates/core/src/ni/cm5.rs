@@ -15,7 +15,8 @@
 //! a processor-register-mapped NI: every NI access costs one processor
 //! cycle and no bus transaction, but buffering stays as limited.
 
-use nisim_engine::Time;
+use nisim_engine::{Dur, Time};
+use nisim_mem::BusOp;
 
 use crate::costs::CostModel;
 use crate::node::NodeHw;
@@ -40,27 +41,37 @@ impl Cm5Ni {
         Cm5Ni { single_cycle }
     }
 
-    /// One uncached read of the NI FIFO data window. The two-word window
-    /// is a register file staged at the NI bus interface, so the
-    /// responder latency is register-class, not NI-memory-class.
-    fn window_read(&self, hw: &mut NodeHw, cost: &CostModel, now: Time) -> Time {
-        if self.single_cycle {
-            now + hw.cycles(1)
-        } else {
-            let issued = now + hw.cycles(cost.uncached_issue_cycles);
-            hw.uncached_read(issued, cost.fifo_window_response)
+    /// Moves `wire_bytes` through the NI FIFO data window from `now`, one
+    /// uncached word at a time: each word is a register copy, then an
+    /// uncached access of `op` whose device turnaround `after` (store
+    /// accept, or read response) stalls the processor. The two-word
+    /// window is a register file staged at the NI bus interface, so the
+    /// read response is register-class, not NI-memory-class.
+    ///
+    /// Word k+1 is requested one turnaround, copy and issue after word
+    /// k's bus phase ends, on a bus this processor alone drives in the
+    /// meantime, so only the first word can wait: the run is one
+    /// [`Bus::acquire_burst`](nisim_mem::Bus::acquire_burst).
+    fn window_run(
+        &self,
+        hw: &mut NodeHw,
+        cost: &CostModel,
+        now: Time,
+        wire_bytes: u64,
+        op: BusOp,
+        after: Dur,
+    ) -> Time {
+        let words = words_of(wire_bytes, cost.uncached_word_bytes);
+        let copy = hw.cycles(cost.word_copy_cycles);
+        if self.single_cycle || words == 0 {
+            return now + (copy + hw.cycles(1)) * words;
         }
-    }
-
-    /// One uncached store to the NI FIFO data window; the processor is
-    /// stalled until the device accepts.
-    fn window_write(&self, hw: &mut NodeHw, cost: &CostModel, now: Time) -> Time {
-        if self.single_cycle {
-            now + hw.cycles(1)
-        } else {
-            let issued = now + hw.cycles(cost.uncached_issue_cycles);
-            hw.uncached_write(issued) + cost.fifo_store_accept
-        }
+        let issue = hw.cycles(cost.uncached_issue_cycles);
+        let requested = now + copy + issue;
+        hw.bus
+            .acquire_burst(requested, op, words, after + copy + issue)
+            .end
+            + after
     }
 
     /// Uncached read of the NI status register (send space / message
@@ -107,11 +118,9 @@ impl NiModel for Cm5Ni {
         _payload_bytes: u64,
         wire_bytes: u64,
     ) -> SendPath {
-        let mut t = now + hw.cycles(cost.send_setup_cycles);
-        for _ in 0..words_of(wire_bytes, cost.uncached_word_bytes) {
-            t += hw.cycles(cost.word_copy_cycles);
-            t = self.window_write(hw, cost, t);
-        }
+        let start = now + hw.cycles(cost.send_setup_cycles);
+        let accept = cost.fifo_store_accept;
+        let t = self.window_run(hw, cost, start, wire_bytes, BusOp::WordWrite, accept);
         SendPath {
             proc_release: t,
             inject_ready: t + cost.ni_inject_overhead,
@@ -153,12 +162,8 @@ impl NiModel for Cm5Ni {
         loc: &DepositLoc,
     ) -> Time {
         debug_assert_eq!(*loc, DepositLoc::NiFifo);
-        let mut t = now;
-        for _ in 0..words_of(wire_bytes, cost.uncached_word_bytes) {
-            t += hw.cycles(cost.word_copy_cycles);
-            t = self.window_read(hw, cost, t);
-        }
-        t
+        let response = cost.fifo_window_response;
+        self.window_run(hw, cost, now, wire_bytes, BusOp::WordRead, response)
     }
 
     // The FIFO window model carries no dynamic state beyond the machine's
@@ -171,7 +176,7 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use crate::ni::NiKind;
-    use nisim_engine::Dur;
+    use nisim_engine::codec::State;
 
     fn setup(single: bool) -> (NodeHw, CostModel, Cm5Ni) {
         let cfg = MachineConfig::default();
@@ -180,6 +185,77 @@ mod tests {
             cfg.costs,
             Cm5Ni::new(single),
         )
+    }
+
+    /// The per-word loop `window_run` replaced: one bus transaction per
+    /// word, each requested after the one before completes.
+    fn per_word(
+        ni: &Cm5Ni,
+        hw: &mut NodeHw,
+        cost: &CostModel,
+        now: Time,
+        wire: u64,
+        store: bool,
+    ) -> Time {
+        let mut t = now;
+        for _ in 0..words_of(wire, cost.uncached_word_bytes) {
+            t += hw.cycles(cost.word_copy_cycles);
+            t = if ni.single_cycle {
+                t + hw.cycles(1)
+            } else {
+                let issued = t + hw.cycles(cost.uncached_issue_cycles);
+                if store {
+                    hw.uncached_write(issued) + cost.fifo_store_accept
+                } else {
+                    hw.uncached_read(issued, cost.fifo_window_response)
+                }
+            };
+        }
+        t
+    }
+
+    #[test]
+    fn word_runs_match_the_per_word_loop() {
+        let mut cfg = MachineConfig::default();
+        cfg.metrics = nisim_engine::metrics::MetricsConfig::enabled();
+        let cost = cfg.costs;
+        let loc = DepositLoc::NiFifo;
+        for (wire, single, busy) in (8..=256).flat_map(|w| {
+            [
+                (w, false, false),
+                (w, false, true),
+                (w, true, false),
+                (w, true, true),
+            ]
+        }) {
+            let (mut hw, mut reference) = (
+                NodeHw::new(&cfg, NiKind::Cm5),
+                NodeHw::new(&cfg, NiKind::Cm5),
+            );
+            let mut ni = Cm5Ni::new(single);
+            if busy {
+                // Block writes queued at 0 hold the bus past the first word.
+                for _ in 0..wire % 7 + 1 {
+                    hw.bus.acquire(Time::ZERO, BusOp::BlockWrite);
+                    reference.bus.acquire(Time::ZERO, BusOp::BlockWrite);
+                }
+            }
+            let now = Time::from_ns(3);
+            let sent = ni.send_fragment(&mut hw, &cost, now, wire - 8, wire);
+            let setup = now + reference.cycles(cost.send_setup_cycles);
+            let want = per_word(&ni, &mut reference, &cost, setup, wire, true);
+            let what = format!("{wire} B, single_cycle {single}, busy {busy}");
+            assert_eq!(sent.proc_release, want, "send {what}");
+            let drained = ni.drain_fragment(&mut hw, &cost, want, wire - 8, wire, &loc);
+            let want = per_word(&ni, &mut reference, &cost, want, wire, false);
+            assert_eq!(drained, want, "drain {what}");
+            // Grant times, stats, cycle breakdown and grant-wait histogram.
+            assert_eq!(
+                hw.bus.snapshot().to_compact(),
+                reference.bus.snapshot().to_compact(),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! # Instrumentation discipline
 //!
 //! Instrumented code must go through the typed charge methods
-//! ([`ComponentCycles::charge`], [`Log2Hist::record`]). The raw bucket
+//! ([`ComponentCycles::charge`], [`Log2Hist::record`],
+//! [`Log2Hist::record_n`]). The raw bucket
 //! escape hatches ([`ComponentCycles::raw_add`], [`Log2Hist::raw_record`])
 //! exist only for this module's own merge paths and for tests; the
 //! `nisim-analysis` lint forbids them outside this file.
@@ -400,11 +401,18 @@ impl Log2Hist {
     /// Records one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.raw_record(Self::bucket_of(value), 1);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` observations of `value`.
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        self.raw_record(Self::bucket_of(value), n);
     }
 
     /// Raw bucket addition. Instrumented code must use
-    /// [`record`](Log2Hist::record) instead; the `nisim-analysis` lint
+    /// [`record`](Log2Hist::record) or [`record_n`](Log2Hist::record_n)
+    /// instead; the `nisim-analysis` lint
     /// forbids `raw_record` outside the metrics module.
     #[inline]
     pub fn raw_record(&mut self, bucket: usize, n: u64) {
