@@ -15,12 +15,13 @@
 //! * the simulation ends at quiescence (no events left) or when the
 //!   caller's horizon/event budget runs out.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
+use nisim_engine::codec::{Codec, DecodeError, State};
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist, MetricsBreakdown};
 use nisim_engine::stats::{Histogram, Summary};
 use nisim_engine::trace::TraceSink;
-use nisim_engine::{Dur, Sim, SimStatus, Time};
+use nisim_engine::{Dur, Json, Sim, SimStatus, Time};
 use nisim_net::{
     fragment_payload, Fabric, FaultPlan, FaultStats, MsgId, NodeId, RelMetrics, RelStats,
 };
@@ -30,7 +31,7 @@ use crate::config::MachineConfig;
 use crate::error::{EndpointSnapshot, ProtocolViolation, StallReason, StallReport, Violation};
 use crate::event::MachineEvent;
 use crate::ni::{NiUnit, OutstandingFrag, RxEntry, WireMsg};
-use crate::node::{Node, NodeHw};
+use crate::node::{Node, NodeHw, ID_NODE_SHIFT};
 use crate::process::{Action, AppMessage, Process, SendSpec};
 use crate::processor::{ProcPhase, ProcState, SendInProgress};
 
@@ -105,7 +106,7 @@ pub(crate) struct Globals {
     /// data behind Table 4.
     pub(crate) msg_size_hist: Histogram,
     /// When each in-flight transfer's send began (for latency stats).
-    pub(crate) transfer_started: BTreeMap<u64, Time>,
+    pub(crate) transfer_started: TransferStarts,
     pub(crate) app_messages: u64,
     /// End-to-end application message latency (send start to handler
     /// dispatch), in nanoseconds.
@@ -142,6 +143,60 @@ pub(crate) struct MachineMetrics {
     pub(crate) frag_queue: Log2Hist,
     pub(crate) rel: RelMetrics,
     pub(crate) sink: Option<TraceSink>,
+}
+
+/// When each in-flight transfer began: one queue of `(transfer id,
+/// start)` per sending node, in id order. A node mints increasing
+/// transfer ids, so a start is a push at the back, and the queues
+/// concatenated in node order list every id ascending.
+pub(crate) struct TransferStarts(Vec<VecDeque<(u64, Time)>>);
+
+impl TransferStarts {
+    fn new(nodes: usize) -> TransferStarts {
+        TransferStarts(vec![VecDeque::new(); nodes])
+    }
+
+    /// Records that node `src` began transfer `id` at `at`.
+    fn start(&mut self, src: usize, id: u64, at: Time) {
+        self.0[src].push_back((id, at));
+    }
+
+    /// Removes transfer `id` of node `src`, returning when it began.
+    fn finish(&mut self, src: usize, id: u64) -> Option<Time> {
+        let q = self.0.get_mut(src)?;
+        let i = q.binary_search_by_key(&id, |e| e.0).ok()?;
+        q.remove(i).map(|e| e.1)
+    }
+
+    /// True if transfer `id` began and has not completed.
+    pub(crate) fn contains(&self, id: u64) -> bool {
+        (self.0.get((id >> ID_NODE_SHIFT) as usize))
+            .is_some_and(|q| q.binary_search_by_key(&id, |e| e.0).is_ok())
+    }
+
+    /// Every `(transfer id, start)`, ids ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Time)> + '_ {
+        self.0.iter().flatten().copied()
+    }
+}
+
+/// `[[id, start], ...]` with ids strictly ascending, where every id
+/// names a node that exists.
+impl State for TransferStarts {
+    fn snapshot(&self) -> Json {
+        Json::Arr(self.iter().map(|e| e.encode()).collect())
+    }
+
+    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let starts: BTreeMap<u64, Time> = Codec::decode(v)?;
+        self.0.iter_mut().for_each(VecDeque::clear);
+        for (k, (id, at)) in starts.into_iter().enumerate() {
+            let q = self.0.get_mut((id >> ID_NODE_SHIFT) as usize);
+            q.ok_or_else(|| DecodeError::new("id not minted by its node").in_index(k))?
+                .push_back((id, at));
+        }
+        Ok(())
+    }
 }
 
 /// Per-node summary within a [`MachineReport`].
@@ -332,13 +387,14 @@ impl Machine {
                     assembling: BTreeMap::new(),
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let transfer_started = TransferStarts::new(nodes.len());
         Machine {
             cfg,
             nodes,
             g: Globals {
                 msg_size_hist: Histogram::new(),
-                transfer_started: BTreeMap::new(),
+                transfer_started,
                 app_messages: 0,
                 msg_latency: Summary::new(),
                 trace: if trace_enabled {
@@ -733,7 +789,7 @@ impl Machine {
             spec.dst
         );
         let transfer_id = ctx.node.alloc_transfer_id();
-        ctx.g.transfer_started.insert(transfer_id, ctx.now);
+        ctx.g.transfer_started.start(ctx.nid, transfer_id, ctx.now);
         ctx.g
             .msg_size_hist
             .record(spec.payload_bytes + ctx.cfg.net.header_bytes);
@@ -1284,7 +1340,8 @@ impl Machine {
         let finish = if drained == entry.frag.of {
             ctx.node.assembling.remove(&key);
             ctx.g.app_messages += 1;
-            if let Some(started) = ctx.g.transfer_started.remove(&entry.transfer_id) {
+            let src = entry.src.index();
+            if let Some(started) = ctx.g.transfer_started.finish(src, entry.transfer_id) {
                 let ns = drained_at.saturating_since(started).as_ns();
                 ctx.g.msg_latency.record(ns as f64);
                 if let Some(mm) = &mut ctx.g.metrics {

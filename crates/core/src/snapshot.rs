@@ -178,7 +178,7 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
     let g = &machine.g;
     let mut mach = Json::obj()
         .set("msg_size_hist", g.msg_size_hist.encode())
-        .set("transfer_started", g.transfer_started.encode())
+        .set("transfer_started", g.transfer_started.snapshot())
         .set("app_messages", g.app_messages.encode())
         .set("msg_latency", g.msg_latency.encode())
         .set("fabric", g.fabric.snapshot())
@@ -274,7 +274,7 @@ impl Machine {
         let mut f = Fields::of(v)?;
         let g = &mut self.g;
         g.msg_size_hist = f.get("msg_size_hist")?;
-        g.transfer_started = f.get("transfer_started")?;
+        f.with("transfer_started", |j| g.transfer_started.restore(j))?;
         g.app_messages = f.get("app_messages")?;
         g.msg_latency = f.get("msg_latency")?;
         f.with("fabric", |j| g.fabric.restore(j))?;
@@ -405,7 +405,7 @@ fn check_restored(m: &Machine, sim: &SimState) -> Result<(), DecodeError> {
         ),
     ])
     .map_err(|e| e.in_key("machine"))?;
-    for (k, (&id, &at)) in g.transfer_started.iter().enumerate() {
+    for (k, (id, at)) in g.transfer_started.iter().enumerate() {
         ensure(at <= sim.now, "transfer started in the future")
             .and_then(|()| check_id(m, id, (id >> ID_NODE_SHIFT) as usize, IdKind::Transfer))
             .map_err(|e| e.in_index(k).in_key("transfer_started").in_key("machine"))?;
@@ -436,7 +436,7 @@ struct Pending {
 /// first delivery, so the transfer it belongs to has not completed.
 fn in_flight(m: &Machine, transfer: u64) -> bool {
     let unique = m.cfg.reliability.enabled || m.cfg.fault.dup_p == 0.0;
-    !unique || m.g.transfer_started.contains_key(&transfer)
+    !unique || m.g.transfer_started.contains(transfer)
 }
 
 #[derive(Clone, Copy)]
