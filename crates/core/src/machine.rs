@@ -1334,11 +1334,17 @@ impl Machine {
         // fragments are drained. The assembly map is keyed per receiving
         // node by (source node, transfer id) — transfer ids are unique
         // per source (node-tagged in the high bits), so the key cannot
-        // collide across senders.
-        let key = (entry.src.0, entry.transfer_id);
-        let drained = self_entry_increment(&mut ctx.node.assembling, key);
-        let finish = if drained == entry.frag.of {
-            ctx.node.assembling.remove(&key);
+        // collide across senders. A single-fragment message completes at
+        // its one drain without entering the map.
+        let complete = entry.frag.of == 1 || {
+            let key = (entry.src.0, entry.transfer_id);
+            let drained = self_entry_increment(&mut ctx.node.assembling, key);
+            if drained == entry.frag.of {
+                ctx.node.assembling.remove(&key);
+            }
+            drained == entry.frag.of
+        };
+        let finish = if complete {
             ctx.g.app_messages += 1;
             let src = entry.src.index();
             if let Some(started) = ctx.g.transfer_started.finish(src, entry.transfer_id) {
