@@ -180,6 +180,41 @@ pub struct Delivery {
     pub corrupted: bool,
 }
 
+/// The physical deliveries of one injected message — none (lost), one,
+/// or two (duplicated) — held inline, so deciding a message's fate never
+/// allocates. Derefs to the slice of [`Delivery`] values; a slot past
+/// the length is never written, so comparing the whole value compares
+/// the slices.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Deliveries {
+    slots: [Delivery; 2],
+    len: u8,
+}
+
+impl Deliveries {
+    fn push(&mut self, d: Delivery) {
+        self.slots[usize::from(self.len)] = d;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Deliveries {
+    type Target = [Delivery];
+
+    fn deref(&self) -> &[Delivery] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = Delivery;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Delivery, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().take(usize::from(self.len))
+    }
+}
+
 /// Counters of what the fault layer did to traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -280,28 +315,29 @@ impl FaultPlan {
 
     /// Decides the fate of a message injected at `now` on `src -> dst`.
     ///
-    /// Returns the physical deliveries the wire should perform: an empty
-    /// vector means the message was lost, two entries mean it was
-    /// duplicated. Each delivery carries its own jitter and corruption
-    /// verdict.
-    pub fn deliveries(&mut self, now: Time, src: NodeId, dst: NodeId) -> Vec<Delivery> {
+    /// Returns the physical deliveries the wire should perform: none
+    /// means the message was lost, two mean it was duplicated. Each
+    /// delivery carries its own jitter and corruption verdict.
+    pub fn deliveries(&mut self, now: Time, src: NodeId, dst: NodeId) -> Deliveries {
         self.stats.offered += 1;
+        let mut out = Deliveries::default();
         if !self.cfg.is_active() {
-            return vec![Delivery::default()];
+            out.push(Delivery::default());
+            return out;
         }
         if self.cfg.down.iter().any(|w| w.swallows(now, src, dst))
             || self.cfg.crash.iter().any(|c| c.swallows(now, src, dst))
         {
             self.stats.blackholed += 1;
             *self.swallowed.entry(src).or_insert(0) += 1;
-            return Vec::new();
+            return out;
         }
         let drop_p = self.cfg.drop_p_for(src, dst);
         if drop_p > 0.0 && self.rng.gen_bool(drop_p) {
             self.stats.dropped += 1;
-            return Vec::new();
+            return out;
         }
-        let mut out = vec![self.one_delivery()];
+        out.push(self.one_delivery());
         if self.cfg.dup_p > 0.0 && self.rng.gen_bool(self.cfg.dup_p) {
             self.stats.duplicated += 1;
             out.push(self.one_delivery());
@@ -370,7 +406,7 @@ mod tests {
         let mut plan = FaultPlan::new(cfg);
         for i in 0..100 {
             let d = plan.deliveries(Time::from_ns(i), A, B);
-            assert_eq!(d, vec![Delivery::default()]);
+            assert_eq!(*d, [Delivery::default()]);
         }
         assert_eq!(plan.stats().lost(), 0);
         assert_eq!(plan.stats().offered, 100);

@@ -36,7 +36,9 @@ pub mod reliability;
 pub mod switch_survey;
 pub mod topology;
 
-pub use fault::{CrashWindow, Delivery, DownWindow, FaultConfig, FaultPlan, FaultStats};
+pub use fault::{
+    CrashWindow, Deliveries, Delivery, DownWindow, FaultConfig, FaultPlan, FaultStats,
+};
 pub use flow::{BufferCount, FlowControlEndpoint, FlowStats};
 pub use link::Link;
 pub use msg::{fragment_payload, Fragment, MsgId, NetConfig, NodeId};
