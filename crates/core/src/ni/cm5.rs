@@ -187,8 +187,8 @@ mod tests {
         )
     }
 
-    /// The per-word loop `window_run` replaced: one bus transaction per
-    /// word, each requested after the one before completes.
+    /// The reference for `window_run`: one bus transaction per word,
+    /// each requested after the one before completes.
     fn per_word(
         ni: &Cm5Ni,
         hw: &mut NodeHw,
@@ -216,45 +216,40 @@ mod tests {
 
     #[test]
     fn word_runs_match_the_per_word_loop() {
-        let mut cfg = MachineConfig::default();
-        cfg.metrics = nisim_engine::metrics::MetricsConfig::enabled();
-        let cost = cfg.costs;
-        let loc = DepositLoc::NiFifo;
-        for (wire, single, busy) in (8..=256).flat_map(|w| {
-            [
-                (w, false, false),
-                (w, false, true),
-                (w, true, false),
-                (w, true, true),
-            ]
-        }) {
-            let (mut hw, mut reference) = (
-                NodeHw::new(&cfg, NiKind::Cm5),
-                NodeHw::new(&cfg, NiKind::Cm5),
-            );
-            let mut ni = Cm5Ni::new(single);
-            if busy {
-                // Block writes queued at 0 hold the bus past the first word.
-                for _ in 0..wire % 7 + 1 {
-                    hw.bus.acquire(Time::ZERO, BusOp::BlockWrite);
-                    reference.bus.acquire(Time::ZERO, BusOp::BlockWrite);
-                }
+        let cfg = MachineConfig {
+            metrics: nisim_engine::metrics::MetricsConfig::enabled(),
+            ..MachineConfig::default()
+        };
+        let (cost, loc) = (cfg.costs, DepositLoc::NiFifo);
+        for wire in 8..=256 {
+            for (single, busy) in [(false, false), (false, true), (true, false), (true, true)] {
+                let mut ni = Cm5Ni::new(single);
+                let mut hw = NodeHw::new(&cfg, NiKind::Cm5);
+                let mut reference = NodeHw::new(&cfg, NiKind::Cm5);
+                // On a busy bus, 12+ block writes (16 ns each) queued when
+                // the run starts hold it past the first word's request
+                // (150 setup + 10 copy and issue cycles into a send).
+                let occupy = |hw: &mut NodeHw, reference: &mut NodeHw, at: Time| {
+                    for _ in 0..if busy { wire % 7 + 12 } else { 0 } {
+                        hw.bus.acquire(at, BusOp::BlockWrite);
+                        reference.bus.acquire(at, BusOp::BlockWrite);
+                    }
+                };
+                let what = format!("{wire} B, single_cycle {single}, busy {busy}");
+                let now = Time::from_ns(3);
+                occupy(&mut hw, &mut reference, now);
+                let sent = ni.send_fragment(&mut hw, &cost, now, wire - 8, wire);
+                let setup = now + reference.cycles(cost.send_setup_cycles);
+                let want = per_word(&ni, &mut reference, &cost, setup, wire, true);
+                assert_eq!(sent.proc_release, want, "send {what}");
+                occupy(&mut hw, &mut reference, want);
+                let drained = ni.drain_fragment(&mut hw, &cost, want, wire - 8, wire, &loc);
+                let want = per_word(&ni, &mut reference, &cost, want, wire, false);
+                assert_eq!(drained, want, "drain {what}");
+                // Grant times, stats, cycle breakdown and grant-wait histogram.
+                let (got, expected) = (hw.bus.snapshot(), reference.bus.snapshot());
+                assert_eq!(got.to_compact(), expected.to_compact(), "{what}");
             }
-            let now = Time::from_ns(3);
-            let sent = ni.send_fragment(&mut hw, &cost, now, wire - 8, wire);
-            let setup = now + reference.cycles(cost.send_setup_cycles);
-            let want = per_word(&ni, &mut reference, &cost, setup, wire, true);
-            let what = format!("{wire} B, single_cycle {single}, busy {busy}");
-            assert_eq!(sent.proc_release, want, "send {what}");
-            let drained = ni.drain_fragment(&mut hw, &cost, want, wire - 8, wire, &loc);
-            let want = per_word(&ni, &mut reference, &cost, want, wire, false);
-            assert_eq!(drained, want, "drain {what}");
-            // Grant times, stats, cycle breakdown and grant-wait histogram.
-            assert_eq!(
-                hw.bus.snapshot().to_compact(),
-                reference.bus.snapshot().to_compact(),
-                "{what}"
-            );
         }
     }
 
