@@ -22,9 +22,7 @@ use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist, MetricsBreakdo
 use nisim_engine::stats::{Histogram, Summary};
 use nisim_engine::trace::TraceSink;
 use nisim_engine::{Dur, Json, Sim, SimStatus, Time};
-use nisim_net::{
-    fragment_payload, Fabric, FaultPlan, FaultStats, MsgId, NodeId, RelMetrics, RelStats,
-};
+use nisim_net::{Fabric, FaultPlan, FaultStats, MsgId, NodeId, RelMetrics, RelStats};
 
 use crate::accounting::{TimeCategory, TimeLedger};
 use crate::config::MachineConfig;
@@ -793,11 +791,9 @@ impl Machine {
         ctx.g
             .msg_size_hist
             .record(spec.payload_bytes + ctx.cfg.net.header_bytes);
-        let frags = fragment_payload(&ctx.cfg.net, spec.payload_bytes);
         ctx.node.proc.current_send = Some(SendInProgress {
             spec,
             transfer_id,
-            frags,
             next: 0,
             checked_space: false,
         });
@@ -828,7 +824,7 @@ impl Machine {
             let Some(send) = node.proc.current_send.as_mut() else {
                 return;
             };
-            let frag = send.frags[send.next];
+            let frag = send.fragment(&ctx.cfg.net);
             let mut t = now;
             if !send.checked_space {
                 t = node.ni.model.check_send_space(&mut node.hw, &costs, now);
@@ -870,7 +866,7 @@ impl Machine {
             let transfer_id = send.transfer_id;
             send.next += 1;
             send.checked_space = false;
-            if send.is_complete() {
+            if frag.is_last() {
                 node.proc.current_send = None;
             }
             let seq = rel_on.then(|| node.ni.rel_tx.next_seq(spec.dst));

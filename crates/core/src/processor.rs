@@ -15,9 +15,9 @@
 
 use std::collections::VecDeque;
 
-use nisim_engine::codec::{ensure, Codec, DecodeError};
+use nisim_engine::codec::{Codec, DecodeError};
 use nisim_engine::{Json, Time};
-use nisim_net::Fragment;
+use nisim_net::{fragment_at, Fragment, NetConfig};
 
 use crate::ni::WireMsg;
 use crate::process::SendSpec;
@@ -58,26 +58,25 @@ pub struct SendInProgress {
     pub spec: SendSpec,
     /// Transfer identity (shared by all fragments).
     pub transfer_id: u64,
-    /// The fragments to inject, in order.
-    pub frags: Vec<Fragment>,
     /// Index of the next fragment to inject.
-    pub next: usize,
+    pub next: u32,
     /// Whether the send-space check for the current fragment has already
     /// been performed (and charged).
     pub checked_space: bool,
 }
 
 // A send whose last fragment went out is dropped at once, so a stored
-// send always has a fragment left.
+// send always has a fragment left. How many fragments the payload takes
+// depends on the network configuration, so the cross-struct restore
+// pass checks it.
 nisim_engine::struct_codec! {
-    SendInProgress { spec, transfer_id, frags, next, checked_space }
-    check |s: &SendInProgress| ensure(s.next < s.frags.len(), "no fragment left to send")
+    SendInProgress { spec, transfer_id, next, checked_space }
 }
 
 impl SendInProgress {
-    /// True once every fragment has been handed to the NI.
-    pub fn is_complete(&self) -> bool {
-        self.next >= self.frags.len()
+    /// The next fragment to inject, as `net` cuts the payload.
+    pub fn fragment(&self, net: &NetConfig) -> Fragment {
+        fragment_at(net, self.spec.payload_bytes, self.next)
     }
 }
 
@@ -168,20 +167,17 @@ mod tests {
 
     #[test]
     fn send_in_progress_completion() {
+        // 500 B in 248 B fragments: 248 + 248 + 4.
         let s = SendInProgress {
-            spec: SendSpec::new(NodeId(1), 8, 0),
+            spec: SendSpec::new(NodeId(1), 500, 0),
             transfer_id: 0,
-            frags: vec![Fragment {
-                index: 0,
-                of: 1,
-                payload_bytes: 8,
-                offset: 0,
-            }],
             next: 0,
             checked_space: false,
         };
-        assert!(!s.is_complete());
-        let done = SendInProgress { next: 1, ..s };
-        assert!(done.is_complete());
+        let net = NetConfig::default();
+        assert!(!s.fragment(&net).is_last());
+        let last = SendInProgress { next: 2, ..s }.fragment(&net);
+        assert!(last.is_last());
+        assert_eq!((last.payload_bytes, last.offset), (4, 496));
     }
 }

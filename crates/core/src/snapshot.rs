@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use nisim_engine::codec::{self, ensure, Codec, DecodeError, Fields, State};
 use nisim_engine::json::{u64_from_hex, u64_hex};
 use nisim_engine::{Dur, Json, Time};
-use nisim_net::{Fragment, MsgId, NodeId};
+use nisim_net::{fragment_count, Fragment, MsgId, NodeId};
 
 use crate::config::MachineConfig;
 use crate::event::MachineEvent;
@@ -53,7 +53,11 @@ use crate::processor::ProcPhase;
 ///
 /// Version 5: the bus no longer keeps (or stores) a queueing-delay
 /// summary.
-pub const SNAPSHOT_VERSION: u64 = 5;
+///
+/// Version 6: a send in progress no longer stores its fragment list; the
+/// payload, the network configuration and the next fragment's index
+/// give every fragment.
+pub const SNAPSHOT_VERSION: u64 = 6;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -505,7 +509,7 @@ fn check_wire(m: &Machine, w: &WireMsg) -> Result<(), DecodeError> {
 /// payload of `total` bytes at its index.
 fn check_frag(m: &Machine, frag: &Fragment, total: u64) -> Result<(), DecodeError> {
     let max = m.cfg.net.max_payload_bytes();
-    let count = total.div_ceil(max).max(1);
+    let count = fragment_count(&m.cfg.net, total);
     let fits = u64::from(frag.index) < count && u64::from(frag.of) == count && {
         let offset = u64::from(frag.index) * max;
         frag.offset == offset && frag.payload_bytes == (total - offset).min(max)
@@ -685,13 +689,11 @@ fn check_proc(m: &Machine, i: usize, runs: &[Time]) -> Result<(), DecodeError> {
         spec_ok(s).map_err(|e| e.in_index(k).in_key("queued_sends"))?;
     }
     if let Some(s) = &p.current_send {
-        let cut = s.frags.len() == s.frags[0].of as usize
-            && (s.frags.iter().enumerate()).all(|(k, f)| {
-                f.index as usize == k && check_frag(m, f, s.spec.payload_bytes).is_ok()
-            });
+        // A send whose last fragment went out is dropped at once.
+        let left = u64::from(s.next) < fragment_count(&m.cfg.net, s.spec.payload_bytes);
         spec_ok(&s.spec)
             .and_then(|()| check_id(m, s.transfer_id, i, IdKind::Transfer))
-            .and_then(|()| ensure(cut, "fragments do not match the payload"))
+            .and_then(|()| ensure(left, "no fragment left to send"))
             .map_err(|e| e.in_key("current_send"))?;
     }
     for (k, w) in p.pending_resends.iter().enumerate() {

@@ -12,8 +12,8 @@
 //! This crate provides exactly that abstraction:
 //!
 //! * [`NetConfig`] — wire latency, link rate, message/header geometry,
-//! * [`fragment_payload`] — splitting payloads into ≤ 256-byte network
-//!   messages,
+//! * [`fragment_payload`] / [`fragment_at`] — splitting payloads into
+//!   ≤ 256-byte network messages,
 //! * [`Link`] — serially-reusable injection/ejection ports,
 //! * [`FlowControlEndpoint`] — per-NI send/receive buffer accounting for
 //!   the return-to-sender protocol,
@@ -41,7 +41,7 @@ pub use fault::{
 };
 pub use flow::{BufferCount, FlowControlEndpoint, FlowStats};
 pub use link::Link;
-pub use msg::{fragment_payload, Fragment, MsgId, NetConfig, NodeId};
+pub use msg::{fragment_at, fragment_count, fragment_payload, Fragment, MsgId, NetConfig, NodeId};
 pub use reliability::{
     ReceiverDedup, RelMetrics, RelStats, ReliabilityConfig, SenderReliability, SeqNo,
 };

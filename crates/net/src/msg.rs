@@ -146,21 +146,51 @@ impl Fragment {
 /// assert!(frags[2].is_last());
 /// ```
 pub fn fragment_payload(cfg: &NetConfig, payload_bytes: u64) -> Vec<Fragment> {
+    let count = fragment_count(cfg, payload_bytes);
+    (0..count)
+        .map(|i| cut(cfg, payload_bytes, count, i as u32))
+        .collect()
+}
+
+/// How many network messages a payload of `payload_bytes` takes under
+/// `cfg`: at least one, since a zero-byte payload still sends its header.
+pub fn fragment_count(cfg: &NetConfig, payload_bytes: u64) -> u64 {
     let max = cfg.max_payload_bytes();
     assert!(max > 0, "header leaves no payload room");
-    let count = payload_bytes.div_ceil(max).max(1);
-    (0..count)
-        .map(|i| {
-            let offset = i * max;
-            let payload = (payload_bytes - offset).min(max);
-            Fragment {
-                index: i as u32,
-                of: count as u32,
-                payload_bytes: payload,
-                offset,
-            }
-        })
-        .collect()
+    payload_bytes.div_ceil(max).max(1)
+}
+
+/// Fragment `index` of a payload of `payload_bytes` under `cfg` — the
+/// element of [`fragment_payload`] at `index`, computed without building
+/// the list.
+///
+/// # Panics
+///
+/// Panics if the payload has no fragment `index`.
+///
+/// # Example
+///
+/// ```
+/// use nisim_net::{fragment_at, NetConfig};
+/// let last = fragment_at(&NetConfig::default(), 500, 2);
+/// assert_eq!((last.of, last.payload_bytes, last.offset), (3, 4, 496));
+/// ```
+pub fn fragment_at(cfg: &NetConfig, payload_bytes: u64, index: u32) -> Fragment {
+    let count = fragment_count(cfg, payload_bytes);
+    assert!(u64::from(index) < count, "no fragment {index} of {count}");
+    cut(cfg, payload_bytes, count, index)
+}
+
+/// Fragment `index` of the `count` a payload of `payload_bytes` takes.
+fn cut(cfg: &NetConfig, payload_bytes: u64, count: u64, index: u32) -> Fragment {
+    let max = cfg.max_payload_bytes();
+    let offset = u64::from(index) * max;
+    Fragment {
+        index,
+        of: count as u32,
+        payload_bytes: (payload_bytes - offset).min(max),
+        offset,
+    }
 }
 
 #[cfg(test)]

@@ -613,6 +613,49 @@ fn malformed_names_the_full_json_path() {
     );
 }
 
+/// A send whose fragments all went out, and a transfer start naming a
+/// node the machine does not have, are typed errors at their paths.
+#[test]
+fn sent_out_send_and_foreign_transfer_start_are_rejected() {
+    for cut in (7..700).step_by(7) {
+        let ck = point_checkpoint(MacroApp::Em3d, NiKind::Cm5, true, cut);
+        let v = json::parse(&ck.text).unwrap();
+        let machine = v.get("machine").unwrap();
+        let nodes = machine.get("nodes").and_then(Json::as_arr).unwrap();
+        let Some(i) = nodes.iter().position(|n| {
+            n.get("proc")
+                .and_then(|p| p.get("current_send"))
+                .is_some_and(|s| !matches!(s, Json::Null))
+        }) else {
+            continue;
+        };
+        let starts = machine.get("transfer_started").and_then(Json::as_arr);
+        let last = starts.map_or(0, |s| s.len()).saturating_sub(1);
+        let error = |path: &str, f: fn(f64) -> f64| {
+            let text = String::from_utf8(forged(&ck, &segs(path), f)).unwrap();
+            resume(&ck.point, &text, ck.events).expect_err(path)
+        };
+        // No payload here takes a million fragments.
+        let next = format!("machine.nodes[{i}].proc.current_send.next");
+        assert_eq!(
+            error(&next, |_| 1e6),
+            SnapshotError::Malformed(format!(
+                "machine.nodes[{i}].proc.current_send: no fragment left to send"
+            ))
+        );
+        // The last id stays the largest, on node 9 of 4.
+        let id = format!("machine.transfer_started[{last}][0]");
+        assert_eq!(
+            error(&id, |_| (9u64 << 40) as f64),
+            SnapshotError::Malformed(format!(
+                "machine.transfer_started[{last}]: id not minted by its node"
+            ))
+        );
+        return;
+    }
+    panic!("no cut left a send in progress");
+}
+
 #[test]
 fn path_patterns_match_at_segment_boundaries() {
     assert!(under("a.b[*].c", "a.b[12].c"));

@@ -142,9 +142,10 @@ fn any_config_perturbation_is_rejected_at_restore() {
     }
 }
 
-/// Version-5 snapshots drop the bus's queueing summary. A snapshot
-/// stamped with an earlier version (4 wrote the summary, 3 stored every
-/// cache line) must be rejected as a [`SnapshotError::Version`], and a
+/// Version-6 snapshots drop a send's stored fragment list. A snapshot
+/// stamped with an earlier version (5 wrote the list, 4 the bus's
+/// queueing summary, 3 every cache line) must be rejected as a
+/// [`SnapshotError::Version`], and a
 /// wire `conn` forged past `u32::MAX`
 /// must be rejected as [`SnapshotError::Malformed`] — never silently
 /// truncated into a valid connection.
@@ -157,7 +158,7 @@ fn stale_version_and_forged_conn_are_rejected() {
     let current = format!("\"version\":{SNAPSHOT_VERSION}");
     let text = snap.to_compact();
     assert!(text.contains(&current));
-    for old in [3, 4] {
+    for old in [3, 4, 5] {
         let stale = json::parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap();
         assert_eq!(
             restore(cfg.clone(), mk(&cfg), &stale).err(),
