@@ -13,7 +13,7 @@
 //!
 //! Simulation models define a plain `enum` of their event kinds and
 //! dispatch in [`Event::fire`]; the events are stored inline in the wheel's
-//! slots, so the steady state allocates nothing per event. For quick
+//! node slab, so the steady state allocates nothing per event. For quick
 //! experiments and tests, the default event type [`ClosureEvent`] keeps the
 //! original boxed-closure API: `Sim<M>` means `Sim<M, ClosureEvent<M>>`,
 //! and [`Sim::schedule_at`] / [`Sim::schedule_in`] accept plain closures.
@@ -259,28 +259,7 @@ impl<M, E: Event<M>> Sim<M, E> {
 
     /// Runs until drained, `horizon` passes, or `max_events` have fired.
     pub fn run_bounded(&mut self, model: &mut M, horizon: Time, max_events: u64) -> SimStatus {
-        let mut budget = max_events;
-        loop {
-            match self.queue.peek() {
-                None => return SimStatus::Drained,
-                Some((at, _)) if at > horizon => {
-                    self.now = horizon;
-                    return SimStatus::HorizonReached;
-                }
-                Some(_) => {}
-            }
-            if budget == 0 {
-                return SimStatus::EventBudgetExhausted;
-            }
-            budget -= 1;
-            let Some((at, _, event)) = self.queue.pop() else {
-                return SimStatus::Drained;
-            };
-            debug_assert!(at >= self.now, "event queue returned stale event");
-            self.now = at;
-            self.fired += 1;
-            event.fire(model, self);
-        }
+        self.run_loop(model, horizon, max_events, |_, _| false)
     }
 
     /// [`Sim::run_bounded`] with a no-progress watchdog.
@@ -305,37 +284,63 @@ impl<M, E: Event<M>> Sim<M, E> {
         window: Dur,
         mut progress: impl FnMut(&M) -> u64,
     ) -> SimStatus {
-        let mut budget = max_events;
         let mut last_value = progress(model);
         let mut last_change = self.now;
+        self.run_loop(model, horizon, max_events, |model, now| {
+            let value = progress(model);
+            if value != last_value {
+                last_value = value;
+                last_change = now;
+                false
+            } else {
+                now.saturating_since(last_change) >= window
+            }
+        })
+    }
+
+    /// The run loop behind [`Sim::run_bounded`] and [`Sim::run_watched`]:
+    /// one `pop_due` per event finds and takes it. After each event,
+    /// `stalled(model, now)` returning true ends the run as
+    /// [`SimStatus::Stalled`].
+    fn run_loop(
+        &mut self,
+        model: &mut M,
+        horizon: Time,
+        max_events: u64,
+        mut stalled: impl FnMut(&M, Time) -> bool,
+    ) -> SimStatus {
+        let mut budget = max_events;
         loop {
-            match self.queue.peek() {
-                None => return SimStatus::Drained,
-                Some((at, _)) if at > horizon => {
-                    self.now = horizon;
-                    return SimStatus::HorizonReached;
-                }
-                Some(_) => {}
-            }
             if budget == 0 {
-                return SimStatus::EventBudgetExhausted;
+                return match self.queue.peek() {
+                    None => SimStatus::Drained,
+                    Some((at, _)) if at > horizon => self.horizon_reached(horizon),
+                    Some(_) => SimStatus::EventBudgetExhausted,
+                };
             }
-            budget -= 1;
-            let Some((at, _, event)) = self.queue.pop() else {
-                return SimStatus::Drained;
+            let Some((at, _, event)) = self.queue.pop_due(horizon) else {
+                return if self.queue.is_empty() {
+                    SimStatus::Drained
+                } else {
+                    self.horizon_reached(horizon)
+                };
             };
+            budget -= 1;
             debug_assert!(at >= self.now, "event queue returned stale event");
             self.now = at;
             self.fired += 1;
             event.fire(model, self);
-            let value = progress(model);
-            if value != last_value {
-                last_value = value;
-                last_change = self.now;
-            } else if self.now.saturating_since(last_change) >= window {
+            if stalled(model, self.now) {
                 return SimStatus::Stalled;
             }
         }
+    }
+
+    /// Ends a run whose next event lies past `horizon`: the clock stops
+    /// at the horizon.
+    fn horizon_reached(&mut self, horizon: Time) -> SimStatus {
+        self.now = horizon;
+        SimStatus::HorizonReached
     }
 
     /// Fires at most one pending event. Returns `false` if the queue was

@@ -186,6 +186,10 @@ impl Lines {
 pub struct Cache {
     cfg: CacheConfig,
     geo: BlockGeometry,
+    /// log2 of the block size and the set count minus one: a block's set
+    /// is `(addr >> block_shift) & set_mask`, both being powers of two.
+    block_shift: u32,
+    set_mask: u64,
     lines: Lines,
     clock: u64,
     stats: CacheStats,
@@ -231,6 +235,8 @@ impl Cache {
         let mut cache = Cache {
             cfg,
             geo,
+            block_shift: cfg.block_bytes.ilog2(),
+            set_mask: sets - 1,
             lines: Lines::new(blocks as usize, cfg.ways as usize),
             clock: 0,
             stats: CacheStats::default(),
@@ -300,8 +306,7 @@ impl Cache {
     }
 
     fn set_index(&self, block: BlockAddr) -> usize {
-        let sets = self.cfg.sets();
-        ((block.raw() / self.cfg.block_bytes) % sets) as usize
+        ((block.raw() >> self.block_shift) & self.set_mask) as usize
     }
 
     /// The MOESI state of `block` (`Invalid` if not present).
