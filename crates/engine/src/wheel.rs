@@ -174,6 +174,9 @@ impl<T> TimerWheel<T> {
             item: Some(item),
         };
         let idx = if self.free == NIL {
+            // Every index must fit a `u32` below `NIL`; reaching it would
+            // take 2^32 pending events, hundreds of GiB of slab.
+            assert!(self.nodes.len() < NIL as usize, "timer wheel slab full");
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         } else {

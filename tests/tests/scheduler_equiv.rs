@@ -148,6 +148,46 @@ fn mixed_horizon_streams_pop_identically() {
     }
 }
 
+/// Peeks advance the wheel to its next entry, promoting far entries out
+/// of the overflow heap, so a later push can land in front of the
+/// wheel's window and re-anchor it — entries beyond the new window must
+/// go back to the overflow heap. Random push/pop/peek streams with few
+/// pending entries reach that path often.
+#[test]
+fn pushes_in_front_of_a_peeked_window_pop_identically() {
+    for case in 0..200u64 {
+        let mut rng = SplitMix64::new(0xBEEF + case);
+        let mut wheel = TimerWheel::new();
+        let mut heap = BinaryHeapQueue::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        for _ in 0..300 {
+            match rng.gen_range(5) {
+                0 => assert_eq!(wheel.peek(), heap.peek(), "case {case}: peek diverged"),
+                1 => {
+                    let a = wheel.pop();
+                    let b = heap.pop();
+                    assert_eq!(
+                        a.as_ref().map(|e| (e.0, e.1)),
+                        b.as_ref().map(|e| (e.0, e.1)),
+                        "case {case}: pop diverged"
+                    );
+                    if let Some((t, _, _)) = a {
+                        now = t.as_ns();
+                    }
+                }
+                _ => {
+                    let at = now + mixed_delay(&mut rng);
+                    wheel.push(Time::from_ns(at), seq, seq);
+                    heap.push(Time::from_ns(at), seq, seq);
+                    seq += 1;
+                }
+            }
+        }
+        assert_queues_equal(&mut wheel, &mut heap, &format!("case {case}"));
+    }
+}
+
 #[test]
 fn same_instant_bursts_preserve_fifo_across_backends() {
     for case in 0..10u64 {
