@@ -4,7 +4,7 @@
 //! [`MachineEvent`] variants below, dispatched to the corresponding
 //! handler in [`machine`](crate::machine). Compared with the engine's
 //! boxed-closure default ([`nisim_engine::ClosureEvent`]), a plain enum
-//! stores inline in the timing wheel's slot slabs — scheduling a bus
+//! stores inline in the timing wheel's node slab — scheduling a bus
 //! transaction or link hop allocates nothing and dispatch is a jump
 //! table instead of an indirect call through a fat pointer.
 //!

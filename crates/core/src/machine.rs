@@ -805,7 +805,7 @@ impl Machine {
     fn do_send_step(ctx: &mut EvCtx<'_>) {
         let now = ctx.now;
         let nid = ctx.nid;
-        let costs = ctx.cfg.costs;
+        let costs = &ctx.cfg.costs;
         let header = ctx.cfg.net.header_bytes;
         let backoff0 = ctx.cfg.retry_backoff;
         let rel_on = ctx.cfg.reliability.enabled;
@@ -827,7 +827,7 @@ impl Machine {
             let frag = send.fragment(&ctx.cfg.net);
             let mut t = now;
             if !send.checked_space {
-                t = node.ni.model.check_send_space(&mut node.hw, &costs, now);
+                t = node.ni.model.check_send_space(&mut node.hw, costs, now);
                 send.checked_space = true;
                 node.ledger.charge_to(t, TimeCategory::DataTransfer);
             }
@@ -846,13 +846,10 @@ impl Machine {
                 send.spec.dst.0 + 1
             };
             node.ni.model.stage(conn, send.spec.tag);
-            let path = node.ni.model.send_fragment(
-                &mut node.hw,
-                &costs,
-                t,
-                frag.payload_bytes,
-                wire_bytes,
-            );
+            let path =
+                node.ni
+                    .model
+                    .send_fragment(&mut node.hw, costs, t, frag.payload_bytes, wire_bytes);
             node.ledger
                 .charge_to(path.proc_release, TimeCategory::DataTransfer);
             let mut release = path.proc_release;
@@ -964,7 +961,7 @@ impl Machine {
     pub(crate) fn arrival(ctx: &mut EvCtx<'_>, wire: WireMsg, corrupted: bool) {
         let now = ctx.now;
         let net = ctx.cfg.net;
-        let costs = ctx.cfg.costs;
+        let costs = &ctx.cfg.costs;
         let bytes = wire.wire_bytes(net.header_bytes);
 
         let (eject_start, ejected) = ctx.node.hw.ingress.transmit(&net, now, bytes);
@@ -1043,7 +1040,7 @@ impl Machine {
             node.ni.model.stage(wire.conn, wire.tag);
             let dep = node.ni.model.deposit_fragment(
                 &mut node.hw,
-                &costs,
+                costs,
                 ejected,
                 wire.frag.payload_bytes,
                 bytes,
@@ -1224,7 +1221,7 @@ impl Machine {
     /// buffer and retry the send later").
     fn do_resend(ctx: &mut EvCtx<'_>) {
         let now = ctx.now;
-        let costs = ctx.cfg.costs;
+        let costs = &ctx.cfg.costs;
         let header = ctx.cfg.net.header_bytes;
         if ctx.node.proc.pending_resends.is_empty() {
             ctx.g.violation(
@@ -1243,7 +1240,7 @@ impl Machine {
             let wire_bytes = wire.wire_bytes(header);
             let consumed = node.ni.model.drain_fragment(
                 &mut node.hw,
-                &costs,
+                costs,
                 now,
                 wire.frag.payload_bytes,
                 wire_bytes,
@@ -1252,7 +1249,7 @@ impl Machine {
             node.ni.model.stage(wire.conn, wire.tag);
             let path = node.ni.model.send_fragment(
                 &mut node.hw,
-                &costs,
+                costs,
                 consumed,
                 wire.frag.payload_bytes,
                 wire_bytes,
@@ -1273,7 +1270,7 @@ impl Machine {
     fn do_drain(ctx: &mut EvCtx<'_>) {
         let now = ctx.now;
         let nid = ctx.nid;
-        let costs = ctx.cfg.costs;
+        let costs = &ctx.cfg.costs;
         let header = ctx.cfg.net.header_bytes;
 
         if ctx.node.ni.peek_ready(now).is_none() {
@@ -1292,10 +1289,10 @@ impl Machine {
                 return;
             };
             let wire_bytes = entry.frag.payload_bytes + header;
-            let t = node.ni.model.detection(&mut node.hw, &costs, now);
+            let t = node.ni.model.detection(&mut node.hw, costs, now);
             let t = node.ni.model.drain_fragment(
                 &mut node.hw,
-                &costs,
+                costs,
                 t,
                 entry.frag.payload_bytes,
                 wire_bytes,

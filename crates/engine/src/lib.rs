@@ -10,8 +10,8 @@
 //!
 //! * [`Time`] and [`Dur`] — integer-nanosecond simulated time,
 //! * [`Sim`] — an event scheduler with deterministic tie-breaking (FIFO
-//!   among events scheduled for the same instant), backed by a
-//!   hierarchical timing wheel ([`wheel`]) over typed events ([`Event`]),
+//!   among events scheduled for the same instant), backed by a rolling
+//!   window of nanosecond slots ([`wheel`]) over typed events ([`Event`]),
 //! * [`SplitMix64`] — a tiny seedable PRNG for deterministic workloads,
 //! * [`stats`] — counters, histograms and online summary statistics used
 //!   for experiment reporting,

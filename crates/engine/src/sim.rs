@@ -6,10 +6,11 @@
 //! for the same instant fire in the order they were scheduled (FIFO), which
 //! makes runs exactly reproducible.
 //!
-//! The queue is a hierarchical timing wheel with a far-future heap overflow
-//! (see [`crate::wheel`]): the dense short-horizon traffic a hardware model
-//! generates — bus transactions, link hops, memory accesses — schedules and
-//! pops in O(1) instead of O(log n).
+//! The queue is a rolling window of nanosecond slots with a binary heap
+//! for everything outside it (see [`crate::wheel`]): the dense
+//! short-horizon traffic a hardware model generates — bus transactions,
+//! link hops, memory accesses — schedules and pops in O(1) instead of
+//! O(log n).
 //!
 //! Simulation models define a plain `enum` of their event kinds and
 //! dispatch in [`Event::fire`]; the events are stored inline in the wheel's
@@ -299,8 +300,8 @@ impl<M, E: Event<M>> Sim<M, E> {
     }
 
     /// The run loop behind [`Sim::run_bounded`] and [`Sim::run_watched`]:
-    /// one `pop_due` per event finds and takes it. After each event,
-    /// `stalled(model, now)` returning true ends the run as
+    /// one `pop_due`, inlined here, per event finds and takes it. After
+    /// each event, `stalled(model, now)` returning true ends the run as
     /// [`SimStatus::Stalled`].
     fn run_loop(
         &mut self,

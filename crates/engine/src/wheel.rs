@@ -1,4 +1,5 @@
-//! The event queue: a hierarchical timing wheel over one node slab.
+//! The event queue: one rolling window of nanosecond slots over one node
+//! slab, with a binary heap for everything outside the window.
 //!
 //! [`TimerWheel`] is a priority queue of `(Time, seq, payload)` entries
 //! popped in ascending `(time, seq)` order — the global FIFO-at-equal-
@@ -6,21 +7,21 @@
 //!
 //! The study's event traffic is dominated by short, fixed latencies (bus
 //! transactions are 8–16 ns, a link hop is 40 ns, memory is 120 ns, ack
-//! timers are a few µs), so almost every event lands within a few hundred
-//! nanoseconds of `now`. The wheel makes those O(1): three levels of 256
-//! slots at 1 ns / 256 ns / 65 µs granularity cover a ~16.8 ms horizon,
-//! and anything beyond that waits in a far-future binary heap until the
-//! wheel's window reaches it (overflow promotion).
+//! timers are a few µs), so almost every event lands within a few
+//! microseconds of `now`. The window makes those O(1): 8,192 slots of one
+//! nanosecond each cover `[cursor, cursor + 8192)`, where the cursor is
+//! never later than the earliest entry in the window. Slot `at & 8191`
+//! holds a single instant, and circular slot order starting at the
+//! cursor's slot is time order. Anything outside the window — 8,192 ns
+//! or more ahead of the cursor, or before it — goes to a binary heap,
+//! and pops straight from there: no entry ever moves between the two.
 //!
 //! Every pending entry is stored once, in a node of one slab; a slot is
-//! a linked list of node indices, and the overflow heap orders node
-//! indices by `(time, seq)`. A push writes its node, a pop reads it, and
-//! a cascade or promotion relinks nodes without moving them. Freed nodes
-//! go on a LIFO free list, so the next push reuses the node the last pop
+//! a linked list of node indices, and the heap orders node indices by
+//! `(time, seq)`. A push writes its node, a pop reads it. Freed nodes go
+//! on a LIFO free list, so the next push reuses the node the last pop
 //! freed, and the slab only grows to the peak number of pending entries:
-//! steady-state scheduling allocates nothing. A level-0 slot (a single
-//! nanosecond, hence a single instant) drains FIFO straight off its
-//! list's head.
+//! steady-state scheduling allocates nothing.
 //!
 //! The differential suite (`tests/tests/scheduler_equiv.rs`) drives the
 //! wheel against a reference `BinaryHeap` queue with randomized streams
@@ -40,44 +41,30 @@ use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
-/// Slots per wheel level (2^8).
-const SLOT_BITS: u32 = 8;
-/// Number of slots at each level.
+/// log2 of the window's width in nanosecond slots.
+const SLOT_BITS: u32 = 13;
+/// Slots in the window, one nanosecond each.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels (granularities 1 ns, 256 ns, 65536 ns).
-const LEVELS: usize = 3;
-/// Words of occupancy bitmap per level.
+/// Words of the occupancy bitmap, one bit per slot.
 const OCC_WORDS: usize = SLOTS / 64;
-/// Horizon of each level, in nanoseconds from the level's window base.
-const SPAN: [u64; LEVELS] = [1 << SLOT_BITS, 1 << (2 * SLOT_BITS), 1 << (3 * SLOT_BITS)];
+/// Words of the summary bitmap, one bit per occupancy word.
+const SUMMARY_WORDS: usize = OCC_WORDS / 64;
 /// The node index that names no node: the end of a list.
 const NIL: u32 = u32::MAX;
 
 /// One slab node: a pending entry and the index of the next node in its
-/// slot's list (or in the free list, when `item` is `None`).
+/// slot's list (or in the free list, when `item` is `None`). A list's
+/// head node also holds the index of the list's tail.
 struct Node<T> {
     at: u64,
     seq: u64,
     next: u32,
+    tail: u32,
     item: Option<T>,
 }
 
-/// A slot's list of nodes, oldest first; `NIL` at both ends when empty.
-#[derive(Clone, Copy)]
-struct Slot {
-    head: u32,
-    tail: u32,
-}
-
-impl Slot {
-    const EMPTY: Slot = Slot {
-        head: NIL,
-        tail: NIL,
-    };
-}
-
-/// A two-level scheduler queue: hierarchical timing wheel for the near
-/// future, binary-heap overflow for the far future.
+/// A scheduler queue: a rolling window of nanosecond slots for the near
+/// future, a binary heap for everything outside it.
 ///
 /// # Example
 ///
@@ -100,20 +87,20 @@ pub struct TimerWheel<T> {
     nodes: Vec<Node<T>>,
     /// Head of the LIFO free list threaded through `Node::next`.
     free: u32,
-    /// `LEVELS × SLOTS` slot lists, level-major.
-    ///
-    /// A level-0 slot covers exactly one nanosecond, so a level-0 list
-    /// holds a single instant — and every path that fills a list
-    /// (monotone-seq pushes, cascades, overflow promotion) preserves
-    /// ascending `seq` among same-instant entries, so the list head is
-    /// always the FIFO-correct next event. See `insert`.
-    slots: Vec<Slot>,
-    /// Occupancy bitmaps, one bit per slot.
-    occ: [[u64; OCC_WORDS]; LEVELS],
-    /// Window base of each level, aligned to the level's span.
-    base: [u64; LEVELS],
-    /// Far-future entries (beyond the level-2 horizon), as
-    /// `(at, seq, node)`: a min-heap on `(at, seq)`.
+    /// The head node of each slot's list, oldest first; valid only where
+    /// the slot's occupancy bit is set. Every entry in a list shares one
+    /// instant and was pushed in ascending `seq` order, so the head is
+    /// the FIFO-correct next event. See `push`.
+    heads: Vec<u32>,
+    /// Occupancy bitmap, one bit per slot.
+    occ: [u64; OCC_WORDS],
+    /// One bit per non-zero word of `occ`.
+    summary: [u64; SUMMARY_WORDS],
+    /// The window's start: every entry in a slot lies in
+    /// `[cursor, cursor + SLOTS)`.
+    cursor: u64,
+    /// Entries outside the window, as `(at, seq, node)`: a min-heap on
+    /// `(at, seq)`.
     overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
     len: usize,
 }
@@ -125,20 +112,21 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    /// Creates an empty wheel anchored at time zero.
+    /// Creates an empty queue whose window starts at time zero.
     pub fn new() -> Self {
         TimerWheel {
             nodes: Vec::new(),
             free: NIL,
-            slots: vec![Slot::EMPTY; LEVELS * SLOTS],
-            occ: [[0; OCC_WORDS]; LEVELS],
-            base: [0; LEVELS],
+            heads: vec![NIL; SLOTS],
+            occ: [0; OCC_WORDS],
+            summary: [0; SUMMARY_WORDS],
+            cursor: 0,
             overflow: BinaryHeap::new(),
             len: 0,
         }
     }
 
-    /// Number of pending entries (wheel levels plus overflow).
+    /// Number of pending entries (window plus heap).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -153,24 +141,25 @@ impl<T> TimerWheel<T> {
     /// `seq` must be unique; the caller (the [`Sim`](crate::Sim) loop)
     /// assigns it from a monotone counter in scheduling order, which is
     /// what produces the FIFO tie-break at equal instants.
+    ///
+    /// An instant's entries can be split between the heap and the window
+    /// only if the heap's were pushed first: an instant leaves the heap's
+    /// range ahead of the window only as the cursor moves up to it, and
+    /// the cursor never passes an entry still in the window. So each
+    /// list grows in `seq` order, and comparing the window's front with
+    /// the heap's top on `(at, seq)` pops the heap's share first.
     pub fn push(&mut self, at: Time, seq: u64, item: T) {
         let at = at.as_ns();
-        self.len += 1;
-        if self.len == 1 {
-            // Empty queue: re-anchor so the entry lands at level 0.
-            self.anchor(at);
-        } else if at < self.base[0] {
-            // Out the front of the current window. This happens when a
-            // horizon-bounded run left the wheel cascaded into the far
-            // future and the caller then scheduled a near event: unlink
-            // every wheel entry, re-anchor at the new front, and
-            // re-distribute. Rare, and O(pending) when it happens.
-            self.reanchor_before(at);
+        if self.len == 0 {
+            // Empty queue: start the window at the entry.
+            self.cursor = at;
         }
+        self.len += 1;
         let node = Node {
             at,
             seq,
             next: NIL,
+            tail: NIL,
             item: Some(item),
         };
         let idx = if self.free == NIL {
@@ -186,16 +175,29 @@ impl<T> TimerWheel<T> {
             *slot = node;
             idx
         };
-        self.insert(idx);
+        // Before the cursor, the difference wraps past the window too.
+        if at.wrapping_sub(self.cursor) >= SLOTS as u64 {
+            self.overflow.push(Reverse((at, seq, idx)));
+            return;
+        }
+        let slot = at as usize & (SLOTS - 1);
+        let (word, bit) = (slot / 64, 1 << (slot % 64));
+        if self.occ[word] & bit == 0 {
+            self.occ[word] |= bit;
+            self.summary[word / 64] |= 1 << (word % 64);
+            self.heads[slot] = idx;
+            self.nodes[idx as usize].tail = idx;
+        } else {
+            let head = self.heads[slot] as usize;
+            let tail = std::mem::replace(&mut self.nodes[head].tail, idx);
+            self.nodes[tail as usize].next = idx;
+        }
     }
 
-    /// The earliest pending `(time, seq)`, or `None` when empty. Takes
-    /// `&mut self` because finding the front may promote entries from
-    /// outer levels (or the overflow heap) into level 0.
-    pub fn peek(&mut self) -> Option<(Time, u64)> {
-        let slot = self.advance()?;
-        let node = &self.nodes[self.slots[slot].head as usize];
-        Some((Time::from_ns(node.at), node.seq))
+    /// The earliest pending `(time, seq)`, or `None` when empty.
+    pub fn peek(&self) -> Option<(Time, u64)> {
+        let (at, seq, _, _) = self.front()?;
+        Some((Time::from_ns(at), seq))
     }
 
     /// Removes and returns the earliest pending entry.
@@ -206,168 +208,101 @@ impl<T> TimerWheel<T> {
     /// Removes and returns the earliest pending entry if it is due at or
     /// before `horizon`. `None` means the queue is empty or its earliest
     /// entry is later than `horizon`; [`TimerWheel::is_empty`] tells the
-    /// two apart. One `advance` finds the entry and, when due, takes it.
+    /// two apart.
+    // Inlined into each run loop: called out of line, this writes the
+    // 104-byte result (for the machine's event type) with stores the
+    // caller then reloads out of step, the run loop's hottest line.
+    #[inline(always)]
     pub fn pop_due(&mut self, horizon: Time) -> Option<(Time, u64, T)> {
-        let slot = self.advance()?;
-        let idx = self.slots[slot].head;
-        let node = &mut self.nodes[idx as usize];
-        if node.at > horizon.as_ns() {
+        let (at, seq, idx, slot) = self.front()?;
+        if at > horizon.as_ns() {
             return None;
         }
+        let node = &mut self.nodes[idx as usize];
         let item = node.item.take()?;
-        let (at, seq, next) = (node.at, node.seq, node.next);
+        let (next, tail) = (node.next, node.tail);
         node.next = self.free;
         self.free = idx;
-        debug_assert!(
-            (self.nodes.get(next as usize)).is_none_or(|n| n.at == at && n.seq > seq),
-            "level-0 list lost its single-instant / ascending-seq invariant"
-        );
-        let list = &mut self.slots[slot];
-        list.head = next;
-        if next == NIL {
-            list.tail = NIL;
-            clear_bit(&mut self.occ[0], slot);
+        match slot {
+            // Lowering the cursor to a heap entry before it could push a
+            // window entry out of the window.
+            None => {
+                self.overflow.pop();
+                self.cursor = self.cursor.max(at);
+            }
+            Some(slot) => {
+                self.cursor = at;
+                if next == NIL {
+                    let word = slot / 64;
+                    self.occ[word] &= !(1 << (slot % 64));
+                    if self.occ[word] == 0 {
+                        self.summary[word / 64] &= !(1 << (word % 64));
+                    }
+                } else {
+                    let new_head = &mut self.nodes[next as usize];
+                    debug_assert!(
+                        new_head.at == at && new_head.seq > seq,
+                        "slot list lost its single-instant / ascending-seq invariant"
+                    );
+                    new_head.tail = tail;
+                    self.heads[slot] = next;
+                }
+            }
         }
         self.len -= 1;
         Some((Time::from_ns(at), seq, item))
     }
 
-    /// Aligns every window base to `at`.
-    fn anchor(&mut self, at: u64) {
-        for (level, base) in self.base.iter_mut().enumerate() {
-            *base = at & !(SPAN[level] - 1);
+    /// The earliest pending entry as `(at, seq, node, slot)`, with `slot`
+    /// `None` when the entry is the heap's top.
+    // Inlined for `pop_due`'s reason: its result would be reloaded too.
+    #[inline(always)]
+    fn front(&self) -> Option<(u64, u64, u32, Option<usize>)> {
+        let window = self.first_slot().map(|slot| {
+            let idx = self.heads[slot];
+            let node = &self.nodes[idx as usize];
+            (node.at, node.seq, idx, Some(slot))
+        });
+        match self.overflow.peek() {
+            Some(&Reverse((at, seq, idx)))
+                if window.is_none_or(|(w_at, w_seq, ..)| (at, seq) < (w_at, w_seq)) =>
+            {
+                Some((at, seq, idx, None))
+            }
+            _ => window,
         }
     }
 
-    /// Handles a push in front of the current level-0 window: unlinks
-    /// every wheel list into one chain (level by level, slots in order),
-    /// re-anchors at `at`, and re-distributes the chain through `insert`
-    /// — which sends entries beyond the new level-2 window back to the
-    /// overflow heap. Entries already in the overflow heap are all later
-    /// than anything that was in the wheel, so they stay put.
-    fn reanchor_before(&mut self, at: u64) {
-        let mut chain = Slot::EMPTY;
-        for level in 0..LEVELS {
-            while let Some(slot) = self.first_occupied(level) {
-                let list = std::mem::replace(&mut self.slots[level * SLOTS + slot], Slot::EMPTY);
-                clear_bit(&mut self.occ[level], slot);
-                match chain.tail {
-                    NIL => chain.head = list.head,
-                    tail => self.nodes[tail as usize].next = list.head,
-                }
-                chain.tail = list.tail;
-            }
+    /// The occupied slot that comes first in circular order from the
+    /// cursor's slot: the cursor's own word at and above the cursor, then
+    /// the words after it, then the words from the first one up to and
+    /// including the cursor's own (where only bits below it are left).
+    // Inlined with `front`, so the common hit in the cursor's own word
+    // costs no call.
+    #[inline(always)]
+    fn first_slot(&self) -> Option<usize> {
+        let start = self.cursor as usize & (SLOTS - 1);
+        let word = start / 64;
+        let above = self.occ[word] & (!0 << (start % 64));
+        if above != 0 {
+            return Some(word * 64 + above.trailing_zeros() as usize);
         }
-        self.anchor(at);
-        self.relink(chain.head);
-    }
-
-    /// Places node `idx` at the tail of the innermost level whose window
-    /// contains it, or in the overflow heap. Does not touch `len`.
-    ///
-    /// Appending keeps every list ordered by arrival, which keeps
-    /// same-instant entries in ascending `seq` order end to end: direct
-    /// pushes carry a monotone `seq`; a cascade replays an outer list
-    /// in its stored order (and same-instant entries always share a
-    /// list, because the window bases every level-choice reads only
-    /// move when the covering slot is drained whole); the overflow heap
-    /// promotes in `(at, seq)` order into an empty wheel. `pop_due`
-    /// relies on this to take the list head without scanning.
-    fn insert(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        let at = node.at;
-        debug_assert!(at >= self.base[0], "entry in front of the wheel window");
-        for (level, &span) in SPAN.iter().enumerate() {
-            if at - self.base[level] < span {
-                node.next = NIL;
-                let slot = ((at >> (SLOT_BITS * level as u32)) as usize) & (SLOTS - 1);
-                let list = &mut self.slots[level * SLOTS + slot];
-                match list.tail {
-                    NIL => list.head = idx,
-                    tail => self.nodes[tail as usize].next = idx,
-                }
-                list.tail = idx;
-                set_bit(&mut self.occ[level], slot);
-                return;
-            }
-        }
-        self.overflow.push(Reverse((at, node.seq, idx)));
-    }
-
-    /// Inserts every node of the chain starting at `head`, in chain
-    /// order. `insert` rewrites each node's link, so read it first.
-    fn relink(&mut self, head: u32) {
-        let mut cur = head;
-        while cur != NIL {
-            let next = self.nodes[cur as usize].next;
-            self.insert(cur);
-            cur = next;
-        }
-    }
-
-    /// Ensures the globally earliest entry sits at level 0, cascading
-    /// outer levels (and promoting overflow entries) as their windows
-    /// are reached. Returns the first occupied level-0 slot index, or
-    /// `None` when the queue is empty.
-    fn advance(&mut self) -> Option<usize> {
-        loop {
-            if let Some(slot) = self.first_occupied(0) {
-                return Some(slot);
-            }
-            // Level-0 window exhausted: cascade the next occupied slot
-            // of the innermost non-empty outer level into the levels
-            // below it. Slot index order is time order (bases are
-            // span-aligned), so the first occupied slot is the earliest.
-            if let Some(slot) = self.first_occupied(1) {
-                self.base[0] = self.base[1] + ((slot as u64) << SLOT_BITS);
-                self.cascade(1, slot);
-                continue;
-            }
-            if let Some(slot) = self.first_occupied(2) {
-                self.base[1] = self.base[2] + ((slot as u64) << (2 * SLOT_BITS));
-                self.cascade(2, slot);
-                continue;
-            }
-            // Wheel fully drained: promote the overflow window holding
-            // the earliest far-future entry.
-            let &Reverse((head_at, _, _)) = self.overflow.peek()?;
-            let new_base = head_at & !(SPAN[2] - 1);
-            self.base[2] = new_base;
-            while let Some(&Reverse((at, _, idx))) = self.overflow.peek() {
-                if at - new_base >= SPAN[2] {
-                    break;
-                }
-                self.overflow.pop();
-                self.insert(idx);
-            }
-        }
-    }
-
-    /// Relinks every node of `(level, slot)` into the level below (whose
-    /// window base the caller just set), preserving stored order.
-    fn cascade(&mut self, level: usize, slot: usize) {
-        let list = std::mem::replace(&mut self.slots[level * SLOTS + slot], Slot::EMPTY);
-        clear_bit(&mut self.occ[level], slot);
-        self.relink(list.head);
-    }
-
-    /// First occupied slot index at `level`, if any.
-    fn first_occupied(&self, level: usize) -> Option<usize> {
-        for (w, word) in self.occ[level].iter().enumerate() {
-            if *word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        None
+        let word = first_set(&self.summary, word + 1).or_else(|| first_set(&self.summary, 0))?;
+        Some(word * 64 + self.occ[word].trailing_zeros() as usize)
     }
 }
 
-fn set_bit(occ: &mut [u64; OCC_WORDS], slot: usize) {
-    occ[slot / 64] |= 1 << (slot % 64);
-}
-
-fn clear_bit(occ: &mut [u64; OCC_WORDS], slot: usize) {
-    occ[slot / 64] &= !(1 << (slot % 64));
+/// The index of the first set bit at or after `from`, if any.
+fn first_set(words: &[u64; SUMMARY_WORDS], from: usize) -> Option<usize> {
+    let mut i = from / 64;
+    let mut bits = words.get(i)? & (!0 << (from % 64));
+    loop {
+        if bits != 0 {
+            return Some(i * 64 + bits.trailing_zeros() as usize);
+        }
+        i += 1;
+        bits = *words.get(i)?;
+    }
 }
 
 #[cfg(test)]
@@ -391,7 +326,8 @@ mod tests {
     #[test]
     fn orders_across_all_levels_and_overflow() {
         let mut q = TimerWheel::new();
-        // One entry per scale: level 0, level 1, level 2, overflow.
+        // Times on both sides of the window's edge, far past it, and on
+        // both sides of powers of two up to 2^24.
         let times = [
             3u64,
             700,
@@ -402,6 +338,8 @@ mod tests {
             255,
             256,
             257,
+            8_191,
+            8_192,
             65_535,
             65_536,
             (1 << 24) - 1,
@@ -418,26 +356,34 @@ mod tests {
 
     #[test]
     fn same_instant_pops_in_seq_order_even_after_cascade() {
-        let mut q = TimerWheel::new();
-        // seq 0 goes far (lands in level 1 initially), seq 1 goes near.
-        // After the near event pops and the wheel cascades, the slot for
-        // t=500 must still fire seq 0 before a later-scheduled seq 2.
-        q.push(Time::from_ns(500), 0, 0);
-        q.push(Time::from_ns(10), 1, 1);
-        assert_eq!(q.pop().unwrap().1, 1);
-        q.push(Time::from_ns(500), 2, 2);
-        assert_eq!(q.pop().unwrap().1, 0);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert!(q.pop().is_none());
+        // seq 1 goes to t, seqs 0 and 2 go earlier and pop first; seq 3
+        // joins t afterwards and must fire after seq 1. At t=500 both
+        // share one window slot. At t=9000 seq 1 went past the window
+        // into the heap, and seq 3 lands in the window once the cursor
+        // has moved up to t/2.
+        for t in [500, 9_000] {
+            let mut q = TimerWheel::new();
+            q.push(Time::from_ns(10), 0, 0);
+            q.push(Time::from_ns(t), 1, 1);
+            q.push(Time::from_ns(t / 2), 2, 2);
+            assert_eq!(q.pop().unwrap().1, 0);
+            assert_eq!(q.pop().unwrap().1, 2);
+            q.push(Time::from_ns(t), 3, 3);
+            assert_eq!(q.overflow.len(), usize::from(t > 8_192));
+            assert_eq!(q.pop().unwrap().1, 1);
+            assert_eq!(q.pop().unwrap().1, 3);
+            assert!(q.pop().is_none());
+        }
     }
 
     #[test]
     fn near_push_after_far_promotion_reanchors() {
         let mut q = TimerWheel::new();
         q.push(Time::from_ns(10_000_000_000), 0, 0);
-        // Peeking promotes the far entry's window.
+        // The first push started the window at the far entry.
         assert_eq!(q.peek().unwrap().0, Time::from_ns(10_000_000_000));
-        // A near event must still come out first.
+        // Near events land before the cursor, in the heap, and must
+        // still come out first.
         q.push(Time::from_ns(5), 1, 1);
         q.push(Time::from_ns(800), 2, 2);
         let order: Vec<u64> = drain_any(&mut q);
@@ -476,7 +422,7 @@ mod tests {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut now = 0;
         for seq in 0..10_000u64 {
-            // xorshift64: near, mid and past-the-wheel delays.
+            // xorshift64: near, mid and past-the-window delays.
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -494,5 +440,86 @@ mod tests {
         assert!(q.nodes.len() <= 64, "{} nodes allocated", q.nodes.len());
         drain(&mut q);
         assert!(q.nodes.len() <= 64, "{} nodes allocated", q.nodes.len());
+    }
+
+    #[test]
+    fn entries_on_either_side_of_the_window_edge_pop_in_order() {
+        let mut q = TimerWheel::new();
+        q.push(Time::from_ns(1_000), 0, 0);
+        assert_eq!(q.cursor, 1_000);
+        // The window's last slot, then its first instant past the edge.
+        q.push(Time::from_ns(1_000 + 8_192), 1, 1);
+        q.push(Time::from_ns(1_000 + 8_191), 2, 2);
+        assert_eq!(q.overflow.len(), 1);
+        let order: Vec<u64> = drain(&mut q).iter().map(|e| e.0).collect();
+        assert_eq!(order, [1_000, 9_191, 9_192]);
+    }
+
+    #[test]
+    fn a_push_before_the_cursor_pops_first() {
+        let mut q = TimerWheel::new();
+        q.push(Time::from_ns(500), 0, 0);
+        q.push(Time::from_ns(600), 1, 1);
+        assert_eq!(q.cursor, 500);
+        q.push(Time::from_ns(499), 2, 2);
+        q.push(Time::from_ns(100), 3, 3);
+        assert_eq!(q.overflow.len(), 2);
+        let order: Vec<u64> = drain(&mut q).iter().map(|e| e.0).collect();
+        assert_eq!(order, [100, 499, 500, 600]);
+        // The heap pops never lowered the cursor below a window entry.
+        assert_eq!(q.cursor, 600);
+    }
+
+    #[test]
+    fn a_push_into_an_emptied_queue_restarts_the_window() {
+        let mut q = TimerWheel::new();
+        q.push(Time::from_ns(1_000_000), 0, 0);
+        q.push(Time::from_ns(1_000_100), 1, 1);
+        drain(&mut q);
+        // Earlier than the old cursor, but the queue is empty: the
+        // window starts over at the new front, as restoring a drained
+        // snapshot's entries relies on.
+        for (seq, t) in [20u64, 20, 30, 8_000].into_iter().enumerate() {
+            q.push(Time::from_ns(t), seq as u64 + 2, seq as u32);
+        }
+        assert_eq!(q.cursor, 20);
+        assert!(q.overflow.is_empty());
+        let got: Vec<(u64, u64)> = drain(&mut q).iter().map(|e| (e.0, e.1)).collect();
+        assert_eq!(got, [(20, 2), (20, 3), (30, 4), (8_000, 5)]);
+    }
+
+    #[test]
+    fn slots_reused_across_windows_pop_in_order() {
+        // Every step lands one instant 3,000–5,999 ns ahead of the last
+        // pop (in the window) and one that shares its slot a full window
+        // later (in the heap), then pops down to two pending entries. The
+        // cursor crosses dozens of windows, so window slots are reused by
+        // instants whole windows apart.
+        let mut q = TimerWheel::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut popped = Vec::new();
+        while now < 40 * SLOTS as u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let at = now + 3_000 + x % 3_000;
+            for t in [at, at + SLOTS as u64] {
+                q.push(Time::from_ns(t), seq, seq as u32);
+                seq += 1;
+            }
+            while q.len() > 2 {
+                let (t, s, _) = q.pop().unwrap();
+                popped.push((t.as_ns(), s));
+                now = t.as_ns();
+            }
+        }
+        assert!(q.cursor > 3 * SLOTS as u64);
+        popped.extend(drain(&mut q).iter().map(|e| (e.0, e.1)));
+        let mut want = popped.clone();
+        want.sort_unstable();
+        assert_eq!(popped, want);
+        assert_eq!(popped.len() as u64, seq);
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the checkpointing primitives the snapshot
 //! subsystem is built on: draining and rebuilding the timing-wheel
 //! scheduler must be invisible to the simulation (pop order, same-instant
-//! FIFO, overflow promotion, sequence continuity), RNG streams must
-//! resume mid-stream from a captured state, and the metrics containers
-//! must survive their JSON codecs exactly.
+//! FIFO, far events in the wheel's heap, sequence continuity), RNG
+//! streams must resume mid-stream from a captured state, and the metrics
+//! containers must survive their JSON codecs exactly.
 //!
 //! The container is offline (no proptest), so the generator is a small
 //! hand-rolled LCG — deterministic, so failures reproduce exactly.
@@ -91,8 +91,8 @@ fn seed_workload(sim: &mut Sim<ChainModel, Chain>, rng: &mut Lcg) {
         )
         .unwrap();
     }
-    // Far-future events: these sit in the wheel's overflow until the
-    // clock advances, so a cut-and-rebuild exercises overflow promotion.
+    // Far-future events: these wait in the wheel's heap, so a
+    // cut-and-rebuild puts entries on both sides of the window's edge.
     for i in 0..(1 + rng.below(3)) {
         let t = 1_000_000_000 + rng.below(1_000_000_000);
         sim.schedule_event_at(

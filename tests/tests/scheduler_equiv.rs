@@ -99,17 +99,22 @@ fn assert_queues_equal(wheel: &mut TimerWheel<u64>, heap: &mut BinaryHeapQueue<u
     }
 }
 
+/// The width of the wheel's window in nanoseconds: an entry this far
+/// ahead of the cursor, or more, waits in the heap.
+const WINDOW: u64 = 8_192;
+
 /// A delay drawn from the machine's characteristic horizons: mostly
-/// bus/link-scale nanoseconds, some µs-scale ack timers, occasionally
-/// past the wheel's ~16.8 ms span (overflow), with same-instant zeros
-/// mixed in.
+/// bus/link-scale nanoseconds, some µs-scale ack timers, some within
+/// 64 ns of the window's edge, occasionally far past it (heap), with
+/// same-instant zeros mixed in.
 fn mixed_delay(rng: &mut SplitMix64) -> u64 {
     match rng.gen_range(16) {
         0 => 0,                                   // same instant
-        1..=2 => rng.gen_range(64_000) + 256,     // level 1
-        3 => rng.gen_range(16_000_000),           // level 2
-        4 => 16_800_000 + rng.gen_range(1 << 34), // overflow
-        _ => rng.gen_range(256),                  // level 0
+        1..=2 => rng.gen_range(64_000) + 256,     // window or heap
+        3 => rng.gen_range(16_000_000),           // mostly heap
+        4 => 16_800_000 + rng.gen_range(1 << 34), // far heap
+        5 => WINDOW - 64 + rng.gen_range(128),    // window edge
+        _ => rng.gen_range(256),                  // near window
     }
 }
 
@@ -121,7 +126,7 @@ fn mixed_horizon_streams_pop_identically() {
         let mut heap = BinaryHeapQueue::new();
         let mut now = 0u64;
         let mut seq = 0u64;
-        // Interleave pushes and pops so the wheel's bases actually move:
+        // Interleave pushes and pops so the wheel's cursor actually moves:
         // every pop advances `now`, and later pushes land relative to it.
         for _ in 0..600 {
             let burst = rng.gen_range(4) + 1;
@@ -148,11 +153,11 @@ fn mixed_horizon_streams_pop_identically() {
     }
 }
 
-/// Peeks advance the wheel to its next entry, promoting far entries out
-/// of the overflow heap, so a later push can land in front of the
-/// wheel's window and re-anchor it — entries beyond the new window must
-/// go back to the overflow heap. Random push/pop/peek streams with few
-/// pending entries reach that path often.
+/// A push into an empty queue starts the window at that push's instant,
+/// so a later push can land before the cursor and go to the heap, which
+/// must pop it ahead of the window's entries; a peek in between must
+/// see it first and change nothing. Random push/pop/peek streams with
+/// few pending entries empty the queue, and reach that path, often.
 #[test]
 fn pushes_in_front_of_a_peeked_window_pop_identically() {
     for case in 0..200u64 {
@@ -233,7 +238,7 @@ fn heap_queue_matches_wheel_on_a_mixed_stream() {
 ///
 /// Each fired event re-schedules 0–2 successors (drawn from a seeded
 /// RNG shared by construction), exercising schedule-from-within-fire on
-/// the wheel's cascade and re-anchor paths.
+/// the wheel's window, its edge and its heap.
 struct EquivCtx {
     rng: SplitMix64,
     fired_log: Vec<(u64, u32)>,
@@ -394,26 +399,29 @@ fn sim_runs_match_a_closure_replay_over_the_reference_heap() {
     }
 }
 
-/// The wheel's level-2 span: a horizon this far past an event's instant
-/// makes one slice cascade through every level.
+/// About 16.8 ms, thousands of windows: a horizon this far past an
+/// event's instant lets one slice pop far entries from the heap and
+/// carry the cursor across many windows.
 const LEVEL2_SPAN: u64 = 1 << 24;
 
 /// A slice horizon, given the instants still to fire (`ahead`, from a
 /// one-shot run) and the clock: exactly on an event's instant, strictly
-/// between two instants, past the level-2 span, or before the next event.
+/// between two instants, within 64 ns of a window's width past an
+/// instant, far past it, or before the next event.
 fn slice_horizon(rng: &mut SplitMix64, ahead: &[(u64, u32)], now: u64) -> u64 {
     let Some(&(next, _)) = ahead.first() else {
         return now;
     };
     let r = rng.gen_range(ahead.len().min(16) as u64) as usize;
     let on = ahead[r].0;
-    match rng.gen_range(4) {
+    match rng.gen_range(5) {
         0 => on,
         1 => match ahead.get(r + 1) {
             Some(&(after, _)) if after > on + 1 => on + 1 + rng.gen_range(after - on - 1),
             _ => on + 1,
         },
         2 => on + LEVEL2_SPAN + rng.gen_range(LEVEL2_SPAN),
+        3 => on + WINDOW - 64 + rng.gen_range(128),
         _ if next > now => now + rng.gen_range(next - now),
         _ => on,
     }
@@ -432,9 +440,9 @@ fn slice_budget(rng: &mut SplitMix64) -> u64 {
 /// The workload cut into a chain of `run_bounded` slices must fire
 /// exactly what one `Sim::run` fires, and every slice must end with the
 /// status, event count and clock of the reference heap's replay of the
-/// same slice. Between slices the wheel is left wherever the last
-/// `pop_due` advanced it — cascaded, or promoted out of the overflow
-/// heap — so the next slice resumes from there.
+/// same slice. Between slices the wheel keeps its cursor where the last
+/// pop left it, and entries split between its window and its heap, so
+/// the next slice resumes from there.
 #[test]
 fn sliced_runs_match_one_run_and_the_reference_heap() {
     for case in 0..6u64 {
