@@ -16,9 +16,9 @@
 //!   only clock, and every run must be bit-reproducible. (`bench`
 //!   measures real elapsed time by design and is exempt.)
 //! * `panic-path` — `.unwrap()`/`.expect()`/`panic!` are banned in the
-//!   simulation hot paths (the event loop, the timing wheel, and the
-//!   machine/NI dispatch) outside the committed allowlist; a mid-sweep
-//!   panic loses the whole parallel run.
+//!   simulation hot paths (the event loop, the timing wheel, the id
+//!   window, and the machine/NI dispatch) outside the committed
+//!   allowlist; a mid-sweep panic loses the whole parallel run.
 //! * `wildcard-dispatch` — `_ =>` arms are banned in matches that
 //!   dispatch over `MachineEvent`, `BusOp`, `MoesiState`, `SnoopKind`
 //!   or `NiKind`, so adding a variant (e.g. a new NI model) fails to
@@ -362,11 +362,12 @@ const CLOCK_SCOPE: [&str; 6] = [
 const METRICS_MODULE: &str = "crates/engine/src/metrics.rs";
 
 /// Simulation hot paths: a panic here kills a whole parallel sweep.
-const HOT_PATHS: [&str; 6] = [
+const HOT_PATHS: [&str; 7] = [
     "crates/engine/src/sim.rs",
     "crates/engine/src/wheel.rs",
     "crates/core/src/machine.rs",
     "crates/core/src/event.rs",
+    "crates/core/src/id_window.rs",
     "crates/core/src/node.rs",
     "crates/core/src/ni/",
 ];

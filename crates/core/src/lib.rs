@@ -17,6 +17,8 @@
 //! * [`node`] — the per-node hardware (bus/cache/memories) and coherent
 //!   access primitives,
 //! * [`machine`] — the N-node machine, flow control, and event logic,
+//! * [`id_window`] — the per-node map of in-flight fragments and
+//!   transfers, found by id offset,
 //! * [`process`] — the Tempest-style active-message workload interface,
 //! * [`accounting`] — the compute / data transfer / buffering / idle
 //!   execution-time decomposition of Figure 1,
@@ -70,6 +72,7 @@ pub mod config;
 pub mod costs;
 pub mod error;
 pub mod event;
+pub mod id_window;
 pub mod machine;
 pub mod ni;
 pub mod node;

@@ -15,7 +15,7 @@
 //! * the simulation ends at quiescence (no events left) or when the
 //!   caller's horizon/event budget runs out.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use nisim_engine::codec::{Codec, DecodeError, State};
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist, MetricsBreakdown};
@@ -28,6 +28,7 @@ use crate::accounting::{TimeCategory, TimeLedger};
 use crate::config::MachineConfig;
 use crate::error::{EndpointSnapshot, ProtocolViolation, StallReason, StallReport, Violation};
 use crate::event::MachineEvent;
+use crate::id_window::IdWindow;
 use crate::ni::{NiUnit, OutstandingFrag, RxEntry, WireMsg};
 use crate::node::{Node, NodeHw, ID_NODE_SHIFT};
 use crate::process::{Action, AppMessage, Process, SendSpec};
@@ -143,38 +144,35 @@ pub(crate) struct MachineMetrics {
     pub(crate) sink: Option<TraceSink>,
 }
 
-/// When each in-flight transfer began: one queue of `(transfer id,
-/// start)` per sending node, in id order. A node mints increasing
-/// transfer ids, so a start is a push at the back, and the queues
-/// concatenated in node order list every id ascending.
-pub(crate) struct TransferStarts(Vec<VecDeque<(u64, Time)>>);
+/// When each in-flight transfer began: one [`IdWindow`] of start times
+/// per sending node. A node mints increasing transfer ids, so a start
+/// is a push at its window's back, and the windows in node order list
+/// every id ascending.
+pub(crate) struct TransferStarts(Vec<IdWindow<Time>>);
 
 impl TransferStarts {
     fn new(nodes: usize) -> TransferStarts {
-        TransferStarts(vec![VecDeque::new(); nodes])
+        TransferStarts((0..nodes).map(|_| IdWindow::default()).collect())
     }
 
     /// Records that node `src` began transfer `id` at `at`.
     fn start(&mut self, src: usize, id: u64, at: Time) {
-        self.0[src].push_back((id, at));
+        self.0[src].insert(id, at);
     }
 
     /// Removes transfer `id` of node `src`, returning when it began.
     fn finish(&mut self, src: usize, id: u64) -> Option<Time> {
-        let q = self.0.get_mut(src)?;
-        let i = q.binary_search_by_key(&id, |e| e.0).ok()?;
-        q.remove(i).map(|e| e.1)
+        self.0.get_mut(src)?.remove(id)
     }
 
     /// True if transfer `id` began and has not completed.
     pub(crate) fn contains(&self, id: u64) -> bool {
-        (self.0.get((id >> ID_NODE_SHIFT) as usize))
-            .is_some_and(|q| q.binary_search_by_key(&id, |e| e.0).is_ok())
+        (self.0.get((id >> ID_NODE_SHIFT) as usize)).is_some_and(|w| w.contains_key(id))
     }
 
     /// Every `(transfer id, start)`, ids ascending.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Time)> + '_ {
-        self.0.iter().flatten().copied()
+        (self.0.iter()).flat_map(|w| w.iter().map(|(id, &at)| (id, at)))
     }
 }
 
@@ -187,11 +185,11 @@ impl State for TransferStarts {
 
     fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let starts: BTreeMap<u64, Time> = Codec::decode(v)?;
-        self.0.iter_mut().for_each(VecDeque::clear);
+        self.0.fill_with(IdWindow::default);
         for (k, (id, at)) in starts.into_iter().enumerate() {
-            let q = self.0.get_mut((id >> ID_NODE_SHIFT) as usize);
-            q.ok_or_else(|| DecodeError::new("id not minted by its node").in_index(k))?
-                .push_back((id, at));
+            let w = self.0.get_mut((id >> ID_NODE_SHIFT) as usize);
+            w.ok_or_else(|| DecodeError::new("id not minted by its node").in_index(k))?
+                .insert(id, at);
         }
         Ok(())
     }
@@ -645,7 +643,7 @@ impl Machine {
                 send_in_use: n.ni.fc.send_in_use(),
                 recv_in_use: n.ni.fc.recv_in_use(),
                 outstanding: n.ni.outstanding.len(),
-                gave_up: n.ni.outstanding.values().filter(|o| o.gave_up).count(),
+                gave_up: n.ni.outstanding.iter().filter(|(_, o)| o.gave_up).count(),
                 rx_queued: n.ni.rx_ready.len(),
                 pending_resends: n.proc.pending_resends.len(),
                 queued_sends: n.proc.queued_sends.len(),
@@ -890,7 +888,7 @@ impl Machine {
             .charge_span(Component::ProcSend, NodeId(nid as u32), now, proc_release);
         ctx.g.record(now, wire.src, wire.id, TraceKind::SendStart);
         ctx.node.ni.outstanding.insert(
-            wire.id,
+            wire.id.0,
             OutstandingFrag {
                 wire,
                 backoff: backoff0,
@@ -929,7 +927,7 @@ impl Machine {
     /// retransmit or give up.
     pub(crate) fn ack_timeout(ctx: &mut EvCtx<'_>, src: NodeId, id: MsgId, attempt: u32) {
         let rel = ctx.cfg.reliability;
-        let Some(entry) = ctx.node.ni.outstanding.get_mut(&id) else {
+        let Some(entry) = ctx.node.ni.outstanding.get_mut(id.0) else {
             return; // acked in the meantime — stale timer
         };
         if entry.gave_up || entry.attempt != attempt {
@@ -1124,7 +1122,7 @@ impl Machine {
     /// original ack) and is absorbed; in a loss-free run it is a
     /// protocol violation, recorded instead of panicking.
     pub(crate) fn ack_arrival(ctx: &mut EvCtx<'_>, src: NodeId, id: MsgId) {
-        if ctx.node.ni.outstanding.remove(&id).is_none() {
+        if !ctx.node.ni.outstanding.discard(id.0) {
             if !ctx.cfg.reliability.enabled {
                 ctx.g.violation(
                     ctx.now,
@@ -1153,7 +1151,8 @@ impl Machine {
         // the other is rejected and returned; the late return then finds
         // no outstanding entry and its buffer already released. Absorb
         // it; without the reliability layer it is a recorded violation.
-        if !ctx.node.ni.outstanding.contains_key(&wire.id) {
+        let node = &mut *ctx.node;
+        let Some(entry) = node.ni.outstanding.get_mut(wire.id.0) else {
             if !ctx.cfg.reliability.enabled {
                 ctx.g.violation(
                     ctx.now,
@@ -1163,10 +1162,6 @@ impl Machine {
                     },
                 );
             }
-            return;
-        }
-        let node = &mut *ctx.node;
-        let Some(entry) = node.ni.outstanding.get_mut(&wire.id) else {
             return;
         };
         node.ni.fc.return_absorbed();
@@ -1183,7 +1178,8 @@ impl Machine {
 
     /// Retries a previously returned fragment once its backoff elapses.
     pub(crate) fn retry(ctx: &mut EvCtx<'_>, src: NodeId, id: MsgId) {
-        match ctx.node.ni.outstanding.get(&id) {
+        let node = &mut *ctx.node;
+        let wire = match node.ni.outstanding.get(id.0) {
             None => {
                 // Acked while the backoff ran (duplicate races).
                 if !ctx.cfg.reliability.enabled {
@@ -1195,13 +1191,9 @@ impl Machine {
                 return;
             }
             Some(entry) if entry.gave_up => return,
-            Some(_) => {}
-        }
-        ctx.g.record(ctx.now, src, id, TraceKind::Retry);
-        let node = &mut *ctx.node;
-        let Some(wire) = node.ni.outstanding.get(&id).map(|e| e.wire) else {
-            return;
+            Some(entry) => entry.wire,
         };
+        ctx.g.record(ctx.now, src, id, TraceKind::Retry);
         node.ni.fc.retried();
         if node.ni.model.frees_buffer_at_deposit() {
             // NI-managed buffering: the NI re-injects on its own.

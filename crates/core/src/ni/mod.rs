@@ -41,7 +41,7 @@ pub mod startjr;
 pub mod udma;
 pub mod urma;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use nisim_engine::codec::{self, Codec, DecodeError, State};
 use nisim_engine::stats::Counter;
@@ -54,6 +54,7 @@ use nisim_net::{
 
 use crate::config::MachineConfig;
 use crate::costs::CostModel;
+use crate::id_window::IdWindow;
 use crate::node::NodeHw;
 use crate::taxonomy::NiDescriptor;
 
@@ -620,8 +621,9 @@ pub struct NiUnit {
     pub model: Box<dyn NiModel>,
     /// Deposited fragments awaiting the processor, in arrival order.
     pub rx_ready: VecDeque<RxEntry>,
-    /// Sent fragments whose ack has not arrived yet.
-    pub outstanding: BTreeMap<MsgId, OutstandingFrag>,
+    /// Sent fragments whose ack has not arrived yet, keyed by
+    /// [`MsgId`]'s number.
+    pub outstanding: IdWindow<OutstandingFrag>,
     /// Statistics.
     pub stats: NiStats,
     /// Sender-side sequence allocation (reliability layer).
@@ -645,7 +647,7 @@ impl NiUnit {
             fc: FlowControlEndpoint::new(buffers),
             model: (kind.spec().build)(cfg),
             rx_ready: VecDeque::new(),
-            outstanding: BTreeMap::new(),
+            outstanding: IdWindow::default(),
             stats: NiStats::default(),
             rel_tx: SenderReliability::default(),
             rel_rx: ReceiverDedup::default(),
@@ -666,11 +668,6 @@ impl NiUnit {
             None
         }
     }
-
-    /// The earliest time any queued fragment becomes consumable.
-    pub fn next_ready_at(&self) -> Option<Time> {
-        self.rx_ready.iter().map(|e| e.ready_at).min()
-    }
 }
 
 impl State for Box<dyn NiModel> {
@@ -689,7 +686,7 @@ impl State for NiUnit {
     nisim_engine::state_fields! {
         { fc, model, rx_ready, outstanding, stats, rel_tx, rel_rx, rel_stats }
         check |ni: &NiUnit| {
-            let keyed = ni.outstanding.iter().all(|(id, o)| *id == o.wire.id);
+            let keyed = ni.outstanding.iter().all(|(id, o)| id == o.wire.id.0);
             codec::ensure(keyed, "outstanding entry not keyed by its wire id")?;
             let at_drain = !ni.model.frees_buffer_at_deposit();
             codec::ensure(

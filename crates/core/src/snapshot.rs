@@ -355,9 +355,10 @@ fn check_restored(m: &Machine, sim: &SimState) -> Result<(), DecodeError> {
     let port = |free_at: Time, busy: Dur| ensure(free_at <= horizon + busy, "free_at too late");
     for (i, n) in m.nodes.iter().enumerate() {
         let hw = &n.hw;
-        let resent = |id: &MsgId| n.proc.pending_resends.iter().any(|w| w.id == *id);
-        let lost = (n.ni.outstanding.keys())
-            .any(|id| !pending.carried.contains(&(n.id, *id)) && !resent(id));
+        let resent = |id: MsgId| n.proc.pending_resends.iter().any(|w| w.id == id);
+        let lost = (n.ni.outstanding.iter())
+            .map(|(id, _)| MsgId(id))
+            .any(|id| !pending.carried.contains(&(n.id, id)) && !resent(id));
         let sent = |free_at, busy| if lost { Ok(()) } else { port(free_at, busy) };
         sent(hw.bus.free_at(), hw.bus.stats().busy)
             .map_err(|e| e.in_key("bus"))
@@ -530,7 +531,7 @@ fn check_event(m: &Machine, ev: &MachineEvent) -> Result<(), DecodeError> {
     let awaited = |src: NodeId, msg: MsgId| {
         let lossless = m.g.fault.is_none() && !rel.enabled;
         ensure(
-            !lossless || m.nodes[src.index()].ni.outstanding.contains_key(&msg),
+            !lossless || m.nodes[src.index()].ni.outstanding.contains_key(msg.0),
             "message is not awaiting an ack",
         )
     };
@@ -619,7 +620,7 @@ fn check_ni(m: &Machine, i: usize, now: Time, pending: &Pending) -> Result<(), D
     for (k, (id, o)) in ni.outstanding.iter().enumerate() {
         // Each attempt arms one timer; the current one is pending until
         // it fires, which retransmits or (at the cap) gives up.
-        let timed = pending.timers.contains(&(o.wire.src, *id, o.attempt));
+        let timed = pending.timers.contains(&(o.wire.src, MsgId(id), o.attempt));
         let attempts_ok = if rel.enabled {
             o.attempt <= rel.max_retries
                 && timed != o.gave_up

@@ -9,10 +9,12 @@
 //! The container is offline (no proptest), so the generator is a small
 //! hand-rolled LCG — deterministic, so failures reproduce exactly.
 
+use std::collections::BTreeMap;
+
 use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
 use nisim_engine::codec::Codec;
-use nisim_engine::{json, Dur, SimStatus, Time};
+use nisim_engine::{json, Dur, Json, SimStatus, Time};
 use nisim_net::{BufferCount, NodeId, ReceiverDedup, ReliabilityConfig, SeqNo};
 use nisim_workloads::apps::{factory, AppParams, MacroApp};
 
@@ -367,4 +369,172 @@ fn budget_sliced_run_matches_the_uninterrupted_run() {
     assert_eq!(status, SimStatus::Drained);
     assert!(slices > 2, "workload too small to slice meaningfully");
     assert_eq!(whole_report, format!("{:?}", m.report(&sim, status)));
+}
+
+/// The value under `key` of a JSON object, mutably.
+fn field_mut<'a>(v: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match v {
+        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// The elements of a JSON array, mutably.
+fn items_mut(v: &mut Json) -> Option<&mut Vec<Json>> {
+    match v {
+        Json::Arr(items) => Some(items),
+        _ => None,
+    }
+}
+
+/// Adds `by` to a JSON number in place; false if `v` is not one.
+fn shift(v: &mut Json, by: u64) -> bool {
+    match v {
+        Json::Num(n) => {
+            *n += by as f64;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Per node, the in-flight transfer ids of a snapshot's
+/// `machine.transfer_started`.
+fn transfer_ids_by_node(snap: &Json) -> BTreeMap<u64, Vec<u64>> {
+    let starts = snap.get("machine").and_then(|m| m.get("transfer_started"));
+    let mut by_node: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for entry in starts.and_then(Json::as_arr).unwrap_or_default() {
+        let id = entry.as_arr().and_then(|e| e[0].as_u64()).unwrap();
+        by_node.entry(id >> 40).or_default().push(id);
+    }
+    by_node
+}
+
+/// An id shifted 10^12 past its neighbours — one outstanding fragment's
+/// key and wire id, or one in-flight transfer's id — names nothing its
+/// node minted, so restore must reject it as
+/// [`SnapshotError::Malformed`]. Restore files such ids in a bounded
+/// window plus an ordered map; a window that grew with the id distance
+/// would abort this test on the allocation instead.
+#[test]
+fn ids_shifted_far_past_their_window_are_rejected() {
+    const FAR: u64 = 1_000_000_000_000;
+    let cfg = base_config();
+    let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, snap_params());
+    let mut forged = [false; 2];
+    for budget in [25u64, 100, 400, 1600] {
+        let mut m = Machine::new(cfg.clone(), mk());
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        m.run_slice(&mut sim, Time::from_ns(60_000_000_000), budget);
+        let snap = save(&m, &mut sim).expect("snapshot");
+        assert!(restore(cfg.clone(), mk(), &snap).is_ok(), "budget {budget}");
+
+        // The last outstanding fragment of the first node that has one:
+        // shifting it keeps the keys ascending and key == wire id.
+        let mut outstanding = snap.clone();
+        let nodes = field_mut(&mut outstanding, "machine").and_then(|m| field_mut(m, "nodes"));
+        let last = (nodes.and_then(items_mut).into_iter().flatten())
+            .filter_map(|n| field_mut(n, "ni").and_then(|ni| field_mut(ni, "outstanding")))
+            .filter_map(|o| items_mut(o).and_then(|o| o.last_mut()))
+            .find_map(items_mut);
+        if let Some(entry) = last {
+            let (key, frag) = entry.split_at_mut(1);
+            let wire_id = field_mut(&mut frag[0], "wire").and_then(|w| field_mut(w, "id"));
+            assert!(shift(&mut key[0], FAR) && wire_id.is_some_and(|id| shift(id, FAR)));
+            forged[0] = true;
+            let got = restore(cfg.clone(), mk(), &outstanding);
+            assert!(
+                matches!(got, Err(SnapshotError::Malformed(_))),
+                "outstanding id + 10^12 at budget {budget}: got {:?}",
+                got.map(|_| "Ok(machine)")
+            );
+        }
+
+        let mut started = snap.clone();
+        let starts =
+            field_mut(&mut started, "machine").and_then(|m| field_mut(m, "transfer_started"));
+        let last = starts.and_then(items_mut).and_then(|s| s.last_mut());
+        if let Some(id) = last.and_then(items_mut).and_then(|e| e.first_mut()) {
+            assert!(shift(id, FAR));
+            forged[1] = true;
+            let got = restore(cfg.clone(), mk(), &started);
+            assert!(
+                matches!(got, Err(SnapshotError::Malformed(_))),
+                "transfer id + 10^12 at budget {budget}: got {:?}",
+                got.map(|_| "Ok(machine)")
+            );
+        }
+    }
+    assert_eq!(
+        forged, [true; 2],
+        "no cut held an outstanding fragment and a transfer"
+    );
+}
+
+/// em3d-long's runs (16 nodes, 8 buffers, on cm5 and cni32qm) cut at
+/// seeded event counts: each cut is saved, and resumed from the first
+/// cut whose in-flight transfer ids on one node lie more than 128 apart
+/// (so restore files some start times below the id window) and from
+/// every 50th cut. Every resumed run, and the sliced original, must
+/// report exactly what the uninterrupted run reports. cni32qm's
+/// transfers spread that far; cm5's stay within a few dozen ids.
+#[test]
+fn em3d_long_cuts_with_far_apart_transfers_resume_identically() {
+    let params = AppParams {
+        iterations: 12,
+        intensity: 26,
+        compute: Dur::us(3),
+    };
+    let horizon = Time::from_ns(10_000_000_000);
+    let mut rng = Lcg(0x5eed_3003);
+    let mut widest = 0;
+    for ni in [NiKind::Cm5, NiKind::Cni32Qm] {
+        let cfg = MachineConfig::with_ni(ni).flow_buffers(BufferCount::Finite(8));
+        let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, params);
+        let mut whole = Machine::new(cfg.clone(), mk());
+        let mut wsim = MachineSim::new();
+        whole.start(&mut wsim);
+        let whole_report = run_to_end(&mut whole, &mut wsim);
+
+        let mut m = Machine::new(cfg.clone(), mk());
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        let (mut wide_resumed, mut resumed, mut cuts) = (false, 0, 0);
+        let status = loop {
+            let status = m.run_slice(&mut sim, horizon, 300 + rng.below(600));
+            if status != SimStatus::EventBudgetExhausted {
+                break status;
+            }
+            let snap = save(&m, &mut sim).expect("snapshot");
+            let spread = (transfer_ids_by_node(&snap).values())
+                .map(|ids| ids[ids.len() - 1] - ids[0])
+                .max()
+                .unwrap_or(0);
+            widest = widest.max(spread);
+            let wide = spread > 128 && !wide_resumed;
+            cuts += 1;
+            if !wide && cuts % 50 != 1 {
+                continue;
+            }
+            wide_resumed |= wide;
+            resumed += 1;
+            let cut = sim.events_fired();
+            let text = snap.to_compact();
+            let snap = json::parse(&text).expect("snapshot text parses");
+            let (mut r, mut rsim) = restore(cfg.clone(), mk(), &snap).expect("restore");
+            assert_eq!(
+                whole_report,
+                run_to_end(&mut r, &mut rsim),
+                "{ni:?} cut at event {cut} (transfer spread {spread}): resumed run diverged"
+            );
+        };
+        assert_eq!(status, SimStatus::Drained);
+        assert!(resumed > 1, "{ni:?}: too few cuts resumed");
+        assert_eq!(whole_report, format!("{:?}", m.report(&sim, status)));
+    }
+    assert!(
+        widest > 128,
+        "no cut spread a node's in-flight transfers past 128 ids (widest {widest})"
+    );
 }
