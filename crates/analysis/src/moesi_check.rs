@@ -21,7 +21,7 @@
 //! [`MoesiChecker::with_mutant`]: `(Modified, Read)` then surrenders
 //! ownership (`-> Shared`) while still supplying cache-to-cache, so
 //! memory is never updated and the dirty data loses its owner. The
-//! `selftest` subcommand proves the checker reports it.
+//! `mutant_is_caught_*` tests prove both engines report it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -427,6 +427,10 @@ pub fn run_point(point: &SweepPoint) -> RunRecord {
 /// # Panics
 ///
 /// Propagates any panic raised by `f`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one place threads start: each worker runs whole, disjoint simulations"
+)]
 pub fn parallel_map<P, R, F>(items: &[P], jobs: usize, f: F) -> Vec<R>
 where
     P: Sync,

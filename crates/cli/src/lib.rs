@@ -1,7 +1,7 @@
 //! Library behind the `nisim` command-line tool (separated so the parser
 //! and command runners are unit-testable).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -44,6 +44,10 @@ fn record_for(
 
 /// Writes `text` to `path`, reporting failures as CLI errors rather
 /// than panics.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI's one writer of --json documents and goldens"
+)]
 fn write_file(path: impl AsRef<Path>, text: &str) -> Result<(), CliError> {
     let path = path.as_ref();
     std::fs::write(path, text).map_err(|e| err(format!("writing {path:?}: {e}")))
@@ -206,8 +210,8 @@ const SWITCH: &str = "update-goldens";
 
 /// Parses `--key value` pairs (and the bare [`SWITCH`]) after the
 /// subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, CliError> {
+    let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
@@ -230,7 +234,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
 }
 
 /// The worker count: `--jobs` if given, else [`default_jobs`].
-fn jobs_from(flags: &HashMap<String, String>) -> Result<usize, CliError> {
+fn jobs_from(flags: &BTreeMap<String, String>) -> Result<usize, CliError> {
     match flags.get("jobs") {
         None => Ok(default_jobs()),
         Some(v) => v
@@ -242,7 +246,7 @@ fn jobs_from(flags: &HashMap<String, String>) -> Result<usize, CliError> {
 }
 
 /// The NI design named by the required `--ni` flag.
-fn ni_from(flags: &HashMap<String, String>) -> Result<NiKind, CliError> {
+fn ni_from(flags: &BTreeMap<String, String>) -> Result<NiKind, CliError> {
     let name = required(flags, "ni")?;
     NiKind::from_key(name).ok_or_else(|| err(format!("unknown NI {name:?}")))
 }
@@ -340,7 +344,7 @@ pub fn parse_crash(value: &str) -> Result<Vec<CrashWindow>, CliError> {
 }
 
 fn fault_config_from(
-    flags: &HashMap<String, String>,
+    flags: &BTreeMap<String, String>,
     cfg: &mut MachineConfig,
 ) -> Result<(), CliError> {
     if let Some(v) = flags.get("fault-drop") {
@@ -412,7 +416,7 @@ fn fault_config_from(
     Ok(())
 }
 
-fn config_from(flags: &HashMap<String, String>, ni: NiKind) -> Result<MachineConfig, CliError> {
+fn config_from(flags: &BTreeMap<String, String>, ni: NiKind) -> Result<MachineConfig, CliError> {
     let mut cfg = MachineConfig::with_ni(ni);
     if let Some(b) = flags.get("buffers") {
         cfg.flow_buffers = parse_buffers(b)?;
@@ -445,7 +449,7 @@ fn config_from(flags: &HashMap<String, String>, ni: NiKind) -> Result<MachineCon
     Ok(cfg)
 }
 
-fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a String, CliError> {
+fn required<'a>(flags: &'a BTreeMap<String, String>, name: &str) -> Result<&'a String, CliError> {
     flags
         .get(name)
         .ok_or_else(|| err(format!("--{name} is required")))
@@ -458,7 +462,7 @@ const RUN_MAX_EVENTS: u64 = 500_000_000;
 
 /// Extracts the periodic-checkpoint request, insisting the two flags
 /// arrive together (a path with no cadence — or vice versa — is a typo).
-fn checkpoint_plan(flags: &HashMap<String, String>) -> Result<Option<(String, u64)>, CliError> {
+fn checkpoint_plan(flags: &BTreeMap<String, String>) -> Result<Option<(String, u64)>, CliError> {
     match (flags.get("checkpoint"), flags.get("checkpoint-every")) {
         (None, None) => Ok(None),
         (Some(_), None) => Err(err("--checkpoint needs --checkpoint-every <events>")),
@@ -528,7 +532,7 @@ const EXP_FLAGS: [&str; 3] = ["jobs", "json", SWITCH];
 /// Runs the [`EXPERIMENTS`] row `name`: its text, then the `--json`
 /// document, then (golden rows) the check or rewrite of its golden.
 /// Flags the row cannot honour are rejected before anything runs.
-fn run_exp(name: &str, flags: &HashMap<String, String>) -> Result<String, CliError> {
+fn run_exp(name: &str, flags: &BTreeMap<String, String>) -> Result<String, CliError> {
     let exp = EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         err(format!(
@@ -613,7 +617,7 @@ fn check_golden(
     Ok(out)
 }
 
-fn payload_from(flags: &HashMap<String, String>) -> Result<u64, CliError> {
+fn payload_from(flags: &BTreeMap<String, String>) -> Result<u64, CliError> {
     match flags.get("payload") {
         None => Ok(64),
         Some(p) => p.parse().map_err(|_| err(format!("bad payload {p:?}"))),
@@ -883,6 +887,10 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests make scratch directories for the files the CLI writes"
+)]
 mod tests {
     use super::*;
 
@@ -1030,7 +1038,7 @@ mod tests {
             pairs
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect::<HashMap<_, _>>()
+                .collect::<BTreeMap<_, _>>()
         };
         let cfg = config_from(
             &flags(&[
@@ -1205,7 +1213,7 @@ mod tests {
             pairs
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect::<HashMap<_, _>>()
+                .collect::<BTreeMap<_, _>>()
         };
         let cfg = config_from(&flags(&[]), NiKind::Cm5).unwrap();
         assert!(!cfg.metrics.any(), "metrics default off");
@@ -1263,7 +1271,7 @@ mod tests {
             pairs
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect::<HashMap<_, _>>()
+                .collect::<BTreeMap<_, _>>()
         };
         let cfg = config_from(
             &flags(&[("nodes", "4"), ("crash", "0-4000@1")]),
@@ -1408,6 +1416,17 @@ mod tests {
         ];
         let e = usage_error(&barnes);
         assert!(e.contains("workload"), "{e}");
+    }
+
+    #[test]
+    fn resume_rejects_unbounded_nesting() {
+        let dir = std::env::temp_dir().join("nisim-cli-deep-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.json");
+        write_file(&path, &("[".repeat(200_000) + &"]".repeat(200_000))).unwrap();
+        let run = ["run", "--app", "em3d", "--ni", "cm5", "--nodes", "4"];
+        let e = usage_error(&[&run[..], &["--resume", path.to_str().unwrap()]].concat());
+        assert!(e.contains("nesting"), "{e}");
     }
 
     #[test]

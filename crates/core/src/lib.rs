@@ -67,6 +67,9 @@
 //! assert!(report.elapsed > Dur::ZERO);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::wildcard_enum_match_arm)]
+
 pub mod accounting;
 pub mod config;
 pub mod costs;

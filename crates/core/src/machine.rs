@@ -442,7 +442,7 @@ impl Machine {
         machine.start(&mut sim);
         let status = machine.drive(&mut sim, Time::from_ns(10_000_000_000), 500_000_000);
         let report = machine.report(&sim, status);
-        let trace = machine.take_trace().expect("trace was enabled");
+        let trace = machine.take_trace().unwrap_or_default();
         (report, trace)
     }
 

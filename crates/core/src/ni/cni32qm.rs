@@ -275,7 +275,9 @@ impl NiModel for Cni32QmNi {
                 }
                 t
             }
-            ref other => unreachable!("CNI_32Q_m does not deposit to {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::NiQueue { .. } => {
+                unreachable!("CNI_32Q_m does not deposit to {loc:?}")
+            }
         }
     }
 

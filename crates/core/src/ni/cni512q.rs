@@ -76,7 +76,10 @@ impl Cni512QNi {
 /// Shared CNI send path: cached composition with snoop-triggered NI
 /// prefetch of all but the last block. Returns
 /// `(proc_release, last_fetch_done, base, nblocks)`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "both CNI designs share this path and differ in queue, home and prefetch"
+)]
 pub(super) fn cni_send_compose(
     hw: &mut NodeHw,
     cost: &CostModel,
@@ -247,7 +250,9 @@ impl NiModel for Cni512QNi {
                 self.recv_used_blocks = self.recv_used_blocks.saturating_sub(SLOT_BLOCKS);
                 t
             }
-            ref other => unreachable!("CNI_512Q deposits only to its queue, got {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::Memory { .. } | DepositLoc::NiCache { .. } => {
+                unreachable!("CNI_512Q deposits only to its queue, got {loc:?}")
+            }
         }
     }
 

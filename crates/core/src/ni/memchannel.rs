@@ -111,7 +111,9 @@ impl NiModel for MemoryChannelNi {
             DepositLoc::Memory { base, blocks } => self
                 .recv_side
                 .drain_from_memory(hw, cost, now, base, blocks),
-            ref other => unreachable!("Memory Channel deposits only to memory, got {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::NiQueue { .. } | DepositLoc::NiCache { .. } => {
+                unreachable!("Memory Channel deposits only to memory, got {loc:?}")
+            }
         }
     }
 

@@ -272,7 +272,9 @@ impl NiModel for RdmaQpNi {
                 }
                 t
             }
-            ref other => unreachable!("RDMA_QP does not deposit to {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::NiQueue { .. } | DepositLoc::NiCache { .. } => {
+                unreachable!("RDMA_QP does not deposit to {loc:?}")
+            }
         }
     }
 

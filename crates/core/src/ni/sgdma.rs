@@ -301,7 +301,9 @@ impl NiModel for SgdmaNi {
                 }
                 t
             }
-            ref other => unreachable!("SGDMA does not deposit to {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::NiQueue { .. } | DepositLoc::NiCache { .. } => {
+                unreachable!("SGDMA does not deposit to {loc:?}")
+            }
         }
     }
 

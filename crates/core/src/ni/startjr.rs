@@ -226,7 +226,9 @@ impl NiModel for StartJrNi {
             DepositLoc::Memory { base, blocks: n } => {
                 self.drain_from_memory(hw, cost, now, base, n)
             }
-            ref other => unreachable!("StarT-JR deposits only to memory, got {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::NiQueue { .. } | DepositLoc::NiCache { .. } => {
+                unreachable!("StarT-JR deposits only to memory, got {loc:?}")
+            }
         }
     }
 

@@ -162,7 +162,9 @@ impl NiModel for UrmaNi {
                 }
                 t
             }
-            ref other => unreachable!("URMA does not deposit to {other:?}"),
+            DepositLoc::NiFifo | DepositLoc::NiQueue { .. } | DepositLoc::NiCache { .. } => {
+                unreachable!("URMA does not deposit to {loc:?}")
+            }
         }
     }
 

@@ -208,6 +208,10 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
 
 /// [`save`] straight to a file (canonical compact JSON plus a trailing
 /// newline, so identical states produce identical bytes).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "checkpoints are the simulation's sanctioned way out to disk"
+)]
 pub fn save_to_file(
     machine: &Machine,
     sim: &mut MachineSim,
@@ -709,7 +713,7 @@ fn check_proc(m: &Machine, i: usize, runs: &[Time]) -> Result<(), DecodeError> {
 pub fn load_from_file(path: &std::path::Path) -> Result<Json, SnapshotError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
-    nisim_engine::json::parse(&text).map_err(|e| SnapshotError::Malformed(format!("json: {e:?}")))
+    nisim_engine::json::parse(&text).map_err(|e| SnapshotError::Malformed(format!("json: {e}")))
 }
 
 #[cfg(test)]

@@ -458,7 +458,7 @@ macro_rules! state_fields {
             &mut self,
             v: &$crate::Json,
         ) -> ::std::result::Result<(), $crate::codec::DecodeError> {
-            #[allow(unused_mut)]
+            #[allow(unused_mut, reason = "a field list with no entries never mutates `fields`")]
             let mut fields = $crate::codec::Fields::of(v)?;
             $(fields.with(stringify!($key), |j| {
                 let place = &mut $crate::state_place!(self, $key $(, $($place).+)?);

@@ -41,6 +41,10 @@ impl Json {
     }
 
     /// Appends a key/value pair (builder style). Panics on non-objects.
+    #[expect(
+        clippy::panic,
+        reason = "documented: set on a non-object is a caller bug, never bad input"
+    )]
     pub fn set(mut self, key: &str, value: impl Into<Json>) -> Json {
         match &mut self {
             Json::Obj(pairs) => pairs.push((key.to_string(), value.into())),
@@ -287,15 +291,22 @@ impl std::fmt::Display for JsonError {
     }
 }
 
+/// The deepest nesting [`parse`] accepts. The parser recurses once per
+/// array or object, so unbounded input would overflow the stack; every
+/// document nisim writes nests at most 10 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (exactly one value plus whitespace).
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input or trailing garbage.
+/// Returns [`JsonError`] on malformed input, trailing garbage or
+/// arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -309,6 +320,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -353,12 +366,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -561,6 +585,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        let limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&limit).is_ok());
+        let ten = "[".repeat(9) + r#"{"k":1}"# + &"]".repeat(9);
+        assert!(parse(&ten).is_ok());
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! assert_eq!(sim.now(), Time::from_ns(15));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod codec;
 pub mod json;
 pub mod metrics;

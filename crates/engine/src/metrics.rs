@@ -27,10 +27,9 @@
 //!
 //! Instrumented code must go through the typed charge methods
 //! ([`ComponentCycles::charge`], [`Log2Hist::record`],
-//! [`Log2Hist::record_n`]). The raw bucket
-//! escape hatches ([`ComponentCycles::raw_add`], [`Log2Hist::raw_record`])
-//! exist only for this module's own merge paths and for tests; the
-//! `nisim-analysis` lint forbids them outside this file.
+//! [`Log2Hist::record_n`]). The raw bucket additions they wrap are
+//! private to this module, whose merge and decode paths are their only
+//! other callers.
 
 use crate::codec::{ensure, Codec, DecodeError, Fields};
 use crate::stats::{interpolated_percentile, Percentiles};
@@ -248,11 +247,10 @@ impl ComponentCycles {
         self.raw_add(component, dur.as_ns());
     }
 
-    /// Raw bucket addition. Instrumented code must use
-    /// [`charge`](ComponentCycles::charge) instead; the `nisim-analysis`
-    /// lint forbids `raw_add` outside the metrics module.
+    /// Raw bucket addition, for this module's merge and decode paths;
+    /// instrumented code uses [`charge`](ComponentCycles::charge).
     #[inline]
-    pub fn raw_add(&mut self, component: Component, ns: u64) {
+    fn raw_add(&mut self, component: Component, ns: u64) {
         self.buckets[component.index()] += ns;
         self.total += ns;
     }
@@ -410,12 +408,11 @@ impl Log2Hist {
         self.raw_record(Self::bucket_of(value), n);
     }
 
-    /// Raw bucket addition. Instrumented code must use
-    /// [`record`](Log2Hist::record) or [`record_n`](Log2Hist::record_n)
-    /// instead; the `nisim-analysis` lint
-    /// forbids `raw_record` outside the metrics module.
+    /// Raw bucket addition, for this module's merge and decode paths;
+    /// instrumented code uses [`record`](Log2Hist::record) or
+    /// [`record_n`](Log2Hist::record_n).
     #[inline]
-    pub fn raw_record(&mut self, bucket: usize, n: u64) {
+    fn raw_record(&mut self, bucket: usize, n: u64) {
         self.counts[bucket] += n;
         self.total += n;
     }

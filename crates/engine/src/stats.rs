@@ -345,13 +345,15 @@ impl Histogram {
         let p = p.clamp(0.0, 1.0);
         let target = (p * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (value, count) in self.iter() {
+        let mut value = 0;
+        for (v, count) in self.iter() {
+            value = v;
             seen += count;
             if seen >= target {
-                return value;
+                break;
             }
         }
-        *self.counts.keys().next_back().expect("non-empty")
+        value
     }
 
     /// Returns the `(value, count)` pairs of the `k` most frequent values,

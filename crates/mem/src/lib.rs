@@ -35,6 +35,8 @@
 //! assert!(!cache.contains(block));
 //! ```
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 pub mod addr;
 pub mod bus;
 pub mod cache;

@@ -45,7 +45,7 @@ fn capacity_and_uniqueness() {
 /// insert must hit until one of those happens.
 #[test]
 fn hits_until_eviction() {
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     for case in 0..32u64 {
         let mut rng = SplitMix64::new(0x417 + case);
         let mut cache = Cache::new(CacheConfig {
@@ -53,7 +53,7 @@ fn hits_until_eviction() {
             block_bytes: 64,
             ways: 2,
         });
-        let mut resident: HashSet<u64> = HashSet::new();
+        let mut resident: BTreeSet<u64> = BTreeSet::new();
         let accesses = 1 + rng.gen_range(200) as usize;
         for _ in 0..accesses {
             let a = rng.gen_range(32);

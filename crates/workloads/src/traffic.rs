@@ -789,6 +789,10 @@ mod tests {
     use nisim_net::BufferCount;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "libm's ln is the reference det_ln is checked against"
+    )]
     fn det_ln_matches_std_ln() {
         let mut rng = SplitMix64::new(42);
         for _ in 0..10_000 {

@@ -17,7 +17,7 @@ use nisim_bench::{
     curves_from_records, default_jobs, fault_study_from_records, fig1_differential_from_records,
     fig1_from_records, fig3a_sweep, fig3b_from_records, fig4_from_records, golden_document,
     golden_path, loadlat_golden_path, rdma_kink_from_records, strided_from_records,
-    table5_from_records, LoadCurve,
+    table5_from_records, LoadCurve, FIFO_NIS,
 };
 use nisim_core::{NiKind, TimeCategory};
 use nisim_workloads::apps::MacroApp;
@@ -217,7 +217,7 @@ fn golden_fig3a_fifo_buffer_shapes() {
         if app == MacroApp::Appbt {
             continue;
         }
-        for ni in [NiKind::Cm5, NiKind::Udma, NiKind::Ap3000] {
+        for ni in FIFO_NIS {
             let series: Vec<f64> = ["8", "2", "1"]
                 .iter()
                 .map(|b| elapsed(recs, app.name(), ni, b))
@@ -233,7 +233,7 @@ fn golden_fig3a_fifo_buffer_shapes() {
     // And unbounded buffering is never materially worse than the best
     // finite level on any app/NI.
     for app in MacroApp::ALL {
-        for ni in [NiKind::Cm5, NiKind::Udma, NiKind::Ap3000] {
+        for ni in FIFO_NIS {
             let inf = elapsed(recs, app.name(), ni, "inf");
             let best = ["8", "2", "1"]
                 .iter()

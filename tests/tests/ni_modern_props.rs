@@ -1,30 +1,13 @@
 //! Property tests for the three modern NI models (RDMA queue pairs,
 //! connectionless URMA, scatter-gather DMA).
 //!
-//! The container is offline (no proptest), so the generator is the same
-//! hand-rolled LCG the snapshot property suite uses — deterministic, so
-//! failures reproduce exactly.
+//! Cases come from the shared hand-rolled `Lcg`, so failures reproduce.
 
 use nisim_core::ni::rdma_qp::RdmaQpNi;
 use nisim_core::ni::sgdma::{decode_gather_tag, encode_gather_tag, Descriptor};
 use nisim_core::{MachineConfig, NiKind};
+use nisim_integration::Lcg;
 use nisim_workloads::micro::pingpong::measure_round_trip;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// Round-trip latency on the RDMA queue-pair NI is monotone in the
 /// payload: more blocks cost more inside either protocol, and crossing

@@ -4,43 +4,22 @@
 //! the guarantee the golden byte-comparison and the `--jobs` determinism
 //! tests lean on), and execution-time accounting must be complete.
 //!
-//! The container is offline (no proptest), so the generator is a small
-//! hand-rolled LCG — deterministic, so failures reproduce exactly.
+//! Cases come from the shared hand-rolled `Lcg`, so failures reproduce.
+
+use std::panic::catch_unwind;
 
 use nisim_bench::record::{
-    document, parse_document, sweep_to_json, LatencyBrief, RunRecord, StallBrief, TenantBrief,
+    document, parse_document, sections_document, sweep_to_json, LatencyBrief, RunRecord,
+    StallBrief, TenantBrief,
 };
-use nisim_bench::{Patch, Sweep};
+use nisim_bench::{chaos, Patch, Sweep};
 use nisim_core::{NiKind, TimeCategory};
-use nisim_engine::json::parse;
+use nisim_engine::json::{parse, Json};
 use nisim_engine::metrics::{Component, MetricsBreakdown};
 use nisim_engine::Dur;
+use nisim_integration::Lcg;
 use nisim_net::BufferCount;
 use nisim_workloads::apps::{AppParams, MacroApp};
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    /// A finite, sign-varied f64 with both integral and fractional cases.
-    fn float(&mut self) -> f64 {
-        let numer = self.below(1 << 53) as f64;
-        let denom = (self.below(1000) + 1) as f64;
-        let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
-        sign * numer / denom
-    }
-}
 
 /// A synthetic observability payload, built through the safe
 /// charge/record API so the sum-to-total invariant holds by
@@ -49,10 +28,10 @@ fn arbitrary_breakdown(rng: &mut Lcg) -> MetricsBreakdown {
     let mut b = MetricsBreakdown::default();
     for _ in 0..rng.below(40) {
         let c = Component::ALL[rng.below(Component::ALL.len() as u64) as usize];
-        b.cycles.charge(c, Dur::ns(rng.next() >> 24));
+        b.cycles.charge(c, Dur::ns(rng.next_u64() >> 24));
     }
     for _ in 0..rng.below(20) {
-        b.msg_rtt.record(rng.next() >> rng.below(60));
+        b.msg_rtt.record(rng.next_u64() >> rng.below(60));
         b.frag_queue.record(rng.below(1 << 20));
         b.bus_grant_wait.record(rng.below(4096));
     }
@@ -64,7 +43,7 @@ fn arbitrary_record(rng: &mut Lcg) -> RunRecord {
     let status = statuses[rng.below(4) as usize].to_string();
     let stall = if status == "stalled" {
         Some(StallBrief {
-            at_ns: rng.next() >> 12,
+            at_ns: rng.next_u64() >> 12,
             reason: format!("no progress for {} ns", rng.below(1_000_000)),
             wedged: rng.below(64),
         })
@@ -72,7 +51,7 @@ fn arbitrary_record(rng: &mut Lcg) -> RunRecord {
         None
     };
     let counters = (0..rng.below(8))
-        .map(|i| (format!("counter_{i}"), rng.next() >> 11))
+        .map(|i| (format!("counter_{i}"), rng.next_u64() >> 11))
         .collect();
     let msg_sizes = (0..rng.below(5))
         .map(|_| (rng.below(4096), rng.below(10_000)))
@@ -94,16 +73,16 @@ fn arbitrary_record(rng: &mut Lcg) -> RunRecord {
         } else {
             format!("patch={}", rng.below(100))
         },
-        fingerprint: format!("{:016x}", rng.next()),
+        fingerprint: format!("{:016x}", rng.next_u64()),
         status,
         quiescent: rng.below(2) == 0,
         // Shifted into the f64-exact integer range the JSON layer allows.
-        elapsed_ns: rng.next() >> 11,
+        elapsed_ns: rng.next_u64() >> 11,
         accounting_ns: [
-            rng.next() >> 12,
-            rng.next() >> 12,
-            rng.next() >> 12,
-            rng.next() >> 12,
+            rng.next_u64() >> 12,
+            rng.next_u64() >> 12,
+            rng.next_u64() >> 12,
+            rng.next_u64() >> 12,
         ],
         counters,
         msg_sizes,
@@ -133,7 +112,7 @@ fn arbitrary_record(rng: &mut Lcg) -> RunRecord {
             .map(|i| {
                 let mut hist = nisim_engine::metrics::Log2Hist::default();
                 for _ in 0..rng.below(30) {
-                    hist.record(rng.next() >> rng.below(50));
+                    hist.record(rng.next_u64() >> rng.below(50));
                 }
                 TenantBrief {
                     name: format!("tenant{i}"),
@@ -244,4 +223,68 @@ fn real_records_account_for_all_time() {
         let back = RunRecord::from_json(&r.to_json()).expect("round trip");
         assert_eq!(&back, r);
     }
+}
+
+/// The golden records of `tests/goldens/golden_chaos.json`, rewrapped
+/// as the record document `parse_document` reads.
+fn chaos_records_document() -> String {
+    let text = std::fs::read_to_string(chaos::chaos_path()).expect("chaos golden reads");
+    let golden = parse(&text).expect("chaos golden parses");
+    let records = (golden.get("points").and_then(Json::as_arr))
+        .expect("chaos golden lists points")
+        .iter()
+        .map(|p| RunRecord::from_json(p.get("golden").expect("golden record")).expect("decodes"))
+        .collect();
+    sections_document(&[("chaos".to_string(), records)]).to_pretty()
+}
+
+/// One mutant of `text`: a truncation, a bit flip, a splice of up to 64
+/// bytes from elsewhere in the text, or a number replaced by another.
+fn mutate(text: &str, rng: &mut Lcg) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let len = bytes.len() as u64;
+    match rng.below(4) {
+        0 => bytes.truncate(rng.below(len) as usize),
+        1 => bytes[rng.below(len) as usize] ^= 1 << rng.below(8),
+        2 => {
+            let (a, n) = (rng.below(len) as usize, 1 + rng.below(64) as usize);
+            let (c, m) = (rng.below(len) as usize, 1 + rng.below(64) as usize);
+            let donated = &text.as_bytes()[c..(c + m).min(text.len())];
+            bytes.splice(a..(a + n).min(bytes.len()), donated.iter().copied());
+        }
+        _ => {
+            let from = rng.below(len) as usize;
+            if let Some(i) = bytes[from..].iter().position(u8::is_ascii_digit) {
+                let a = from + i;
+                let n = bytes[a..].iter().take_while(|b| b.is_ascii_digit()).count();
+                let numbers = ["-1", "0.5", "1e400", "18446744073709551616", "-0"];
+                bytes.splice(a..a + n, numbers[rng.below(5) as usize].bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Hostile record documents (1,000 mutants of the chaos golden's
+/// records, and one nested 200,000 deep) end in `Ok` or a typed error:
+/// `parse_document` never panics.
+#[test]
+fn mutated_documents_parse_or_fail_typed() {
+    let base = chaos_records_document();
+    assert_eq!(parse_document(&base).map(|d| d.len()), Ok(1));
+    let mut rng = Lcg(0x5eed_0003);
+    let mut mutants: Vec<String> = (0..1000).map(|_| mutate(&base, &mut rng)).collect();
+    mutants.push("[".repeat(200_000) + &"]".repeat(200_000));
+    let parsed = (mutants.iter().enumerate())
+        .filter(|(i, mutant)| {
+            catch_unwind(|| parse_document(mutant))
+                .unwrap_or_else(|_| panic!("mutant {i} panicked:\n{mutant}"))
+                .is_ok()
+        })
+        .count();
+    eprintln!(
+        "{} mutants: {parsed} parsed, the rest typed errors",
+        mutants.len()
+    );
+    assert!(parsed < mutants.len());
 }

@@ -27,6 +27,10 @@ fn every_app_on_every_ni_completes() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock budget on the test itself; no simulated value reads it"
+)]
 fn full_matrix_completes_through_the_sweep_harness() {
     use nisim_bench::{Patch, Sweep};
 

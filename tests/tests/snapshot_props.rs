@@ -6,8 +6,7 @@
 //! horizon or sliced by event budget must finish exactly as an
 //! uninterrupted one.
 //!
-//! The container is offline (no proptest), so the generator is a small
-//! hand-rolled LCG — deterministic, so failures reproduce exactly.
+//! Cases come from the shared hand-rolled `Lcg`, so failures reproduce.
 
 use std::collections::BTreeMap;
 
@@ -15,24 +14,9 @@ use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
 use nisim_engine::codec::Codec;
 use nisim_engine::{json, Dur, Json, SimStatus, Time};
+use nisim_integration::Lcg;
 use nisim_net::{BufferCount, NodeId, ReceiverDedup, ReliabilityConfig, SeqNo};
 use nisim_workloads::apps::{factory, AppParams, MacroApp};
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// Feeds a dedup window a random arrival pattern — in-order runs,
 /// reorderings, and duplicates — then round-trips it through its JSON
