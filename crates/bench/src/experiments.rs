@@ -10,9 +10,8 @@
 //! `EXPERIMENTS.md` records the paper-vs-measured comparison and
 //! `tests/goldens/` pins the full machine-readable output.
 
-use nisim_core::{Machine, MachineConfig, MachineReport, NiClass, NiKind, TimeCategory};
+use nisim_core::{NiClass, NiKind, TimeCategory};
 use nisim_engine::metrics::Component;
-use nisim_engine::Dur;
 use nisim_net::{BufferCount, Topology};
 use nisim_workloads::apps::MacroApp;
 use nisim_workloads::micro::connsweep::SWEEP_ENDPOINTS;
@@ -372,69 +371,6 @@ pub fn ablation_bypass_from_records(records: &[RunRecord]) -> (f64, f64) {
     (on, off)
 }
 
-/// Helper: a 2-node bursty exchange — `bursts` bursts of `burst_len`
-/// 248-byte messages separated by `gap` of computation.
-pub fn bursty_report(cfg: &MachineConfig, bursts: u32, burst_len: u32, gap: Dur) -> MachineReport {
-    use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
-    use nisim_engine::Time;
-    use nisim_net::NodeId;
-
-    struct Burster {
-        bursts_left: u32,
-        in_burst: u32,
-        burst_len: u32,
-        gap: Dur,
-        done: bool,
-    }
-    impl Process for Burster {
-        fn next_action(&mut self, _now: Time) -> Action {
-            if self.in_burst > 0 {
-                self.in_burst -= 1;
-                return Action::Send(SendSpec::new(NodeId(1), 248, 0));
-            }
-            if self.bursts_left == 0 {
-                self.done = true;
-                return Action::Done;
-            }
-            self.bursts_left -= 1;
-            self.in_burst = self.burst_len;
-            Action::Compute(self.gap)
-        }
-        fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-            HandlerSpec::empty()
-        }
-        fn is_done(&self) -> bool {
-            self.done
-        }
-    }
-    struct Sink;
-    impl Process for Sink {
-        fn next_action(&mut self, _now: Time) -> Action {
-            Action::Done
-        }
-        fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-            HandlerSpec::compute(Dur::ns(200))
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-    let cfg = cfg.clone().nodes(2);
-    Machine::run(cfg, move |id| -> Box<dyn nisim_core::process::Process> {
-        if id.0 == 0 {
-            Box::new(Burster {
-                bursts_left: bursts,
-                in_burst: 0,
-                burst_len,
-                gap,
-                done: false,
-            })
-        } else {
-            Box::new(Sink)
-        }
-    })
-}
-
 /// The dead-block head-update ablation grid (§4 improvement 2): 4 KB
 /// bandwidth plus a fixed 60-message stream for writeback counting.
 pub fn ablation_dead_block_sweep() -> Sweep {
@@ -532,50 +468,6 @@ pub fn ablation_ni_cache_from_records(
             (b, rtt, bw)
         })
         .collect()
-}
-
-/// Helper: a fixed 2-node stream of `n` 4096-byte messages, reported.
-pub fn stream_report(cfg: &MachineConfig, n: u32) -> MachineReport {
-    use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
-    use nisim_engine::Time;
-    use nisim_net::NodeId;
-
-    struct Source(u32);
-    impl Process for Source {
-        fn next_action(&mut self, _now: Time) -> Action {
-            if self.0 == 0 {
-                return Action::Done;
-            }
-            self.0 -= 1;
-            Action::Send(SendSpec::new(NodeId(1), 4096, 0))
-        }
-        fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-            HandlerSpec::empty()
-        }
-        fn is_done(&self) -> bool {
-            self.0 == 0
-        }
-    }
-    struct Sink;
-    impl Process for Sink {
-        fn next_action(&mut self, _now: Time) -> Action {
-            Action::Done
-        }
-        fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-            HandlerSpec::empty()
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-    let cfg = cfg.clone().nodes(2);
-    Machine::run(cfg, move |id| -> Box<dyn nisim_core::process::Process> {
-        if id.0 == 0 {
-            Box::new(Source(n))
-        } else {
-            Box::new(Sink)
-        }
-    })
 }
 
 #[cfg(test)]

@@ -20,11 +20,12 @@ use nisim_core::{MachineConfig, NiKind, TimeCategory};
 use nisim_engine::Dur;
 use nisim_net::{BufferCount, ReliabilityConfig, Topology};
 use nisim_workloads::apps::{run_app, AppParams, MacroApp};
-use nisim_workloads::micro::bandwidth::measure_bandwidth_with_report;
-use nisim_workloads::micro::connsweep::measure_conn_sweep_with_report;
-use nisim_workloads::micro::logp::measure_logp_with_report;
-use nisim_workloads::micro::pingpong::measure_round_trip_with_report;
-use nisim_workloads::micro::strided::{measure_strided_with_report, StridedStrategy};
+use nisim_workloads::micro::bandwidth::measure_bandwidth;
+use nisim_workloads::micro::connsweep::measure_conn_sweep;
+use nisim_workloads::micro::logp::measure_logp;
+use nisim_workloads::micro::pingpong::measure_round_trip;
+use nisim_workloads::micro::strided::{measure_strided, StridedStrategy};
+use nisim_workloads::micro::{bursty_report, stream_report, table5_config};
 use nisim_workloads::traffic::{level_gap_ns, run_traffic, TrafficSpec};
 
 use crate::record::{self, RunRecord};
@@ -318,6 +319,10 @@ pub fn run_sweeps(sweeps: &[Sweep], jobs: usize) -> Vec<(String, Vec<RunRecord>)
         .collect()
 }
 
+/// Why a microbenchmark point may panic: one that does not drain is a
+/// simulator bug, not data.
+const DRAINS: &str = "a sweep point's microbenchmark drains";
+
 /// Executes one grid point and builds its record.
 pub fn run_point(point: &SweepPoint) -> RunRecord {
     let mut cfg = MachineConfig::with_ni(point.ni).flow_buffers(point.buffers);
@@ -326,36 +331,33 @@ pub fn run_point(point: &SweepPoint) -> RunRecord {
         cfg = cfg.for_microbenchmark();
     }
     point.patch.apply(&mut cfg);
-    let (report, metrics, fingerprint) = match point.work {
+    // `measure_logp` fixes its own configuration; fingerprint the
+    // equivalent so the record stays honest.
+    let fingerprint = match point.work {
+        Work::LogP(_) => record::fingerprint(&table5_config(point.ni)),
+        _ => record::fingerprint(&cfg),
+    };
+    let (report, metrics) = match point.work {
         Work::Macro(app) => {
             let params = point.patch.params.unwrap_or_else(|| app.default_params());
-            let fp = record::fingerprint(&cfg);
-            (run_app(app, &cfg, &params), Vec::new(), fp)
+            (run_app(app, &cfg, &params), Vec::new())
         }
         Work::RoundTrip(payload) => {
-            let fp = record::fingerprint(&cfg);
-            let (r, report) = measure_round_trip_with_report(&cfg, payload);
+            let (r, report) = measure_round_trip(&cfg, payload).expect(DRAINS);
             let metrics = vec![
                 ("rtt_mean_us".to_string(), r.mean_us),
                 ("rtt_min_us".to_string(), r.min_us),
                 ("rtt_max_us".to_string(), r.max_us),
             ];
-            (report, metrics, fp)
+            (report, metrics)
         }
         Work::Bandwidth(payload) => {
-            let fp = record::fingerprint(&cfg);
-            let (r, report) = measure_bandwidth_with_report(&cfg, payload);
+            let (r, report) = measure_bandwidth(&cfg, payload).expect(DRAINS);
             let metrics = vec![("bw_mb_s".to_string(), r.mb_per_s)];
-            (report, metrics, fp)
+            (report, metrics)
         }
         Work::LogP(payload) => {
-            // `measure_logp` fixes its own configuration; fingerprint
-            // the equivalent so the record stays honest.
-            let lcfg = MachineConfig::with_ni(point.ni)
-                .flow_buffers(BufferCount::Finite(8))
-                .for_microbenchmark();
-            let fp = record::fingerprint(&lcfg);
-            let (r, report) = measure_logp_with_report(point.ni, payload);
+            let (r, report) = measure_logp(point.ni, payload).expect(DRAINS);
             let metrics = vec![
                 ("o_send_us".to_string(), r.o_send_us),
                 ("o_recv_us".to_string(), r.o_recv_us),
@@ -363,49 +365,41 @@ pub fn run_point(point: &SweepPoint) -> RunRecord {
                 ("g_us".to_string(), r.g_us),
                 ("involvement".to_string(), r.involvement()),
             ];
-            (report, metrics, fp)
+            (report, metrics)
         }
         Work::Bursty {
             bursts,
             burst_len,
             gap_ns,
         } => {
-            let fp = record::fingerprint(&cfg);
-            let report =
-                crate::experiments::bursty_report(&cfg, bursts, burst_len, Dur::ns(gap_ns));
+            let report = bursty_report(&cfg, bursts, burst_len, Dur::ns(gap_ns)).expect(DRAINS);
             let recv_dt =
                 report.ledgers[1].get(TimeCategory::DataTransfer).as_ns() as f64 / 1_000.0;
             let metrics = vec![("recv_data_transfer_us".to_string(), recv_dt)];
-            (report, metrics, fp)
+            (report, metrics)
         }
-        Work::Stream(n) => {
-            let fp = record::fingerprint(&cfg);
-            (crate::experiments::stream_report(&cfg, n), Vec::new(), fp)
-        }
+        Work::Stream(n) => (stream_report(&cfg, n).expect(DRAINS), Vec::new()),
         Work::Traffic(spec) => {
-            let fp = record::fingerprint(&cfg);
             let report = run_traffic(&cfg, &spec.params(cfg.nodes));
             let metrics = vec![(
                 "offered_gap_ns".to_string(),
                 level_gap_ns(spec.level) as f64,
             )];
-            (report, metrics, fp)
+            (report, metrics)
         }
         Work::ConnSweep(endpoints) => {
-            let fp = record::fingerprint(&cfg);
-            let (r, report) = measure_conn_sweep_with_report(&cfg, endpoints, 512, 64);
+            let (r, report) = measure_conn_sweep(&cfg, endpoints, 512, 64).expect(DRAINS);
             let metrics = vec![
                 ("lat_p50_ns".to_string(), r.p50_ns),
                 ("lat_p99_ns".to_string(), r.p99_ns),
                 ("lat_mean_ns".to_string(), r.mean_ns),
             ];
-            (report, metrics, fp)
+            (report, metrics)
         }
         Work::Strided(strategy) => {
-            let fp = record::fingerprint(&cfg);
-            let (r, report) = measure_strided_with_report(&cfg, strategy, 16, 15, 8);
+            let (r, report) = measure_strided(&cfg, strategy, 16, 15, 8).expect(DRAINS);
             let metrics = vec![("exchange_ns".to_string(), r.elapsed_ns as f64)];
-            (report, metrics, fp)
+            (report, metrics)
         }
     };
     RunRecord::from_report(

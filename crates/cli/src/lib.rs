@@ -7,14 +7,16 @@ use std::path::Path;
 
 use nisim_core::snapshot::{load_from_file, restore, save_to_file};
 use nisim_core::{
-    Machine, MachineConfig, MachineReport, MachineSim, NiClass, NiKind, TimeCategory,
+    Machine, MachineConfig, MachineReport, MachineSim, NiClass, NiKind, TimeCategory, RUN_HORIZON,
+    RUN_MAX_EVENTS,
 };
 use nisim_engine::metrics::MetricsConfig;
 use nisim_engine::{Dur, SimStatus, Time};
 use nisim_net::{BufferCount, CrashWindow, DownWindow, NodeId, Topology};
-use nisim_workloads::apps::{factory, run_app, MacroApp};
+use nisim_workloads::apps::{factory, MacroApp};
 use nisim_workloads::micro::bandwidth::measure_bandwidth;
 use nisim_workloads::micro::pingpong::measure_round_trip;
+use nisim_workloads::micro::Undrained;
 use nisim_workloads::traffic::{
     level_gap_ns, multi_tenant_params, run_traffic, TrafficKind, TrafficSpec, MAX_LOAD_LEVEL,
 };
@@ -357,23 +359,25 @@ fn fault_config_from(
         cfg.fault.corrupt_p = parse_prob("fault-corrupt", v)?;
     }
     if let Some(v) = flags.get("fault-jitter") {
-        let ns: u64 = v
-            .parse()
-            .map_err(|_| err(format!("bad --fault-jitter {v:?} (want ns)")))?;
-        cfg.fault.jitter_max = Dur::ns(ns);
+        cfg.fault.jitter_max = parse_dur("fault-jitter", v, "ns", 0)?;
     }
     if let Some(v) = flags.get("fault-down") {
         cfg.fault.down = parse_down(v)?;
     }
     if let Some(v) = flags.get("crash") {
-        let windows = parse_crash(v)?;
-        if let Some(w) = windows.iter().find(|w| w.node.0 >= cfg.nodes) {
-            return Err(err(format!(
-                "--crash node {} is out of range (machine has {} nodes)",
-                w.node.0, cfg.nodes
-            )));
-        }
-        cfg.fault.crash = windows;
+        cfg.fault.crash = parse_crash(v)?;
+    }
+    let down = cfg
+        .fault
+        .down
+        .iter()
+        .filter_map(|w| Some(("fault-down", w.node?)));
+    let crash = cfg.fault.crash.iter().map(|w| ("crash", w.node));
+    if let Some((flag, node)) = down.chain(crash).find(|(_, n)| n.0 >= cfg.nodes) {
+        return Err(err(format!(
+            "--{flag} node {} is out of range (machine has {} nodes)",
+            node.0, cfg.nodes
+        )));
     }
     if let Some(v) = flags.get("fault-seed") {
         cfg.fault.seed = v
@@ -384,13 +388,8 @@ fn fault_config_from(
     // reliability layer follows the fault knobs unless overridden.
     cfg.reliability.enabled = cfg.fault.is_active();
     if let Some(v) = flags.get("rel-timeout") {
-        let ns: u64 = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| err(format!("bad --rel-timeout {v:?} (want ns)")))?;
         cfg.reliability.enabled = true;
-        cfg.reliability.ack_timeout = Dur::ns(ns);
+        cfg.reliability.ack_timeout = parse_dur("rel-timeout", v, "ns", 1)?;
     }
     if let Some(v) = flags.get("rel-retries") {
         cfg.reliability.enabled = true;
@@ -406,14 +405,27 @@ fn fault_config_from(
         };
     }
     if let Some(v) = flags.get("watchdog-us") {
-        let us: u64 = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| err(format!("bad --watchdog-us {v:?}")))?;
-        cfg.watchdog_window = Dur::us(us);
+        cfg.watchdog_window = parse_dur("watchdog-us", v, "us", 1)?;
     }
     Ok(())
+}
+
+/// Parses a duration flag counted in `unit`s (`"ns"` or `"us"`): at
+/// least `min` and at most the [`RUN_HORIZON`], so no timer the flag
+/// sets can carry the clock past the range of `u64` nanoseconds.
+fn parse_dur(name: &str, value: &str, unit: &str, min: u64) -> Result<Dur, CliError> {
+    let scale = if unit == "us" { 1_000 } else { 1 };
+    let max = RUN_HORIZON.as_ns() / scale;
+    value
+        .parse::<u64>()
+        .ok()
+        .filter(|n| (min..=max).contains(n))
+        .map(|n| Dur::ns(n * scale))
+        .ok_or_else(|| {
+            err(format!(
+                "bad --{name} {value:?} (want {min}..={max} {unit})"
+            ))
+        })
 }
 
 fn config_from(flags: &BTreeMap<String, String>, ni: NiKind) -> Result<MachineConfig, CliError> {
@@ -455,11 +467,6 @@ fn required<'a>(flags: &'a BTreeMap<String, String>, name: &str) -> Result<&'a S
         .ok_or_else(|| err(format!("--{name} is required")))
 }
 
-/// The safety bounds [`Machine::run`] applies, mirrored here so sliced
-/// (checkpointing) runs report the same outcome as uninterrupted ones.
-const RUN_HORIZON_NS: u64 = 10_000_000_000;
-const RUN_MAX_EVENTS: u64 = 500_000_000;
-
 /// Extracts the periodic-checkpoint request, insisting the two flags
 /// arrive together (a path with no cadence — or vice versa — is a typo).
 fn checkpoint_plan(flags: &BTreeMap<String, String>) -> Result<Option<(String, u64)>, CliError> {
@@ -483,9 +490,11 @@ fn checkpoint_plan(flags: &BTreeMap<String, String>) -> Result<Option<(String, u
 /// every `every` fired events. Returns the report plus the number of
 /// checkpoints written.
 ///
-/// Healthy runs report exactly what [`run_app`] would: slicing only
+/// Healthy runs report exactly what
+/// [`run_app`](nisim_workloads::apps::run_app) would: slicing only
 /// pauses the event loop, and the watchdog never fires on a run that is
-/// making progress.
+/// making progress. Unlike `run_app`, a run that ends undrained is
+/// reported, not a panic: the caller prints its status.
 fn run_app_driven(
     app: MacroApp,
     cfg: &MachineConfig,
@@ -507,14 +516,15 @@ fn run_app_driven(
             (m, sim)
         }
     };
-    let horizon = Time::from_ns(RUN_HORIZON_NS);
     let mut written = 0u64;
+    // Sliced runs stop at the bounds `Machine::run` applies, so they
+    // report the same outcome as uninterrupted ones.
     let status = loop {
         let slice = match ckpt {
             Some(&(_, every)) => every,
             None => RUN_MAX_EVENTS,
         };
-        let status = machine.run_slice(&mut sim, horizon, slice);
+        let status = machine.run_slice(&mut sim, RUN_HORIZON, slice);
         if status != SimStatus::EventBudgetExhausted || sim.events_fired() >= RUN_MAX_EVENTS {
             break status;
         }
@@ -524,6 +534,23 @@ fn run_app_driven(
         written += 1;
     };
     Ok((machine.report(&sim, status), written))
+}
+
+/// What `run` and `traffic` print about a run that did not drain: the
+/// stall dump, or a status line for a run a safety bound ended.
+fn undrained_lines(r: &MachineReport) -> String {
+    let why = match r.status {
+        SimStatus::HorizonReached => "horizon reached",
+        SimStatus::EventBudgetExhausted => "event budget exhausted",
+        SimStatus::Drained | SimStatus::Stalled => {
+            return r
+                .stall
+                .as_ref()
+                .map(ToString::to_string)
+                .unwrap_or_default();
+        }
+    };
+    format!("  status         {why}: the run ended undrained\n")
 }
 
 /// The flags `exp` takes; the rest belong to the simulation subcommands.
@@ -617,10 +644,18 @@ fn check_golden(
     Ok(out)
 }
 
+/// The largest `--payload`: every NI completes `rtt` and `bw` at 1 MiB
+/// well inside the run horizon.
+const MAX_PAYLOAD: u64 = 1 << 20;
+
 fn payload_from(flags: &BTreeMap<String, String>) -> Result<u64, CliError> {
     match flags.get("payload") {
         None => Ok(64),
-        Some(p) => p.parse().map_err(|_| err(format!("bad payload {p:?}"))),
+        Some(p) => p.parse().ok().filter(|&n| n <= MAX_PAYLOAD).ok_or_else(|| {
+            err(format!(
+                "bad --payload {p:?} (want 0..={MAX_PAYLOAD} bytes)"
+            ))
+        }),
     }
 }
 
@@ -644,31 +679,30 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
     let flags = parse_flags(rest)?;
     match cmd.as_str() {
         "list" => Ok(format!("{}\n", usage())),
-        "rtt" => {
+        "rtt" | "bw" => {
             let ni = ni_from(&flags)?;
             let payload = payload_from(&flags)?;
             let cfg = config_from(&flags, ni)?.for_microbenchmark();
-            let r = measure_round_trip(&cfg, payload);
-            Ok(format!(
-                "{}: {} B round trip = {:.2} us (min {:.2}, max {:.2})\n",
-                ni.name(),
-                payload,
-                r.mean_us,
-                r.min_us,
-                r.max_us
-            ))
-        }
-        "bw" => {
-            let ni = ni_from(&flags)?;
-            let payload = payload_from(&flags)?;
-            let cfg = config_from(&flags, ni)?.for_microbenchmark();
-            let r = measure_bandwidth(&cfg, payload);
-            Ok(format!(
-                "{}: {} B stream = {:.0} MB/s\n",
-                ni.name(),
-                payload,
-                r.mb_per_s
-            ))
+            // A run that cannot drain prints its stall dump and fails.
+            let undrained = |e: Undrained| CliError::Failed {
+                output: e
+                    .stall
+                    .as_ref()
+                    .map(ToString::to_string)
+                    .unwrap_or_default(),
+                msg: format!("{cmd}: {e}"),
+            };
+            let line = if cmd == "rtt" {
+                let (r, _) = measure_round_trip(&cfg, payload).map_err(undrained)?;
+                format!(
+                    "round trip = {:.2} us (min {:.2}, max {:.2})",
+                    r.mean_us, r.min_us, r.max_us
+                )
+            } else {
+                let (r, _) = measure_bandwidth(&cfg, payload).map_err(undrained)?;
+                format!("stream = {:.0} MB/s", r.mb_per_s)
+            };
+            Ok(format!("{}: {payload} B {line}\n", ni.name()))
         }
         "run" => {
             let ni = ni_from(&flags)?;
@@ -676,13 +710,8 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             let cfg = config_from(&flags, ni)?;
             let ckpt = checkpoint_plan(&flags)?;
             let resume = flags.get("resume");
-            let (r, checkpoints) = if ckpt.is_some() || resume.is_some() {
-                let (r, written) =
-                    run_app_driven(app, &cfg, resume.map(String::as_str), ckpt.as_ref())?;
-                (r, Some(written))
-            } else {
-                (run_app(app, &cfg, &app.default_params()), None)
-            };
+            let (r, written) =
+                run_app_driven(app, &cfg, resume.map(String::as_str), ckpt.as_ref())?;
             let mut out = format!(
                 "{app} on {} ({} nodes, buffers {}):\n\
                  \x20 elapsed        {} us\n\
@@ -722,23 +751,11 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                     r.violations[0]
                 ));
             }
-            if let Some(stall) = &r.stall {
-                out.push_str(&format!("{stall}"));
-            }
-            let undrained = match r.status {
-                SimStatus::HorizonReached => Some("horizon reached"),
-                SimStatus::EventBudgetExhausted => Some("event budget exhausted"),
-                SimStatus::Drained | SimStatus::Stalled => None,
-            };
-            if let Some(why) = undrained {
-                out.push_str(&format!(
-                    "  status         {why}: the run ended undrained\n"
-                ));
-            }
+            out.push_str(&undrained_lines(&r));
             if let Some(path) = resume {
                 out.push_str(&format!("  resumed from {path}\n"));
             }
-            if let (Some((path, every)), Some(written)) = (&ckpt, checkpoints) {
+            if let Some((path, every)) = &ckpt {
                 out.push_str(&format!(
                     "  wrote {written} checkpoints to {path} (every {every} events)\n"
                 ));
@@ -781,13 +798,22 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                 .filter(|ni| ni.spec().class != NiClass::PaperVariant)
                 .map(|ni| Ok((ni, config_from(&flags, ni)?)))
                 .collect::<Result<Vec<_>, CliError>>()?;
+            // Driven like `run`, so a run that cannot drain marks its row
+            // instead of panicking.
             let reports = parallel_map(&configs, jobs, |(_, cfg)| {
-                run_app(app, cfg, &app.default_params())
-            });
+                run_app_driven(app, cfg, None, None).map(|(r, _)| r)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, CliError>>()?;
             let mut out = format!("{app} across the design space:\n");
             for ((ni, _), r) in configs.iter().zip(&reports) {
+                let undrained = if r.status == SimStatus::Drained {
+                    String::new()
+                } else {
+                    format!("  undrained ({:?})", r.status)
+                };
                 out.push_str(&format!(
-                    "  {:<24} {:>8} us  buffering {:>5.1}%\n",
+                    "  {:<24} {:>8} us  buffering {:>5.1}%{undrained}\n",
                     ni.name(),
                     r.elapsed.as_ns() / 1_000,
                     100.0 * r.fraction(TimeCategory::Buffering)
@@ -864,9 +890,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                     p.p999 / 1_000.0,
                 ));
             }
-            if let Some(stall) = &r.stall {
-                out.push_str(&format!("{stall}"));
-            }
+            out.push_str(&undrained_lines(&r));
             if let Some(path) = flags.get("json") {
                 let rec = RunRecord::from_report(
                     work,
@@ -973,6 +997,48 @@ mod tests {
         assert!(run(&["run", "--app", "em3d", "--ni", "cm5", "--nodes", "1"]).is_err());
         assert!(run(&["rtt", "--ni", "cm5", "--payload", "many"]).is_err());
         assert!(run(&["run", "--app", "quake", "--ni", "cm5"]).is_err());
+        // Values that would carry the clock past u64 nanoseconds.
+        const MAX: &str = "18446744073709551615";
+        let em3d = ["run", "--app", "em3d", "--ni", "cm5", "--nodes", "4"];
+        for flag in ["--fault-jitter", "--rel-timeout", "--watchdog-us"] {
+            let e = usage_error(&[&em3d[..], &[flag, MAX]].concat());
+            assert!(e.contains(flag), "{e}");
+        }
+        let e = usage_error(&["rtt", "--ni", "cm5", "--payload", MAX]);
+        assert!(e.contains("--payload"), "{e}");
+        let e = usage_error(&[&em3d[..], &["--fault-down", "0-10@99"]].concat());
+        assert!(e.contains("--fault-down node 99 is out of range"), "{e}");
+        // Every fragment is lost, so neither microbenchmark can drain.
+        for cmd in ["rtt", "bw"] {
+            match run(&[cmd, "--ni", "cm5", "--fault-drop", "1"]) {
+                Err(CliError::Failed { output, msg }) => {
+                    assert!(output.starts_with("STALLED"), "{output}");
+                    assert_eq!(msg, format!("{cmd}: the run ended undrained (Stalled)"));
+                }
+                other => panic!("{cmd} must fail undrained, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn runs_that_cannot_drain_say_so() {
+        // With a 10 s ack timeout a lost message is never resent before
+        // the horizon: `run`, `sweep` and `traffic` say so.
+        let lossy: Vec<&str> = "--app em3d --nodes 4 --fault-drop 0.01 --rel-timeout 10000000000"
+            .split(' ')
+            .collect();
+        let out = run(&[&["run", "--ni", "cm5"][..], &lossy].concat()).unwrap();
+        assert!(
+            out.contains("horizon reached: the run ended undrained"),
+            "{out}"
+        );
+        let out = run(&[&["sweep", "--jobs", "1"][..], &lossy].concat()).unwrap();
+        assert!(out.contains("undrained (HorizonReached)"), "{out}");
+        let out = run(&[&["traffic", "--ni", "cm5"][..], &lossy[2..]].concat()).unwrap();
+        assert!(
+            out.contains("horizon reached: the run ended undrained"),
+            "{out}"
+        );
     }
 
     #[test]

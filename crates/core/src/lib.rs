@@ -29,39 +29,23 @@
 //!
 //! # Quickstart
 //!
-//! Run a two-node ping workload on the `CNI_32Q_m` design:
+//! Run a two-node ping workload on the `CNI_32Q_m` design: node 0's
+//! program is one send, node 1 only handles arrivals (50 ns each).
 //!
 //! ```
-//! use nisim_engine::{Dur, Time};
+//! use nisim_engine::Dur;
 //! use nisim_core::{Machine, MachineConfig, NiKind};
-//! use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
+//! use nisim_core::process::{Action, Process, Script, SendSpec};
 //! use nisim_net::NodeId;
-//!
-//! struct Ping { sent: bool }
-//! impl Process for Ping {
-//!     fn next_action(&mut self, _now: Time) -> Action {
-//!         if self.sent { Action::Done } else {
-//!             self.sent = true;
-//!             Action::Send(SendSpec::new(NodeId(1), 64, 0))
-//!         }
-//!     }
-//!     fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-//!         HandlerSpec::empty()
-//!     }
-//!     fn is_done(&self) -> bool { self.sent }
-//! }
-//! struct Pong;
-//! impl Process for Pong {
-//!     fn next_action(&mut self, _now: Time) -> Action { Action::Done }
-//!     fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-//!         HandlerSpec::compute(Dur::ns(50))
-//!     }
-//!     fn is_done(&self) -> bool { true }
-//! }
 //!
 //! let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(2);
 //! let report = Machine::run(cfg, |id| -> Box<dyn Process> {
-//!     if id.0 == 0 { Box::new(Ping { sent: false }) } else { Box::new(Pong) }
+//!     if id.0 == 0 {
+//!         let ping = Action::Send(SendSpec::new(NodeId(1), 64, 0));
+//!         Box::new(Script::new([ping], Dur::ZERO))
+//!     } else {
+//!         Box::new(Script::sink(Dur::ns(50)))
+//!     }
 //! });
 //! assert_eq!(report.app_messages, 1);
 //! assert!(report.elapsed > Dur::ZERO);
@@ -91,9 +75,10 @@ pub use error::{EndpointSnapshot, ProtocolViolation, StallReason, StallReport, V
 pub use event::MachineEvent;
 pub use machine::{
     Machine, MachineReport, MachineSim, NodeSummary, TenantSummary, TraceEvent, TraceKind,
+    RUN_HORIZON, RUN_MAX_EVENTS,
 };
 pub use ni::{NiClass, NiKind, NiModel, NiUnit};
 pub use node::{Node, NodeHw};
-pub use process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
+pub use process::{Action, AppMessage, HandlerSpec, Process, Script, SendSpec};
 pub use snapshot::{config_fingerprint, SnapshotError, SNAPSHOT_VERSION};
 pub use taxonomy::NiDescriptor;

@@ -38,6 +38,14 @@ use crate::processor::{ProcPhase, ProcState, SendInProgress};
 /// over the engine's timing wheel — no per-event allocation.
 pub type MachineSim = Sim<Machine, MachineEvent>;
 
+/// The simulated-time horizon of [`Machine::run`]: a run still going at
+/// 10 s ends with [`SimStatus::HorizonReached`].
+pub const RUN_HORIZON: Time = Time::from_ns(10_000_000_000);
+
+/// The event budget of [`Machine::run`]: a run that fires this many
+/// events ends with [`SimStatus::EventBudgetExhausted`].
+pub const RUN_MAX_EVENTS: u64 = 500_000_000;
+
 /// A point in one network fragment's lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceKind {
@@ -420,14 +428,13 @@ impl Machine {
     /// Builds the machine, runs it to quiescence (or the safety bounds)
     /// and reports.
     ///
-    /// The default safety bounds are generous: a 10-second simulated
-    /// horizon and 500 M events. Runs that hit them are reported via
-    /// [`MachineReport::status`].
+    /// The safety bounds are [`RUN_HORIZON`] and [`RUN_MAX_EVENTS`].
+    /// Runs that hit them are reported via [`MachineReport::status`].
     pub fn run(
         cfg: MachineConfig,
         factory: impl FnMut(NodeId) -> Box<dyn Process>,
     ) -> MachineReport {
-        Self::run_bounded(cfg, factory, Time::from_ns(10_000_000_000), 500_000_000)
+        Self::run_bounded(cfg, factory, RUN_HORIZON, RUN_MAX_EVENTS)
     }
 
     /// [`Machine::run`] that also returns the message-lifecycle trace
@@ -440,7 +447,7 @@ impl Machine {
         let mut machine = Machine::new(cfg, factory);
         let mut sim = MachineSim::new();
         machine.start(&mut sim);
-        let status = machine.drive(&mut sim, Time::from_ns(10_000_000_000), 500_000_000);
+        let status = machine.drive(&mut sim, RUN_HORIZON, RUN_MAX_EVENTS);
         let report = machine.report(&sim, status);
         let trace = machine.take_trace().unwrap_or_default();
         (report, trace)
@@ -1544,7 +1551,7 @@ impl std::fmt::Debug for Machine {
 pub(crate) mod tests {
     use super::*;
     use crate::ni::NiKind;
-    use crate::process::{HandlerSpec, Process};
+    use crate::process::{HandlerSpec, Process, Script};
     use nisim_net::BufferCount;
 
     /// Node 0 sends `count` messages of `payload` bytes to node 1 and
@@ -2029,25 +2036,11 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "send to itself")]
     fn self_send_is_rejected() {
-        struct SelfSender(bool);
-        impl Process for SelfSender {
-            fn next_action(&mut self, _now: Time) -> Action {
-                if self.0 {
-                    Action::Done
-                } else {
-                    self.0 = true;
-                    Action::Send(SendSpec::new(NodeId(0), 8, 0))
-                }
-            }
-            fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-                HandlerSpec::empty()
-            }
-            fn is_done(&self) -> bool {
-                self.0
-            }
-        }
         let cfg = MachineConfig::default().nodes(2);
-        Machine::run(cfg, |_| Box::new(SelfSender(false)));
+        Machine::run(cfg, |_| {
+            let send = Action::Send(SendSpec::new(NodeId(0), 8, 0));
+            Box::new(Script::new([send], Dur::ZERO))
+        });
     }
 }
 

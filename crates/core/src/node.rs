@@ -466,7 +466,7 @@ mod tests {
 
     #[test]
     fn id_spaces_are_per_node_and_disjoint() {
-        use crate::process::IdleProcess;
+        use crate::process::Script;
         use crate::processor::ProcState;
         let cfg = MachineConfig::default();
         let mk = |i: u32| Node {
@@ -475,7 +475,7 @@ mod tests {
             ni: NiUnit::new(&cfg),
             proc: ProcState::new(),
             ledger: TimeLedger::new(Time::ZERO),
-            process: Box::new(IdleProcess),
+            process: Box::new(Script::sink(Dur::ZERO)),
             next_msg_id: 0,
             next_transfer_id: 0,
             assembling: Default::default(),

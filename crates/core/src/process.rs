@@ -7,7 +7,7 @@
 //! paper's macrobenchmarks use (message-passing codes use handlers
 //! directly; shared-memory codes use request/response handler pairs).
 
-use nisim_engine::codec::{DecodeError, Fields};
+use nisim_engine::codec::DecodeError;
 use nisim_engine::{Dur, Json, Time};
 use nisim_net::NodeId;
 
@@ -121,8 +121,9 @@ pub trait Process {
     /// Active-message handler for one arrived message.
     fn on_message(&mut self, msg: &AppMessage, now: Time) -> HandlerSpec;
 
-    /// True once the process has returned [`Action::Done`] — used for
-    /// deadlock/quiescence reporting. Implementations should track this.
+    /// True once the process has returned [`Action::Done`]. Restore
+    /// checks it against the processor's `program_done` flag; quiescence
+    /// itself reads that flag, not this method.
     fn is_done(&self) -> bool;
 
     /// Checks that this process's program or handlers could have issued
@@ -161,39 +162,67 @@ pub trait Process {
     }
 }
 
-/// A process that does nothing (a passive node, e.g. a pure server that
-/// only reacts to messages via a wrapped handler function).
-pub struct IdleProcess;
+/// A process whose program ignores its inbox: it plays the actions its
+/// iterator yields, in order, then returns [`Action::Done`], and answers
+/// every message with a handler that computes for a fixed time and sends
+/// nothing. Streams, bursts, scripted sends and passive sinks are all
+/// this one type; only a program that acts on what arrives (a ping-pong,
+/// an echo, a barrier) needs a [`Process`] of its own.
+///
+/// A script does not checkpoint: its iterator's position is opaque.
+pub struct Script<I> {
+    program: I,
+    handler: Dur,
+    done: bool,
+}
 
-impl Process for IdleProcess {
+impl<I: Iterator<Item = Action>> Script<I> {
+    /// Plays `program`, running `handler` of compute for each arrival.
+    pub fn new(program: impl IntoIterator<IntoIter = I>, handler: Dur) -> Self {
+        Script {
+            program: program.into_iter(),
+            handler,
+            done: false,
+        }
+    }
+}
+
+impl Script<std::iter::Empty<Action>> {
+    /// A node with no program: it only runs `handler` for each arrival.
+    pub fn sink(handler: Dur) -> Self {
+        Script::new(std::iter::empty(), handler)
+    }
+}
+
+impl<I: Iterator<Item = Action>> Process for Script<I> {
     fn next_action(&mut self, _now: Time) -> Action {
+        if !self.done {
+            match self.program.next() {
+                Some(Action::Done) | None => self.done = true,
+                Some(action) => return action,
+            }
+        }
         Action::Done
     }
 
     fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
+        HandlerSpec::compute(self.handler)
     }
 
     fn is_done(&self) -> bool {
-        true
-    }
-
-    fn check_send(&self, _spec: &SendSpec) -> Result<(), DecodeError> {
-        Err(DecodeError::new("an idle process sends nothing"))
-    }
-
-    fn snapshot(&self) -> Option<Json> {
-        Some(Json::obj())
-    }
-
-    fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
-        Fields::of(state)?.finish()
+        self.done
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const MSG: AppMessage = AppMessage {
+        src: NodeId(0),
+        payload_bytes: 8,
+        tag: 0,
+    };
 
     #[test]
     fn handler_constructors() {
@@ -213,15 +242,27 @@ mod tests {
     }
 
     #[test]
-    fn idle_process_is_done() {
-        let mut p = IdleProcess;
+    fn script_plays_its_program_then_finishes() {
+        let send = Action::Send(SendSpec::new(NodeId(1), 8, 0));
+        let mut p = Script::new([Action::Compute(Dur::ns(3)), send.clone()], Dur::ns(7));
+        assert_eq!(p.next_action(Time::ZERO), Action::Compute(Dur::ns(3)));
+        assert_eq!(p.next_action(Time::ZERO), send);
+        assert!(!p.is_done());
+        assert_eq!(p.next_action(Time::ZERO), Action::Done);
         assert!(p.is_done());
         assert_eq!(p.next_action(Time::ZERO), Action::Done);
-        let msg = AppMessage {
-            src: NodeId(0),
-            payload_bytes: 8,
-            tag: 0,
-        };
-        assert_eq!(p.on_message(&msg, Time::ZERO), HandlerSpec::empty());
+        assert_eq!(
+            p.on_message(&MSG, Time::ZERO),
+            HandlerSpec::compute(Dur::ns(7))
+        );
+        assert!(p.snapshot().is_none(), "a script does not checkpoint");
+    }
+
+    #[test]
+    fn sink_has_no_program() {
+        let mut p = Script::sink(Dur::ZERO);
+        assert_eq!(p.next_action(Time::ZERO), Action::Done);
+        assert!(p.is_done());
+        assert_eq!(p.on_message(&MSG, Time::ZERO), HandlerSpec::empty());
     }
 }

@@ -719,7 +719,7 @@ pub fn load_from_file(path: &std::path::Path) -> Result<Json, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::MachineReport;
+    use crate::machine::{MachineReport, RUN_HORIZON, RUN_MAX_EVENTS};
     use crate::ni::NiKind;
     use crate::process::{Action, AppMessage, HandlerSpec};
     use nisim_engine::SimStatus;
@@ -807,13 +807,9 @@ mod tests {
 
     fn run_to_end(machine: &mut Machine, sim: &mut MachineSim) -> MachineReport {
         let window = machine.cfg.watchdog_window;
-        let status = sim.run_watched(
-            machine,
-            Time::from_ns(10_000_000_000),
-            500_000_000,
-            window,
-            |m| m.g.progress,
-        );
+        let status = sim.run_watched(machine, RUN_HORIZON, RUN_MAX_EVENTS, window, |m| {
+            m.g.progress
+        });
         machine.report(sim, status)
     }
 
@@ -837,9 +833,7 @@ mod tests {
             let mut sim = MachineSim::new();
             m.start(&mut sim);
             let window = m.cfg.watchdog_window;
-            sim.run_watched(&mut m, Time::from_ns(10_000_000_000), cut, window, |x| {
-                x.g.progress
-            });
+            sim.run_watched(&mut m, RUN_HORIZON, cut, window, |x| x.g.progress);
             let snap = save(&m, &mut sim).expect("snapshot");
             // The snapshot itself round-trips through the serializer.
             let reparsed = nisim_engine::json::parse(&snap.to_compact()).expect("parse");
@@ -896,9 +890,7 @@ mod tests {
             let mut sim = MachineSim::new();
             m.start(&mut sim);
             let window = m.cfg.watchdog_window;
-            sim.run_watched(&mut m, Time::from_ns(10_000_000_000), cut, window, |x| {
-                x.g.progress
-            });
+            sim.run_watched(&mut m, RUN_HORIZON, cut, window, |x| x.g.progress);
             let snap = save(&m, &mut sim).expect("snapshot");
             let (mut resumed, mut rsim) =
                 restore(cfg(), snap_factory(8, 64), &snap).expect("restore");
@@ -1023,9 +1015,7 @@ mod tests {
         let mut sim = MachineSim::new();
         m.start(&mut sim);
         let window = m.cfg.watchdog_window;
-        sim.run_watched(&mut m, Time::from_ns(10_000_000_000), 30, window, |x| {
-            x.g.progress
-        });
+        sim.run_watched(&mut m, RUN_HORIZON, 30, window, |x| x.g.progress);
         let snap = save(&m, &mut sim).expect("snapshot");
         let (mut resumed, mut rsim) = restore(cfg(), snap_factory(4, 200), &snap).expect("restore");
         let resumed_report = run_to_end(&mut resumed, &mut rsim);

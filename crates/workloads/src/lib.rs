@@ -2,8 +2,10 @@
 //!
 //! Micro- and macrobenchmark workloads for the `nisim` NI design study.
 //!
-//! * [`micro`] — the two §6.1 microbenchmarks: process-to-process
-//!   round-trip latency and streaming bandwidth (Table 5),
+//! * [`micro`] — the two-node microbenchmarks, each one
+//!   [`micro::run_pair`] call: the §6.1 process-to-process round-trip
+//!   latency and streaming bandwidth (Table 5), LogP, the connection
+//!   sweep and the strided exchange,
 //! * [`apps`] — communication skeletons of the seven §5.2
 //!   macrobenchmarks (appbt, barnes, dsmc, em3d, moldyn, spsolve,
 //!   unstructured), parameterised by the paper's Table 4 message-size
@@ -27,7 +29,6 @@
 pub mod apps;
 pub mod micro;
 pub mod skeleton;
-pub mod skeleton_support;
 pub mod synthetic;
 pub mod table4;
 pub mod traffic;

@@ -9,10 +9,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
-use nisim_core::{Machine, MachineConfig, NiKind};
-use nisim_engine::Time;
-use nisim_net::{BufferCount, NodeId};
+use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, Script, SendSpec};
+use nisim_core::{MachineConfig, MachineReport, NiKind};
+use nisim_engine::{Dur, Time};
+use nisim_net::NodeId;
+
+use super::{run_pair, stream, table5_config, Undrained};
 
 const TAG_STREAM: u32 = 3;
 
@@ -27,39 +29,9 @@ pub struct BandwidthResult {
     pub messages: u64,
 }
 
-struct Streamer {
-    payload: u64,
-    left: u32,
-    done: bool,
-}
-
-impl Process for Streamer {
-    fn next_action(&mut self, _now: Time) -> Action {
-        if self.left == 0 {
-            self.done = true;
-            return Action::Done;
-        }
-        self.left -= 1;
-        Action::Send(SendSpec::new(NodeId(1), self.payload, TAG_STREAM))
-    }
-
-    fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-}
-
-#[derive(Clone, Debug, Default)]
-struct SinkLog {
-    /// Completion time of each received message, in arrival order.
-    times: Vec<Time>,
-}
-
+/// Node 1: logs the completion time of each message, in arrival order.
 struct Sink {
-    log: Rc<RefCell<SinkLog>>,
+    times: Rc<RefCell<Vec<Time>>>,
 }
 
 impl Process for Sink {
@@ -69,7 +41,7 @@ impl Process for Sink {
 
     fn on_message(&mut self, msg: &AppMessage, now: Time) -> HandlerSpec {
         debug_assert_eq!(msg.tag, TAG_STREAM);
-        self.log.borrow_mut().times.push(now);
+        self.times.borrow_mut().push(now);
         HandlerSpec::empty()
     }
 
@@ -79,50 +51,32 @@ impl Process for Sink {
 }
 
 /// Measures steady-state streaming bandwidth under `cfg` for
-/// `payload_bytes` messages.
+/// `payload_bytes` messages, with the full [`MachineReport`] of the
+/// measurement run.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the stream fails to complete.
-pub fn measure_bandwidth(cfg: &MachineConfig, payload_bytes: u64) -> BandwidthResult {
-    measure_bandwidth_with_report(cfg, payload_bytes).0
-}
-
-/// Like [`measure_bandwidth`], additionally returning the full
-/// [`MachineReport`](nisim_core::MachineReport) of the measurement run.
-///
-/// # Panics
-///
-/// Panics if the stream fails to complete.
-pub fn measure_bandwidth_with_report(
+/// [`Undrained`] if the stream does not complete.
+pub fn measure_bandwidth(
     cfg: &MachineConfig,
     payload_bytes: u64,
-) -> (BandwidthResult, nisim_core::MachineReport) {
+) -> Result<(BandwidthResult, MachineReport), Undrained> {
     // Enough messages that the warm-up window covers the first lap of
     // the coherent NIs' queue regions (cold BusRdX fills).
     let count: u32 = 170;
     let warmup: usize = 70;
-    let log = Rc::new(RefCell::new(SinkLog::default()));
-    let log_factory = log.clone();
-    let cfg = cfg.clone().nodes(2);
-    let payload = payload_bytes;
-    let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
-        if id.0 == 0 {
-            Box::new(Streamer {
-                payload,
-                left: count,
-                done: false,
-            })
-        } else {
-            Box::new(Sink {
-                log: log_factory.clone(),
-            })
-        }
-    });
-    assert!(report.all_quiescent, "stream did not complete: {report:?}");
-    let log = log.borrow();
-    assert_eq!(log.times.len(), count as usize);
-    let window = &log.times[warmup..];
+    let times = Rc::new(RefCell::new(Vec::new()));
+    let program = stream(SendSpec::new(NodeId(1), payload_bytes, TAG_STREAM), count);
+    let report = run_pair(
+        cfg,
+        Script::new(program, Dur::ZERO),
+        Sink {
+            times: times.clone(),
+        },
+    )?;
+    let times = times.borrow();
+    assert_eq!(times.len(), count as usize);
+    let window = &times[warmup..];
     let elapsed = *window.last().expect("window non-empty") - window[0];
     let messages = (window.len() - 1) as u64;
     let bytes = messages * payload_bytes;
@@ -131,16 +85,14 @@ pub fn measure_bandwidth_with_report(
         mb_per_s: bytes as f64 / elapsed.as_ns() as f64 * 1_000.0,
         messages,
     };
-    (result, report)
+    Ok((result, report))
 }
 
-/// Convenience: bandwidth for one NI kind at Table 5 defaults (8 flow
-/// control buffers; pure UDMA for the UDMA-based NI).
+/// Convenience: bandwidth for one NI kind at Table 5 defaults.
 pub fn bandwidth_for(kind: NiKind, payload_bytes: u64) -> BandwidthResult {
-    let cfg = MachineConfig::with_ni(kind)
-        .flow_buffers(BufferCount::Finite(8))
-        .for_microbenchmark();
-    measure_bandwidth(&cfg, payload_bytes)
+    measure_bandwidth(&table5_config(kind), payload_bytes)
+        .expect("a Table 5 stream drains")
+        .0
 }
 
 #[cfg(test)]

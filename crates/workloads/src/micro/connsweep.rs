@@ -11,11 +11,12 @@
 //! cache gives a 0% hit rate past capacity, and every fragment pays the
 //! context fetch on both sides — the state-capacity cliff.
 
-use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
-use nisim_core::{Machine, MachineConfig};
+use nisim_core::process::{Action, SendSpec};
+use nisim_core::{MachineConfig, MachineReport};
 use nisim_engine::metrics::MetricsConfig;
-use nisim_engine::Time;
 use nisim_net::NodeId;
+
+use super::{run_to_sink, Undrained};
 
 const TAG_SWEEP: u32 = 5;
 
@@ -34,94 +35,29 @@ pub struct ConnSweepResult {
     pub messages: u64,
 }
 
-struct ConnStreamer {
-    endpoints: u32,
-    payload: u64,
-    sent: u32,
-    count: u32,
-    done: bool,
-}
-
-impl Process for ConnStreamer {
-    fn next_action(&mut self, _now: Time) -> Action {
-        if self.sent == self.count {
-            self.done = true;
-            return Action::Done;
-        }
-        let conn = self.sent % self.endpoints + 1;
-        self.sent += 1;
-        Action::Send(SendSpec::new(NodeId(1), self.payload, TAG_SWEEP).on_conn(conn))
-    }
-
-    fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-}
-
-struct ConnSink;
-
-impl Process for ConnSink {
-    fn next_action(&mut self, _now: Time) -> Action {
-        Action::Done
-    }
-
-    fn on_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
-        debug_assert_eq!(msg.tag, TAG_SWEEP);
-        HandlerSpec::empty()
-    }
-
-    fn is_done(&self) -> bool {
-        true
-    }
-}
-
 /// Runs the connection sweep at one endpoint count: `count` messages of
-/// `payload` bytes, connections assigned round-robin over `endpoints`.
+/// `payload` bytes, connections assigned round-robin over `endpoints`,
+/// with the full [`MachineReport`] of the measurement run.
+///
+/// # Errors
+///
+/// [`Undrained`] if the stream does not complete.
 ///
 /// # Panics
 ///
-/// Panics if `endpoints` is zero or the stream fails to complete.
+/// Panics if `endpoints` is zero.
 pub fn measure_conn_sweep(
     cfg: &MachineConfig,
     endpoints: u32,
     count: u32,
     payload: u64,
-) -> ConnSweepResult {
-    measure_conn_sweep_with_report(cfg, endpoints, count, payload).0
-}
-
-/// Like [`measure_conn_sweep`], additionally returning the full
-/// [`MachineReport`](nisim_core::MachineReport) of the measurement run.
-///
-/// # Panics
-///
-/// Panics if `endpoints` is zero or the stream fails to complete.
-pub fn measure_conn_sweep_with_report(
-    cfg: &MachineConfig,
-    endpoints: u32,
-    count: u32,
-    payload: u64,
-) -> (ConnSweepResult, nisim_core::MachineReport) {
+) -> Result<(ConnSweepResult, MachineReport), Undrained> {
     assert!(endpoints >= 1, "the sweep needs at least one endpoint");
-    let cfg = cfg.clone().nodes(2).metrics(MetricsConfig::enabled());
-    let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
-        if id.0 == 0 {
-            Box::new(ConnStreamer {
-                endpoints,
-                payload,
-                sent: 0,
-                count,
-                done: false,
-            })
-        } else {
-            Box::new(ConnSink)
-        }
+    let cfg = cfg.clone().metrics(MetricsConfig::enabled());
+    let program = (0..count).map(move |i| {
+        Action::Send(SendSpec::new(NodeId(1), payload, TAG_SWEEP).on_conn(i % endpoints + 1))
     });
-    assert!(report.all_quiescent, "sweep did not complete: {report:?}");
+    let report = run_to_sink(&cfg, program)?;
     assert_eq!(report.app_messages, count as u64);
     let rtt = report
         .breakdown
@@ -136,7 +72,7 @@ pub fn measure_conn_sweep_with_report(
         mean_ns: report.msg_latency.mean(),
         messages: report.app_messages,
     };
-    (result, report)
+    Ok((result, report))
 }
 
 /// The endpoint counts of the standard sweep: 4 to 1024, straddling the
@@ -148,11 +84,17 @@ mod tests {
     use super::*;
     use nisim_core::NiKind;
 
+    fn sweep(cfg: &MachineConfig, endpoints: u32, count: u32) -> ConnSweepResult {
+        measure_conn_sweep(cfg, endpoints, count, 64)
+            .expect("the sweep drains")
+            .0
+    }
+
     #[test]
     fn urma_is_flat_across_endpoint_counts() {
         let cfg = MachineConfig::with_ni(NiKind::Urma);
-        let few = measure_conn_sweep(&cfg, 4, 120, 64);
-        let many = measure_conn_sweep(&cfg, 1024, 120, 64);
+        let few = sweep(&cfg, 4, 120);
+        let many = sweep(&cfg, 1024, 120);
         // Connectionless: the runs are identical, not merely close.
         assert_eq!(few.p99_ns, many.p99_ns);
         assert_eq!(few.mean_ns, many.mean_ns);
@@ -161,8 +103,8 @@ mod tests {
     #[test]
     fn rdma_qp_falls_off_the_state_capacity_cliff() {
         let cfg = MachineConfig::with_ni(NiKind::RdmaQp);
-        let few = measure_conn_sweep(&cfg, 4, 512, 64);
-        let many = measure_conn_sweep(&cfg, 1024, 512, 64);
+        let few = sweep(&cfg, 4, 512);
+        let many = sweep(&cfg, 1024, 512);
         assert!(
             many.p99_ns >= 2.0 * few.p99_ns,
             "thrashing QP cache must at least double p99: {} vs {}",
@@ -175,17 +117,15 @@ mod tests {
     fn cliff_sits_past_the_configured_capacity() {
         // With a roomier cache the same endpoint count stays on the flat
         // part of the curve.
-        let small = measure_conn_sweep(
+        let small = sweep(
             &MachineConfig::with_ni(NiKind::RdmaQp).qp_cache_entries(16),
             256,
             768,
-            64,
         );
-        let large = measure_conn_sweep(
+        let large = sweep(
             &MachineConfig::with_ni(NiKind::RdmaQp).qp_cache_entries(1024),
             256,
             768,
-            64,
         );
         assert!(
             small.mean_ns > large.mean_ns,

@@ -11,10 +11,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
-use nisim_core::{Machine, MachineConfig, NiKind};
+use nisim_core::{MachineConfig, MachineReport, NiKind};
 use nisim_engine::stats::Summary;
-use nisim_engine::Time;
-use nisim_net::{BufferCount, NodeId};
+use nisim_engine::{Dur, Time};
+use nisim_net::NodeId;
+
+use super::{run_pair, table5_config, Undrained};
 
 const TAG_PING: u32 = 1;
 const TAG_PONG: u32 = 2;
@@ -88,10 +90,7 @@ impl Process for Ponger {
 
     fn on_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
         debug_assert_eq!(msg.tag, TAG_PING);
-        HandlerSpec::reply(
-            nisim_engine::Dur::ZERO,
-            SendSpec::new(msg.src, self.payload, TAG_PONG),
-        )
+        HandlerSpec::reply(Dur::ZERO, SendSpec::new(msg.src, self.payload, TAG_PONG))
     }
 
     fn is_done(&self) -> bool {
@@ -101,70 +100,49 @@ impl Process for Ponger {
 
 /// Measures the process-to-process round-trip latency of `ni` for
 /// `payload_bytes` messages, with the Table 5 configuration (8 flow
-/// control buffers) unless overridden in `cfg`.
+/// control buffers) unless overridden in `cfg`. The full
+/// [`MachineReport`] of the measurement run comes with it — sweep
+/// records keep the per-component accounting and counters.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the simulation fails to complete (a protocol bug).
-pub fn measure_round_trip(cfg: &MachineConfig, payload_bytes: u64) -> RoundTripResult {
-    measure_round_trip_with_report(cfg, payload_bytes).0
-}
-
-/// Like [`measure_round_trip`], additionally returning the full
-/// [`MachineReport`](nisim_core::MachineReport) of the measurement run —
-/// sweep records keep the per-component accounting and counters.
-///
-/// # Panics
-///
-/// Panics if the simulation fails to complete (a protocol bug).
-pub fn measure_round_trip_with_report(
+/// [`Undrained`] if the ping-pong does not complete.
+pub fn measure_round_trip(
     cfg: &MachineConfig,
     payload_bytes: u64,
-) -> (RoundTripResult, nisim_core::MachineReport) {
+) -> Result<(RoundTripResult, MachineReport), Undrained> {
     let rtts = Rc::new(RefCell::new(Summary::new()));
-    let rtts_factory = rtts.clone();
-    let cfg = cfg.clone().nodes(2);
-    let payload = payload_bytes;
-    let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
-        if id.0 == 0 {
-            Box::new(Pinger {
-                payload,
-                // Queues start pre-warmed; a short warm-up settles the
-                // remaining state (block-buffer residency, NI caches).
-                warmup_left: 32,
-                measured_left: 32,
-                awaiting_pong: false,
-                sent_at: Time::ZERO,
-                rtts: rtts_factory.clone(),
-                done: false,
-            })
-        } else {
-            Box::new(Ponger { payload })
-        }
-    });
-    assert!(
-        report.all_quiescent,
-        "ping-pong did not complete: {report:?}"
-    );
+    let pinger = Pinger {
+        payload: payload_bytes,
+        // Queues start pre-warmed; a short warm-up settles the
+        // remaining state (block-buffer residency, NI caches).
+        warmup_left: 32,
+        measured_left: 32,
+        awaiting_pong: false,
+        sent_at: Time::ZERO,
+        rtts: rtts.clone(),
+        done: false,
+    };
+    let ponger = Ponger {
+        payload: payload_bytes,
+    };
+    let report = run_pair(cfg, pinger, ponger)?;
     let s = rtts.borrow();
-    (
-        RoundTripResult {
-            payload_bytes,
-            mean_us: s.mean() / 1_000.0,
-            min_us: s.min() / 1_000.0,
-            max_us: s.max() / 1_000.0,
-            samples: s.count(),
-        },
-        report,
-    )
+    let result = RoundTripResult {
+        payload_bytes,
+        mean_us: s.mean() / 1_000.0,
+        min_us: s.min() / 1_000.0,
+        max_us: s.max() / 1_000.0,
+        samples: s.count(),
+    };
+    Ok((result, report))
 }
 
 /// Convenience: round-trip latency for one NI kind at Table 5 defaults.
 pub fn round_trip_for(kind: NiKind, payload_bytes: u64) -> RoundTripResult {
-    let cfg = MachineConfig::with_ni(kind)
-        .flow_buffers(BufferCount::Finite(8))
-        .for_microbenchmark();
-    measure_round_trip(&cfg, payload_bytes)
+    measure_round_trip(&table5_config(kind), payload_bytes)
+        .expect("a Table 5 ping-pong drains")
+        .0
 }
 
 #[cfg(test)]

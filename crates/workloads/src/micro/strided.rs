@@ -16,10 +16,11 @@
 //! fragment-per-element strategy on the same machine.
 
 use nisim_core::ni::sgdma::encode_gather_tag;
-use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
-use nisim_core::{Machine, MachineConfig};
-use nisim_engine::Time;
+use nisim_core::process::SendSpec;
+use nisim_core::{MachineConfig, MachineReport};
 use nisim_net::NodeId;
+
+use super::{run_to_sink, stream, Undrained};
 
 /// Result of one strided-exchange run.
 #[derive(Clone, Debug)]
@@ -41,132 +42,48 @@ pub enum StridedStrategy {
     FragmentPerElement,
 }
 
-struct RowSender {
-    strategy: StridedStrategy,
-    rows: u32,
-    row_bytes: u64,
-    rounds: u32,
-    /// Sends left in the current round.
-    pending: u32,
-    done: bool,
-}
-
-impl RowSender {
-    fn next_round(&mut self) -> bool {
-        if self.rounds == 0 {
-            return false;
-        }
-        self.rounds -= 1;
-        self.pending = match self.strategy {
-            StridedStrategy::Gathered => 1,
-            StridedStrategy::FragmentPerElement => self.rows,
-        };
-        true
-    }
-}
-
-impl Process for RowSender {
-    fn next_action(&mut self, _now: Time) -> Action {
-        if self.pending == 0 && !self.next_round() {
-            self.done = true;
-            return Action::Done;
-        }
-        self.pending -= 1;
-        let spec = match self.strategy {
-            StridedStrategy::Gathered => SendSpec::new(
-                NodeId(1),
-                self.rows as u64 * self.row_bytes,
-                encode_gather_tag(self.rows, self.row_bytes as u32),
-            ),
-            StridedStrategy::FragmentPerElement => SendSpec::new(NodeId(1), self.row_bytes, 0),
-        };
-        Action::Send(spec)
-    }
-
-    fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-}
-
-struct RowSink;
-
-impl Process for RowSink {
-    fn next_action(&mut self, _now: Time) -> Action {
-        Action::Done
-    }
-
-    fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
-    }
-
-    fn is_done(&self) -> bool {
-        true
-    }
-}
-
-/// Runs `rounds` strided exchanges of `rows` x `row_bytes` under `cfg`.
+/// Runs `rounds` strided exchanges of `rows` x `row_bytes` under `cfg`,
+/// with the full [`MachineReport`] of the run.
+///
+/// # Errors
+///
+/// [`Undrained`] if the exchange does not complete.
 ///
 /// # Panics
 ///
 /// Panics if the geometry exceeds the gather-tag fields (`rows` above
-/// 0x3FFF, `row_bytes` above 0xFFFF) or the run fails to complete.
+/// 0x3FFF, `row_bytes` above 0xFFFF).
 pub fn measure_strided(
     cfg: &MachineConfig,
     strategy: StridedStrategy,
     rows: u32,
     row_bytes: u64,
     rounds: u32,
-) -> StridedResult {
-    measure_strided_with_report(cfg, strategy, rows, row_bytes, rounds).0
-}
-
-/// Like [`measure_strided`], additionally returning the full
-/// [`MachineReport`](nisim_core::MachineReport) of the run.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`measure_strided`].
-pub fn measure_strided_with_report(
-    cfg: &MachineConfig,
-    strategy: StridedStrategy,
-    rows: u32,
-    row_bytes: u64,
-    rounds: u32,
-) -> (StridedResult, nisim_core::MachineReport) {
+) -> Result<(StridedResult, MachineReport), Undrained> {
     assert!((1..=0x3FFF).contains(&rows), "rows must fit the gather tag");
     assert!(
         (1..=0xFFFF).contains(&row_bytes),
         "row_bytes must fit the gather tag"
     );
-    let cfg = cfg.clone().nodes(2);
-    let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
-        if id.0 == 0 {
-            Box::new(RowSender {
-                strategy,
-                rows,
-                row_bytes,
-                rounds,
-                pending: 0,
-                done: false,
-            })
-        } else {
-            Box::new(RowSink)
-        }
-    });
-    assert!(
-        report.all_quiescent,
-        "exchange did not complete: {report:?}"
-    );
+    let (spec, per_round) = match strategy {
+        StridedStrategy::Gathered => (
+            SendSpec::new(
+                NodeId(1),
+                rows as u64 * row_bytes,
+                encode_gather_tag(rows, row_bytes as u32),
+            ),
+            1,
+        ),
+        StridedStrategy::FragmentPerElement => (SendSpec::new(NodeId(1), row_bytes, 0), rows),
+    };
+    let program = (0..rounds).flat_map(move |_| stream(spec, per_round));
+    let report = run_to_sink(cfg, program)?;
     let result = StridedResult {
         elapsed_ns: report.elapsed.as_ns(),
         messages: report.app_messages,
         fragments: report.fragments_sent,
     };
-    (result, report)
+    Ok((result, report))
 }
 
 #[cfg(test)]
@@ -177,8 +94,13 @@ mod tests {
     #[test]
     fn gather_beats_fragment_per_element_on_sgdma() {
         let cfg = MachineConfig::with_ni(NiKind::Sgdma);
-        let gathered = measure_strided(&cfg, StridedStrategy::Gathered, 16, 15, 8);
-        let per_row = measure_strided(&cfg, StridedStrategy::FragmentPerElement, 16, 15, 8);
+        let run = |strategy| {
+            measure_strided(&cfg, strategy, 16, 15, 8)
+                .expect("drains")
+                .0
+        };
+        let gathered = run(StridedStrategy::Gathered);
+        let per_row = run(StridedStrategy::FragmentPerElement);
         assert!(
             gathered.elapsed_ns < per_row.elapsed_ns,
             "gather {} vs per-row {}",

@@ -7,9 +7,9 @@
 //! overflow buffering beyond the NI is rare for realistic loads) and to
 //! find each NI's saturation point.
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{Action, Process, Script, SendSpec};
 use nisim_core::{Machine, MachineConfig, MachineReport};
-use nisim_engine::{Dur, SplitMix64, Time};
+use nisim_engine::{Dur, SplitMix64};
 use nisim_net::NodeId;
 
 /// Destination selection policy.
@@ -51,76 +51,52 @@ impl Default for SyntheticParams {
     }
 }
 
-struct SyntheticProcess {
+/// One node's program: `messages_per_node` rounds of a jittered compute
+/// gap then one send, drawn lazily from the node's RNG (gap, then
+/// destination, then size).
+fn program(
     me: NodeId,
     nodes: u32,
-    params: SyntheticParams,
-    rng: SplitMix64,
-    sent: u32,
-    gap_next: bool,
+    params: &SyntheticParams,
+    mut rng: SplitMix64,
+) -> impl Iterator<Item = Action> {
+    let locality = params.locality;
+    let sizes: Vec<u64> = params.size_mix.iter().map(|&(size, _)| size).collect();
+    let weights: Vec<f64> = params.size_mix.iter().map(|&(_, w)| w).collect();
+    // 0.5x .. 1.5x of the mean, uniformly: enough jitter to desynchronise
+    // nodes without heavy tails.
+    let mean = params.mean_gap.as_ns().max(1);
+    (0..params.messages_per_node).flat_map(move |_| {
+        let gap = Dur::ns(mean / 2 + rng.gen_range(mean));
+        let dst = pick_dst(&mut rng, locality, me, nodes);
+        let payload = sizes[rng.choose_weighted(&weights)];
+        [
+            Action::Compute(gap),
+            Action::Send(SendSpec::new(dst, payload, 0)),
+        ]
+    })
 }
 
-impl SyntheticProcess {
-    fn pick_dst(&mut self) -> NodeId {
-        let uniform = |rng: &mut SplitMix64, me: NodeId, nodes: u32| loop {
-            let n = NodeId(rng.gen_range(nodes as u64) as u32);
-            if n != me {
-                return n;
-            }
-        };
-        match self.params.locality {
-            Locality::Uniform => uniform(&mut self.rng, self.me, self.nodes),
-            Locality::Ring(hops) => {
-                let h = 1 + self.rng.gen_range(hops.max(1) as u64);
-                NodeId(((self.me.0 as u64 + h) % self.nodes as u64) as u32)
-            }
-            Locality::Hotspot(p) => {
-                if self.me.0 != 0 && self.rng.gen_bool(p) {
-                    NodeId(0)
-                } else {
-                    uniform(&mut self.rng, self.me, self.nodes)
-                }
+fn pick_dst(rng: &mut SplitMix64, locality: Locality, me: NodeId, nodes: u32) -> NodeId {
+    let uniform = |rng: &mut SplitMix64| loop {
+        let n = NodeId(rng.gen_range(nodes as u64) as u32);
+        if n != me {
+            return n;
+        }
+    };
+    match locality {
+        Locality::Uniform => uniform(rng),
+        Locality::Ring(hops) => {
+            let h = 1 + rng.gen_range(hops.max(1) as u64);
+            NodeId(((me.0 as u64 + h) % nodes as u64) as u32)
+        }
+        Locality::Hotspot(p) => {
+            if me.0 != 0 && rng.gen_bool(p) {
+                NodeId(0)
+            } else {
+                uniform(rng)
             }
         }
-    }
-
-    fn pick_payload(&mut self) -> u64 {
-        let weights: Vec<f64> = self.params.size_mix.iter().map(|&(_, w)| w).collect();
-        let i = self.rng.choose_weighted(&weights);
-        self.params.size_mix[i].0
-    }
-
-    fn pick_gap(&mut self) -> Dur {
-        // 0.5x .. 1.5x of the mean, uniformly: enough jitter to
-        // desynchronise nodes without heavy tails.
-        let mean = self.params.mean_gap.as_ns().max(1);
-        Dur::ns(mean / 2 + self.rng.gen_range(mean))
-    }
-}
-
-impl Process for SyntheticProcess {
-    fn next_action(&mut self, _now: Time) -> nisim_core::process::Action {
-        use nisim_core::process::Action;
-        if self.sent >= self.params.messages_per_node {
-            return Action::Done;
-        }
-        if self.gap_next {
-            self.gap_next = false;
-            return Action::Compute(self.pick_gap());
-        }
-        self.sent += 1;
-        self.gap_next = true;
-        let dst = self.pick_dst();
-        let payload = self.pick_payload();
-        Action::Send(SendSpec::new(dst, payload, 0))
-    }
-
-    fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::compute(self.params.handler_compute)
-    }
-
-    fn is_done(&self) -> bool {
-        self.sent >= self.params.messages_per_node
     }
 }
 
@@ -133,16 +109,10 @@ pub fn run_synthetic(cfg: &MachineConfig, params: &SyntheticParams) -> MachineRe
     let cfg = cfg.clone();
     let nodes = cfg.nodes;
     let seed = cfg.seed;
-    let params = params.clone();
-    let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
-        Box::new(SyntheticProcess {
-            me: id,
-            nodes,
-            params: params.clone(),
-            rng: SplitMix64::new(seed ^ (0x0517_E71C + id.0 as u64)),
-            sent: 0,
-            gap_next: true,
-        })
+    let report = Machine::run(cfg, |id| -> Box<dyn Process> {
+        let rng = SplitMix64::new(seed ^ (0x0517_E71C + id.0 as u64));
+        let program = program(id, nodes, params, rng);
+        Box::new(Script::new(program, params.handler_compute))
     });
     assert!(report.all_quiescent, "synthetic run did not complete");
     report

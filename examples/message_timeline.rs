@@ -7,49 +7,21 @@
 //! cargo run --release -p nisim-examples --bin message_timeline
 //! ```
 
-use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{Action, Process, Script, SendSpec};
 use nisim_core::{Machine, MachineConfig, NiKind, TraceKind};
-use nisim_engine::Time;
+use nisim_engine::Dur;
 use nisim_net::{BufferCount, NodeId};
-
-/// Node 0 fires a burst of eight messages; node 1 consumes them.
-struct Burst(u32);
-impl Process for Burst {
-    fn next_action(&mut self, _now: Time) -> Action {
-        if self.0 == 0 {
-            return Action::Done;
-        }
-        self.0 -= 1;
-        Action::Send(SendSpec::new(NodeId(1), 64, 0))
-    }
-    fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
-    }
-    fn is_done(&self) -> bool {
-        self.0 == 0
-    }
-}
-struct Quiet;
-impl Process for Quiet {
-    fn next_action(&mut self, _now: Time) -> Action {
-        Action::Done
-    }
-    fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-        HandlerSpec::empty()
-    }
-    fn is_done(&self) -> bool {
-        true
-    }
-}
 
 fn show(kind: NiKind, buffers: BufferCount) {
     println!("--- {} (flow-control buffers = {buffers}) ---", kind.name());
     let cfg = MachineConfig::with_ni(kind).nodes(2).flow_buffers(buffers);
+    // Node 0 fires a burst of eight messages; node 1 consumes them.
     let (report, trace) = Machine::run_traced(cfg, |id| -> Box<dyn Process> {
         if id.0 == 0 {
-            Box::new(Burst(8))
+            let burst = Action::Send(SendSpec::new(NodeId(1), 64, 0));
+            Box::new(Script::new(std::iter::repeat_n(burst, 8), Dur::ZERO))
         } else {
-            Box::new(Quiet)
+            Box::new(Script::sink(Dur::ZERO))
         }
     });
     for e in trace.iter().filter(|e| e.msg.0 < 2) {

@@ -13,7 +13,7 @@ fn main() {
     println!("nisim quickstart: 64-byte round trips on two NI designs\n");
     for kind in [NiKind::Cm5, NiKind::Cni32Qm] {
         let cfg = MachineConfig::with_ni(kind);
-        let r = measure_round_trip(&cfg, 64);
+        let (r, _) = measure_round_trip(&cfg, 64).expect("the ping-pong drains");
         println!(
             "{:<22} mean {:.2} us   (min {:.2}, max {:.2}, {} samples)",
             kind.name(),

@@ -25,7 +25,7 @@ fn rdma_round_trip_is_monotone_across_the_crossover() {
     payloads.dedup();
     let rtts: Vec<(u64, f64)> = payloads
         .iter()
-        .map(|&p| (p, measure_round_trip(&cfg, p).mean_us))
+        .map(|&p| (p, measure_round_trip(&cfg, p).expect("drains").0.mean_us))
         .collect();
     for pair in rtts.windows(2) {
         assert!(

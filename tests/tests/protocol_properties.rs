@@ -3,38 +3,10 @@
 //! and determinism under arbitrary traffic patterns. Plans are generated
 //! with the engine's seedable PRNG for exact reproducibility.
 
-use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{Action, Process, Script, SendSpec};
 use nisim_core::{Machine, MachineConfig, MachineReport, NiKind};
 use nisim_engine::{Dur, SimStatus, SplitMix64, Time};
 use nisim_net::{BufferCount, FaultConfig, NodeId, ReliabilityConfig};
-
-/// A scripted process: performs a fixed list of sends (with small compute
-/// gaps) and counts what it receives.
-struct Scripted {
-    plan: Vec<SendSpec>,
-    next: usize,
-    received: u64,
-}
-
-impl Process for Scripted {
-    fn next_action(&mut self, _now: Time) -> Action {
-        if self.next >= self.plan.len() {
-            return Action::Done;
-        }
-        let spec = self.plan[self.next];
-        self.next += 1;
-        Action::Send(spec)
-    }
-
-    fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
-        self.received += 1;
-        HandlerSpec::compute(Dur::ns(30))
-    }
-
-    fn is_done(&self) -> bool {
-        self.next >= self.plan.len()
-    }
-}
 
 /// One random traffic plan: per node, a list of (dst offset, payload).
 #[derive(Clone, Debug)]
@@ -77,22 +49,8 @@ fn random_buffers(rng: &mut SplitMix64) -> BufferCount {
 }
 
 fn run_plan(plan: &Plan, ni: NiKind, buffers: BufferCount) -> MachineReport {
-    let cfg = MachineConfig::with_ni(ni)
-        .nodes(plan.nodes)
-        .flow_buffers(buffers);
-    let sends = plan.sends.clone();
-    let nodes = plan.nodes;
-    Machine::run(cfg, move |id| -> Box<dyn Process> {
-        let mine = sends[id.index()]
-            .iter()
-            .map(|&(off, payload)| SendSpec::new(NodeId((id.0 + off) % nodes), payload, 0))
-            .collect();
-        Box::new(Scripted {
-            plan: mine,
-            next: 0,
-            received: 0,
-        })
-    })
+    let (fault, rel) = (FaultConfig::default(), ReliabilityConfig::default());
+    run_plan_faulty(plan, ni, buffers, fault, rel)
 }
 
 /// Every sent message is delivered exactly once, on every NI design,
@@ -187,18 +145,17 @@ fn run_plan_faulty(
         .flow_buffers(buffers)
         .fault(fault)
         .reliability(rel);
-    let sends = plan.sends.clone();
-    let nodes = plan.nodes;
-    Machine::run(cfg, move |id| -> Box<dyn Process> {
-        let mine = sends[id.index()]
+    // Each node plays its sends back to back; each arrival runs a 30 ns
+    // handler.
+    Machine::run(cfg, |id| -> Box<dyn Process> {
+        let program: Vec<Action> = plan.sends[id.index()]
             .iter()
-            .map(|&(off, payload)| SendSpec::new(NodeId((id.0 + off) % nodes), payload, 0))
+            .map(|&(off, payload)| {
+                let dst = NodeId((id.0 + off) % plan.nodes);
+                Action::Send(SendSpec::new(dst, payload, 0))
+            })
             .collect();
-        Box::new(Scripted {
-            plan: mine,
-            next: 0,
-            received: 0,
-        })
+        Box::new(Script::new(program, Dur::ns(30)))
     })
 }
 

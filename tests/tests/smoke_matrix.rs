@@ -190,49 +190,21 @@ fn topologies_complete_with_rankings_intact() {
 
 #[test]
 fn mesh_distance_shows_up_in_latency() {
-    use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
+    use nisim_core::process::{Action, Process, Script, SendSpec};
     use nisim_core::Machine;
-    use nisim_engine::Time;
     use nisim_net::{NodeId, Topology};
 
     // One request from node 0 to the far corner of a 4x4 mesh (6 hops)
     // must take measurably longer to quiesce than one to a neighbour.
-    struct One(u32, bool);
-    impl Process for One {
-        fn next_action(&mut self, _now: Time) -> Action {
-            if self.1 {
-                return Action::Done;
-            }
-            self.1 = true;
-            Action::Send(SendSpec::new(NodeId(self.0), 64, 0))
-        }
-        fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-            HandlerSpec::empty()
-        }
-        fn is_done(&self) -> bool {
-            self.1
-        }
-    }
-    struct Rest;
-    impl Process for Rest {
-        fn next_action(&mut self, _now: Time) -> Action {
-            Action::Done
-        }
-        fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
-            HandlerSpec::empty()
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
     let run_to = |dst: u32| {
         let mut cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(16);
         cfg.net.topology = Topology::Mesh2D;
         Machine::run(cfg, move |id| -> Box<dyn Process> {
             if id.0 == 0 {
-                Box::new(One(dst, false))
+                let send = Action::Send(SendSpec::new(NodeId(dst), 64, 0));
+                Box::new(Script::new([send], Dur::ZERO))
             } else {
-                Box::new(Rest)
+                Box::new(Script::sink(Dur::ZERO))
             }
         })
         .elapsed

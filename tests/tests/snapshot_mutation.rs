@@ -4,8 +4,9 @@
 //! only fields no invariant constrains (the named list below). A panic,
 //! or a resume that runs past the event bound, fails the test.
 //!
-//! The container is offline (no fuzzing crate), so mutants come from a
-//! small hand-rolled LCG — deterministic, so failures reproduce exactly.
+//! The build is offline (no fuzzing crate), so mutants come from the
+//! shared hand-rolled `Lcg` — deterministic, so failures reproduce
+//! exactly.
 //! Debug and release checkpoints differ (the cache's debug-only visit
 //! bitmap), so the tests assert properties, not outcome counts.
 
@@ -15,6 +16,7 @@ use nisim_bench::chaos::{self, ChaosPoint};
 use nisim_core::snapshot::{restore, save, SnapshotError};
 use nisim_core::{Machine, MachineSim, NiKind};
 use nisim_engine::{json, Json, SimStatus, Time};
+use nisim_integration::Lcg;
 use nisim_workloads::apps::{factory, MacroApp};
 
 /// Fields no restore check can pin, each with the reason. A survivor
@@ -202,20 +204,10 @@ const UNCONSTRAINED: &[(&str, &str)] = &[
     ),
 ];
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
+/// A value in `0..n` from the generator's high 48 bits, the draw the
+/// mutant stream has always used.
+fn below(rng: &mut Lcg, n: u64) -> u64 {
+    (rng.next_u64() >> 16) % n.max(1)
 }
 
 /// One checkpoint of a grid point plus its clean resume.
@@ -396,10 +388,10 @@ fn edit_number(text: &str, rng: &mut Lcg) -> Vec<u8> {
     let mut v = json::parse(text).expect("checkpoint parses");
     let mut leaves = Vec::new();
     numeric_leaves(&v, &mut Vec::new(), &mut leaves);
-    let path = &leaves[rng.below(leaves.len() as u64) as usize];
+    let path = &leaves[below(rng, leaves.len() as u64) as usize];
     let leaf = leaf_mut(&mut v, path);
     let Json::Num(x) = *leaf else { unreachable!() };
-    *leaf = Json::Num(match rng.below(4) {
+    *leaf = Json::Num(match below(rng, 4) {
         0 => x + 1.0,
         1 => (x - 1.0).abs(),
         2 => x * 2f64.powi(31),
@@ -411,24 +403,24 @@ fn edit_number(text: &str, rng: &mut Lcg) -> Vec<u8> {
 fn mutate(ck: &Checkpoint, others: &[Checkpoint], rng: &mut Lcg) -> Vec<u8> {
     let mut bytes = ck.text.clone().into_bytes();
     let len = bytes.len() as u64;
-    match rng.below(4) {
+    match below(rng, 4) {
         0 => {
-            bytes.truncate(rng.below(len) as usize);
+            bytes.truncate(below(rng, len) as usize);
             bytes
         }
         1 => {
-            let at = rng.below(len) as usize;
-            bytes[at] ^= 1 << rng.below(8);
+            let at = below(rng, len) as usize;
+            bytes[at] ^= 1 << below(rng, 8);
             bytes
         }
         2 => {
-            let donor = others[rng.below(others.len() as u64) as usize]
+            let donor = others[below(rng, others.len() as u64) as usize]
                 .text
                 .as_bytes();
-            let (a, n) = (rng.below(len) as usize, 1 + rng.below(64) as usize);
+            let (a, n) = (below(rng, len) as usize, 1 + below(rng, 64) as usize);
             let (c, m) = (
-                rng.below(donor.len() as u64) as usize,
-                1 + rng.below(64) as usize,
+                below(rng, donor.len() as u64) as usize,
+                1 + below(rng, 64) as usize,
             );
             let end = (a + n).min(bytes.len());
             let donated = &donor[c..(c + m).min(donor.len())];

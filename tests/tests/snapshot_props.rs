@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
-use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
+use nisim_core::{Machine, MachineConfig, MachineSim, NiKind, RUN_HORIZON, RUN_MAX_EVENTS};
 use nisim_engine::codec::Codec;
 use nisim_engine::{json, Dur, Json, SimStatus, Time};
 use nisim_integration::Lcg;
@@ -275,7 +275,7 @@ fn metrics_toggle_does_not_invalidate_a_snapshot() {
 /// Runs a machine to quiescence and renders its report, so two runs
 /// compare byte for byte.
 fn run_to_end(m: &mut Machine, sim: &mut MachineSim) -> String {
-    let status = m.run_slice(sim, Time::from_ns(10_000_000_000), 500_000_000);
+    let status = m.run_slice(sim, RUN_HORIZON, RUN_MAX_EVENTS);
     assert_eq!(status, SimStatus::Drained);
     format!("{:?}", m.report(sim, status))
 }
@@ -302,7 +302,7 @@ fn horizon_cut_checkpoint_resumes_identically() {
             let mut m = Machine::new(cfg.clone(), mk());
             let mut sim = MachineSim::new();
             m.start(&mut sim);
-            let status = m.run_slice(&mut sim, Time::from_ns(cut_ns), 500_000_000);
+            let status = m.run_slice(&mut sim, Time::from_ns(cut_ns), RUN_MAX_EVENTS);
             assert_eq!(status, SimStatus::HorizonReached, "{ni:?} cut {cut_ns}");
             assert_eq!(sim.now(), Time::from_ns(cut_ns));
 
@@ -332,7 +332,7 @@ fn budget_sliced_run_matches_the_uninterrupted_run() {
         .nodes(4)
         .flow_buffers(BufferCount::Finite(4));
     let mk = || factory(MacroApp::Moldyn, 4, 3, MacroApp::Moldyn.default_params());
-    let horizon = Time::from_ns(10_000_000_000);
+    let horizon = RUN_HORIZON;
 
     let mut whole = Machine::new(cfg.clone(), mk());
     let mut wsim = MachineSim::new();
@@ -470,7 +470,7 @@ fn em3d_long_cuts_with_far_apart_transfers_resume_identically() {
         intensity: 26,
         compute: Dur::us(3),
     };
-    let horizon = Time::from_ns(10_000_000_000);
+    let horizon = RUN_HORIZON;
     let mut rng = Lcg(0x5eed_3003);
     let mut widest = 0;
     for ni in [NiKind::Cm5, NiKind::Cni32Qm] {
