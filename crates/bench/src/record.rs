@@ -10,7 +10,7 @@
 //! suite re-asserts the paper's qualitative claims from these records
 //! instead of ad-hoc floats.
 
-use nisim_core::{MachineConfig, MachineReport, TimeCategory};
+use nisim_core::{config_fingerprint, MachineConfig, MachineReport, TimeCategory};
 use nisim_engine::codec::{ensure, Codec, DecodeError, Fields};
 use nisim_engine::json::{self, Json};
 use nisim_engine::metrics::{Log2Hist, MetricsBreakdown};
@@ -378,15 +378,11 @@ fn status_key(status: SimStatus) -> &'static str {
 }
 
 /// FNV-1a hash of the full machine configuration (via its `Debug`
-/// rendering, which covers every field), as a hex string. Two sweep
-/// points share a fingerprint iff they ran the identical configuration.
+/// rendering, which covers every field), as a hex string: the
+/// [`config_fingerprint`] a checkpoint carries. Two sweep points share a
+/// fingerprint iff they ran the identical configuration.
 pub fn fingerprint(cfg: &MachineConfig) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{cfg:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    json::u64_hex(config_fingerprint(cfg))
 }
 
 /// Wraps one named sweep's records as a JSON document section.

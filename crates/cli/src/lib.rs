@@ -428,7 +428,15 @@ fn parse_dur(name: &str, value: &str, unit: &str, min: u64) -> Result<Dur, CliEr
         })
 }
 
-fn config_from(flags: &BTreeMap<String, String>, ni: NiKind) -> Result<MachineConfig, CliError> {
+/// The machine configuration `flags` give `ni`. `fixed_nodes` is the
+/// node count of a command whose machine size `--nodes` cannot change:
+/// `rtt` and `bw` run on `run_pair`'s two nodes, so their fault windows
+/// must name one of those two.
+fn config_from(
+    flags: &BTreeMap<String, String>,
+    ni: NiKind,
+    fixed_nodes: Option<u32>,
+) -> Result<MachineConfig, CliError> {
     let mut cfg = MachineConfig::with_ni(ni);
     if let Some(b) = flags.get("buffers") {
         cfg.flow_buffers = parse_buffers(b)?;
@@ -439,6 +447,9 @@ fn config_from(flags: &BTreeMap<String, String>, ni: NiKind) -> Result<MachineCo
             .ok()
             .filter(|&n| n >= 2)
             .ok_or_else(|| err(format!("bad node count {n:?}")))?;
+        cfg.nodes = n;
+    }
+    if let Some(n) = fixed_nodes {
         cfg.nodes = n;
     }
     if let Some(t) = flags.get("topology") {
@@ -682,7 +693,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
         "rtt" | "bw" => {
             let ni = ni_from(&flags)?;
             let payload = payload_from(&flags)?;
-            let cfg = config_from(&flags, ni)?.for_microbenchmark();
+            let cfg = config_from(&flags, ni, Some(2))?.for_microbenchmark();
             // A run that cannot drain prints its stall dump and fails.
             let undrained = |e: Undrained| CliError::Failed {
                 output: e
@@ -707,7 +718,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
         "run" => {
             let ni = ni_from(&flags)?;
             let app = parse_app(required(&flags, "app")?)?;
-            let cfg = config_from(&flags, ni)?;
+            let cfg = config_from(&flags, ni, None)?;
             let ckpt = checkpoint_plan(&flags)?;
             let resume = flags.get("resume");
             let (r, written) =
@@ -796,7 +807,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             let configs = NiKind::ALL
                 .into_iter()
                 .filter(|ni| ni.spec().class != NiClass::PaperVariant)
-                .map(|ni| Ok((ni, config_from(&flags, ni)?)))
+                .map(|ni| Ok((ni, config_from(&flags, ni, None)?)))
                 .collect::<Result<Vec<_>, CliError>>()?;
             // Driven like `run`, so a run that cannot drain marks its row
             // instead of panicking.
@@ -845,7 +856,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                     .filter(|&l| (1..=MAX_LOAD_LEVEL).contains(&l))
                     .ok_or_else(|| err(format!("bad --load {v:?} (want 1..={MAX_LOAD_LEVEL})")))?,
             };
-            let cfg = config_from(&flags, ni)?;
+            let cfg = config_from(&flags, ni, None)?;
             let spec = TrafficSpec { kind, level };
             let (work, params) = match flags.get("tenants") {
                 None => (spec.key(), spec.params(cfg.nodes)),
@@ -1008,6 +1019,16 @@ mod tests {
         assert!(e.contains("--payload"), "{e}");
         let e = usage_error(&[&em3d[..], &["--fault-down", "0-10@99"]].concat());
         assert!(e.contains("--fault-down node 99 is out of range"), "{e}");
+        // `rtt` and `bw` run two nodes whatever the configured count.
+        for cmd in ["rtt", "bw"] {
+            for (flag, window) in [("--crash", "0-10@5"), ("--fault-down", "0-10@9")] {
+                for nodes in [&[][..], &["--nodes", "16"]] {
+                    let args = [&[cmd, "--ni", "cm5", flag, window][..], nodes].concat();
+                    let e = usage_error(&args);
+                    assert!(e.contains("out of range (machine has 2 nodes)"), "{e}");
+                }
+            }
+        }
         // Every fragment is lost, so neither microbenchmark can drain.
         for cmd in ["rtt", "bw"] {
             match run(&[cmd, "--ni", "cm5", "--fault-drop", "1"]) {
@@ -1115,6 +1136,7 @@ mod tests {
                 ("watchdog-us", "500"),
             ]),
             NiKind::Cm5,
+            None,
         )
         .unwrap();
         assert_eq!(cfg.fault.drop_p, 0.05);
@@ -1128,19 +1150,20 @@ mod tests {
         let cfg = config_from(
             &flags(&[("fault-drop", "0.05"), ("reliable", "off")]),
             NiKind::Cm5,
+            None,
         )
         .unwrap();
         assert!(cfg.fault.is_active());
         assert!(!cfg.reliability.enabled);
 
         // Reliability alone, no faults.
-        let cfg = config_from(&flags(&[("rel-timeout", "8000")]), NiKind::Cm5).unwrap();
+        let cfg = config_from(&flags(&[("rel-timeout", "8000")]), NiKind::Cm5, None).unwrap();
         assert!(!cfg.fault.is_active());
         assert!(cfg.reliability.enabled);
         assert_eq!(cfg.reliability.ack_timeout, Dur::ns(8000));
 
-        assert!(config_from(&flags(&[("fault-dup", "2")]), NiKind::Cm5).is_err());
-        assert!(config_from(&flags(&[("reliable", "maybe")]), NiKind::Cm5).is_err());
+        assert!(config_from(&flags(&[("fault-dup", "2")]), NiKind::Cm5, None).is_err());
+        assert!(config_from(&flags(&[("reliable", "maybe")]), NiKind::Cm5, None).is_err());
     }
 
     #[test]
@@ -1281,16 +1304,16 @@ mod tests {
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect::<BTreeMap<_, _>>()
         };
-        let cfg = config_from(&flags(&[]), NiKind::Cm5).unwrap();
+        let cfg = config_from(&flags(&[]), NiKind::Cm5, None).unwrap();
         assert!(!cfg.metrics.any(), "metrics default off");
-        let cfg = config_from(&flags(&[("metrics", "on")]), NiKind::Cm5).unwrap();
+        let cfg = config_from(&flags(&[("metrics", "on")]), NiKind::Cm5, None).unwrap();
         assert!(cfg.metrics.enabled && !cfg.metrics.trace);
-        let cfg = config_from(&flags(&[("trace", "/tmp/t.jsonl")]), NiKind::Cm5).unwrap();
+        let cfg = config_from(&flags(&[("trace", "/tmp/t.jsonl")]), NiKind::Cm5, None).unwrap();
         assert!(
             cfg.metrics.enabled && cfg.metrics.trace,
             "trace implies metrics"
         );
-        assert!(config_from(&flags(&[("metrics", "maybe")]), NiKind::Cm5).is_err());
+        assert!(config_from(&flags(&[("metrics", "maybe")]), NiKind::Cm5, None).is_err());
     }
 
     #[test]
@@ -1342,6 +1365,7 @@ mod tests {
         let cfg = config_from(
             &flags(&[("nodes", "4"), ("crash", "0-4000@1")]),
             NiKind::Cm5,
+            None,
         )
         .unwrap();
         assert_eq!(cfg.fault.crash.len(), 1);
@@ -1356,6 +1380,7 @@ mod tests {
         let out_of_range = config_from(
             &flags(&[("nodes", "4"), ("crash", "0-4000@9")]),
             NiKind::Cm5,
+            None,
         );
         assert!(out_of_range
             .unwrap_err()

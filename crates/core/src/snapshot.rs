@@ -120,15 +120,26 @@ fn malformed(e: DecodeError) -> SnapshotError {
 }
 
 /// FNV-1a fingerprint of the configuration's canonical `Debug` rendering
-/// — the same construction the bench harness uses for sweep records, so
-/// a snapshot binds to exactly the identity its `RunRecord` would have.
+/// — also the bench harness's sweep-record fingerprint, so a snapshot
+/// binds to exactly the identity its `RunRecord` would have. The
+/// rendering is hashed as it is formatted, never held as a `String`.
 pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{cfg:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    use std::fmt::Write;
+    /// An FNV-1a hash of the text written to it.
+    struct Fnv1a(u64);
+    impl Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    h
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    // Infallible: the sink never returns an error.
+    let _ = write!(h, "{cfg:?}");
+    h.0
 }
 
 /// The scheduler's part of a snapshot: clock, next sequence number,

@@ -1,8 +1,8 @@
 //! A minimal hand-rolled JSON value type, serializer and parser.
 //!
-//! The build container has no access to crates.io, so the machine-readable
-//! sweep results (`--json`) use this instead of serde. Design constraints,
-//! in order:
+//! The workspace has no dependencies outside the standard library, so the
+//! machine-readable sweep results (`--json`) and checkpoints use this
+//! instead of serde. Design constraints, in order:
 //!
 //! 1. **Deterministic bytes** — object keys keep insertion order and
 //!    numbers have one canonical rendering, so two identical sweeps (at
@@ -12,8 +12,26 @@
 //!    equals `serialize(v)`: integers in the safe `i64`/f64 range print
 //!    without a fraction, everything else uses Rust's shortest-round-trip
 //!    `f64` formatting.
-//! 3. **Small** — just enough JSON for the sweep records; no streaming,
-//!    no SIMD, no tricks.
+//! 3. **Cheap on the checkpoint path** — a checkpoint is tens of
+//!    kilobytes, mostly small integers (a cache line is the array
+//!    `[slot, tag, state, lru]`), written on every save and read back on
+//!    every resume. The common cases take fast paths:
+//!    - an integral number of magnitude at most 2^53 is written from a
+//!      stack digit buffer in one append, without `core::fmt`;
+//!    - the parser reads an optional `-` and 1–15 digits that no `.`,
+//!      `e` or `E` follows straight into an integer, which is exact in
+//!      an `f64`; every other number goes through `str::parse::<f64>`;
+//!    - a string without escapes is written with one `push_str`, and a
+//!      parsed string is built from slices of the input `&str`, which is
+//!      UTF-8 already;
+//!    - integrality is a round trip through an integer type, so neither
+//!      side calls libm's `trunc` (`f64::fract`).
+//!
+//!    The fast paths change no byte written and no value or error read:
+//!    `tests/tests/json_reference.rs` keeps the plain writer and parser
+//!    they replaced and compares both directions against it on seeded
+//!    documents, their truncations and bit flips, and the four
+//!    committed goldens. No streaming, no SIMD, no `unsafe`.
 
 use std::fmt::Write as _;
 
@@ -72,7 +90,12 @@ impl Json {
     /// The value as a `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_SAFE_INT => Some(*x as u64),
+            // `as` truncates toward zero, so only an integer survives the
+            // round trip; NaN fails the range test.
+            Json::Num(x) if (0.0..=MAX_SAFE_INT).contains(x) => {
+                let n = *x as u64;
+                (n as f64 == *x).then_some(n)
+            }
             _ => None,
         }
     }
@@ -217,32 +240,91 @@ pub fn f64_from_bits_hex(s: &str) -> Option<f64> {
 
 fn write_number(out: &mut String, x: f64) {
     assert!(x.is_finite(), "JSON cannot represent {x}");
-    if x.fract() == 0.0 && x.abs() <= MAX_SAFE_INT {
+    if x.abs() <= MAX_SAFE_INT && (x as i64) as f64 == x {
         // Canonical integer rendering ("5", never "5.0"), so
         // serialize -> parse -> serialize is a fixed point.
-        let _ = write!(out, "{}", x as i64);
+        write_integer(out, x as i64);
     } else {
         // Rust's shortest-round-trip rendering is itself a fixed point.
         let _ = write!(out, "{x}");
     }
 }
 
+/// The two ASCII digits of each of 00..=99, in order.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `n` in decimal, as `{}` would: the digits are produced two at
+/// a time, back to front, into a stack buffer that is appended at once.
+/// The ASCII bytes go in as `char`s, so no UTF-8 check runs.
+fn write_integer(out: &mut String, n: i64) {
+    // A sign and the 19 digits of `i64::MIN`.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + rest as u8;
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Plain bytes are copied a run at a time. Every byte that needs an
+    // escape is ASCII, so each run starts and ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Appends `n` spaces without allocating.
+fn write_indent(out: &mut String, mut n: usize) {
+    const SPACES: &str = "                                ";
+    while n > SPACES.len() {
+        out.push_str(SPACES);
+        n -= SPACES.len();
+    }
+    out.push_str(&SPACES[..n]);
 }
 
 fn write_seq(
@@ -265,13 +347,13 @@ fn write_seq(
         }
         if let Some(step) = indent {
             out.push('\n');
-            out.push_str(&" ".repeat(step * (depth + 1)));
+            write_indent(out, step * (depth + 1));
         }
         item(out, i);
     }
     if let Some(step) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(step * depth));
+        write_indent(out, step * depth);
     }
     out.push(close);
 }
@@ -304,6 +386,7 @@ const MAX_DEPTH: usize = 128;
 /// arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -318,6 +401,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -347,8 +432,15 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
+            Err(self.expected(b))
         }
+    }
+
+    /// The error of a failed [`Parser::expect`], kept out of line (and
+    /// its `format!` with it) so the check itself stays small.
+    #[cold]
+    fn expected(&self, b: u8) -> JsonError {
+        self.err(&format!("expected {:?}", b as char))
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -385,14 +477,17 @@ impl<'a> Parser<'a> {
         v
     }
 
+    /// Parses an array; [`Parser::value`] has seen its `[`.
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        // The capacity a first `push` would allocate, without its
+        // out-of-line growth call.
+        let mut items = Vec::with_capacity(4);
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -408,14 +503,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses an object; [`Parser::value`] has seen its `{`.
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let mut pairs = Vec::with_capacity(4);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -448,16 +544,25 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            // A run starts and ends beside an ASCII byte (or at the end
+            // of the input), so it is a slice on char boundaries.
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
+                    // `s` is empty only before the first escape: a string
+                    // without escapes is its one run, copied once.
+                    if s.is_empty() {
+                        return Ok(run.to_string());
+                    }
+                    s.push_str(run);
                     return Ok(s);
                 }
                 Some(b'\\') => {
+                    s.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -492,11 +597,24 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits = self.pos;
+        let mut n: u64 = 0;
+        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
+        }
+        // An integer of at most 15 digits is below 2^53, so `n` is exact
+        // in an f64 and is the value `str::parse` would round to ("-0"
+        // included: it negates to -0.0).
+        if (1..=15).contains(&(self.pos - digits))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            let x = n as f64;
+            return Ok(Json::Num(if negative { -x } else { x }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -513,8 +631,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))

@@ -92,9 +92,18 @@ impl NetConfig {
         self.max_message_bytes - self.header_bytes
     }
 
-    /// Time to serialise `bytes` onto (or off) a link.
+    /// Time to serialise `bytes` onto (or off) a link: the quotient
+    /// rounded up to whole nanoseconds. The ceiling is taken in integers
+    /// (`as` truncates and saturates), so no libm `ceil` call sits on the
+    /// per-fragment path; a zero link rate gives `u64::MAX` ns.
     pub fn serialisation(&self, bytes: u64) -> Dur {
-        Dur::ns((bytes as f64 / self.link_bytes_per_ns).ceil() as u64)
+        let x = bytes as f64 / self.link_bytes_per_ns;
+        let q = x as u64;
+        Dur::ns(if (q as f64) < x {
+            q.saturating_add(1)
+        } else {
+            q
+        })
     }
 
     /// Total wire size of a message carrying `payload` bytes.
@@ -258,6 +267,24 @@ mod tests {
             ..cfg
         };
         assert_eq!(fast.serialisation(15), Dur::ns(8));
+    }
+
+    #[test]
+    fn serialisation_is_the_float_ceiling() {
+        for rate in [1.0, 2.0, 0.3, 1.0 / 3.0, 0.0] {
+            let cfg = NetConfig {
+                link_bytes_per_ns: rate,
+                ..NetConfig::default()
+            };
+            for bytes in 0..=4096u64 {
+                let ceil = (bytes as f64 / rate).ceil() as u64;
+                assert_eq!(
+                    cfg.serialisation(bytes),
+                    Dur::ns(ceil),
+                    "{bytes} B at {rate}"
+                );
+            }
+        }
     }
 
     #[test]
