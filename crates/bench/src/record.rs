@@ -296,7 +296,12 @@ nisim_engine::struct_codec! {
 
 /// A list of named values, stored as one JSON object.
 fn named<T: Codec>(items: &[(String, T)]) -> Json {
-    Json::Obj(items.iter().map(|(k, x)| (k.clone(), x.encode())).collect())
+    Json::Obj(
+        items
+            .iter()
+            .map(|(k, x)| (k.as_str().into(), x.encode()))
+            .collect(),
+    )
 }
 
 fn named_from<T: Codec>(v: &Json) -> Result<Vec<(String, T)>, DecodeError> {
@@ -305,7 +310,12 @@ fn named_from<T: Codec>(v: &Json) -> Result<Vec<(String, T)>, DecodeError> {
     };
     pairs
         .iter()
-        .map(|(k, x)| Ok((k.clone(), T::decode(x).map_err(|e| e.in_key(k))?)))
+        .map(|(k, x)| {
+            Ok((
+                k.as_str().to_owned(),
+                T::decode(x).map_err(|e| e.in_key(k))?,
+            ))
+        })
         .collect()
 }
 

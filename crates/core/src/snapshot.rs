@@ -57,7 +57,11 @@ use crate::processor::ProcPhase;
 /// Version 6: a send in progress no longer stores its fragment list; the
 /// payload, the network configuration and the next fragment's index
 /// give every fragment.
-pub const SNAPSHOT_VERSION: u64 = 6;
+///
+/// Version 7: cache lines as four columns — `"lines": {"slot": [..],
+/// "tag": [..], "state": [..], "lru": [..]}` — in place of one
+/// `[slot, tag, state, lru]` array per line.
+pub const SNAPSHOT_VERSION: u64 = 7;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]

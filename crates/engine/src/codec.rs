@@ -6,13 +6,13 @@
 //! listed keys in the listed order, map keys must ascend, and narrowed
 //! integers must fit. A failure is a [`DecodeError`] that carries the
 //! JSON path to the offending value, built up as the error unwinds
-//! (`machine.nodes[2].hw.cache.lines[7]: ...`), so hostile input yields
-//! a typed error naming where it went wrong instead of a panic.
+//! (`machine.nodes[2].hw.cache.lines.state[7]: ...`), so hostile input
+//! yields a typed error naming where it went wrong instead of a panic.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use crate::json::{u64_from_hex, u64_hex, Json};
+use crate::json::{u64_from_hex, u64_hex, Json, Key};
 use crate::rng::SplitMix64;
 use crate::stats::Counter;
 use crate::time::{Dur, Time};
@@ -336,7 +336,7 @@ impl Codec for SplitMix64 {
 /// A strict reader over one JSON object: each key must be asked for in
 /// the order it was written, and [`Fields::finish`] rejects leftovers.
 pub struct Fields<'a> {
-    pairs: &'a [(String, Json)],
+    pairs: &'a [(Key, Json)],
     next: usize,
 }
 
@@ -443,7 +443,7 @@ macro_rules! state_fields {
         /// Serialises the checkpoint state (see [`state_fields!`]).
         $($vis)* fn snapshot(&self) -> $crate::Json {
             $crate::Json::Obj(vec![$((
-                stringify!($key).to_string(),
+                $crate::json::Key::from(stringify!($key)),
                 $crate::codec::State::snapshot(&$crate::state_place!(self, $key $(, $($place).+)?)),
             )),*])
         }
@@ -494,7 +494,7 @@ macro_rules! struct_codec {
         impl $crate::codec::Codec for $ty {
             fn encode(&self) -> $crate::Json {
                 $crate::Json::Obj(vec![$((
-                    stringify!($field).to_string(),
+                    $crate::json::Key::from(stringify!($field)),
                     $crate::codec::Codec::encode(&self.$field),
                 )),*])
             }

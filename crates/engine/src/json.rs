@@ -13,9 +13,23 @@
 //!    without a fraction, everything else uses Rust's shortest-round-trip
 //!    `f64` formatting.
 //! 3. **Cheap on the checkpoint path** — a checkpoint is tens of
-//!    kilobytes, mostly small integers (a cache line is the array
-//!    `[slot, tag, state, lru]`), written on every save and read back on
-//!    every resume. The common cases take fast paths:
+//!    kilobytes, mostly small integers (a cache's lines are four columns
+//!    of numbers: slot, tag, state and LRU stamp), written on every save
+//!    and read back on every resume. Building, parsing and dropping a
+//!    tree costs one allocation per container and per string value, and
+//!    none per object key:
+//!    - an object key is a [`Key`], which holds up to 22 bytes inline
+//!      (every key nisim writes fits: the longest,
+//!      `bus_block_transactions`, is 22) and puts a longer one on the
+//!      heap;
+//!    - the parser collects each open array's elements and each open
+//!      object's members in a scratch vector, taken from one of two pools
+//!      and returned empty with its capacity, and when the container
+//!      closes moves them in one copy into a vector of exactly their
+//!      number, so no container grows by reallocation or keeps spare
+//!      capacity.
+//!
+//!    The common cases of text take fast paths:
 //!    - an integral number of magnitude at most 2^53 is written from a
 //!      stack digit buffer in one append, without `core::fmt`;
 //!    - the parser reads an optional `-` and 1–15 digits that no `.`,
@@ -30,10 +44,13 @@
 //!    The fast paths change no byte written and no value or error read:
 //!    `tests/tests/json_reference.rs` keeps the plain writer and parser
 //!    they replaced and compares both directions against it on seeded
-//!    documents, their truncations and bit flips, and the four
-//!    committed goldens. No streaming, no SIMD, no `unsafe`.
+//!    documents, their truncations and bit flips, keys on both sides of
+//!    the inline limit, and the four committed goldens. No streaming, no
+//!    SIMD, no `unsafe`.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
 
 /// A JSON value. Objects preserve insertion order (determinism).
 #[derive(Clone, Debug, PartialEq)]
@@ -49,7 +66,106 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object, as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
+}
+
+/// The longest [`Key`] stored inline, in bytes.
+const INLINE_KEY: usize = 22;
+
+/// An object key: a string of up to 22 bytes is stored inline, a longer
+/// one on the heap. It reads as a `str` ([`Deref`]), compares by its
+/// bytes and prints as a `String` would.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    /// The first `len` bytes of `bytes` are the key's UTF-8.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY],
+    },
+    Heap(Box<str>),
+}
+
+impl Key {
+    /// The key as a string slice.
+    #[expect(
+        clippy::expect_used,
+        reason = "an inline key is a copy of a whole `str`"
+    )]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyRepr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("inline keys hold UTF-8")
+            }
+            KeyRepr::Heap(s) => s,
+        }
+    }
+
+    /// The key's UTF-8 bytes, read without the check `as_str` makes.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            KeyRepr::Heap(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Key {
+    fn from(s: &str) -> Key {
+        if s.len() > INLINE_KEY {
+            return Key(KeyRepr::Heap(s.into()));
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        // At most 22, so the length fits a `u8`.
+        let len = s.len() as u8;
+        Key(KeyRepr::Inline { len, bytes })
+    }
+}
+
+impl From<String> for Key {
+    fn from(s: String) -> Key {
+        if s.len() <= INLINE_KEY {
+            Key::from(s.as_str())
+        } else {
+            Key(KeyRepr::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 impl Json {
@@ -65,7 +181,7 @@ impl Json {
     )]
     pub fn set(mut self, key: &str, value: impl Into<Json>) -> Json {
         match &mut self {
-            Json::Obj(pairs) => pairs.push((key.to_string(), value.into())),
+            Json::Obj(pairs) => pairs.push((Key::from(key), value.into())),
             other => panic!("set on non-object {other:?}"),
         }
         self
@@ -390,6 +506,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        items: Vec::new(),
+        members: Vec::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -407,6 +525,20 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
+    /// Empty scratch vectors for the elements of an open array, kept
+    /// with their capacity; an array takes one and gives it back.
+    items: Vec<Vec<Json>>,
+    /// The same for the members of an open object.
+    members: Vec<Vec<(Key, Json)>>,
+}
+
+/// The entries of `scratch`, moved into a vector of exactly their
+/// number; `scratch` goes back to `pool` empty, keeping its capacity.
+fn take_exact<T>(mut scratch: Vec<T>, pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(scratch.len());
+    out.append(&mut scratch);
+    pool.push(scratch);
+    out
 }
 
 impl<'a> Parser<'a> {
@@ -457,7 +589,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => self.nested(Self::array),
             Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -485,9 +617,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(Json::Arr(Vec::new()));
         }
-        // The capacity a first `push` would allocate, without its
-        // out-of-line growth call.
-        let mut items = Vec::with_capacity(4);
+        let mut items = self.items.pop().unwrap_or_default();
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -496,7 +626,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(take_exact(items, &mut self.items)));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
@@ -511,28 +641,33 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(Json::Obj(Vec::new()));
         }
-        let mut pairs = Vec::with_capacity(4);
+        let mut members = self.members.pop().unwrap_or_default();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = match self.string()? {
+                Cow::Borrowed(s) => Key::from(s),
+                Cow::Owned(s) => Key::from(s),
+            };
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(take_exact(members, &mut self.members)));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string: a slice of the input when it has no escapes, else
+    /// the unescaped copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -554,12 +689,12 @@ impl<'a> Parser<'a> {
                 Some(b'"') => {
                     self.pos += 1;
                     // `s` is empty only before the first escape: a string
-                    // without escapes is its one run, copied once.
+                    // without escapes is its one run.
                     if s.is_empty() {
-                        return Ok(run.to_string());
+                        return Ok(Cow::Borrowed(run));
                     }
                     s.push_str(run);
-                    return Ok(s);
+                    return Ok(Cow::Owned(s));
                 }
                 Some(b'\\') => {
                     s.push_str(run);

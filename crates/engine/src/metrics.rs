@@ -300,7 +300,7 @@ impl Codec for ComponentCycles {
         let nonzero = self.iter().filter(|&(_, ns)| ns > 0);
         Json::Obj(
             nonzero
-                .map(|(c, ns)| (c.key().to_string(), ns.encode()))
+                .map(|(c, ns)| (c.key().into(), ns.encode()))
                 .collect(),
         )
     }
@@ -533,7 +533,7 @@ impl Codec for MetricsBreakdown {
         let components = self
             .cycles
             .iter()
-            .map(|(c, ns)| (c.key().to_string(), ns.encode()));
+            .map(|(c, ns)| (c.key().into(), ns.encode()));
         Json::obj()
             .set("total_ns", self.cycles.total().as_ns())
             .set("components", Json::Obj(components.collect()))

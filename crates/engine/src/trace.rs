@@ -102,17 +102,17 @@ impl TraceSink {
 
     fn event(span: &TraceSpan, begin: bool) -> Json {
         Json::Obj(vec![
-            ("name".to_string(), Json::Str(span.track.key().to_string())),
-            ("cat".to_string(), Json::Str("nisim".to_string())),
+            ("name".into(), Json::Str(span.track.key().to_string())),
+            ("cat".into(), Json::Str("nisim".to_string())),
             (
-                "ph".to_string(),
+                "ph".into(),
                 Json::Str(if begin { "b" } else { "e" }.to_string()),
             ),
-            ("id".to_string(), Json::Num(span.id as f64)),
-            ("pid".to_string(), Json::Num(span.node as f64)),
-            ("tid".to_string(), Json::Num(span.track.index() as f64)),
+            ("id".into(), Json::Num(span.id as f64)),
+            ("pid".into(), Json::Num(span.node as f64)),
+            ("tid".into(), Json::Num(span.track.index() as f64)),
             (
-                "ts".to_string(),
+                "ts".into(),
                 Json::Num(if begin { span.start_ns } else { span.end_ns } as f64),
             ),
         ])

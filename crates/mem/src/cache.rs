@@ -10,7 +10,7 @@
 //! data values, the timing model only needs to know where the freshest copy
 //! of each block lives.
 
-use nisim_engine::codec::{decode_items, ensure, Codec, DecodeError, Fields, State};
+use nisim_engine::codec::{array, ensure, Codec, DecodeError, Fields, State};
 use nisim_engine::metrics::{Component, ComponentCycles};
 use nisim_engine::{Dur, Json};
 
@@ -434,23 +434,37 @@ impl Cache {
 }
 
 /// The dynamic state — the slot count, every slot that differs from an
-/// empty line as `[slot, tag, state, lru]` in ascending slot order (the
-/// public [`Cache::iter`] loses LRU order), the LRU clock, the stats,
-/// the visit bitmap and, when enabled, the stall metrics. Geometry comes
-/// from the config and is not included.
+/// empty line in ascending slot order (the public [`Cache::iter`] loses
+/// LRU order), the LRU clock, the stats, the visit bitmap and, when
+/// enabled, the stall metrics. Geometry comes from the config and is not
+/// included. The stored lines are four columns of one length, `"lines":
+/// {"slot": [..], "tag": [..], "state": [..], "lru": [..]}`, so a
+/// snapshot holds four arrays per cache, not one per line.
 ///
 /// Invalid lines that kept a stale tag or lru are written too: lookups
 /// ignore them, but storing them makes save → restore → save a
 /// byte-for-byte fixed point.
 impl State for Cache {
     fn snapshot(&self) -> Json {
-        let lines: Vec<(usize, u64, MoesiState, u64)> = (self.lines.written())
-            .filter(|(_, l)| **l != EMPTY)
-            .map(|(slot, l)| (slot, l.tag, l.state, l.lru))
-            .collect();
+        let stored = || (self.lines.written()).filter(|(_, l)| **l != EMPTY);
+        let n = stored().count();
+        let mut columns: [Vec<Json>; 4] = std::array::from_fn(|_| Vec::with_capacity(n));
+        let [slots, tags, states, lrus] = &mut columns;
+        for (slot, l) in stored() {
+            slots.push(slot.encode());
+            tags.push(l.tag.encode());
+            states.push(l.state.encode());
+            lrus.push(l.lru.encode());
+        }
+        let [slots, tags, states, lrus] = columns.map(Json::Arr);
+        let lines = Json::obj()
+            .set("slot", slots)
+            .set("tag", tags)
+            .set("state", states)
+            .set("lru", lrus);
         let mut v = Json::obj()
             .set("slots", self.lines.len.encode())
-            .set("lines", lines.encode())
+            .set("lines", lines)
             .set("clock", self.clock.encode())
             .set("hits", self.stats.hits.encode())
             .set("misses", self.stats.misses.encode())
@@ -468,9 +482,9 @@ impl State for Cache {
 
     /// Every stored line was placed by [`Cache::insert`], so its tag is a
     /// block base that maps to the line's set, and its LRU stamp is a
-    /// past value of the clock. Lines come in strictly ascending slot
-    /// order, and the metrics key must be present exactly when the
-    /// restoring cache has metrics enabled.
+    /// past value of the clock. The four columns have one length, slots
+    /// come in strictly ascending order, and the metrics key must be
+    /// present exactly when the restoring cache has metrics enabled.
     fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(v)?;
         let slots: usize = f.get("slots")?;
@@ -484,11 +498,25 @@ impl State for Cache {
         let ways = self.lines.ways;
         let (mut max_lru, mut seen) = (0, 1u8 << MoesiState::Invalid.index());
         f.with("lines", |j| {
+            let mut columns = Fields::of(j)?;
+            let slots = columns.with("slot", array)?;
+            let tags = columns.with("tag", array)?;
+            let states = columns.with("state", array)?;
+            let lrus = columns.with("lru", array)?;
+            columns.finish()?;
+            let n = slots.len();
+            ensure(
+                tags.len() == n && states.len() == n && lrus.len() == n,
+                "columns of unequal length",
+            )?;
             let mut next = 0; // lowest slot the next entry may name
-            for (i, line) in decode_items::<(usize, u64, MoesiState, u64)>(j)?.enumerate() {
-                let (slot, tag, state, lru) = line?;
-                self.check_line(next, slot, tag)
-                    .map_err(|e| e.in_index(i))?;
+            let rows = slots.iter().zip(tags).zip(states).zip(lrus);
+            for (i, (((slot, tag), state), lru)) in rows.enumerate() {
+                let at = |column| move |e: DecodeError| e.in_index(i).in_key(column);
+                let slot = self.check_slot(next, slot).map_err(at("slot"))?;
+                let tag = self.check_tag(slot, tag).map_err(at("tag"))?;
+                let state = MoesiState::decode(state).map_err(at("state"))?;
+                let lru = u64::decode(lru).map_err(at("lru"))?;
                 self.lines.set_mut(slot / ways)[slot % ways] = Line { tag, state, lru };
                 (next, max_lru, seen) = (slot + 1, max_lru.max(lru), seen | 1 << state.index());
             }
@@ -521,18 +549,25 @@ impl State for Cache {
 }
 
 impl Cache {
-    /// Checks one stored line: slot in range and after the previous one,
-    /// tag a block base that maps to the slot's set.
-    fn check_line(&self, next: usize, slot: usize, tag: u64) -> Result<(), DecodeError> {
+    /// Decodes one stored slot: in range and after the previous one.
+    fn check_slot(&self, next: usize, slot: &Json) -> Result<usize, DecodeError> {
+        let slot = usize::decode(slot)?;
         ensure(
             (next..self.lines.len).contains(&slot),
             "slot out of range or out of ascending order",
         )?;
+        Ok(slot)
+    }
+
+    /// Decodes one stored tag: a block base that maps to `slot`'s set.
+    fn check_tag(&self, slot: usize, tag: &Json) -> Result<u64, DecodeError> {
+        let tag = u64::decode(tag)?;
         ensure(
             tag.is_multiple_of(self.cfg.block_bytes)
                 && self.set_index(BlockAddr::from_raw(tag)) == slot / self.lines.ways,
             "tag is not a block that maps to this slot's set",
-        )
+        )?;
+        Ok(tag)
     }
 }
 
@@ -609,8 +644,14 @@ mod tests {
         )
     }
 
-    fn entry(parts: &[u64]) -> Json {
-        Json::Arr(parts.iter().map(|&p| Json::from(p)).collect())
+    /// The `lines` object of a snapshot, from its four columns.
+    fn columns(slot: &[u64], tag: &[u64], state: &[u64], lru: &[u64]) -> Json {
+        let column = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
+        Json::obj()
+            .set("slot", column(slot))
+            .set("tag", column(tag))
+            .set("state", column(state))
+            .set("lru", column(lru))
     }
 
     #[test]
@@ -627,11 +668,7 @@ mod tests {
         assert_eq!(snap.get("slots").and_then(Json::as_u64), Some(4));
         assert_eq!(
             snap.get("lines").unwrap().to_compact(),
-            Json::Arr(vec![
-                entry(&[1, 0x40, modified, 3]),
-                entry(&[3, 0xC0, invalid, 2]),
-            ])
-            .to_compact()
+            columns(&[1, 3], &[0x40, 0xC0], &[modified, invalid], &[3, 2]).to_compact()
         );
 
         let text = snap.to_compact();
@@ -649,6 +686,12 @@ mod tests {
         dirty.insert(block(&dirty, 0x80), MoesiState::Exclusive);
         dirty.restore(&snap).unwrap();
         assert_eq!(dirty.snapshot().to_compact(), text);
+
+        // An empty cache stores four empty columns.
+        assert_eq!(
+            small().snapshot().get("lines").unwrap().to_compact(),
+            r#"{"slot":[],"tag":[],"state":[],"lru":[]}"#
+        );
     }
 
     #[test]
@@ -656,64 +699,85 @@ mod tests {
         let mut c = small();
         c.insert(block(&c, 0x40), MoesiState::Exclusive);
         let snap = c.snapshot();
-        let exclusive = MoesiState::Exclusive.index() as u64;
-        let lines = |entries: Vec<Json>| with_field(&snap, "lines", Json::Arr(entries));
+        let ex = MoesiState::Exclusive.index() as u64;
+        let lines = |v: Json| with_field(&snap, "lines", v);
+        let without = |v: &Json, key: &str| {
+            let Json::Obj(pairs) = v else {
+                unreachable!("snapshots are objects")
+            };
+            Json::Obj(pairs.iter().filter(|(k, _)| k != key).cloned().collect())
+        };
+        let one = |slot, tag, state, lru| lines(columns(&[slot], &[tag], &[state], &[lru]));
         let cases = [
-            ("wrong slots", with_field(&snap, "slots", Json::from(8u64))),
-            ("missing slots", {
-                let Json::Obj(pairs) = &snap else {
-                    unreachable!()
-                };
-                Json::Obj(
-                    pairs
-                        .iter()
-                        .filter(|(k, _)| k != "slots")
-                        .cloned()
-                        .collect(),
-                )
-            }),
+            (
+                "wrong slots",
+                with_field(&snap, "slots", Json::from(8u64)),
+                "8 slots, this cache has 4",
+            ),
+            (
+                "missing slots",
+                without(&snap, "slots"),
+                "missing key `slots`",
+            ),
             (
                 "out-of-range slot",
-                lines(vec![entry(&[4, 0x100, exclusive, 1])]),
+                one(4, 0x100, ex, 1),
+                "lines.slot[0]: slot out of range or out of ascending order",
             ),
             (
                 "repeated slot",
-                lines(vec![
-                    entry(&[1, 0x40, exclusive, 1]),
-                    entry(&[1, 0x140, exclusive, 2]),
-                ]),
+                lines(columns(&[1, 1], &[0x40, 0x140], &[ex, ex], &[1, 2])),
+                "lines.slot[1]: slot out of range or out of ascending order",
             ),
             (
                 "descending slot",
-                lines(vec![
-                    entry(&[2, 0x80, exclusive, 2]),
-                    entry(&[1, 0x40, exclusive, 1]),
-                ]),
+                lines(columns(&[2, 1], &[0x80, 0x40], &[ex, ex], &[2, 1])),
+                "lines.slot[1]: slot out of range or out of ascending order",
             ),
-            ("bad state index", lines(vec![entry(&[1, 0x40, 99, 1])])),
+            (
+                "bad state index",
+                one(1, 0x40, 99, 1),
+                "lines.state[0]: unknown MOESI state index",
+            ),
             // A tag one block over maps to the next set, not this slot's.
             (
                 "tag of another set",
-                lines(vec![entry(&[1, 0x80, exclusive, 1])]),
+                one(1, 0x80, ex, 1),
+                "lines.tag[0]: tag is not a block that maps to this slot's set",
             ),
             (
                 "unaligned tag",
-                lines(vec![entry(&[1, 0x41, exclusive, 1])]),
+                one(1, 0x41, ex, 1),
+                "lines.tag[0]: tag is not a block that maps to this slot's set",
             ),
             (
                 "lru ahead of the clock",
-                lines(vec![entry(&[1, 0x40, exclusive, 99])]),
+                one(1, 0x40, ex, 99),
+                "LRU stamps or lookups ahead of the clock",
             ),
-            ("short entry", lines(vec![entry(&[1, 0x40, exclusive])])),
+            // The column form of a short and a long `[slot, tag, state,
+            // lru]` entry: a column missing, and a fifth column.
             (
-                "long entry",
-                lines(vec![entry(&[1, 0x40, exclusive, 1, 0])]),
+                "missing column",
+                lines(without(&columns(&[1], &[0x40], &[ex], &[1]), "lru")),
+                "lines: missing key `lru`",
+            ),
+            (
+                "extra column",
+                lines(columns(&[1], &[0x40], &[ex], &[1]).set("dirty", Json::Arr(vec![]))),
+                "lines: unexpected key `dirty`",
+            ),
+            (
+                "columns of unequal length",
+                lines(columns(&[1, 2], &[0x40, 0x80], &[ex, ex], &[1])),
+                "lines: columns of unequal length",
             ),
         ];
         let mut fresh = small();
         fresh.restore(&snap).expect("control snapshot must restore");
-        for (what, bad) in cases {
-            assert!(small().restore(&bad).is_err(), "{what} must be rejected");
+        for (what, bad, error) in cases {
+            let got = small().restore(&bad).map_err(|e| e.to_string());
+            assert_eq!(got, Err(error.to_string()), "{what} must be rejected");
         }
     }
 
@@ -764,10 +828,12 @@ mod tests {
             c.lookup(block(&c, 0)); // block 1 becomes LRU
             let ev = c.insert(block(&c, n * 64), MoesiState::Shared).unwrap();
             assert_eq!(ev.block, block(&c, 64), "{ways} ways");
-            let slots: Vec<u64> = (c.snapshot().get("lines").and_then(Json::as_arr))
+            let snap = c.snapshot();
+            let slots: Vec<u64> = (snap.get("lines").and_then(|l| l.get("slot")))
+                .and_then(Json::as_arr)
                 .unwrap()
                 .iter()
-                .map(|l| l.as_arr().unwrap()[0].as_u64().unwrap())
+                .map(|s| s.as_u64().unwrap())
                 .collect();
             assert_eq!(slots, (0..n).collect::<Vec<_>>(), "{ways} ways");
         }

@@ -1,17 +1,21 @@
 //! The JSON writer and parser against the plain implementation their
 //! fast paths replaced. `nisim_engine::json` writes integers from a
 //! digit buffer, reads short integers without the float parser, copies
-//! strings a run at a time and tests integrality without `f64::fract`;
-//! [`reference`] keeps the plain version (`core::fmt` for every number
-//! written, `str::parse::<f64>` for every number read, strings one
-//! `char` at a time). Both must give the same bytes, the same values
-//! (numbers compared by bit pattern) and the same errors, on seeded
-//! documents, hand-picked number and string texts, truncated and
-//! bit-flipped texts, nesting at the depth limit and the four committed
-//! goldens.
+//! strings a run at a time, tests integrality without `f64::fract`,
+//! keeps short object keys inline and sizes each parsed container from
+//! scratch stacks; [`reference`] keeps the plain version (`core::fmt` for
+//! every number written, `str::parse::<f64>` for every number read,
+//! strings one `char` at a time, keys read as `String`s, containers grown
+//! by `push`). Both must give the same bytes, the same values (numbers
+//! compared by bit pattern) and the same errors, on seeded documents,
+//! hand-picked number, string and key texts, truncated and bit-flipped
+//! texts, nesting at the depth limit and the four committed goldens.
+//! Every array and object the parser returns must hold no spare
+//! capacity.
 //!
 //! Cases come from the shared hand-rolled `Lcg`, so failures reproduce.
 
+use nisim_engine::codec::Fields;
 use nisim_engine::json::{parse, Json, JsonError};
 use nisim_integration::Lcg;
 
@@ -245,7 +249,7 @@ mod reference {
                 self.expect(b':')?;
                 self.skip_ws();
                 let value = self.value()?;
-                pairs.push((key, value));
+                pairs.push((key.into(), value));
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
@@ -445,7 +449,7 @@ fn value(rng: &mut Lcg, depth: u32) -> Json {
         4 => Json::Arr((0..rng.below(6)).map(|_| value(rng, depth - 1)).collect()),
         _ => Json::Obj(
             (0..rng.below(6))
-                .map(|_| (string(rng), value(rng, depth - 1)))
+                .map(|_| (string(rng).into(), value(rng, depth - 1)))
                 .collect(),
         ),
     }
@@ -470,8 +474,21 @@ fn same(a: &Json, b: &Json) -> bool {
     }
 }
 
+/// True if every array and object in `v` has exactly the capacity of
+/// its length.
+fn exactly_sized(v: &Json) -> bool {
+    match v {
+        Json::Arr(items) => items.capacity() == items.len() && items.iter().all(exactly_sized),
+        Json::Obj(pairs) => {
+            pairs.capacity() == pairs.len() && pairs.iter().all(|(_, v)| exactly_sized(v))
+        }
+        _ => true,
+    }
+}
+
 /// `parse` and the reference parser agree on `text`: the same value, or
-/// the same error message at the same byte.
+/// the same error message at the same byte. A value `parse` returns
+/// holds no spare capacity.
 fn parses_alike(text: &str) {
     let ours = parse(text);
     let theirs = reference::parse(text);
@@ -481,6 +498,9 @@ fn parses_alike(text: &str) {
         _ => false,
     };
     assert!(alike, "{text:?}: {ours:?} vs reference {theirs:?}");
+    if let Ok(v) = &ours {
+        assert!(exactly_sized(v), "{text:?}: a container has spare capacity");
+    }
 }
 
 /// Both writers give the same bytes, and both parsers read them alike.
@@ -683,5 +703,130 @@ fn every_golden_renders_back_to_its_bytes() {
         let v = parse(&text).unwrap_or_else(|e: JsonError| panic!("{name}: {e}"));
         assert!(v.to_pretty() == text, "{name} does not render back");
         parses_alike(&text);
+    }
+}
+
+/// Keys on both sides of the 22-byte inline limit: ASCII of 0, 1, 21,
+/// 22, 23 and 64 bytes, and multi-byte characters that end at, straddle
+/// or start past byte 22.
+fn edge_keys() -> Vec<String> {
+    let mut keys: Vec<String> = [0, 1, 21, 22, 23, 64].map(|n| "k".repeat(n)).into();
+    for (pad, c) in [
+        (20, 'é'),
+        (21, 'é'),
+        (20, '→'),
+        (19, '→'),
+        (19, '😀'),
+        (21, '😀'),
+    ] {
+        keys.push(format!("{}{c}", "a".repeat(pad)));
+    }
+    keys.push("é".repeat(11)); // 22 bytes, all two-byte characters
+    keys.push("😀".repeat(6)); // 24 bytes: the sixth starts at byte 20
+    keys
+}
+
+#[test]
+fn keys_on_both_sides_of_the_inline_limit_read_as_the_reference_does() {
+    let keys = edge_keys();
+    for (i, key) in keys.iter().enumerate() {
+        let v = Json::obj().set(key, i as u64);
+        round_trips_alike(&v);
+        let parsed = parse(&v.to_compact()).unwrap();
+        assert_eq!(
+            parsed.get(key).and_then(Json::as_u64),
+            Some(i as u64),
+            "{key:?}"
+        );
+        let Json::Obj(pairs) = &parsed else {
+            unreachable!("an object parses to an object")
+        };
+        assert_eq!(pairs[0].0.as_str(), key.as_str());
+        assert_eq!(&*pairs[0].0, key.as_str(), "deref reads the key");
+        assert_eq!(format!("{:?}", pairs[0].0), format!("{key:?}"));
+        assert_eq!(pairs[0].0.to_string(), *key);
+        // A key one character shorter or longer is another key.
+        let longer = format!("{key}x");
+        assert!(parsed.get(&longer).is_none(), "{key:?}");
+        if let Some((cut, _)) = key.char_indices().last() {
+            assert!(parsed.get(&key[..cut]).is_none(), "{key:?}");
+        }
+    }
+
+    // One object holding every key, in order, read back by `Fields`.
+    let all = keys
+        .iter()
+        .enumerate()
+        .fold(Json::obj(), |v, (i, k)| v.set(k, i as u64));
+    round_trips_alike(&all);
+    let parsed = parse(&all.to_pretty()).unwrap();
+    let mut fields = Fields::of(&parsed).unwrap();
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(fields.get::<u64>(key), Ok(i as u64), "{key:?}");
+    }
+    fields.finish().unwrap();
+    let mut out_of_order = Fields::of(&parsed).unwrap();
+    assert!(out_of_order.get::<u64>(&keys[1]).is_err());
+}
+
+#[test]
+fn escaped_and_repeated_keys_read_as_the_reference_does() {
+    // Escapes whose text is longer than the key they decode to, and keys
+    // that decode to either side of the inline limit.
+    let escaped = [
+        r#""\u0041\u0042""#,
+        r#""\"q\"""#,
+        r#""tab\there""#,
+        r#""\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9""#,
+        r#""\u0041aaaaaaaaaaaaaaaaaaaaa""#,
+        r#""\u0041aaaaaaaaaaaaaaaaaaaaaa""#,
+        r#""aaaaaaaaaaaaaaaaaaaaa\n""#,
+        r#""aaaaaaaaaaaaaaaaaaaaaa\n""#,
+        r#""\ud800""#,
+        r#""\/\b\f\r""#,
+    ];
+    for key in escaped {
+        for text in [
+            format!("{{{key}:1}}"),
+            format!("{{{key}:1,{key}:2}}"),
+            format!("[{{\"a\":[]}},{{{key}:{{{key}:null}}}}]"),
+        ] {
+            parses_alike(&text);
+            let v = parse(&text).unwrap();
+            round_trips_alike(&v);
+        }
+    }
+    for key in edge_keys() {
+        let v = Json::obj().set(&key, 1u64).set("b", 2u64).set(&key, 3u64);
+        round_trips_alike(&v);
+        let parsed = parse(&v.to_compact()).unwrap();
+        assert_eq!(
+            parsed.get(&key).and_then(Json::as_u64),
+            Some(1),
+            "the first wins"
+        );
+        let Json::Obj(pairs) = &parsed else {
+            unreachable!("an object parses to an object")
+        };
+        assert!(pairs[0].0 == pairs[2].0 && pairs[0].0 != pairs[1].0);
+        let mut fields = Fields::of(&parsed).unwrap();
+        assert_eq!(fields.get::<u64>(&key), Ok(1));
+        assert_eq!(fields.get::<u64>("b"), Ok(2));
+        let err = fields.finish().unwrap_err();
+        assert_eq!(err.to_string(), format!("unexpected key `{key}`"));
+    }
+}
+
+#[test]
+fn parsed_containers_hold_no_spare_capacity() {
+    // Lengths around the growth steps a `push`-built vector takes.
+    for n in [0usize, 1, 3, 4, 5, 8, 9, 100, 1000, 1025] {
+        let arr = Json::Arr((0..n).map(|i| Json::from(i as u64)).collect());
+        let obj = (0..n).fold(Json::obj(), |v, i| v.set(&format!("k{i}"), i));
+        let nested = Json::obj().set("a", arr.clone()).set("o", obj.clone());
+        let doc = Json::Arr(vec![arr, obj, Json::Arr(vec![nested])]);
+        for text in [doc.to_compact(), doc.to_pretty()] {
+            parses_alike(&text);
+        }
     }
 }

@@ -37,15 +37,15 @@ const UNCONSTRAINED: &[(&str, &str)] = &[
         "statistic: no state records past snoops",
     ),
     (
-        "machine.nodes[*].hw.cache.lines[*][1]",
+        "machine.nodes[*].hw.cache.lines.tag[*]",
         "cache contents: another block of the same set may be resident",
     ),
     (
-        "machine.nodes[*].hw.cache.lines[*][2]",
+        "machine.nodes[*].hw.cache.lines.state[*]",
         "cache contents: a resident block's coherence state is recorded nowhere else",
     ),
     (
-        "machine.nodes[*].hw.cache.lines[*][3]",
+        "machine.nodes[*].hw.cache.lines.lru[*]",
         "LRU stamp: any past value of the clock",
     ),
     (
@@ -304,7 +304,7 @@ fn diff(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
         {
             for ((k, u), (_, v)) in x.iter().zip(y) {
                 let sub = if path.is_empty() {
-                    k.clone()
+                    k.to_string()
                 } else {
                     format!("{path}.{k}")
                 };
@@ -358,7 +358,7 @@ fn numeric_leaves(v: &Json, path: &mut Vec<Seg>, out: &mut Vec<Vec<Seg>>) {
         }
         Json::Obj(pairs) => {
             for (k, item) in pairs {
-                path.push(Seg::Key(k.clone()));
+                path.push(Seg::Key(k.to_string()));
                 numeric_leaves(item, path, out);
                 path.pop();
             }
@@ -376,7 +376,11 @@ enum Seg {
 fn leaf_mut<'a>(v: &'a mut Json, path: &[Seg]) -> &'a mut Json {
     path.iter().fold(v, |v, seg| match (v, seg) {
         (Json::Obj(pairs), Seg::Key(k)) => {
-            &mut pairs.iter_mut().find(|(key, _)| key == k).expect("key").1
+            &mut pairs
+                .iter_mut()
+                .find(|(key, _)| **key == **k)
+                .expect("key")
+                .1
         }
         (Json::Arr(items), Seg::Index(i)) => &mut items[*i],
         _ => panic!("path does not fit"),
@@ -535,8 +539,16 @@ fn roadmap_survivor_classes_are_typed_errors() {
         &forged(&ck, &sent, |x| x * 2f64.powi(31) + 1.0),
         "fragments_sent",
     );
-    let tag = segs("machine.nodes[1].hw.cache.lines[0][1]");
-    assert_rejected(&ck, &forged(&ck, &tag, |x| x + 64.0), "cache tag + 64");
+    let tag = segs("machine.nodes[1].hw.cache.lines.tag[0]");
+    let text = String::from_utf8(forged(&ck, &tag, |x| x + 64.0)).unwrap();
+    assert_eq!(
+        resume(&ck.point, &text, ck.events).expect_err("cache tag + 64"),
+        SnapshotError::Malformed(
+            "machine.nodes[1].hw.cache.lines.tag[0]: tag is not a block that maps to this \
+             slot's set"
+                .into()
+        )
+    );
 }
 
 /// A program step that sends to its own node (or to one the machine
@@ -594,13 +606,13 @@ fn receive_buffers_below_queued_work_are_rejected() {
 #[test]
 fn malformed_names_the_full_json_path() {
     let ck = point_checkpoint(MacroApp::Em3d, NiKind::Cni32Qm, false, 150);
-    let state = segs("machine.nodes[2].hw.cache.lines[7][2]");
+    let state = segs("machine.nodes[2].hw.cache.lines.state[7]");
     let text = String::from_utf8(forged(&ck, &state, |_| 9.0)).unwrap();
     let err = resume(&ck.point, &text, ck.events).expect_err("bad state index");
     assert_eq!(
         err,
         SnapshotError::Malformed(
-            "machine.nodes[2].hw.cache.lines[7][2]: unknown MOESI state index".into()
+            "machine.nodes[2].hw.cache.lines.state[7]: unknown MOESI state index".into()
         )
     );
 }

@@ -128,10 +128,10 @@ fn any_config_perturbation_is_rejected_at_restore() {
     }
 }
 
-/// Version-6 snapshots drop a send's stored fragment list. A snapshot
-/// stamped with an earlier version (5 wrote the list, 4 the bus's
-/// queueing summary, 3 every cache line) must be rejected as a
-/// [`SnapshotError::Version`], and a
+/// Version-7 snapshots store cache lines as four columns. A snapshot
+/// stamped with an earlier version (6 wrote one array per line, 5 a
+/// send's fragment list, 4 the bus's queueing summary, 3 every cache
+/// line) must be rejected as a [`SnapshotError::Version`], and a
 /// wire `conn` forged past `u32::MAX`
 /// must be rejected as [`SnapshotError::Malformed`] — never silently
 /// truncated into a valid connection.
@@ -144,7 +144,7 @@ fn stale_version_and_forged_conn_are_rejected() {
     let current = format!("\"version\":{SNAPSHOT_VERSION}");
     let text = snap.to_compact();
     assert!(text.contains(&current));
-    for old in [3, 4, 5] {
+    for old in [3, 4, 5, 6] {
         let stale = json::parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap();
         assert_eq!(
             restore(cfg.clone(), mk(&cfg), &stale).err(),
@@ -246,6 +246,37 @@ fn forged_event_node_indices_are_rejected() {
     }
     for ((anchor, key), hit) in targets.iter().zip(forged_kinds) {
         assert!(hit, "no cut held a {anchor} event to forge {key} in");
+    }
+}
+
+/// Save → restore → save is a byte fixed point on every NI design, at
+/// three cuts of the run.
+#[test]
+fn save_restore_save_is_a_byte_fixed_point() {
+    for ni in NiKind::ALL {
+        let cfg = MachineConfig {
+            ni,
+            ..base_config()
+        };
+        let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, snap_params());
+        for budget in [25u64, 400, 1600] {
+            let mut m = Machine::new(cfg.clone(), mk());
+            let mut sim = MachineSim::new();
+            m.start(&mut sim);
+            m.run_slice(&mut sim, Time::from_ns(60_000_000_000), budget);
+            let text = save(&m, &mut sim).expect("snapshot").to_compact();
+            assert!(
+                text.contains(r#""lines":{"slot":["#),
+                "{ni:?}: no cache columns"
+            );
+            let snap = json::parse(&text).expect("snapshot text parses");
+            let (r, mut rsim) = restore(cfg.clone(), mk(), &snap).expect("restore");
+            let again = save(&r, &mut rsim).expect("snapshot").to_compact();
+            assert!(
+                again == text,
+                "{ni:?} at {budget} events: not a fixed point"
+            );
+        }
     }
 }
 
