@@ -215,9 +215,6 @@ impl BusStats {
 #[derive(Clone, Debug)]
 pub struct Bus {
     cfg: BusConfig,
-    /// Each [`BusOp`]'s occupancy and data bytes under `cfg`, indexed by
-    /// [`BusStats::index_of`]: computed once, not per transaction.
-    costs: [(Dur, u64); 6],
     free_at: Time,
     stats: BusStats,
     metrics: Option<Box<BusMetrics>>,
@@ -240,7 +237,6 @@ impl Bus {
     pub fn new(cfg: BusConfig) -> Bus {
         Bus {
             cfg,
-            costs: BusOp::ALL.map(|op| (cfg.occupancy(op), op.data_bytes(&cfg))),
             free_at: Time::ZERO,
             stats: BusStats::default(),
             metrics: None,
@@ -292,13 +288,12 @@ impl Bus {
     pub fn acquire_burst(&mut self, now: Time, op: BusOp, count: u64, gap: Dur) -> BusGrant {
         assert!(count > 0, "burst must contain at least one transaction");
         let start = now.max(self.free_at);
-        let (per_op, data_bytes) = self.costs[BusStats::index_of(op)];
-        let occupancy = per_op * count;
+        let occupancy = self.cfg.occupancy(op) * count;
         let end = start + occupancy + gap * (count - 1);
         self.free_at = end;
         self.stats.counts[BusStats::index_of(op)].add(count);
         self.stats.busy += occupancy;
-        self.stats.data_bytes.add(data_bytes * count);
+        self.stats.data_bytes.add(op.data_bytes(&self.cfg) * count);
         let wait = start.saturating_since(now);
         if let Some(m) = &mut self.metrics {
             m.cycles.charge(Component::BusArbitration, wait);
@@ -352,17 +347,17 @@ impl State for Bus {
             m.grant_wait = f.get("grant_wait")?;
         }
         f.finish()?;
-        let per_class = |cost: fn((Dur, u64)) -> u64| {
-            (self.stats.counts.iter().zip(self.costs)).try_fold(0u64, |sum, (n, c)| {
-                sum.checked_add(n.get().checked_mul(cost(c))?)
+        let per_class = |cost: &dyn Fn(BusOp) -> u64| {
+            BusOp::ALL.iter().try_fold(0u64, |sum, &op| {
+                sum.checked_add(self.stats.count(op).checked_mul(cost(op))?)
             })
         };
         ensure(
-            per_class(|(busy, _)| busy.as_ns()) == Some(self.stats.busy.as_ns()),
+            per_class(&|op| self.cfg.occupancy(op).as_ns()) == Some(self.stats.busy.as_ns()),
             "busy time does not match the transaction counts",
         )?;
         ensure(
-            per_class(|(_, data)| data) == Some(self.stats.data_bytes.get()),
+            per_class(&|op| op.data_bytes(&self.cfg)) == Some(self.stats.data_bytes.get()),
             "data bytes do not match the transaction counts",
         )
     }
@@ -380,26 +375,6 @@ mod tests {
         assert_eq!(cfg.occupancy(BusOp::BlockRead), Dur::ns(16)); // 4 cycles
         assert_eq!(cfg.occupancy(BusOp::BlockWrite), Dur::ns(16));
         assert_eq!(cfg.occupancy(BusOp::Upgrade), Dur::ns(8)); // 2 cycles
-    }
-
-    #[test]
-    fn precomputed_costs_match_the_config() {
-        let narrow = BusConfig {
-            clock_period: Dur::ns(10),
-            width_bytes: 8,
-            block_bytes: 128,
-            word_bytes: 4,
-            arbitration_cycles: 2,
-            address_cycles: 3,
-        };
-        for cfg in [BusConfig::default(), narrow] {
-            let bus = Bus::new(cfg);
-            for op in BusOp::ALL {
-                let (occupancy, data_bytes) = bus.costs[BusStats::index_of(op)];
-                assert_eq!(occupancy, cfg.occupancy(op), "{op:?}");
-                assert_eq!(data_bytes, op.data_bytes(&cfg), "{op:?}");
-            }
-        }
     }
 
     #[test]

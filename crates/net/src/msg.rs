@@ -93,24 +93,15 @@ impl NetConfig {
     }
 
     /// Time to serialise `bytes` onto (or off) a link: the quotient
-    /// rounded up to whole nanoseconds.
-    ///
-    /// At an integral rate r ≥ 1 and fewer than 2^53 bytes the quotient
-    /// is taken in integers: a quotient that is not whole lies at least
-    /// 1/r from every integer, farther than its float rounding can move
-    /// it, so `bytes.div_ceil(r)` is the ceiling of the float quotient.
-    /// The rate is read from its bits and a power-of-two rate (the
-    /// default 1 B/ns) is a shift, so no float conversion or division
-    /// runs per fragment. Any other rate takes the float quotient, whose
-    /// ceiling is taken in integers (`as` truncates and saturates); a
-    /// zero link rate gives `u64::MAX` ns.
+    /// rounded up to whole nanoseconds. At the default 1 B/ns and below
+    /// 2^53 bytes, where the float quotient is exact, that is `bytes`,
+    /// with no float conversion or division per fragment. Otherwise the
+    /// ceiling of the float quotient is taken in integers (`as` truncates
+    /// and saturates), so no libm `ceil` call sits on the per-fragment
+    /// path; a zero link rate gives `u64::MAX` ns.
     pub fn serialisation(&self, bytes: u64) -> Dur {
-        if let Some(rate) = integral_rate(self.link_bytes_per_ns).filter(|_| bytes < 1 << 53) {
-            return Dur::ns(if rate.is_power_of_two() {
-                (bytes + rate - 1) >> rate.trailing_zeros()
-            } else {
-                bytes.div_ceil(rate)
-            });
+        if self.link_bytes_per_ns == 1.0 && bytes < 1 << 53 {
+            return Dur::ns(bytes);
         }
         let x = bytes as f64 / self.link_bytes_per_ns;
         let q = x as u64;
@@ -125,19 +116,6 @@ impl NetConfig {
     pub fn wire_bytes(&self, payload: u64) -> u64 {
         payload + self.header_bytes
     }
-}
-
-/// `x` as an integer, when it is one in `1..2^53`, read from the bits of
-/// its IEEE-754 encoding: a biased exponent `e` of 1023–1075 puts the
-/// binary point `e - 1023` bits into the 53-bit significand, and the
-/// value is whole when no significand bit lies below it. A sign bit,
-/// zero, subnormal, infinity or NaN falls outside that exponent range.
-fn integral_rate(x: f64) -> Option<u64> {
-    let bits = x.to_bits();
-    let point = (bits >> 52).wrapping_sub(1023);
-    let significand = bits & ((1 << 52) - 1) | 1 << 52;
-    (point < 53 && significand.trailing_zeros() >= (52 - point) as u32)
-        .then(|| significand >> (52 - point))
 }
 
 /// One network message produced by fragmenting a payload.
@@ -301,9 +279,10 @@ mod tests {
     fn serialisation_is_the_float_ceiling() {
         let two53 = 1u64 << 53;
         let rates = [1.0, 2.0, 3.0, 7.0, 0.3, 1.0 / 3.0, 0.0];
-        // Rates on both sides of the integer path's edges: not whole,
-        // the largest whole ones, past 2^53, negative and not finite.
-        let edges = [1.5, 4.0, 6.0, 1e15, 2f64.powi(52), 2f64.powi(53), 3e300];
+        // Rates one ulp either side of the 1 B/ns path, other whole and
+        // fractional rates, large, negative and not finite ones.
+        let (above, below) = (1.0 + f64::EPSILON, 1.0 - f64::EPSILON / 2.0);
+        let edges = [above, below, 1.5, 4.0, 1e15, 3e300];
         let odd = [-1.0, -2.0, f64::INFINITY, f64::NAN, 5e-324];
         for rate in rates.into_iter().chain(edges).chain(odd) {
             let cfg = NetConfig {
@@ -319,30 +298,6 @@ mod tests {
                     "{bytes} B at {rate}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn integral_rates_are_read_from_their_bits() {
-        for n in (1..=4096u64).chain([(1 << 51) - 1, (1 << 52) - 1, 1 << 52, (1 << 53) - 1]) {
-            assert_eq!(integral_rate(n as f64), Some(n), "{n}");
-            if n < 1 << 51 {
-                assert_eq!(integral_rate(n as f64 + 0.5), None, "{n}.5");
-                assert_eq!(integral_rate(n as f64 + 0.25), None, "{n}.25");
-            }
-        }
-        for x in [
-            0.0,
-            -0.0,
-            0.5,
-            1.0 - 1e-16,
-            -1.0,
-            -4.0,
-            2f64.powi(53),
-            f64::NAN,
-            f64::INFINITY,
-        ] {
-            assert_eq!(integral_rate(x), None, "{x}");
         }
     }
 

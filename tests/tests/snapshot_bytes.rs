@@ -1,8 +1,12 @@
 //! The checkpoint bytes `nisim run --app em3d --nodes 4
 //! --checkpoint-every 500 --checkpoint <path>` leaves on cm5 and
-//! cni32qm, pinned by length and FNV-1a hash. A change to the snapshot
-//! format, or to any state a checkpoint holds, moves them: such a change
-//! bumps `SNAPSHOT_VERSION` when it is meant and is a bug when it is not.
+//! cni32qm, pinned by length and FNV-1a hash, so nothing moves them
+//! unseen. They move on a format change (a key, a field's order, a
+//! value's shape), which also bumps `SNAPSHOT_VERSION`, and on a change
+//! of behaviour alone (NI timing, a workload, random draws), which keeps
+//! the format and its version. The test cannot tell the two apart: it
+//! fails until the pins are taken again, and the pins carry the version
+//! they were taken at, so each re-pin states which format it holds.
 //! Debug and release builds pin different bytes, because the cache's
 //! visit bitmap is kept in debug builds only.
 
@@ -10,6 +14,9 @@ use nisim_core::snapshot::{save, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind, RUN_HORIZON, RUN_MAX_EVENTS};
 use nisim_engine::SimStatus;
 use nisim_workloads::apps::{factory, MacroApp};
+
+/// The `SNAPSHOT_VERSION` the pins below were taken at.
+const PINNED_VERSION: u64 = 7;
 
 /// `(NI, length in bytes, FNV-1a hash)` of each pinned checkpoint, for
 /// the profile this test was built in.
@@ -76,10 +83,12 @@ fn em3d_checkpoints_keep_their_pinned_bytes() {
             .collect()
     };
     assert!(
-        found == PINNED,
-        "the {profile} checkpoints changed.\n  found:{}\n  pinned:{}\n\
-         If the snapshot format changed on purpose, bump SNAPSHOT_VERSION (now \
-         {SNAPSHOT_VERSION}) and pin the new lengths and hashes for both profiles.",
+        found == PINNED && SNAPSHOT_VERSION == PINNED_VERSION,
+        "the {profile} checkpoints at version {SNAPSHOT_VERSION} differ from the pins of \
+         version {PINNED_VERSION}.\n  found:{}\n  pinned:{}\n\
+         A change of keys or shape is a format change and bumps SNAPSHOT_VERSION; a change \
+         of behaviour alone keeps the format and its version. Either way pin the new lengths \
+         and hashes for both profiles, with PINNED_VERSION set to SNAPSHOT_VERSION.",
         lines(&found),
         lines(&PINNED)
     );
