@@ -18,11 +18,10 @@ use nisim_net::switch_survey::{
     buffer_wire_time_ns, max_survey_bytes, MODERN_SWITCH_SURVEY, SWITCH_SURVEY,
 };
 use nisim_net::BufferCount;
-use nisim_workloads::apps::{run_app, MacroApp};
+use nisim_workloads::apps::{run_app, MacroApp, UNSTRUCTURED_RANGE_MEAN};
 use nisim_workloads::micro::bandwidth::bandwidth_for;
 use nisim_workloads::micro::pingpong::round_trip_for;
 use nisim_workloads::synthetic::{run_synthetic, Locality, SyntheticParams};
-use nisim_workloads::table4::{paper_modes, UNSTRUCTURED_RANGE_MEAN};
 use nisim_workloads::traffic::{TrafficKind, TrafficSpec, MAX_LOAD_LEVEL};
 
 use crate::chaos::{chaos_document, chaos_path};
@@ -367,7 +366,7 @@ fn table4(out: &mut String) {
     let cfg = MachineConfig::with_ni(NiKind::Cni32Qm);
     for app in MacroApp::ALL {
         let hist = run_app(app, &cfg, &app.default_params()).msg_sizes;
-        for (i, m) in paper_modes(app).iter().enumerate() {
+        for (i, m) in app.spec().modes.iter().enumerate() {
             t.row(vec![
                 if i == 0 {
                     app.name().into()

@@ -127,19 +127,20 @@ fn kind(runner: &Runner) -> &'static str {
 }
 
 /// Usage text shown by `list` and on parse errors: the flag summary,
-/// every NI key from the registry, the app names, then every row of
+/// every NI key and app name from their registries, then every row of
 /// [`EXPERIMENTS`].
 pub fn usage() -> String {
     let keys: Vec<&str> = NiKind::ALL.iter().map(|ni| ni.key()).collect();
     let rows: Vec<String> = keys.chunks(6).map(|row| row.join(", ")).collect();
+    let apps: Vec<&str> = MacroApp::ALL.iter().map(|app| app.name()).collect();
     let exps: Vec<String> = EXPERIMENTS
         .iter()
         .map(|e| format!("  {:<17}{:<8} {}", e.name, kind(&e.runner), e.summary))
         .collect();
     format!(
-        "{USAGE}\n\nNIs:  {}\napps: appbt, barnes, dsmc, em3d, moldyn, spsolve, unstructured\n\n\
-         {EXP_HEADING}\n{}",
+        "{USAGE}\n\nNIs:  {}\napps: {}\n\n{EXP_HEADING}\n{}",
         rows.join(",\n      "),
+        apps.join(", "),
         exps.join("\n")
     )
 }
@@ -255,10 +256,7 @@ fn ni_from(flags: &BTreeMap<String, String>) -> Result<NiKind, CliError> {
 
 /// Parses a macrobenchmark name.
 pub fn parse_app(name: &str) -> Result<MacroApp, CliError> {
-    MacroApp::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| err(format!("unknown app {name:?}")))
+    MacroApp::from_name(name).ok_or_else(|| err(format!("unknown app {name:?}")))
 }
 
 /// Parses a buffer count (`inf` or a positive integer).
@@ -1453,43 +1451,47 @@ mod tests {
         let ck = dir.join("ck.json");
         let ck_str = ck.to_str().unwrap();
 
-        let base = ["run", "--app", "em3d", "--ni", "cm5", "--nodes", "4"];
-        let golden = run(&base).unwrap();
+        // Both snapshotable skeletons: em3d keeps no state of its own,
+        // spsolve its operand counts.
+        for app in ["em3d", "spsolve"] {
+            let base = ["run", "--app", app, "--ni", "cm5", "--nodes", "4"];
+            let golden = run(&base).unwrap();
 
-        let mut ckpt_args = base.to_vec();
-        ckpt_args.extend(["--checkpoint", ck_str, "--checkpoint-every", "200"]);
-        let ckpt_out = run(&ckpt_args).unwrap();
-        assert!(ckpt_out.contains("checkpoints to"), "{ckpt_out}");
-        assert!(
-            !ckpt_out.contains("wrote 0 checkpoints"),
-            "the run must be long enough to checkpoint: {ckpt_out}"
-        );
+            let mut ckpt_args = base.to_vec();
+            ckpt_args.extend(["--checkpoint", ck_str, "--checkpoint-every", "200"]);
+            let ckpt_out = run(&ckpt_args).unwrap();
+            assert!(ckpt_out.contains("checkpoints to"), "{ckpt_out}");
+            assert!(
+                !ckpt_out.contains("wrote 0 checkpoints"),
+                "the run must be long enough to checkpoint: {ckpt_out}"
+            );
 
-        // Slicing the run for checkpoints must not perturb it.
-        let line = |s: &str, key: &str| {
-            s.lines()
-                .find(|l| l.trim_start().starts_with(key))
-                .map(str::to_string)
-                .unwrap_or_else(|| panic!("no {key} line in {s}"))
-        };
-        for key in ["elapsed", "events", "messages", "bus"] {
-            assert_eq!(line(&golden, key), line(&ckpt_out, key));
+            // Slicing the run for checkpoints must not perturb it.
+            let line = |s: &str, key: &str| {
+                s.lines()
+                    .find(|l| l.trim_start().starts_with(key))
+                    .map(str::to_string)
+                    .unwrap_or_else(|| panic!("no {key} line in {s}"))
+            };
+            for key in ["elapsed", "events", "messages", "bus"] {
+                assert_eq!(line(&golden, key), line(&ckpt_out, key));
+            }
+
+            // Resuming from the last mid-run checkpoint finishes the same run.
+            let mut resume_args = base.to_vec();
+            resume_args.extend(["--resume", ck_str]);
+            let resumed = run(&resume_args).unwrap();
+            assert!(resumed.contains("resumed from"), "{resumed}");
+            for key in ["elapsed", "events", "messages", "bus"] {
+                assert_eq!(line(&golden, key), line(&resumed, key));
+            }
+
+            // The same snapshot against a different config is rejected.
+            let mut wrong = resume_args.clone();
+            wrong.extend(["--buffers", "2"]);
+            let e = usage_error(&wrong);
+            assert!(e.contains("config"), "{e}");
         }
-
-        // Resuming from the last mid-run checkpoint finishes the same run.
-        let mut resume_args = base.to_vec();
-        resume_args.extend(["--resume", ck_str]);
-        let resumed = run(&resume_args).unwrap();
-        assert!(resumed.contains("resumed from"), "{resumed}");
-        for key in ["elapsed", "events", "messages", "bus"] {
-            assert_eq!(line(&golden, key), line(&resumed, key));
-        }
-
-        // The same snapshot against a different config is rejected.
-        let mut wrong = resume_args.clone();
-        wrong.extend(["--buffers", "2"]);
-        let e = usage_error(&wrong);
-        assert!(e.contains("config"), "{e}");
 
         // Apps whose skeleton cannot snapshot fail with a typed error.
         let barnes = [

@@ -227,11 +227,6 @@ impl MachineConfig {
         }
         self
     }
-
-    /// Duration of `cycles` CPU cycles.
-    pub fn cpu_cycles(&self, cycles: u64) -> Dur {
-        Dur::cycles(cycles, self.cpu_period.as_ns())
-    }
 }
 
 #[cfg(test)]
@@ -265,11 +260,6 @@ mod tests {
         assert_eq!(cfg.nodes, 4);
         assert_eq!(cfg.flow_buffers, BufferCount::Infinite);
         assert_eq!(cfg.seed, 7);
-    }
-
-    #[test]
-    fn cpu_cycles_at_1ghz() {
-        assert_eq!(MachineConfig::default().cpu_cycles(250), Dur::ns(250));
     }
 
     #[test]

@@ -61,7 +61,11 @@ use crate::processor::ProcPhase;
 /// Version 7: cache lines as four columns — `"lines": {"slot": [..],
 /// "tag": [..], "state": [..], "lru": [..]}` — in place of one
 /// `[slot, tag, state, lru]` array per line.
-pub const SNAPSHOT_VERSION: u64 = 7;
+///
+/// Version 8: a skeleton's iteration count and step queue live on
+/// `SkeletonProcess` (`"iters_left"` and `"steps"` of the process), not
+/// on the skeleton.
+pub const SNAPSHOT_VERSION: u64 = 8;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]

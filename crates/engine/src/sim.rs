@@ -343,20 +343,6 @@ impl<M, E: Event<M>> Sim<M, E> {
         self.now = horizon;
         SimStatus::HorizonReached
     }
-
-    /// Fires at most one pending event. Returns `false` if the queue was
-    /// empty.
-    pub fn step(&mut self, model: &mut M) -> bool {
-        match self.queue.pop() {
-            None => false,
-            Some((at, _, event)) => {
-                self.now = at;
-                self.fired += 1;
-                event.fire(model, self);
-                true
-            }
-        }
-    }
 }
 
 impl<M> Sim<M> {
@@ -532,21 +518,6 @@ mod tests {
             .unwrap();
         assert_eq!(sim.run(&mut out), SimStatus::Drained);
         assert_eq!(out, [101, 500, 1_000_000]);
-    }
-
-    #[test]
-    fn step_fires_single_event() {
-        let mut n = 0u64;
-        let mut sim: Sim<u64> = Sim::new();
-        sim.schedule_at(Time::from_ns(1), |m: &mut u64, _| *m += 1)
-            .unwrap();
-        sim.schedule_at(Time::from_ns(2), |m: &mut u64, _| *m += 1)
-            .unwrap();
-        assert!(sim.step(&mut n));
-        assert_eq!(n, 1);
-        assert!(sim.step(&mut n));
-        assert!(!sim.step(&mut n));
-        assert_eq!(n, 2);
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (+∞ if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -356,15 +351,6 @@ impl Histogram {
         value
     }
 
-    /// Returns the `(value, count)` pairs of the `k` most frequent values,
-    /// most frequent first (ties broken by smaller value first).
-    pub fn top_k(&self, k: usize) -> Vec<(u64, u64)> {
-        let mut pairs: Vec<(u64, u64)> = self.iter().collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (v, c) in other.iter() {
@@ -452,7 +438,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-12);
@@ -507,15 +492,6 @@ mod tests {
         h.record_n(10, 2);
         h.record_n(40, 2);
         assert!((h.mean() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_top_k_orders_by_count() {
-        let mut h = Histogram::new();
-        h.record_n(12, 5);
-        h.record_n(140, 20);
-        h.record_n(20, 10);
-        assert_eq!(h.top_k(2), vec![(140, 20), (20, 10)]);
     }
 
     #[test]

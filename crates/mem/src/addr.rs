@@ -153,19 +153,6 @@ impl BlockGeometry {
         let last = self.block_of(Addr(addr.0 + len - 1)).0;
         (last - first) / self.block_bytes + 1
     }
-
-    /// Iterates over the blocks touched by the region `[addr, addr+len)`.
-    pub fn blocks_of_region(self, addr: Addr, len: u64) -> impl Iterator<Item = BlockAddr> {
-        let first = self.block_of(addr);
-        let n = self.blocks_spanned(addr, len);
-        (0..n).map(move |i| self.block_at(first, i))
-    }
-
-    /// Number of whole blocks needed to hold `len` bytes (block-aligned
-    /// data, e.g. a message copied into a block-aligned queue slot).
-    pub fn blocks_for_len(self, len: u64) -> u64 {
-        len.div_ceil(self.block_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -190,26 +177,6 @@ mod tests {
         assert_eq!(geo.blocks_spanned(Addr::new(0), 65), 2);
         assert_eq!(geo.blocks_spanned(Addr::new(60), 8), 2);
         assert_eq!(geo.blocks_spanned(Addr::new(64), 128), 2);
-    }
-
-    #[test]
-    fn blocks_of_region_enumerates() {
-        let geo = BlockGeometry::new(64);
-        let blocks: Vec<u64> = geo
-            .blocks_of_region(Addr::new(60), 70)
-            .map(|b| b.raw())
-            .collect();
-        assert_eq!(blocks, vec![0, 64, 128]);
-    }
-
-    #[test]
-    fn blocks_for_len_rounds_up() {
-        let geo = BlockGeometry::new(64);
-        assert_eq!(geo.blocks_for_len(0), 0);
-        assert_eq!(geo.blocks_for_len(1), 1);
-        assert_eq!(geo.blocks_for_len(64), 1);
-        assert_eq!(geo.blocks_for_len(65), 2);
-        assert_eq!(geo.blocks_for_len(256), 4);
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl BusOp {
         BusOp::Upgrade,
     ];
 
-    /// True if the transaction moves a whole cache block.
-    pub fn is_block(self) -> bool {
-        matches!(
-            self,
-            BusOp::BlockRead | BusOp::BlockReadExclusive | BusOp::BlockWrite
-        )
-    }
-
     /// Bytes of data moved by this transaction under `cfg`.
     pub fn data_bytes(self, cfg: &BusConfig) -> u64 {
         match self {
@@ -132,11 +124,6 @@ impl BusConfig {
             self.arbitration_cycles + self.address_cycles + self.data_cycles(op.data_bytes(self));
         Dur::cycles(cycles, self.clock_period.as_ns())
     }
-
-    /// Peak data bandwidth in bytes per nanosecond.
-    pub fn peak_bandwidth(&self) -> f64 {
-        self.width_bytes as f64 / self.clock_period.as_ns() as f64
-    }
 }
 
 /// The time window granted to one bus transaction.
@@ -146,13 +133,6 @@ pub struct BusGrant {
     pub start: Time,
     /// When its bus phases complete (the bus is free again).
     pub end: Time,
-}
-
-impl BusGrant {
-    /// Queueing delay suffered before the transaction started.
-    pub fn wait_since(&self, requested: Time) -> Dur {
-        self.start.saturating_since(requested)
-    }
 }
 
 /// Per-bus transaction statistics.
@@ -303,15 +283,6 @@ impl Bus {
         }
         BusGrant { start, end }
     }
-
-    /// Fraction of `elapsed` the bus spent busy.
-    pub fn utilization(&self, elapsed: Dur) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.stats.busy.as_ns() as f64 / elapsed.as_ns() as f64
-        }
-    }
 }
 
 /// The dynamic state: free time, per-class counts, busy time, data bytes
@@ -397,7 +368,7 @@ mod tests {
         assert_eq!(g2.start, g1.end);
         // The bus went idle before t=100, so g3 starts on request.
         assert_eq!(g3.start, Time::from_ns(100));
-        assert_eq!(g2.wait_since(Time::ZERO), Dur::ns(16));
+        assert_eq!(g2.start, Time::from_ns(16));
     }
 
     #[test]
@@ -538,20 +509,6 @@ mod tests {
             err.to_string(),
             "busy time does not match the transaction counts"
         );
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut bus = Bus::new(BusConfig::default());
-        bus.acquire(Time::ZERO, BusOp::BlockRead); // 16 ns busy
-        assert!((bus.utilization(Dur::ns(64)) - 0.25).abs() < 1e-12);
-        assert_eq!(bus.utilization(Dur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn peak_bandwidth() {
-        // 32 B / 4 ns = 8 B/ns = 8 GB/s.
-        assert!((BusConfig::default().peak_bandwidth() - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -418,19 +418,6 @@ impl Cache {
     pub fn block_of(&self, addr: Addr) -> BlockAddr {
         self.geo.block_of(addr)
     }
-
-    /// Clears every line (used between experiment phases).
-    pub fn flush_all(&mut self) {
-        for l in self
-            .lines
-            .pages
-            .iter_mut()
-            .flatten()
-            .flat_map(|p| p.iter_mut())
-        {
-            l.state = MoesiState::Invalid;
-        }
-    }
 }
 
 /// The dynamic state — the slot count, every slot that differs from an
@@ -937,15 +924,6 @@ mod tests {
         let mut c = small();
         let b = block(&c, 0x40);
         c.set_state(b, MoesiState::Shared);
-    }
-
-    #[test]
-    fn flush_all_empties() {
-        let mut c = small();
-        c.insert(block(&c, 0), MoesiState::Modified);
-        c.insert(block(&c, 64), MoesiState::Shared);
-        c.flush_all();
-        assert_eq!(c.valid_lines(), 0);
     }
 
     #[test]

@@ -82,13 +82,6 @@ impl MemoryDevice {
         self.latency
     }
 
-    /// Latency to accept a write. Writes are buffered at the device, so
-    /// they complete for the bus as soon as the data phase ends; the
-    /// device latency is hidden. Reported as zero.
-    pub fn write_latency(&self) -> Dur {
-        Dur::ZERO
-    }
-
     /// Records one read access.
     pub fn record_read(&mut self) {
         self.reads.inc();
@@ -158,14 +151,6 @@ mod tests {
         assert_eq!(
             fresh.restore(&truncated).unwrap_err().to_string(),
             "missing key `writes`"
-        );
-    }
-
-    #[test]
-    fn writes_are_posted() {
-        assert_eq!(
-            MemoryDevice::new(MemoryKind::Main).write_latency(),
-            Dur::ZERO
         );
     }
 }

@@ -305,14 +305,6 @@ impl FaultPlan {
         self.swallowed.keys().copied()
     }
 
-    /// True if `node` is crashed at `now`.
-    pub fn crashed_at(&self, now: Time, node: NodeId) -> bool {
-        self.cfg
-            .crash
-            .iter()
-            .any(|c| c.node == node && now >= c.start && now < c.end)
-    }
-
     /// Decides the fate of a message injected at `now` on `src -> dst`.
     ///
     /// Returns the physical deliveries the wire should perform: none
@@ -538,9 +530,6 @@ mod tests {
         assert_eq!(plan.stats().blackholed, 2);
         assert_eq!(plan.swallowed_from(A), 1);
         assert_eq!(plan.swallowed_from(B), 1);
-        assert!(plan.crashed_at(Time::from_ns(150), B));
-        assert!(!plan.crashed_at(Time::from_ns(150), A));
-        assert!(!plan.crashed_at(Time::from_ns(200), B));
     }
 
     #[test]

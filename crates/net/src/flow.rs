@@ -151,11 +151,6 @@ impl FlowControlEndpoint {
         self.recv_in_use
     }
 
-    /// True if an outgoing buffer is free right now.
-    pub fn can_send(&self) -> bool {
-        self.buffers.has_free(self.send_in_use)
-    }
-
     /// Attempts to allocate an outgoing buffer for a new injection.
     pub fn try_alloc_send(&mut self) -> bool {
         if self.buffers.has_free(self.send_in_use) {

@@ -9,12 +9,12 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_engine::{Dur, SplitMix64, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Tag of a boundary-data request (12 B on the wire).
 pub const TAG_REQ: u32 = 10;
@@ -71,57 +71,40 @@ pub struct Appbt {
     neighbors: Vec<NodeId>,
     params: AppParams,
     rng: SplitMix64,
-    iters_left: u32,
-    steps: VecDeque<Step>,
     expected_responses: u32,
     responses: u32,
 }
 
 impl Appbt {
-    fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Appbt {
+    pub(super) fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Appbt {
         let dims = grid_dims(nodes);
         Appbt {
             neighbors: grid_neighbors(node.0, dims),
             params,
             rng: SplitMix64::new(seed ^ (0xA9_B7 + node.0 as u64)),
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
             expected_responses: 0,
             responses: 0,
         }
     }
+}
 
+impl Skeleton for Appbt {
     /// Builds one iteration's program: interleaved compute and boundary
     /// requests to every neighbour, then wait for all responses, then an
     /// iteration barrier.
-    fn refill(&mut self) {
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
         let requests = self.params.intensity * self.neighbors.len() as u32;
         let chunk = Dur::ns(self.params.compute.as_ns() / requests.max(1) as u64);
         self.expected_responses = requests;
         self.responses = 0;
         for k in 0..requests {
             let dst = self.neighbors[(k as usize) % self.neighbors.len()];
-            self.steps.push_back(Step::Compute(chunk));
+            steps.push_back(Step::Compute(chunk));
             // 4 B payload = 12 B on the wire: a boundary-block request.
-            self.steps
-                .push_back(Step::Send(SendSpec::new(dst, 4, TAG_REQ)));
+            steps.push_back(Step::Send(SendSpec::new(dst, 4, TAG_REQ)));
         }
-        self.steps.push_back(Step::WaitUntilReady);
-        self.steps.push_back(Step::Barrier);
-    }
-}
-
-impl Skeleton for Appbt {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
-        }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
+        steps.push_back(Step::WaitUntilReady);
+        steps.push_back(Step::Barrier);
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -144,17 +127,6 @@ impl Skeleton for Appbt {
 
     fn ready_to_proceed(&self) -> bool {
         self.responses >= self.expected_responses
-    }
-}
-
-/// Machine factory for appbt.
-pub fn factory(nodes: u32, seed: u64, params: AppParams) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Appbt::new(id, nodes, seed, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
     }
 }
 

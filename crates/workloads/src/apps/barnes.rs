@@ -12,12 +12,12 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_engine::{Dur, SplitMix64, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Tag of a tree-walk request (12 B wire).
 pub const TAG_REQ: u32 = 20;
@@ -30,21 +30,17 @@ pub struct Barnes {
     nodes: u32,
     params: AppParams,
     rng: SplitMix64,
-    iters_left: u32,
-    steps: VecDeque<Step>,
     expected_responses: u32,
     responses: u32,
 }
 
 impl Barnes {
-    fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Barnes {
+    pub(super) fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Barnes {
         Barnes {
             me: node,
             nodes,
             params,
             rng: SplitMix64::new(seed ^ (0xBA_12 + node.0 as u64)),
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
             expected_responses: 0,
             responses: 0,
         }
@@ -58,10 +54,12 @@ impl Barnes {
             }
         }
     }
+}
 
+impl Skeleton for Barnes {
     /// One iteration: bursts of tree-walk requests to random owners
     /// (window of `intensity` outstanding), wait for replies, barrier.
-    fn refill(&mut self) {
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
         let windows = 4;
         let per_window = self.params.intensity;
         let total = windows * per_window;
@@ -69,29 +67,14 @@ impl Barnes {
         self.expected_responses = total;
         self.responses = 0;
         for _ in 0..windows {
-            self.steps.push_back(Step::Compute(chunk));
+            steps.push_back(Step::Compute(chunk));
             for _ in 0..per_window {
                 let dst = self.random_peer();
-                self.steps
-                    .push_back(Step::Send(SendSpec::new(dst, 4, TAG_REQ)));
+                steps.push_back(Step::Send(SendSpec::new(dst, 4, TAG_REQ)));
             }
         }
-        self.steps.push_back(Step::WaitUntilReady);
-        self.steps.push_back(Step::Barrier);
-    }
-}
-
-impl Skeleton for Barnes {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
-        }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
+        steps.push_back(Step::WaitUntilReady);
+        steps.push_back(Step::Barrier);
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -121,17 +104,6 @@ impl Skeleton for Barnes {
 
     fn ready_to_proceed(&self) -> bool {
         self.responses >= self.expected_responses
-    }
-}
-
-/// Machine factory for barnes.
-pub fn factory(nodes: u32, seed: u64, params: AppParams) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Barnes::new(id, nodes, seed, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
     }
 }
 

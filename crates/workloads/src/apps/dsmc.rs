@@ -7,12 +7,12 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_engine::{Dur, SplitMix64, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Tag of a particle-batch message.
 pub const TAG_PARTICLES: u32 = 30;
@@ -23,19 +23,15 @@ pub struct Dsmc {
     nodes: u32,
     params: AppParams,
     rng: SplitMix64,
-    iters_left: u32,
-    steps: VecDeque<Step>,
 }
 
 impl Dsmc {
-    fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Dsmc {
+    pub(super) fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Dsmc {
         Dsmc {
             me: node,
             nodes,
             params,
             rng: SplitMix64::new(seed ^ (0xD5_3C + node.0 as u64)),
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
         }
     }
 
@@ -62,36 +58,23 @@ impl Dsmc {
             132
         }
     }
-
-    /// One iteration: collision computation, then a migration phase that
-    /// streams particle batches to consumers, then a barrier (the paper's
-    /// per-iteration particle exchange).
-    fn refill(&mut self) {
-        let batches = self.params.intensity * 3;
-        let chunk = Dur::ns(self.params.compute.as_ns() / 2);
-        self.steps.push_back(Step::Compute(chunk));
-        for _ in 0..batches {
-            let dst = self.pick_consumer();
-            let payload = self.batch_payload();
-            self.steps
-                .push_back(Step::Send(SendSpec::new(dst, payload, TAG_PARTICLES)));
-        }
-        self.steps.push_back(Step::Compute(chunk));
-        self.steps.push_back(Step::Barrier);
-    }
 }
 
 impl Skeleton for Dsmc {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
+    /// One iteration: collision computation, then a migration phase that
+    /// streams particle batches to consumers, then a barrier (the paper's
+    /// per-iteration particle exchange).
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+        let batches = self.params.intensity * 3;
+        let chunk = Dur::ns(self.params.compute.as_ns() / 2);
+        steps.push_back(Step::Compute(chunk));
+        for _ in 0..batches {
+            let dst = self.pick_consumer();
+            let payload = self.batch_payload();
+            steps.push_back(Step::Send(SendSpec::new(dst, payload, TAG_PARTICLES)));
         }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
+        steps.push_back(Step::Compute(chunk));
+        steps.push_back(Step::Barrier);
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -99,17 +82,6 @@ impl Skeleton for Dsmc {
         // Insert the received particles into local cells: cost scales
         // with batch size.
         HandlerSpec::compute(Dur::ns(800 + msg.payload_bytes * 2))
-    }
-}
-
-/// Machine factory for dsmc.
-pub fn factory(nodes: u32, seed: u64, params: AppParams) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Dsmc::new(id, nodes, seed, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
     }
 }
 

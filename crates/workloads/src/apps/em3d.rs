@@ -14,13 +14,13 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
-use nisim_engine::codec::{ensure, DecodeError};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
+use nisim_engine::codec::{ensure, DecodeError, Fields};
 use nisim_engine::{Dur, Json, SplitMix64, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Tag of an edge-update message (12 B payload -> 20 B wire).
 pub const TAG_UPDATE: u32 = 40;
@@ -31,12 +31,10 @@ pub const DEGREE: usize = 5;
 pub struct Em3d {
     neighbors: Vec<NodeId>,
     params: AppParams,
-    iters_left: u32,
-    steps: VecDeque<Step>,
 }
 
 impl Em3d {
-    fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Em3d {
+    pub(super) fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Em3d {
         // Fixed random bipartite-ish neighbour set: nodes alternate
         // between the two graph halves by parity.
         let mut rng = SplitMix64::new(seed ^ (0xE3_D0 + node.0 as u64));
@@ -53,41 +51,23 @@ impl Em3d {
         if neighbors.is_empty() {
             neighbors.push(NodeId((node.0 + 1) % nodes));
         }
-        Em3d {
-            neighbors,
-            params,
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
-        }
-    }
-
-    /// One iteration: a short compute phase then a *burst* of updates —
-    /// `intensity` messages per edge, sent back-to-back, one neighbour at
-    /// a time (all of an edge's updates are consecutive, so a popular
-    /// graph node sees sustained many-to-one bursts).
-    fn refill(&mut self) {
-        self.steps.push_back(Step::Compute(self.params.compute));
-        for &dst in &self.neighbors {
-            for _ in 0..self.params.intensity {
-                self.steps
-                    .push_back(Step::Send(SendSpec::new(dst, 12, TAG_UPDATE)));
-            }
-        }
-        self.steps.push_back(Step::Barrier);
+        Em3d { neighbors, params }
     }
 }
 
 impl Skeleton for Em3d {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
+    /// One iteration: a short compute phase then a *burst* of updates —
+    /// `intensity` messages per edge, sent back-to-back, one neighbour at
+    /// a time (all of an edge's updates are consecutive, so a popular
+    /// graph node sees sustained many-to-one bursts).
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+        steps.push_back(Step::Compute(self.params.compute));
+        for &dst in &self.neighbors {
+            for _ in 0..self.params.intensity {
+                steps.push_back(Step::Send(SendSpec::new(dst, 12, TAG_UPDATE)));
+            }
         }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
+        steps.push_back(Step::Barrier);
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -96,10 +76,6 @@ impl Skeleton for Em3d {
         HandlerSpec::compute(Dur::ns(120))
     }
 
-    // The neighbour set is a pure function of (node, nodes, seed), so
-    // only the program counter state needs to cross a checkpoint. Every
-    // queued step is one `refill` makes: the compute phase, an update to
-    // a neighbour, or the barrier.
     /// Em3d only sends its two-integer updates, to its neighbours.
     fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
         ensure(
@@ -108,39 +84,27 @@ impl Skeleton for Em3d {
         )
     }
 
+    /// Every queued step is one an iteration makes: the compute phase,
+    /// an update to a neighbour, or the barrier.
+    fn check_step(&self, step: &Step) -> Result<(), DecodeError> {
+        let queued = match step {
+            Step::Compute(d) => *d == self.params.compute,
+            Step::Send(spec) => self.check_send(spec).is_ok(),
+            Step::Barrier => true,
+            Step::WaitUntilReady => false,
+        };
+        ensure(queued, "a step em3d never queues")
+    }
+
+    // The neighbour set is a pure function of (node, nodes, seed), and
+    // the process keeps the program loop, so em3d keeps no state of its
+    // own across a checkpoint.
     fn snapshot(&self) -> Option<Json> {
-        Some(self.snapshot())
+        Some(Json::obj())
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
-        self.restore(state)
-    }
-}
-
-impl Em3d {
-    nisim_engine::state_fields! {
-        { iters_left, steps }
-        check |e: &Em3d| {
-            ensure(e.iters_left <= e.params.iterations, "more iterations left than the run has")?;
-            let refilled = |s: &Step| match s {
-                Step::Compute(d) => *d == e.params.compute,
-                Step::Send(spec) => Skeleton::check_send(e, spec).is_ok(),
-                Step::Barrier => true,
-                Step::WaitUntilReady | Step::Done => false,
-            };
-            ensure(e.steps.iter().all(refilled), "a step em3d never queues")
-        }
-    }
-}
-
-/// Machine factory for em3d.
-pub fn factory(nodes: u32, seed: u64, params: AppParams) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Em3d::new(id, nodes, seed, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
+        Fields::of(state)?.finish()
     }
 }
 

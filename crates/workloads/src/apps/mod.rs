@@ -9,6 +9,13 @@
 //! | moldyn | bulk ring reduction | [`moldyn`] |
 //! | spsolve | very fine-grain DAG propagation | [`spsolve`] |
 //! | unstructured | single-producer multi-consumer bulk updates | [`unstructured`] |
+//!
+//! Each app is one registry row, [`MacroApp::spec`]: its name, default
+//! parameters, the paper's Table 4 modes and its constructor. A
+//! skeleton queues one iteration's steps at a time; [`SkeletonProcess`]
+//! runs the loop, the barrier and checkpoints. Adding an app means its
+//! skeleton file plus, here, a `pub mod`, a variant, its
+//! [`MacroApp::ALL`] entry and its row.
 
 pub mod appbt;
 pub mod barnes;
@@ -22,6 +29,12 @@ use nisim_core::process::Process;
 use nisim_core::{Machine, MachineConfig, MachineReport};
 use nisim_engine::{Dur, SimStatus};
 use nisim_net::NodeId;
+
+use self::{
+    appbt::Appbt, barnes::Barnes, dsmc::Dsmc, em3d::Em3d, moldyn::Moldyn, spsolve::Spsolve,
+    unstructured::Unstructured,
+};
+use crate::skeleton::{Skeleton, SkeletonProcess};
 
 /// Which macrobenchmark to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,8 +55,38 @@ pub enum MacroApp {
     Unstructured,
 }
 
+/// One modal size of an application's traffic (Table 4).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SizeMode {
+    /// Message size in bytes, header included.
+    pub bytes: u64,
+    /// Fraction of the application's messages at this size.
+    pub fraction: f64,
+}
+
+/// Mean of unstructured's bulk-message size range (bytes, with header).
+pub const UNSTRUCTURED_RANGE_MEAN: f64 = 351.0;
+
+/// One macrobenchmark's registry row: everything the simulator knows
+/// about the app outside its skeleton file.
+#[derive(Clone, Copy)]
+pub struct AppSpec {
+    /// The benchmark's name as the paper prints it (sweep records and
+    /// CLI flags are keyed on it).
+    pub name: &'static str,
+    /// Default (scaled-down) parameters, tuned so the full NI × buffer
+    /// sweeps finish quickly while preserving the pattern's character.
+    pub params: AppParams,
+    /// The paper's Table 4 modal sizes and fractions, smallest first.
+    pub modes: &'static [SizeMode],
+    /// Builds the process of node `id` of a `nodes`-node run from the
+    /// machine seed and the parameters.
+    pub build: fn(NodeId, u32, u64, AppParams) -> Box<dyn Process>,
+}
+
 impl MacroApp {
-    /// All seven, in the paper's order.
+    /// All seven, in the paper's order. Adding an app means a variant,
+    /// an entry here and a [`MacroApp::spec`] row.
     pub const ALL: [MacroApp; 7] = [
         MacroApp::Appbt,
         MacroApp::Barnes,
@@ -54,6 +97,69 @@ impl MacroApp {
         MacroApp::Unstructured,
     ];
 
+    /// The app's registry row.
+    pub const fn spec(self) -> AppSpec {
+        match self {
+            // Request/response apps: computation dominates per iteration
+            // (the real applications are compute-heavy CFD/N-body codes).
+            MacroApp::Appbt => AppSpec {
+                name: "appbt",
+                params: params(4, 4, Dur::us(12)),
+                modes: &const { [mode(12, 0.67), mode(32, 0.32)] },
+                build: |id, nodes, seed, p| process(Appbt::new(id, nodes, seed, p), id, nodes, p),
+            },
+            MacroApp::Barnes => AppSpec {
+                name: "barnes",
+                params: params(4, 6, Dur::us(12)),
+                modes: &const { [mode(12, 0.67), mode(16, 0.04), mode(140, 0.29)] },
+                build: |id, nodes, seed, p| process(Barnes::new(id, nodes, seed, p), id, nodes, p),
+            },
+            MacroApp::Dsmc => AppSpec {
+                name: "dsmc",
+                params: params(5, 8, Dur::us(14)),
+                modes: &const { [mode(12, 0.45), mode(44, 0.25), mode(140, 0.26)] },
+                build: |id, nodes, seed, p| process(Dsmc::new(id, nodes, seed, p), id, nodes, p),
+            },
+            // The two bursty fine-grain apps: little compute per message.
+            MacroApp::Em3d => AppSpec {
+                name: "em3d",
+                params: params(5, 26, Dur::us(3)),
+                modes: &const { [mode(12, 0.02), mode(20, 0.98)] },
+                build: |id, nodes, seed, p| process(Em3d::new(id, nodes, seed, p), id, nodes, p),
+            },
+            MacroApp::Moldyn => AppSpec {
+                name: "moldyn",
+                params: params(3, 1, Dur::us(20)),
+                modes: &const {
+                    [
+                        mode(8, 0.05),
+                        mode(12, 0.65),
+                        mode(140, 0.27),
+                        mode(3084, 0.02),
+                    ]
+                },
+                build: |id, nodes, _, p| process(Moldyn::new(id, nodes, p), id, nodes, p),
+            },
+            MacroApp::Spsolve => AppSpec {
+                name: "spsolve",
+                params: params(4, 10, Dur::us(1)),
+                modes: &const { [mode(8, 0.06), mode(12, 0.03), mode(20, 0.91)] },
+                build: |id, nodes, _, p| process(Spsolve::new(id, nodes, p), id, nodes, p),
+            },
+            // The paper gives unstructured one mode at 8 B and a broad
+            // 12-1812 B range averaging 351 B: the row keeps the mode, and
+            // the range's average is [`UNSTRUCTURED_RANGE_MEAN`].
+            MacroApp::Unstructured => AppSpec {
+                name: "unstructured",
+                params: params(4, 2, Dur::us(16)),
+                modes: &const { [mode(8, 0.35)] },
+                build: |id, nodes, seed, p| {
+                    process(Unstructured::new(id, nodes, seed, p), id, nodes, p)
+                },
+            },
+        }
+    }
+
     /// Parses a [`name`](MacroApp::name) back into an app (sweep records
     /// and CLI flags are keyed on the paper's names).
     pub fn from_name(name: &str) -> Option<MacroApp> {
@@ -61,62 +167,38 @@ impl MacroApp {
     }
 
     /// The benchmark's name as the paper prints it.
-    pub fn name(self) -> &'static str {
-        match self {
-            MacroApp::Appbt => "appbt",
-            MacroApp::Barnes => "barnes",
-            MacroApp::Dsmc => "dsmc",
-            MacroApp::Em3d => "em3d",
-            MacroApp::Moldyn => "moldyn",
-            MacroApp::Spsolve => "spsolve",
-            MacroApp::Unstructured => "unstructured",
-        }
+    pub const fn name(self) -> &'static str {
+        self.spec().name
     }
 
-    /// Default (scaled-down) parameters tuned so the full NI × buffer
-    /// sweeps finish quickly while preserving each pattern's character.
-    pub fn default_params(self) -> AppParams {
-        match self {
-            // Request/response apps: computation dominates per iteration
-            // (the real applications are compute-heavy CFD/N-body codes).
-            MacroApp::Appbt => AppParams {
-                iterations: 4,
-                intensity: 4,
-                compute: Dur::us(12),
-            },
-            MacroApp::Barnes => AppParams {
-                iterations: 4,
-                intensity: 6,
-                compute: Dur::us(12),
-            },
-            MacroApp::Dsmc => AppParams {
-                iterations: 5,
-                intensity: 8,
-                compute: Dur::us(14),
-            },
-            // The two bursty fine-grain apps: little compute per message.
-            MacroApp::Em3d => AppParams {
-                iterations: 5,
-                intensity: 26,
-                compute: Dur::us(3),
-            },
-            MacroApp::Spsolve => AppParams {
-                iterations: 4,
-                intensity: 10,
-                compute: Dur::us(1),
-            },
-            MacroApp::Moldyn => AppParams {
-                iterations: 3,
-                intensity: 1,
-                compute: Dur::us(20),
-            },
-            MacroApp::Unstructured => AppParams {
-                iterations: 4,
-                intensity: 2,
-                compute: Dur::us(16),
-            },
-        }
+    /// The row's default parameters.
+    pub const fn default_params(self) -> AppParams {
+        self.spec().params
     }
+}
+
+/// The parameters of a registry row.
+const fn params(iterations: u32, intensity: u32, compute: Dur) -> AppParams {
+    AppParams {
+        iterations,
+        intensity,
+        compute,
+    }
+}
+
+/// A Table 4 mode of a registry row.
+const fn mode(bytes: u64, fraction: f64) -> SizeMode {
+    SizeMode { bytes, fraction }
+}
+
+/// Node `id`'s process running `skeleton` for the run's iterations.
+fn process(
+    skeleton: impl Skeleton + 'static,
+    id: NodeId,
+    nodes: u32,
+    p: AppParams,
+) -> Box<dyn Process> {
+    Box::new(SkeletonProcess::new(skeleton, id, nodes, p.iterations))
 }
 
 impl std::fmt::Display for MacroApp {
@@ -146,15 +228,8 @@ pub fn factory(
     seed: u64,
     params: AppParams,
 ) -> Box<dyn FnMut(NodeId) -> Box<dyn Process>> {
-    match app {
-        MacroApp::Appbt => Box::new(appbt::factory(nodes, seed, params)),
-        MacroApp::Barnes => Box::new(barnes::factory(nodes, seed, params)),
-        MacroApp::Dsmc => Box::new(dsmc::factory(nodes, seed, params)),
-        MacroApp::Em3d => Box::new(em3d::factory(nodes, seed, params)),
-        MacroApp::Moldyn => Box::new(moldyn::factory(nodes, seed, params)),
-        MacroApp::Spsolve => Box::new(spsolve::factory(nodes, seed, params)),
-        MacroApp::Unstructured => Box::new(unstructured::factory(nodes, seed, params)),
-    }
+    let build = app.spec().build;
+    Box::new(move |id| build(id, nodes, seed, params))
 }
 
 /// Runs `app` on the machine described by `cfg` and returns the report.
@@ -261,5 +336,32 @@ mod tests {
                 "unstructured"
             ]
         );
+    }
+
+    #[test]
+    fn paper_fractions_are_near_complete() {
+        // Each row's listed fractions should cover most of the traffic
+        // (the paper notes trivial fractions at other sizes).
+        for app in MacroApp::ALL {
+            if app == MacroApp::Unstructured {
+                continue; // one mode + a range
+            }
+            let total: f64 = app.spec().modes.iter().map(|m| m.fraction).sum();
+            assert!(total >= 0.9, "{app:?}: {total}");
+        }
+    }
+
+    #[test]
+    fn modes_are_sorted_and_positive() {
+        for app in MacroApp::ALL {
+            let modes = app.spec().modes;
+            for w in modes.windows(2) {
+                assert!(w[0].bytes < w[1].bytes);
+            }
+            for m in modes {
+                assert!(m.fraction > 0.0 && m.fraction <= 1.0);
+                assert!(m.bytes >= 8, "messages include an 8-byte header");
+            }
+        }
     }
 }

@@ -12,12 +12,12 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_engine::{Dur, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Tag of a bulk reduction payload (3084 B wire).
 pub const TAG_BULK: u32 = 50;
@@ -32,32 +32,30 @@ pub const TAG_PROBE: u32 = 53;
 pub struct Moldyn {
     successor: NodeId,
     params: AppParams,
-    iters_left: u32,
-    steps: VecDeque<Step>,
     /// Bulk messages received this iteration (reduction arrival).
     bulks_received: u32,
     bulks_expected: u32,
 }
 
 impl Moldyn {
-    fn new(node: NodeId, nodes: u32, params: AppParams) -> Moldyn {
+    pub(super) fn new(node: NodeId, nodes: u32, params: AppParams) -> Moldyn {
         Moldyn {
             successor: NodeId((node.0 + 1) % nodes),
             params,
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
             bulks_received: 0,
             bulks_expected: 0,
         }
     }
+}
 
+impl Skeleton for Moldyn {
     /// One reduction round: force computation, control traffic, the
     /// chunked + bulk transfer to the ring successor, wait for our own
     /// predecessor's bulk, then the iteration barrier.
     ///
     /// Message mix per round and node: 1×3084 B, 13×140 B, 33×12 B,
     /// 2×8 B — the Table 4 proportions (≈2 %/27 %/65 %/4 %).
-    fn refill(&mut self) {
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
         let rounds = self.params.intensity;
         // A fast predecessor's next-round bulks can arrive before this
         // node leaves the barrier: carry them over instead of zeroing.
@@ -65,41 +63,23 @@ impl Moldyn {
         self.bulks_expected = rounds;
         let chunk = Dur::ns(self.params.compute.as_ns() / rounds.max(1) as u64 / 2);
         for _ in 0..rounds {
-            self.steps.push_back(Step::Compute(chunk));
+            steps.push_back(Step::Compute(chunk));
             let dst = self.successor;
             for _ in 0..2 {
-                self.steps
-                    .push_back(Step::Send(SendSpec::new(dst, 0, TAG_PROBE)));
+                steps.push_back(Step::Send(SendSpec::new(dst, 0, TAG_PROBE)));
             }
             // Credit/control messages interleaved with the chunk stream.
             for k in 0..33u32 {
-                self.steps
-                    .push_back(Step::Send(SendSpec::new(dst, 4, TAG_CTRL)));
+                steps.push_back(Step::Send(SendSpec::new(dst, 4, TAG_CTRL)));
                 if k % 3 == 0 && k / 3 < 13 {
-                    self.steps
-                        .push_back(Step::Send(SendSpec::new(dst, 132, TAG_CHUNK)));
+                    steps.push_back(Step::Send(SendSpec::new(dst, 132, TAG_CHUNK)));
                 }
             }
-            self.steps
-                .push_back(Step::Send(SendSpec::new(dst, 3076, TAG_BULK)));
-            self.steps.push_back(Step::Compute(chunk));
+            steps.push_back(Step::Send(SendSpec::new(dst, 3076, TAG_BULK)));
+            steps.push_back(Step::Compute(chunk));
         }
-        self.steps.push_back(Step::WaitUntilReady);
-        self.steps.push_back(Step::Barrier);
-    }
-}
-
-impl Skeleton for Moldyn {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
-        }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
+        steps.push_back(Step::WaitUntilReady);
+        steps.push_back(Step::Barrier);
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -117,21 +97,6 @@ impl Skeleton for Moldyn {
 
     fn ready_to_proceed(&self) -> bool {
         self.bulks_received >= self.bulks_expected
-    }
-}
-
-/// Machine factory for moldyn.
-pub fn factory(
-    nodes: u32,
-    _seed: u64,
-    params: AppParams,
-) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Moldyn::new(id, nodes, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
     }
 }
 
@@ -187,13 +152,13 @@ mod tests {
         };
         let mut m = Moldyn::new(NodeId(2), 8, MacroApp::Moldyn.default_params());
         let rounds = m.params.intensity;
-        m.refill();
+        m.iteration(0, &mut VecDeque::new());
         // This round's bulks and the first of the next one all arrive
         // before the barrier releases this node.
         for _ in 0..=rounds {
             m.on_app_message(&bulk, Time::ZERO);
         }
-        m.refill();
+        m.iteration(0, &mut VecDeque::new());
         for _ in 1..rounds {
             m.on_app_message(&bulk, Time::ZERO);
         }

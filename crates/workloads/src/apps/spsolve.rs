@@ -13,13 +13,13 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_engine::codec::{ensure, DecodeError};
 use nisim_engine::{Dur, Json, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Sparks carry their remaining hop budget in the tag above this base.
 pub const TAG_SPARK_BASE: u32 = 600;
@@ -39,8 +39,6 @@ pub struct Spsolve {
     me: NodeId,
     nodes: u32,
     params: AppParams,
-    iters_left: u32,
-    steps: VecDeque<Step>,
     /// Arrivals accumulated per DAG level towards element completions.
     acc: Vec<u32>,
     /// Elements fired per DAG level (drives deterministic edge routing).
@@ -48,13 +46,11 @@ pub struct Spsolve {
 }
 
 impl Spsolve {
-    fn new(node: NodeId, nodes: u32, params: AppParams) -> Spsolve {
+    pub(super) fn new(node: NodeId, nodes: u32, params: AppParams) -> Spsolve {
         Spsolve {
             me: node,
             nodes,
             params,
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
             acc: vec![0; SPARK_TTL as usize + 1],
             fired: vec![0; SPARK_TTL as usize + 1],
         }
@@ -65,48 +61,38 @@ impl Spsolve {
     /// node has fired at the level (not of event timing), so the total
     /// message volume is identical across NI designs and buffer counts —
     /// the comparisons measure the NI, not workload noise.
-    fn forward_peer(&mut self, level: usize, edge: u32) -> NodeId {
-        let hop = 1 + ((self.fired[level] + edge) % 2) as u64;
-        NodeId(((self.me.0 as u64 + hop) % self.nodes as u64) as u32)
+    fn forward_peer(&self, level: usize, edge: u32) -> NodeId {
+        self.ahead(1 + u64::from((self.fired[level] + edge) % 2))
     }
 
+    /// The node `hop` partitions ahead of this one.
+    fn ahead(&self, hop: u64) -> NodeId {
+        NodeId(((self.me.0 as u64 + hop) % self.nodes as u64) as u32)
+    }
+}
+
+impl Skeleton for Spsolve {
     /// One solver wavefront: seed a burst of sparks down the local DAG
     /// elements' out-edges. Unlike the time-stepped applications, the
     /// solve is one continuous DAG propagation — wavefronts are *not*
     /// separated by barriers (only a final barrier closes the run), so
     /// in-flight traffic from successive wavefronts overlaps, exactly the
     /// burstiness that makes spsolve buffering-bound.
-    fn refill(&mut self) {
-        let seeds = self.params.intensity;
-        self.steps.push_back(Step::Compute(self.params.compute));
-        for k in 0..seeds {
+    fn iteration(&mut self, left: u32, steps: &mut VecDeque<Step>) {
+        steps.push_back(Step::Compute(self.params.compute));
+        for k in 0..self.params.intensity {
             // Seeds follow the same partition-local edges as the
             // wavefront, so elements actually complete.
-            let hop = 1 + (k % 2) as u64;
-            let dst = NodeId(((self.me.0 as u64 + hop) % self.nodes as u64) as u32);
-            self.steps.push_back(Step::Send(SendSpec::new(
+            let dst = self.ahead(1 + u64::from(k % 2));
+            steps.push_back(Step::Send(SendSpec::new(
                 dst,
                 12,
                 TAG_SPARK_BASE + SPARK_TTL,
             )));
         }
-        if self.iters_left == 0 {
-            self.steps.push_back(Step::Barrier);
+        if left == 0 {
+            steps.push_back(Step::Barrier);
         }
-    }
-}
-
-impl Skeleton for Spsolve {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
-        }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -161,6 +147,22 @@ impl Skeleton for Spsolve {
         ensure(*spec == shape, "a message spsolve never sends")
     }
 
+    /// Every queued step is one an iteration makes: the compute phase, a
+    /// seed spark to one of the next two partitions, or the barrier.
+    fn check_step(&self, step: &Step) -> Result<(), DecodeError> {
+        let queued = match step {
+            Step::Compute(d) => *d == self.params.compute,
+            Step::Send(spec) => {
+                (spec.dst == self.ahead(1) || spec.dst == self.ahead(2))
+                    && spec.tag == TAG_SPARK_BASE + SPARK_TTL
+                    && self.check_send(spec).is_ok()
+            }
+            Step::Barrier => true,
+            Step::WaitUntilReady => false,
+        };
+        ensure(queued, "a step spsolve never queues")
+    }
+
     fn snapshot(&self) -> Option<Json> {
         Some(self.snapshot())
     }
@@ -171,24 +173,11 @@ impl Skeleton for Spsolve {
 }
 
 impl Spsolve {
-    // Every queued step is one `refill` makes, and an element fires (and
-    // resets its count) on its IN_DEGREE-th operand.
+    // An element fires (and resets its count) on its IN_DEGREE-th
+    // operand.
     nisim_engine::state_fields! {
-        { iters_left, steps, acc, fired }
+        { acc, fired }
         check |p: &Spsolve| {
-            ensure(p.iters_left <= p.params.iterations, "more iterations left than the run has")?;
-            let seed_dst = |hop: u64| NodeId(((p.me.0 as u64 + hop) % p.nodes as u64) as u32);
-            let refilled = |s: &Step| match s {
-                Step::Compute(d) => *d == p.params.compute,
-                Step::Send(spec) => {
-                    (spec.dst == seed_dst(1) || spec.dst == seed_dst(2))
-                        && spec.tag == TAG_SPARK_BASE + SPARK_TTL
-                        && Skeleton::check_send(p, spec).is_ok()
-                }
-                Step::Barrier => true,
-                Step::WaitUntilReady | Step::Done => false,
-            };
-            ensure(p.steps.iter().all(refilled), "a step spsolve never queues")?;
             let levels = SPARK_TTL as usize + 1;
             ensure(
                 p.acc.len() == levels
@@ -197,21 +186,6 @@ impl Spsolve {
                 "operand counts out of range",
             )
         }
-    }
-}
-
-/// Machine factory for spsolve.
-pub fn factory(
-    nodes: u32,
-    _seed: u64,
-    params: AppParams,
-) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Spsolve::new(id, nodes, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
     }
 }
 

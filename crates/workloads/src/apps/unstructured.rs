@@ -11,12 +11,12 @@
 
 use std::collections::VecDeque;
 
-use nisim_core::process::{AppMessage, HandlerSpec, Process, SendSpec};
+use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_engine::{Dur, SplitMix64, Time};
 use nisim_net::NodeId;
 
 use super::AppParams;
-use crate::skeleton::{Skeleton, SkeletonProcess, Step};
+use crate::skeleton::{Skeleton, Step};
 
 /// Tag of a bulk batched update.
 pub const TAG_BATCH: u32 = 70;
@@ -30,12 +30,10 @@ pub struct Unstructured {
     consumers: Vec<NodeId>,
     params: AppParams,
     rng: SplitMix64,
-    iters_left: u32,
-    steps: VecDeque<Step>,
 }
 
 impl Unstructured {
-    fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Unstructured {
+    pub(super) fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Unstructured {
         // Static consumers: the mesh partition neighbours, fixed for the
         // whole run (offsets 1, 2 and 4 around the ring).
         let consumers = [1u32, 2, 4]
@@ -48,8 +46,6 @@ impl Unstructured {
             consumers,
             params,
             rng: SplitMix64::new(seed ^ (0x05_7C + node.0 as u64)),
-            iters_left: params.iterations,
-            steps: VecDeque::new(),
         }
     }
 
@@ -65,37 +61,23 @@ impl Unstructured {
             500 + 8 * self.rng.gen_range(163)
         }
     }
-
-    /// One iteration: mesh computation, then for each consumer a
-    /// notification and two batched updates, then the iteration barrier.
-    fn refill(&mut self) {
-        let batches_per_consumer = 2 * self.params.intensity;
-        self.steps.push_back(Step::Compute(self.params.compute));
-        for i in 0..self.consumers.len() {
-            let dst = self.consumers[i];
-            self.steps
-                .push_back(Step::Send(SendSpec::new(dst, 0, TAG_NOTIFY)));
-            for _ in 0..batches_per_consumer {
-                let payload = self.batch_payload();
-                self.steps
-                    .push_back(Step::Send(SendSpec::new(dst, payload, TAG_BATCH)));
-            }
-        }
-        self.steps.push_back(Step::Barrier);
-    }
 }
 
 impl Skeleton for Unstructured {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if let Some(step) = self.steps.pop_front() {
-            return step;
+    /// One iteration: mesh computation, then for each consumer a
+    /// notification and two batched updates, then the iteration barrier.
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+        let batches_per_consumer = 2 * self.params.intensity;
+        steps.push_back(Step::Compute(self.params.compute));
+        for i in 0..self.consumers.len() {
+            let dst = self.consumers[i];
+            steps.push_back(Step::Send(SendSpec::new(dst, 0, TAG_NOTIFY)));
+            for _ in 0..batches_per_consumer {
+                let payload = self.batch_payload();
+                steps.push_back(Step::Send(SendSpec::new(dst, payload, TAG_BATCH)));
+            }
         }
-        if self.iters_left == 0 {
-            return Step::Done;
-        }
-        self.iters_left -= 1;
-        self.refill();
-        self.steps.pop_front().expect("refill produced steps")
+        steps.push_back(Step::Barrier);
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -104,17 +86,6 @@ impl Skeleton for Unstructured {
             TAG_NOTIFY => HandlerSpec::compute(Dur::ns(100)),
             other => unreachable!("unstructured got unexpected tag {other}"),
         }
-    }
-}
-
-/// Machine factory for unstructured.
-pub fn factory(nodes: u32, seed: u64, params: AppParams) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| {
-        Box::new(SkeletonProcess::new(
-            Unstructured::new(id, nodes, seed, params),
-            id,
-            nodes,
-        )) as Box<dyn Process>
     }
 }
 

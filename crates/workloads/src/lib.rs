@@ -9,12 +9,12 @@
 //! * [`apps`] — communication skeletons of the seven §5.2
 //!   macrobenchmarks (appbt, barnes, dsmc, em3d, moldyn, spsolve,
 //!   unstructured), parameterised by the paper's Table 4 message-size
-//!   distributions and communication patterns,
-//! * [`skeleton`] — the shared workload framework: step-driven
-//!   processes and a real message-based barrier,
-//! * [`table4`] — the Table 4 distributions as data plus the
-//!   characterisation runner that regenerates the table from simulated
-//!   traffic,
+//!   distributions and communication patterns; each app's name, default
+//!   parameters, Table 4 modes and constructor are one registry row,
+//!   [`MacroApp::spec`],
+//! * [`skeleton`] — the shared workload framework: one program loop
+//!   that queues a skeleton's steps an iteration at a time, and a real
+//!   message-based barrier,
 //! * [`traffic`] — the open-loop traffic engine: seeded Poisson/MMPP
 //!   arrival processes, uniform/permutation/incast destination
 //!   patterns, and multi-tenant mixes, with per-tenant tail-latency
@@ -30,7 +30,6 @@ pub mod apps;
 pub mod micro;
 pub mod skeleton;
 pub mod synthetic;
-pub mod table4;
 pub mod traffic;
 
 pub use apps::{run_app, AppParams, MacroApp};

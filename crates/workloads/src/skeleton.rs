@@ -1,12 +1,15 @@
 //! The shared workload framework.
 //!
-//! A macrobenchmark skeleton describes *what the program does* as a
-//! sequence of [`Step`]s plus an active-message handler; the generic
-//! [`SkeletonProcess`] adapts it to the simulator's
-//! [`Process`] interface and supplies a **real message-based barrier**
-//! (all-to-root arrival + root broadcast release), so synchronisation
-//! traffic exercises the NI under test exactly like application traffic —
-//! the paper's runs do the same through Tempest.
+//! A macrobenchmark skeleton describes *what one iteration of the
+//! program does* as a list of [`Step`]s plus an active-message handler;
+//! the generic [`SkeletonProcess`] runs the program loop (the iteration
+//! count, the iterations left and the step queue), adapts it to the
+//! simulator's [`Process`] interface and supplies a **real message-based
+//! barrier** (all-to-root arrival + root broadcast release), so
+//! synchronisation traffic exercises the NI under test exactly like
+//! application traffic — the paper's runs do the same through Tempest.
+
+use std::collections::VecDeque;
 
 use nisim_core::process::{Action, AppMessage, HandlerSpec, Process, SendSpec};
 use nisim_engine::codec::{self, Codec, DecodeError, Fields};
@@ -23,7 +26,8 @@ pub const TAG_BARRIER_RELEASE: u32 = BARRIER_TAG_BASE + 1;
 /// header — the small control messages visible in Table 4).
 pub const BARRIER_PAYLOAD: u64 = 4;
 
-/// One step of a skeleton's program.
+/// One step of a skeleton's program. The program ends when the last
+/// iteration's steps have run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Compute for the given duration.
@@ -35,12 +39,9 @@ pub enum Step {
     WaitUntilReady,
     /// Synchronise all nodes with a message barrier.
     Barrier,
-    /// The program is finished.
-    Done,
 }
 
-/// `["compute", ns]`, `["send", spec]`, `["wait"]`, `["barrier"]` or
-/// `["done"]`.
+/// `["compute", ns]`, `["send", spec]`, `["wait"]` or `["barrier"]`.
 impl Codec for Step {
     fn encode(&self) -> Json {
         let tag = |t: &str| Json::from(t);
@@ -49,7 +50,6 @@ impl Codec for Step {
             Step::Send(spec) => vec![tag("send"), spec.encode()],
             Step::WaitUntilReady => vec![tag("wait")],
             Step::Barrier => vec![tag("barrier")],
-            Step::Done => vec![tag("done")],
         })
     }
     fn decode(v: &Json) -> Result<Step, DecodeError> {
@@ -64,7 +64,6 @@ impl Codec for Step {
             (Some("send"), 2) => Step::Send(SendSpec::decode(arg()?).map_err(|e| e.in_index(1))?),
             (Some("wait"), 1) => Step::WaitUntilReady,
             (Some("barrier"), 1) => Step::Barrier,
-            (Some("done"), 1) => Step::Done,
             _ => return Err(DecodeError::new("unknown program step")),
         };
         Ok(step)
@@ -73,9 +72,11 @@ impl Codec for Step {
 
 /// A macrobenchmark communication skeleton for one node.
 pub trait Skeleton {
-    /// The next program step. Called when the previous step completed
-    /// (for [`Step::WaitUntilReady`]: when readiness was reached).
-    fn next_step(&mut self, now: Time) -> Step;
+    /// Queues one iteration's steps onto `steps`. Called when the
+    /// previous iteration's steps have all completed; `left` is the
+    /// number of iterations still to come after this one, so the last
+    /// iteration sees 0.
+    fn iteration(&mut self, left: u32, steps: &mut VecDeque<Step>);
 
     /// Handler for an application (non-barrier) message.
     fn on_app_message(&mut self, msg: &AppMessage, now: Time) -> HandlerSpec;
@@ -95,6 +96,18 @@ pub trait Skeleton {
     fn check_send(&self, spec: &SendSpec) -> Result<(), DecodeError> {
         let _ = spec;
         Ok(())
+    }
+
+    /// Checks a restored queued step: `Ok` only for a step
+    /// [`Skeleton::iteration`] can queue on this node. The default
+    /// rejects every step, as only a snapshotable skeleton needs this.
+    ///
+    /// # Errors
+    ///
+    /// Describes why the skeleton never queues `step`.
+    fn check_step(&self, step: &Step) -> Result<(), DecodeError> {
+        let _ = step;
+        Err(DecodeError::new("a step this workload never queues"))
     }
 
     /// Serialises the skeleton's dynamic state for checkpointing. `None`
@@ -149,12 +162,18 @@ impl Codec for Mode {
     }
 }
 
-/// Adapts a [`Skeleton`] to the simulator's [`Process`] interface and
+/// Runs a [`Skeleton`]'s program loop as a simulator [`Process`] and
 /// implements the message barrier.
 pub struct SkeletonProcess<S> {
     skeleton: S,
     node: NodeId,
     nodes: u32,
+    /// Iterations the whole run has.
+    iterations: u32,
+    /// Iterations not yet queued.
+    iters_left: u32,
+    /// The current iteration's steps not yet run.
+    steps: VecDeque<Step>,
     mode: Mode,
     /// Barrier sends not yet issued (arrive or release messages).
     barrier_sends: Vec<SendSpec>,
@@ -167,23 +186,22 @@ pub struct SkeletonProcess<S> {
 }
 
 impl<S: Skeleton> SkeletonProcess<S> {
-    /// Wraps `skeleton` for `node` of a `nodes`-node machine.
-    pub fn new(skeleton: S, node: NodeId, nodes: u32) -> SkeletonProcess<S> {
+    /// Wraps `skeleton` for `node` of a `nodes`-node machine, to run
+    /// `iterations` iterations.
+    pub fn new(skeleton: S, node: NodeId, nodes: u32, iterations: u32) -> SkeletonProcess<S> {
         SkeletonProcess {
             skeleton,
             node,
             nodes,
+            iterations,
+            iters_left: iterations,
+            steps: VecDeque::new(),
             mode: Mode::Stepping,
             barrier_sends: Vec::new(),
             barrier_arrivals: 0,
             barrier_released: false,
             barrier_handler_cost: Dur::ns(30),
         }
-    }
-
-    /// Access to the wrapped skeleton (for result extraction).
-    pub fn skeleton(&self) -> &S {
-        &self.skeleton
     }
 
     fn is_root(&self) -> bool {
@@ -226,7 +244,7 @@ impl<S: Skeleton> SkeletonProcess<S> {
 }
 
 impl<S: Skeleton> Process for SkeletonProcess<S> {
-    fn next_action(&mut self, now: Time) -> Action {
+    fn next_action(&mut self, _now: Time) -> Action {
         loop {
             match self.mode {
                 Mode::Finished => return Action::Done,
@@ -247,20 +265,18 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
                     }
                     return Action::Wait;
                 }
-                Mode::Stepping => match self.skeleton.next_step(now) {
-                    Step::Compute(d) => return Action::Compute(d),
-                    Step::Send(spec) => return Action::Send(spec),
-                    Step::WaitUntilReady => {
-                        self.mode = Mode::Waiting;
-                        continue;
-                    }
-                    Step::Barrier => {
-                        self.enter_barrier();
-                        continue;
-                    }
-                    Step::Done => {
+                Mode::Stepping => match self.steps.pop_front() {
+                    Some(Step::Compute(d)) => return Action::Compute(d),
+                    Some(Step::Send(spec)) => return Action::Send(spec),
+                    Some(Step::WaitUntilReady) => self.mode = Mode::Waiting,
+                    Some(Step::Barrier) => self.enter_barrier(),
+                    None if self.iters_left == 0 => {
                         self.mode = Mode::Finished;
                         return Action::Done;
+                    }
+                    None => {
+                        self.iters_left -= 1;
+                        self.skeleton.iteration(self.iters_left, &mut self.steps);
                     }
                 },
             }
@@ -313,6 +329,8 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
         Some(
             Json::obj()
                 .set("mode", self.mode.encode())
+                .set("iters_left", self.iters_left.encode())
+                .set("steps", self.steps.encode())
                 .set("barrier_sends", self.barrier_sends.encode())
                 .set("barrier_arrivals", self.barrier_arrivals.encode())
                 .set("barrier_released", self.barrier_released.encode())
@@ -320,16 +338,32 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
         )
     }
 
-    /// Only the root counts arrivals, and it resets the count as soon as
-    /// every node has arrived; queued barrier messages go to other nodes.
+    /// At most the run's iterations are left, and every queued step is
+    /// one the skeleton queues. Only the root counts arrivals, and it
+    /// resets the count as soon as every node has arrived; queued barrier
+    /// messages go to other nodes.
     fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(state)?;
         self.mode = f.get("mode")?;
+        self.iters_left = f.with("iters_left", |j| {
+            let left = u32::decode(j)?;
+            codec::ensure(
+                left <= self.iterations,
+                "more iterations left than the run has",
+            )?;
+            Ok(left)
+        })?;
+        self.steps = f.get("steps")?;
         self.barrier_sends = f.get("barrier_sends")?;
         self.barrier_arrivals = f.get("barrier_arrivals")?;
         self.barrier_released = f.get("barrier_released")?;
         f.with("skeleton", |j| self.skeleton.restore(j))?;
         f.finish()?;
+        for (i, step) in self.steps.iter().enumerate() {
+            self.skeleton
+                .check_step(step)
+                .map_err(|e| e.in_index(i).in_key("steps"))?;
+        }
         let arrivals_ok = if self.is_root() {
             self.barrier_arrivals < self.nodes
         } else {
@@ -352,12 +386,14 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
     }
 }
 
-/// Builds a machine factory from a per-node skeleton constructor.
+/// Builds a machine factory from a per-node skeleton constructor: every
+/// node runs `iterations` iterations.
 pub fn skeleton_factory<S: Skeleton + 'static>(
     nodes: u32,
+    iterations: u32,
     mut make: impl FnMut(NodeId) -> S,
 ) -> impl FnMut(NodeId) -> Box<dyn Process> {
-    move |id| Box::new(SkeletonProcess::new(make(id), id, nodes)) as Box<dyn Process>
+    move |id| Box::new(SkeletonProcess::new(make(id), id, nodes, iterations)) as Box<dyn Process>
 }
 
 #[cfg(test)]
@@ -365,20 +401,14 @@ mod tests {
     use super::*;
     use nisim_core::{Machine, MachineConfig, NiKind};
 
-    /// A skeleton that computes, barriers, computes, and finishes.
-    struct TwoPhases {
-        phase: u32,
-    }
+    /// A one-iteration skeleton that computes, barriers and computes.
+    struct TwoPhases;
 
     impl Skeleton for TwoPhases {
-        fn next_step(&mut self, _now: Time) -> Step {
-            self.phase += 1;
-            match self.phase {
-                1 => Step::Compute(Dur::ns(500)),
-                2 => Step::Barrier,
-                3 => Step::Compute(Dur::ns(100)),
-                _ => Step::Done,
-            }
+        fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+            steps.push_back(Step::Compute(Dur::ns(500)));
+            steps.push_back(Step::Barrier);
+            steps.push_back(Step::Compute(Dur::ns(100)));
         }
 
         fn on_app_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -390,7 +420,7 @@ mod tests {
     fn barrier_synchronises_all_nodes() {
         for nodes in [2u32, 4, 16] {
             let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(nodes);
-            let report = Machine::run(cfg, skeleton_factory(nodes, |_| TwoPhases { phase: 0 }));
+            let report = Machine::run(cfg, skeleton_factory(nodes, 1, |_| TwoPhases));
             assert!(report.all_quiescent, "{nodes} nodes");
             // Barrier traffic: (nodes-1) arrivals + (nodes-1) releases.
             assert_eq!(report.app_messages as u32, 2 * (nodes - 1));
@@ -399,23 +429,17 @@ mod tests {
 
     #[test]
     fn repeated_barriers_stay_in_step() {
-        struct ManyBarriers {
-            left: u32,
-        }
+        struct ManyBarriers;
         impl Skeleton for ManyBarriers {
-            fn next_step(&mut self, _now: Time) -> Step {
-                if self.left == 0 {
-                    return Step::Done;
-                }
-                self.left -= 1;
-                Step::Barrier
+            fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+                steps.push_back(Step::Barrier);
             }
             fn on_app_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
                 HandlerSpec::empty()
             }
         }
         let cfg = MachineConfig::with_ni(NiKind::Cm5).nodes(4);
-        let report = Machine::run(cfg, skeleton_factory(4, |_| ManyBarriers { left: 10 }));
+        let report = Machine::run(cfg, skeleton_factory(4, 10, |_| ManyBarriers));
         assert!(report.all_quiescent);
         assert_eq!(report.app_messages, 10 * 2 * 3);
     }
@@ -423,10 +447,53 @@ mod tests {
     #[test]
     fn barrier_messages_are_small_control_messages() {
         let cfg = MachineConfig::with_ni(NiKind::Cm5).nodes(4);
-        let report = Machine::run(cfg, skeleton_factory(4, |_| TwoPhases { phase: 0 }));
+        let report = Machine::run(cfg, skeleton_factory(4, 1, |_| TwoPhases));
         // All barrier messages are 12 B on the wire (4 B payload + 8 B
         // header), matching the small-message peaks of Table 4.
         assert_eq!(report.msg_sizes.count_of(12), report.app_messages);
+    }
+
+    #[test]
+    fn the_loop_runs_each_iteration_once_and_then_ends() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// Records each `left` it is called with; queues one compute step
+        /// on even counts and nothing on odd ones.
+        struct EvenComputes(Rc<RefCell<Vec<u32>>>);
+        impl Skeleton for EvenComputes {
+            fn iteration(&mut self, left: u32, steps: &mut VecDeque<Step>) {
+                self.0.borrow_mut().push(left);
+                if left.is_multiple_of(2) {
+                    steps.push_back(Step::Compute(Dur::ns(u64::from(left) + 1)));
+                }
+            }
+            fn on_app_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
+                HandlerSpec::empty()
+            }
+        }
+
+        let lefts = Rc::new(RefCell::new(Vec::new()));
+        // One node: its barriers pass at once.
+        let mut p = SkeletonProcess::new(EvenComputes(lefts.clone()), NodeId(0), 1, 5);
+        let mut actions = Vec::new();
+        while !p.is_done() {
+            actions.push(p.next_action(Time::ZERO));
+            assert!(actions.len() <= 5, "the program outlived its iterations");
+        }
+        // Iterations 3 and 1 queue nothing: the loop moves straight on.
+        assert_eq!(*lefts.borrow(), [4, 3, 2, 1, 0]);
+        assert_eq!(
+            actions,
+            [
+                Action::Compute(Dur::ns(5)),
+                Action::Compute(Dur::ns(3)),
+                Action::Compute(Dur::ns(1)),
+                Action::Done,
+            ]
+        );
+        assert_eq!(p.next_action(Time::ZERO), Action::Done);
+        assert_eq!(lefts.borrow().len(), 5, "no iteration after the last");
     }
 
     #[test]
@@ -434,17 +501,10 @@ mod tests {
         use std::cell::Cell;
         use std::rc::Rc;
 
-        struct Producer {
-            sent: bool,
-        }
+        struct Producer;
         impl Skeleton for Producer {
-            fn next_step(&mut self, _now: Time) -> Step {
-                if self.sent {
-                    Step::Done
-                } else {
-                    self.sent = true;
-                    Step::Send(SendSpec::new(NodeId(1), 64, 7))
-                }
+            fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+                steps.push_back(Step::Send(SendSpec::new(NodeId(1), 64, 7)));
             }
             fn on_app_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
                 HandlerSpec::empty()
@@ -454,12 +514,8 @@ mod tests {
             got: Rc<Cell<bool>>,
         }
         impl Skeleton for Consumer {
-            fn next_step(&mut self, _now: Time) -> Step {
-                if self.got.get() {
-                    Step::Done
-                } else {
-                    Step::WaitUntilReady
-                }
+            fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
+                steps.push_back(Step::WaitUntilReady);
             }
             fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
                 assert_eq!(msg.tag, 7);
@@ -477,9 +533,14 @@ mod tests {
         let cfg = MachineConfig::with_ni(NiKind::Ap3000).nodes(2);
         let report = Machine::run(cfg, move |id| -> Box<dyn Process> {
             if id.0 == 0 {
-                Box::new(SkeletonProcess::new(Producer { sent: false }, id, 2))
+                Box::new(SkeletonProcess::new(Producer, id, 2, 1))
             } else {
-                Box::new(SkeletonProcess::new(Consumer { got: got2.clone() }, id, 2))
+                Box::new(SkeletonProcess::new(
+                    Consumer { got: got2.clone() },
+                    id,
+                    2,
+                    1,
+                ))
             }
         });
         assert!(report.all_quiescent);

@@ -10,6 +10,8 @@
 //! cargo run --release -p nisim-examples --bin custom_workload
 //! ```
 
+use std::collections::VecDeque;
+
 use nisim_core::process::{AppMessage, HandlerSpec, SendSpec};
 use nisim_core::{Machine, MachineConfig, NiKind, TimeCategory};
 use nisim_engine::{Dur, SplitMix64, Time};
@@ -18,21 +20,19 @@ use nisim_workloads::skeleton::{skeleton_factory, Skeleton, Step};
 
 const TAG_TASK: u32 = 77;
 
+/// Tasks each node starts with: one per iteration of its program.
+const TASKS: u32 = 200;
+
 struct Diffusion {
     me: NodeId,
     nodes: u32,
-    tasks_left: u32,
     rng: SplitMix64,
 }
 
 impl Skeleton for Diffusion {
-    fn next_step(&mut self, _now: Time) -> Step {
-        if self.tasks_left == 0 {
-            return Step::Done;
-        }
-        self.tasks_left -= 1;
+    fn iteration(&mut self, _left: u32, steps: &mut VecDeque<Step>) {
         // Work on a task, then sometimes push a spawned task to a peer.
-        if self.rng.gen_bool(0.3) {
+        steps.push_back(if self.rng.gen_bool(0.3) {
             let mut dst = self.me;
             while dst == self.me {
                 dst = NodeId(self.rng.gen_range(self.nodes as u64) as u32);
@@ -40,7 +40,7 @@ impl Skeleton for Diffusion {
             Step::Send(SendSpec::new(dst, 32, TAG_TASK))
         } else {
             Step::Compute(Dur::us(2))
-        }
+        });
     }
 
     fn on_app_message(&mut self, msg: &AppMessage, _now: Time) -> HandlerSpec {
@@ -58,10 +58,9 @@ fn main() {
         let seed = cfg.seed;
         let report = Machine::run(
             cfg,
-            skeleton_factory(nodes, move |id| Diffusion {
+            skeleton_factory(nodes, TASKS, move |id| Diffusion {
                 me: id,
                 nodes,
-                tasks_left: 200,
                 rng: SplitMix64::new(seed ^ id.0 as u64),
             }),
         );

@@ -1,7 +1,9 @@
 //! The checkpoint bytes `nisim run --app em3d --nodes 4
 //! --checkpoint-every 500 --checkpoint <path>` leaves on cm5 and
-//! cni32qm, pinned by length and FNV-1a hash, so nothing moves them
-//! unseen. They move on a format change (a key, a field's order, a
+//! cni32qm, and `--app spsolve` leaves on cni32qm, pinned by length and
+//! FNV-1a hash, so nothing moves them unseen. The two apps are the
+//! snapshotable skeletons: em3d keeps no state of its own, spsolve its
+//! DAG operand counts. They move on a format change (a key, a field's order, a
 //! value's shape), which also bumps `SNAPSHOT_VERSION`, and on a change
 //! of behaviour alone (NI timing, a workload, random draws), which keeps
 //! the format and its version. The test cannot tell the two apart: it
@@ -16,19 +18,43 @@ use nisim_engine::SimStatus;
 use nisim_workloads::apps::{factory, MacroApp};
 
 /// The `SNAPSHOT_VERSION` the pins below were taken at.
-const PINNED_VERSION: u64 = 7;
+const PINNED_VERSION: u64 = 8;
 
-/// `(NI, length in bytes, FNV-1a hash)` of each pinned checkpoint, for
-/// the profile this test was built in.
-const PINNED: [(NiKind, usize, u64); 2] = if cfg!(debug_assertions) {
+/// One pinned checkpoint: app, NI, length in bytes and FNV-1a hash.
+type Pin = (MacroApp, NiKind, usize, u64);
+
+/// Every pinned checkpoint, for the profile this test was built in.
+const PINNED: [Pin; 3] = if cfg!(debug_assertions) {
     [
-        (NiKind::Cm5, 10269, 0x8d89_4b59_2286_9c8f),
-        (NiKind::Cni32Qm, 67047, 0x5ff5_548c_f993_e31a),
+        (MacroApp::Em3d, NiKind::Cm5, 10273, 0x1e6c_3c52_570a_842e),
+        (
+            MacroApp::Em3d,
+            NiKind::Cni32Qm,
+            67051,
+            0x716a_452b_d224_2063,
+        ),
+        (
+            MacroApp::Spsolve,
+            NiKind::Cni32Qm,
+            66110,
+            0x76c4_c698_e85b_b265,
+        ),
     ]
 } else {
     [
-        (NiKind::Cm5, 10265, 0x016c_2c7c_b979_9db5),
-        (NiKind::Cni32Qm, 67043, 0x073d_d557_96b7_b036),
+        (MacroApp::Em3d, NiKind::Cm5, 10269, 0x2337_b5e1_ef21_3698),
+        (
+            MacroApp::Em3d,
+            NiKind::Cni32Qm,
+            67047,
+            0x974e_db7f_d43b_209b,
+        ),
+        (
+            MacroApp::Spsolve,
+            NiKind::Cni32Qm,
+            66106,
+            0x8a1d_2bc1_255a_d1b5,
+        ),
     ]
 };
 
@@ -41,10 +67,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The file the CLI's `run` leaves: the run sliced every 500 events,
 /// the snapshot after each full slice written over the last, as compact
 /// JSON and a newline.
-fn last_checkpoint(ni: NiKind) -> String {
+fn last_checkpoint(app: MacroApp, ni: NiKind) -> String {
     let mut cfg = MachineConfig::with_ni(ni);
     cfg.nodes = 4;
-    let app = MacroApp::Em3d;
     let mut m = Machine::new(
         cfg.clone(),
         factory(app, cfg.nodes, cfg.seed, app.default_params()),
@@ -64,12 +89,13 @@ fn last_checkpoint(ni: NiKind) -> String {
     text
 }
 
-#[test]
-fn em3d_checkpoints_keep_their_pinned_bytes() {
-    let found: Vec<(NiKind, usize, u64)> = (PINNED.iter())
-        .map(|&(ni, _, _)| {
-            let text = last_checkpoint(ni);
-            (ni, text.len(), fnv1a(text.as_bytes()))
+/// Compares `app`'s pinned checkpoints with fresh ones.
+fn assert_pinned(app: MacroApp) {
+    let pinned: Vec<Pin> = PINNED.into_iter().filter(|p| p.0 == app).collect();
+    let found: Vec<Pin> = (pinned.iter())
+        .map(|&(app, ni, _, _)| {
+            let text = last_checkpoint(app, ni);
+            (app, ni, text.len(), fnv1a(text.as_bytes()))
         })
         .collect();
     let profile = if cfg!(debug_assertions) {
@@ -77,19 +103,31 @@ fn em3d_checkpoints_keep_their_pinned_bytes() {
     } else {
         "release"
     };
-    let lines = |pins: &[(NiKind, usize, u64)]| -> String {
+    let lines = |pins: &[Pin]| -> String {
         (pins.iter())
-            .map(|(ni, len, hash)| format!("\n    (NiKind::{ni:?}, {len}, {hash:#018x}),"))
+            .map(|(app, ni, len, hash)| {
+                format!("\n    (MacroApp::{app:?}, NiKind::{ni:?}, {len}, {hash:#018x}),")
+            })
             .collect()
     };
     assert!(
-        found == PINNED && SNAPSHOT_VERSION == PINNED_VERSION,
+        found == pinned && SNAPSHOT_VERSION == PINNED_VERSION,
         "the {profile} checkpoints at version {SNAPSHOT_VERSION} differ from the pins of \
          version {PINNED_VERSION}.\n  found:{}\n  pinned:{}\n\
          A change of keys or shape is a format change and bumps SNAPSHOT_VERSION; a change \
          of behaviour alone keeps the format and its version. Either way pin the new lengths \
          and hashes for both profiles, with PINNED_VERSION set to SNAPSHOT_VERSION.",
         lines(&found),
-        lines(&PINNED)
+        lines(&pinned)
     );
+}
+
+#[test]
+fn em3d_checkpoints_keep_their_pinned_bytes() {
+    assert_pinned(MacroApp::Em3d);
+}
+
+#[test]
+fn spsolve_checkpoint_keeps_its_pinned_bytes() {
+    assert_pinned(MacroApp::Spsolve);
 }

@@ -155,11 +155,11 @@ const UNCONSTRAINED: &[(&str, &str)] = &[
         "statistic: which sizes were sent (only the total is pinned)",
     ),
     (
-        "machine.nodes[*].process.skeleton.steps",
+        "machine.nodes[*].process.steps",
         "program state: any order of valid steps is a valid program",
     ),
     (
-        "machine.nodes[*].process.skeleton.iters_left",
+        "machine.nodes[*].process.iters_left",
         "program state: any count up to the run's iterations",
     ),
     (
@@ -562,7 +562,7 @@ fn send_to_self_or_missing_node_is_rejected() {
             .get("machine")
             .and_then(|m| m.get("nodes"))
             .and_then(|n| n.as_arr()?.get(2))
-            .and_then(|n| n.get("process")?.get("skeleton")?.get("steps"))
+            .and_then(|n| n.get("process")?.get("steps"))
         else {
             continue;
         };
@@ -572,14 +572,71 @@ fn send_to_self_or_missing_node_is_rejected() {
         else {
             continue;
         };
-        let dst = segs(&format!(
-            "machine.nodes[2].process.skeleton.steps[{k}][1][0]"
-        ));
+        let dst = segs(&format!("machine.nodes[2].process.steps[{k}][1][0]"));
         assert_rejected(&ck, &forged(&ck, &dst, |_| 2.0), "send to itself");
         assert_rejected(&ck, &forged(&ck, &dst, |_| 9.0), "send to node 9 of 4");
         return;
     }
     panic!("no cut left node 2 with a send step queued");
+}
+
+/// The first cut of `app` on CM-5 at which node `node` has a step
+/// queued that `pick` accepts, with that step's index.
+fn queued_step(app: MacroApp, node: usize, pick: fn(&Json) -> bool) -> (Checkpoint, usize) {
+    for cut in (20..2000).step_by(20) {
+        let ck = point_checkpoint(app, NiKind::Cm5, false, cut);
+        let mut v = json::parse(&ck.text).unwrap();
+        let steps = leaf_mut(
+            &mut v,
+            &segs(&format!("machine.nodes[{node}].process.steps")),
+        );
+        if let Some(k) = steps.as_arr().and_then(|s| s.iter().position(pick)) {
+            return (ck, k);
+        }
+    }
+    panic!("no cut left node {node} of {} with such a step", app.name());
+}
+
+/// Restores the mutant `text` of `ck`, which must fail with exactly
+/// `error`.
+fn assert_malformed(ck: &Checkpoint, text: &str, error: &str) {
+    assert_eq!(
+        resume(&ck.point, text, ck.events).expect_err(error),
+        SnapshotError::Malformed(error.into())
+    );
+}
+
+/// The program loop's restore checks, each at its path: no more
+/// iterations left than the run has, and no step the skeleton never
+/// queues (em3d never waits; spsolve seeds only its next two
+/// partitions).
+#[test]
+fn forged_program_loop_state_is_rejected_at_its_path() {
+    let ck = point_checkpoint(MacroApp::Em3d, NiKind::Cm5, false, 150);
+    let left = segs("machine.nodes[2].process.iters_left");
+    let iterations = f64::from(chaos::params().iterations);
+    let text = String::from_utf8(forged(&ck, &left, |x| x + iterations + 1.0)).unwrap();
+    assert_malformed(
+        &ck,
+        &text,
+        "machine.nodes[2].process.iters_left: more iterations left than the run has",
+    );
+
+    let (ck, k) = queued_step(MacroApp::Em3d, 2, |_| true);
+    let mut v = json::parse(&ck.text).unwrap();
+    let step = format!("machine.nodes[2].process.steps[{k}]");
+    *leaf_mut(&mut v, &segs(&step)) = Json::Arr(vec![Json::from("wait")]);
+    let error = format!("{step}: a step em3d never queues");
+    assert_malformed(&ck, &v.to_compact(), &error);
+
+    // Node 1 seeds nodes 2 and 3; node 0 is neither.
+    let is_send = |s: &Json| s.as_arr().and_then(|a| a[0].as_str()) == Some("send");
+    let (ck, k) = queued_step(MacroApp::Spsolve, 1, is_send);
+    let mut v = json::parse(&ck.text).unwrap();
+    let step = format!("machine.nodes[1].process.steps[{k}]");
+    *leaf_mut(&mut v, &segs(&format!("{step}[1][0]"))) = Json::from(0u64);
+    let error = format!("{step}: a step spsolve never queues");
+    assert_malformed(&ck, &v.to_compact(), &error);
 }
 
 /// Receive buffers held below what queued work will free used to

@@ -128,10 +128,11 @@ fn any_config_perturbation_is_rejected_at_restore() {
     }
 }
 
-/// Version-7 snapshots store cache lines as four columns. A snapshot
-/// stamped with an earlier version (6 wrote one array per line, 5 a
-/// send's fragment list, 4 the bus's queueing summary, 3 every cache
-/// line) must be rejected as a [`SnapshotError::Version`], and a
+/// Version-8 snapshots keep a skeleton's program loop on its process.
+/// A snapshot stamped with an earlier version (7 kept it on the
+/// skeleton, 6 wrote one array per cache line, 5 a send's fragment
+/// list, 4 the bus's queueing summary, 3 every cache line) must be
+/// rejected as a [`SnapshotError::Version`], and a
 /// wire `conn` forged past `u32::MAX`
 /// must be rejected as [`SnapshotError::Malformed`] — never silently
 /// truncated into a valid connection.
@@ -144,7 +145,7 @@ fn stale_version_and_forged_conn_are_rejected() {
     let current = format!("\"version\":{SNAPSHOT_VERSION}");
     let text = snap.to_compact();
     assert!(text.contains(&current));
-    for old in [3, 4, 5, 6] {
+    for old in [3, 4, 5, 6, 7] {
         let stale = json::parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap();
         assert_eq!(
             restore(cfg.clone(), mk(&cfg), &stale).err(),
