@@ -7,8 +7,8 @@ use std::path::Path;
 
 use nisim_core::snapshot::{load_from_file, restore, save_to_file};
 use nisim_core::{
-    Machine, MachineConfig, MachineReport, MachineSim, NiClass, NiKind, TimeCategory, RUN_HORIZON,
-    RUN_MAX_EVENTS,
+    Machine, MachineConfig, MachineReport, MachineSim, NiClass, NiKind, TimeCategory, MAX_NODES,
+    RUN_HORIZON, RUN_MAX_EVENTS,
 };
 use nisim_engine::metrics::MetricsConfig;
 use nisim_engine::{Dur, SimStatus, Time};
@@ -67,11 +67,11 @@ usage:
   nisim list
   nisim rtt   --ni <ni> [--payload <bytes>] [--buffers <n|inf>]
   nisim bw    --ni <ni> [--payload <bytes>] [--buffers <n|inf>]
-  nisim run   --app <app> --ni <ni> [--buffers <n|inf>] [--nodes <n>]
+  nisim run   --app <app> --ni <ni> [--buffers <n|inf>] [--nodes <2..1024>]
               [--topology ideal|ring|mesh] [--seed <n>] [--json <path>]
   nisim sweep --app <app> [--buffers <n|inf>] [--jobs <n>] [--json <path>]
   nisim traffic --ni <ni> [--traffic <shape>] [--load <1..7>]
-              [--tenants <n>] [--buffers <n|inf>] [--nodes <n>]
+              [--tenants <n>] [--buffers <n|inf>] [--nodes <2..1024>]
               [--seed <n>] [--json <path>]
   nisim exp <name> [--jobs <n>] [--json <path>] [--update-goldens]
 
@@ -443,8 +443,8 @@ fn config_from(
         let n: u32 = n
             .parse()
             .ok()
-            .filter(|&n| n >= 2)
-            .ok_or_else(|| err(format!("bad node count {n:?}")))?;
+            .filter(|n| (2..=MAX_NODES).contains(n))
+            .ok_or_else(|| err(format!("bad node count {n:?} (want 2..={MAX_NODES})")))?;
         cfg.nodes = n;
     }
     if let Some(n) = fixed_nodes {
@@ -1350,6 +1350,24 @@ mod tests {
         let first = text.lines().next().expect("trace must be non-empty");
         let ev = nisim_engine::json::parse(first).unwrap();
         assert!(ev.get("ph").is_some() && ev.get("ts").is_some(), "{first}");
+    }
+
+    #[test]
+    fn node_count_is_bounded_before_any_machine_is_built() {
+        let nodes = |n: &str| {
+            let flags = BTreeMap::from([("nodes".to_string(), n.to_string())]);
+            config_from(&flags, NiKind::Cm5, None).map(|cfg| cfg.nodes)
+        };
+        assert_eq!(nodes("1024"), Ok(MAX_NODES));
+        for bad in ["1025", "4294967295", "1"] {
+            assert_eq!(
+                nodes(bad),
+                Err(CliError::Usage(format!(
+                    "bad node count {bad:?} (want 2..={MAX_NODES})"
+                ))),
+            );
+        }
+        assert!(usage().contains(&format!("[--nodes <2..{MAX_NODES}>]")));
     }
 
     #[test]

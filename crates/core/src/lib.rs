@@ -75,7 +75,7 @@ pub use error::{EndpointSnapshot, ProtocolViolation, StallReason, StallReport, V
 pub use event::MachineEvent;
 pub use machine::{
     Machine, MachineReport, MachineSim, NodeSummary, TenantSummary, TraceEvent, TraceKind,
-    RUN_HORIZON, RUN_MAX_EVENTS,
+    MAX_NODES, RUN_HORIZON, RUN_MAX_EVENTS,
 };
 pub use ni::{NiClass, NiKind, NiModel, NiUnit};
 pub use node::{Node, NodeHw};

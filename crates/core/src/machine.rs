@@ -46,6 +46,12 @@ pub const RUN_HORIZON: Time = Time::from_ns(10_000_000_000);
 /// events ends with [`SimStatus::EventBudgetExhausted`].
 pub const RUN_MAX_EVENTS: u64 = 500_000_000;
 
+/// The most nodes a machine built from outside input may have:
+/// [`Machine::new`] builds every node up front, so the CLI refuses a
+/// larger `--nodes` rather than allocate for a garbled count. 1,024 is
+/// the largest scale the roadmap's scale-out direction names.
+pub const MAX_NODES: u32 = 1024;
+
 /// A point in one network fragment's lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceKind {
@@ -373,16 +379,17 @@ impl Machine {
                 sink: cfg.metrics.trace.then(TraceSink::new),
             })
         });
+        // Every node starts as one fresh node's hardware: n - 1 clones,
+        // and the original moved into the last.
+        let hws = vec![NodeHw::fresh(&cfg); cfg.nodes as usize];
         let nodes = (0..cfg.nodes)
-            .map(|i| {
+            .zip(hws)
+            .map(|(i, hw)| {
                 let id = NodeId(i);
-                let mut hw = NodeHw::new(&cfg, cfg.ni);
-                let ni = NiUnit::new(&cfg);
-                ni.model.prewarm(&mut hw);
                 Node {
                     id,
                     hw,
-                    ni,
+                    ni: NiUnit::new(&cfg),
                     proc: ProcState::new(),
                     ledger: TimeLedger::new(Time::ZERO),
                     process: factory(id),

@@ -475,7 +475,9 @@ pub trait NiModel {
     /// Warms the node state as if the NI had already been in use (e.g.
     /// coherent send-queue blocks resident in the processor cache from
     /// earlier laps), so runs measure steady-state behaviour from the
-    /// first message.
+    /// first message. It must depend on the configuration alone:
+    /// [`NodeHw::fresh`] calls it once per machine, and every node
+    /// starts as a copy of the result.
     fn prewarm(&self, hw: &mut NodeHw) {
         let _ = hw;
     }

@@ -32,7 +32,7 @@ pub enum BlockSource {
 }
 
 /// One node's shared hardware resources.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct NodeHw {
     /// The snooping memory bus.
     pub bus: Bus,
@@ -79,6 +79,18 @@ impl NodeHw {
             c2c_latency: cfg.cache_to_cache_latency,
             cpu_period: cfg.cpu_period,
         }
+    }
+
+    /// The hardware every node of `cfg`'s machine starts with:
+    /// [`NodeHw::new`] for `cfg.ni`, warmed by that NI's
+    /// [`NiModel::prewarm`](crate::ni::NiModel::prewarm), which depends
+    /// on the configuration alone. `Machine::new` clones it into every
+    /// node, and checkpoints store each node's cache as the lines that
+    /// differ from it ([`NodeHw::snapshot`]).
+    pub fn fresh(cfg: &MachineConfig) -> NodeHw {
+        let mut hw = NodeHw::new(cfg, cfg.ni);
+        (cfg.ni.spec().build)(cfg).prewarm(&mut hw);
+        hw
     }
 
     /// Duration of `cycles` CPU cycles.
@@ -212,8 +224,37 @@ impl NodeHw {
     }
 }
 
-impl State for NodeHw {
-    nisim_engine::state_fields! { { bus, cache, main_mem, ni_mem, egress, ingress } }
+/// Checkpoint state: the cache is stored against a base.
+impl NodeHw {
+    /// The node's hardware state, its cache as the lines that differ from
+    /// `base`'s: the [`NodeHw::fresh`] hardware of the machine's
+    /// configuration, which a restore writes over.
+    pub(crate) fn snapshot(&self, base: &NodeHw) -> Json {
+        Json::obj()
+            .set("bus", self.bus.snapshot())
+            .set("cache", self.cache.snapshot(&base.cache))
+            .set("main_mem", self.main_mem.snapshot())
+            .set("ni_mem", self.ni_mem.snapshot())
+            .set("egress", self.egress.snapshot())
+            .set("ingress", self.ingress.snapshot())
+    }
+
+    /// Restores [`NodeHw::snapshot`] state into the base it was taken
+    /// against.
+    ///
+    /// # Errors
+    ///
+    /// Returns the path and reason of the first invalid value.
+    pub(crate) fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+        let mut f = Fields::of(v)?;
+        f.with("bus", |j| self.bus.restore(j))?;
+        f.with("cache", |j| self.cache.restore(j))?;
+        f.with("main_mem", |j| self.main_mem.restore(j))?;
+        f.with("ni_mem", |j| self.ni_mem.restore(j))?;
+        f.with("egress", |j| self.egress.restore(j))?;
+        f.with("ingress", |j| self.ingress.restore(j))?;
+        f.finish()
+    }
 }
 
 /// One node of the simulated machine.
@@ -274,13 +315,15 @@ impl Node {
 
     /// The node's checkpoint state, with its process's state (taken by
     /// the caller, which reports an unsnapshotable workload) under
-    /// `process`. Assembly entries are stored as `[src, transfer, count]`.
-    pub(crate) fn snapshot(&self, process: Json) -> Json {
+    /// `process` and its hardware stored against `base`, the machine's
+    /// [`NodeHw::fresh`] hardware. Assembly entries are stored as
+    /// `[src, transfer, count]`.
+    pub(crate) fn snapshot(&self, process: Json, base: &NodeHw) -> Json {
         let assembling: Vec<(u32, u64, u32)> = (self.assembling.iter())
             .map(|(&(src, transfer), &count)| (src, transfer, count))
             .collect();
         Json::obj()
-            .set("hw", self.hw.snapshot())
+            .set("hw", self.hw.snapshot(base))
             .set("ni", self.ni.snapshot())
             .set("proc", self.proc.encode())
             .set("ledger", self.ledger.encode())
@@ -290,10 +333,12 @@ impl Node {
             .set("assembling", assembling.encode())
     }
 
-    /// Restores [`Node::snapshot`] state. Every first send of a fragment
-    /// mints exactly one message id, so the node's fragments-sent count
-    /// equals its message allocator; ids held locally lie below their
-    /// allocators (the cross-struct pass in `snapshot.rs` checks the rest).
+    /// Restores [`Node::snapshot`] state into a node built by
+    /// `Machine::new`, whose hardware is the base. Every first send of a
+    /// fragment mints exactly one message id, so the node's fragments-sent
+    /// count equals its message allocator; ids held locally lie below
+    /// their allocators (the cross-struct pass in `snapshot.rs` checks
+    /// the rest).
     pub(crate) fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(v)?;
         f.with("hw", |j| self.hw.restore(j))?;

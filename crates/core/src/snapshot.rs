@@ -35,7 +35,7 @@ use crate::config::MachineConfig;
 use crate::event::MachineEvent;
 use crate::machine::{Machine, MachineMetrics, MachineSim};
 use crate::ni::{util, WireMsg};
-use crate::node::ID_NODE_SHIFT;
+use crate::node::{NodeHw, ID_NODE_SHIFT};
 use crate::process::{Process, SendSpec};
 use crate::processor::ProcPhase;
 
@@ -65,7 +65,13 @@ use crate::processor::ProcPhase;
 /// Version 8: a skeleton's iteration count and step queue live on
 /// `SkeletonProcess` (`"iters_left"` and `"steps"` of the process), not
 /// on the skeleton.
-pub const SNAPSHOT_VERSION: u64 = 8;
+///
+/// Version 9: each node's cache stores only the lines that differ from
+/// the machine's fresh node ([`NodeHw::fresh`]: the NI's prewarmed
+/// lines included), and a restore writes them over the fresh nodes
+/// `Machine::new` builds. A stored line equal to the fresh node's is
+/// refused.
+pub const SNAPSHOT_VERSION: u64 = 9;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -190,13 +196,16 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
     // fallible per-node work below can bail out.
     sim.restore_entries(sim_state.events);
 
+    // Every node started as this hardware, and `restore`'s fresh
+    // machine holds it again: caches store only the lines that differ.
+    let base = NodeHw::fresh(&machine.cfg);
     let mut nodes = Vec::with_capacity(machine.nodes.len());
     for n in &machine.nodes {
         let process = n
             .process
             .snapshot()
             .ok_or(SnapshotError::UnsupportedWorkload { node: n.id.0 })?;
-        nodes.push(n.snapshot(process));
+        nodes.push(n.snapshot(process, &base));
     }
     let g = &machine.g;
     let mut mach = Json::obj()
@@ -740,6 +749,7 @@ mod tests {
     use super::*;
     use crate::machine::{MachineReport, RUN_HORIZON, RUN_MAX_EVENTS};
     use crate::ni::NiKind;
+    use crate::node::NodeHw;
     use crate::process::{Action, AppMessage, HandlerSpec};
     use nisim_engine::SimStatus;
     use nisim_net::BufferCount;
@@ -1041,6 +1051,129 @@ mod tests {
         let rb = resumed_report.breakdown.as_ref().expect("breakdown");
         assert_eq!(gb.encode().to_compact(), rb.encode().to_compact());
         assert_eq!(report_key(&resumed_report), report_key(&golden_report));
+    }
+
+    /// `v` with the value at the dotted `path` (object keys, or array
+    /// indices) replaced by `value`.
+    fn forge(v: &mut Json, path: &str, value: Json) {
+        let leaf = path.split('.').fold(v, |at, seg| match at {
+            Json::Obj(pairs) => {
+                let pair = pairs.iter_mut().find(|(k, _)| k.as_str() == seg);
+                &mut pair.expect("key present").1
+            }
+            Json::Arr(items) => &mut items[seg.parse::<usize>().expect("an index")],
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) => {
+                panic!("{seg}: not an object or array")
+            }
+        });
+        *leaf = value;
+    }
+
+    /// Node `i`'s stored cache lines in `snap`.
+    fn cache_lines(snap: &Json, i: usize) -> &Json {
+        (snap.get("machine").and_then(|m| m.get("nodes")))
+            .and_then(|n| n.as_arr()?.get(i)?.get("hw")?.get("cache")?.get("lines"))
+            .expect("a node's cache lines")
+    }
+
+    #[test]
+    fn fresh_machine_checkpoint_stores_no_cache_lines() {
+        let mut prewarmed = 0;
+        for ni in NiKind::ALL {
+            let cfg = MachineConfig::with_ni(ni).nodes(4);
+            let mut m = Machine::new(cfg.clone(), snap_factory(2, 64));
+            prewarmed += usize::from(m.nodes[0].hw.cache.valid_lines() > 0);
+            let mut sim = MachineSim::new();
+            m.start(&mut sim);
+            let snap = save(&m, &mut sim).expect("snapshot");
+            for i in 0..4 {
+                assert_eq!(
+                    cache_lines(&snap, i).to_compact(),
+                    r#"{"slot":[],"tag":[],"state":[],"lru":[]}"#,
+                    "{} node {i}",
+                    ni.key()
+                );
+            }
+            restore(cfg, snap_factory(2, 64), &snap).expect("restore");
+        }
+        // StarT-JR, CNI_512Q, CNI_32Qm and its throttled variant,
+        // rdma-qp, urma and sgdma warm their send queues into the cache.
+        assert_eq!(prewarmed, 7);
+    }
+
+    #[test]
+    fn clock_below_a_kept_prewarm_stamp_is_refused() {
+        let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(2);
+        let mut m = Machine::new(cfg.clone(), snap_factory(2, 64));
+        // Prewarming inserted each line once: the last stamp is the clock.
+        let prewarmed = m.nodes[1].hw.cache.valid_lines() as u64;
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        let mut snap = save(&m, &mut sim).expect("snapshot");
+        let clock = "machine.nodes.1.hw.cache.clock";
+        forge(&mut snap, clock, Json::from(prewarmed));
+        restore(cfg.clone(), snap_factory(2, 64), &snap).expect("the saved clock restores");
+        forge(&mut snap, clock, Json::from(prewarmed - 1));
+        assert_eq!(
+            restore(cfg, snap_factory(2, 64), &snap).err(),
+            Some(SnapshotError::Malformed(
+                "machine.nodes[1].hw.cache: LRU stamps or lookups ahead of the clock".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn stored_line_equal_to_the_fresh_nodes_is_refused() {
+        let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(2);
+        let mut m = Machine::new(cfg.clone(), snap_factory(2, 64));
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        m.run_slice(&mut sim, RUN_HORIZON, 40);
+        let mut snap = save(&m, &mut sim).expect("snapshot");
+        let column = |lines: &Json, key: &str| -> Vec<Json> {
+            lines
+                .get(key)
+                .and_then(Json::as_arr)
+                .expect("column")
+                .to_vec()
+        };
+        // The fresh node's lines, as a standalone cache stores them.
+        let fresh = NodeHw::fresh(&cfg)
+            .cache
+            .snapshot(&nisim_mem::Cache::new(cfg.cache));
+        let base = fresh.get("lines").expect("lines");
+        let base_slots = column(base, "slot");
+        // A prewarmed line node 0's run changed: store the fresh node's
+        // value for it instead.
+        let (k, j) = (column(cache_lines(&snap, 0), "slot").iter().enumerate())
+            .find_map(|(k, slot)| Some((k, base_slots.iter().position(|b| b == slot)?)))
+            .expect("the run changed a prewarmed line");
+        for key in ["tag", "state", "lru"] {
+            let path = format!("machine.nodes.0.hw.cache.lines.{key}.{k}");
+            forge(&mut snap, &path, column(base, key)[j].clone());
+        }
+        assert_eq!(
+            restore(cfg, snap_factory(2, 64), &snap).err(),
+            Some(SnapshotError::Malformed(format!(
+                "machine.nodes[0].hw.cache.lines.slot[{k}]: line equals the base's line in \
+                 this slot"
+            )))
+        );
+    }
+
+    #[test]
+    fn machine_nodes_are_clones_of_one_fresh_node() {
+        // Each node as Machine::new built it before: its own hardware,
+        // warmed by its own NI.
+        for ni in NiKind::ALL {
+            let cfg = MachineConfig::with_ni(ni).nodes(3);
+            let m = Machine::new(cfg.clone(), snap_factory(2, 64));
+            for n in &m.nodes {
+                let mut hw = NodeHw::new(&cfg, ni);
+                crate::ni::NiUnit::new(&cfg).model.prewarm(&mut hw);
+                assert_eq!(format!("{:?}", n.hw), format!("{hw:?}"), "{}", ni.key());
+            }
+        }
     }
 
     #[test]

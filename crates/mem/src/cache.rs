@@ -10,7 +10,7 @@
 //! data values, the timing model only needs to know where the freshest copy
 //! of each block lives.
 
-use nisim_engine::codec::{array, ensure, Codec, DecodeError, Fields, State};
+use nisim_engine::codec::{array, ensure, Codec, DecodeError, Fields};
 use nisim_engine::metrics::{Component, ComponentCycles};
 use nisim_engine::{Dur, Json};
 
@@ -159,9 +159,20 @@ impl Lines {
             .flat_map(|(base, p)| p.iter().enumerate().map(move |(k, l)| (base + k, l)))
     }
 
-    /// Drops every page: all lines read as [`EMPTY`] again.
-    fn clear(&mut self) {
-        self.pages.fill(None);
+    /// Every slot whose line differs from the same slot of `base`, a
+    /// table of the same shape, with its line, in slot order. Pages
+    /// neither table wrote are skipped whole.
+    fn changed<'a>(&'a self, base: &'a Lines) -> impl Iterator<Item = (usize, &'a Line)> {
+        let page_len = self.ways << self.shift;
+        let line = |page: Option<&'a [Line]>, k: usize| page.map_or(&EMPTY, |p| &p[k]);
+        (self.pages.iter().zip(&base.pages).enumerate()).flat_map(move |(i, (page, old))| {
+            let (page, old) = (page.as_deref(), old.as_deref());
+            let len = page.or(old).map_or(0, <[Line]>::len);
+            (0..len).filter_map(move |k| {
+                let l = line(page, k);
+                (*l != *line(old, k)).then_some((i * page_len + k, l))
+            })
+        })
     }
 }
 
@@ -420,24 +431,40 @@ impl Cache {
     }
 }
 
-/// The dynamic state — the slot count, every slot that differs from an
-/// empty line in ascending slot order (the public [`Cache::iter`] loses
-/// LRU order), the LRU clock, the stats, the visit bitmap and, when
-/// enabled, the stall metrics. Geometry comes from the config and is not
-/// included. The stored lines are four columns of one length, `"lines":
-/// {"slot": [..], "tag": [..], "state": [..], "lru": [..]}`, so a
-/// snapshot holds four arrays per cache, not one per line.
-///
-/// Invalid lines that kept a stale tag or lru are written too: lookups
-/// ignore them, but storing them makes save → restore → save a
-/// byte-for-byte fixed point.
-impl State for Cache {
-    fn snapshot(&self) -> Json {
-        let stored = || (self.lines.written()).filter(|(_, l)| **l != EMPTY);
-        let n = stored().count();
+/// Checkpoint state. A cache is stored against a base: the cache of
+/// the same configuration that the restoring side holds before it
+/// restores. A node's base is the fresh hardware every node of its
+/// machine starts as (`NodeHw::fresh` in nisim-core), so a checkpoint
+/// holds only the lines its run changed; a standalone cache's base is an
+/// empty cache of its configuration.
+impl Cache {
+    /// The dynamic state against `base` — the slot count, every slot
+    /// whose line differs from `base`'s in ascending slot order (the
+    /// public [`Cache::iter`] loses LRU order), the LRU clock, the stats,
+    /// the visit bitmap and, when enabled, the stall metrics. Geometry
+    /// comes from the config and is not included. The stored lines are
+    /// four columns of one length, `"lines": {"slot": [..], "tag": [..],
+    /// "state": [..], "lru": [..]}`, so a snapshot holds four arrays per
+    /// cache, not one per line.
+    ///
+    /// A base line the run invalidated, re-stamped or changed the state
+    /// of is stored, and so is an invalid line that kept a stale tag or
+    /// lru: lookups ignore it, but storing it makes save → restore → save
+    /// a byte-for-byte fixed point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` has another configuration.
+    pub fn snapshot(&self, base: &Cache) -> Json {
+        assert_eq!(
+            self.cfg, base.cfg,
+            "a cache snapshots against its own config"
+        );
+        let changed = || self.lines.changed(&base.lines);
+        let n = changed().count();
         let mut columns: [Vec<Json>; 4] = std::array::from_fn(|_| Vec::with_capacity(n));
         let [slots, tags, states, lrus] = &mut columns;
-        for (slot, l) in stored() {
+        for (slot, l) in changed() {
             slots.push(slot.encode());
             tags.push(l.tag.encode());
             states.push(l.state.encode());
@@ -467,12 +494,25 @@ impl State for Cache {
         v
     }
 
+    /// Restores [`Cache::snapshot`] state into this cache, which must be
+    /// the base the snapshot was taken against: each stored line is
+    /// written over the base's line in its slot, and every other line
+    /// keeps the base's value.
+    ///
     /// Every stored line was placed by [`Cache::insert`], so its tag is a
-    /// block base that maps to the line's set, and its LRU stamp is a
-    /// past value of the clock. The four columns have one length, slots
-    /// come in strictly ascending order, and the metrics key must be
-    /// present exactly when the restoring cache has metrics enabled.
-    fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
+    /// block base that maps to the line's set, and it differs from the
+    /// base's line in its slot, so every cache state has one encoding.
+    /// Every line the cache then holds, stored or kept, has an LRU stamp
+    /// that is a past value of the clock and a state the visit bitmap
+    /// records. The four columns have one length, slots come in strictly
+    /// ascending order, and the metrics key must be present exactly when
+    /// the restoring cache has metrics enabled.
+    ///
+    /// # Errors
+    ///
+    /// Returns the path and reason of the first invalid value; the cache
+    /// is then unspecified and must be discarded.
+    pub fn restore(&mut self, v: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(v)?;
         let slots: usize = f.get("slots")?;
         if slots != self.lines.len {
@@ -481,9 +521,7 @@ impl State for Cache {
                 "{slots} slots, this cache has {has}"
             )));
         }
-        self.lines.clear();
         let ways = self.lines.ways;
-        let (mut max_lru, mut seen) = (0, 1u8 << MoesiState::Invalid.index());
         f.with("lines", |j| {
             let mut columns = Fields::of(j)?;
             let slots = columns.with("slot", array)?;
@@ -504,8 +542,11 @@ impl State for Cache {
                 let tag = self.check_tag(slot, tag).map_err(at("tag"))?;
                 let state = MoesiState::decode(state).map_err(at("state"))?;
                 let lru = u64::decode(lru).map_err(at("lru"))?;
-                self.lines.set_mut(slot / ways)[slot % ways] = Line { tag, state, lru };
-                (next, max_lru, seen) = (slot + 1, max_lru.max(lru), seen | 1 << state.index());
+                let stored = Line { tag, state, lru };
+                let line = &mut self.lines.set_mut(slot / ways)[slot % ways];
+                ensure(*line != stored, "line equals the base's line in this slot")
+                    .map_err(at("slot"))?;
+                (*line, next) = (stored, slot + 1);
             }
             Ok(())
         })?;
@@ -519,6 +560,11 @@ impl State for Cache {
             m.cycles = f.get("metrics")?;
         }
         f.finish()?;
+        // Every line held now: the stored ones and those kept from the base.
+        let (max_lru, seen) = (self.lines.written()).fold(
+            (0, 1u8 << MoesiState::Invalid.index()),
+            |(lru, seen), (_, l)| (lru.max(l.lru), seen | 1 << l.state.index()),
+        );
         let lookups = self.stats.hits.checked_add(self.stats.misses);
         ensure(
             max_lru <= self.clock && lookups.is_some_and(|n| n <= self.clock),
@@ -533,9 +579,7 @@ impl State for Cache {
             "visit bitmap disagrees with the stored lines",
         )
     }
-}
 
-impl Cache {
     /// Decodes one stored slot: in range and after the previous one.
     fn check_slot(&self, next: usize, slot: &Json) -> Result<usize, DecodeError> {
         let slot = usize::decode(slot)?;
@@ -575,6 +619,11 @@ mod tests {
         c.geometry().block_of(Addr::new(addr))
     }
 
+    /// `c`'s snapshot as a standalone cache: against an empty base.
+    fn standalone(c: &Cache) -> Json {
+        c.snapshot(&Cache::new(c.config()))
+    }
+
     #[test]
     fn stall_charges_require_enablement() {
         let mut c = small();
@@ -598,7 +647,7 @@ mod tests {
         c.insert(b0, MoesiState::Modified);
         c.insert(b1, MoesiState::Shared);
         c.lookup(b0); // b1 becomes LRU
-        let snap = c.snapshot();
+        let snap = standalone(&c);
 
         let mut fresh = Cache::new(CacheConfig::fully_associative(2, 64));
         fresh.restore(&snap).unwrap();
@@ -643,41 +692,93 @@ mod tests {
 
     #[test]
     fn sparse_snapshot_round_trips_stale_invalid_lines() {
-        let mut c = small();
-        let (b0, b1) = (block(&c, 0x40), block(&c, 0xC0));
-        c.insert(b0, MoesiState::Modified);
-        c.insert(b1, MoesiState::Shared);
-        c.lookup(b0);
-        c.invalidate(b1); // slot 3 keeps its tag and lru while Invalid
-        let snap = c.snapshot();
-        let invalid = MoesiState::Invalid.index() as u64;
-        let modified = MoesiState::Modified.index() as u64;
-        assert_eq!(snap.get("slots").and_then(Json::as_u64), Some(4));
+        // 8 sets x 1 way; the base holds slots 1-4.
+        let cfg = CacheConfig {
+            size_bytes: 512,
+            block_bytes: 64,
+            ways: 1,
+        };
+        let mut base = Cache::new(cfg);
+        let b = |slot: u64| block(&base, slot * 0x40);
+        let (b1, b2, b3, b4, b5) = (b(1), b(2), b(3), b(4), b(5));
+        base.insert(b1, MoesiState::Exclusive);
+        base.insert(b2, MoesiState::Shared);
+        base.insert(b3, MoesiState::Owned);
+        base.insert(b4, MoesiState::Owned);
+        let mut c = base.clone();
+        c.lookup(b1); // slot 1 re-stamped
+        c.set_state(b2, MoesiState::Modified); // slot 2 changes state
+        c.invalidate(b3); // slot 3 keeps its tag and lru while Invalid
+        c.insert(b5, MoesiState::Shared); // slot 5, which the base never wrote
+        let snap = c.snapshot(&base);
+        let state = |s: MoesiState| s.index() as u64;
+        let (ex, md, inv, sh) = (
+            state(MoesiState::Exclusive),
+            state(MoesiState::Modified),
+            state(MoesiState::Invalid),
+            state(MoesiState::Shared),
+        );
+        assert_eq!(snap.get("slots").and_then(Json::as_u64), Some(8));
+        // Slot 4 is the base's line, so it is not stored.
         assert_eq!(
             snap.get("lines").unwrap().to_compact(),
-            columns(&[1, 3], &[0x40, 0xC0], &[modified, invalid], &[3, 2]).to_compact()
+            columns(
+                &[1, 2, 3, 5],
+                &[0x40, 0x80, 0xC0, 0x140],
+                &[ex, md, inv, sh],
+                &[5, 2, 3, 6]
+            )
+            .to_compact()
         );
 
+        // Restored over the base, the cache is the one saved.
         let text = snap.to_compact();
-        let mut fresh = small();
+        let mut fresh = base.clone();
         fresh
             .restore(&nisim_engine::json::parse(&text).unwrap())
             .unwrap();
-        assert_eq!(fresh.snapshot().to_compact(), text, "save-restore-save");
-        assert_eq!(fresh.state_of(b0), MoesiState::Modified);
-        assert!(!fresh.contains(b1));
-        assert_eq!(fresh.valid_lines(), 1);
-
-        // Restore overwrites: lines absent from the snapshot come back empty.
-        let mut dirty = small();
-        dirty.insert(block(&dirty, 0x80), MoesiState::Exclusive);
-        dirty.restore(&snap).unwrap();
-        assert_eq!(dirty.snapshot().to_compact(), text);
-
-        // An empty cache stores four empty columns.
         assert_eq!(
-            small().snapshot().get("lines").unwrap().to_compact(),
-            r#"{"slot":[],"tag":[],"state":[],"lru":[]}"#
+            fresh.snapshot(&base).to_compact(),
+            text,
+            "save-restore-save"
+        );
+        assert_eq!(standalone(&fresh).to_compact(), standalone(&c).to_compact());
+        assert_eq!(fresh.state_of(b2), MoesiState::Modified);
+        assert_eq!(fresh.state_of(b4), MoesiState::Owned, "kept from the base");
+        assert!(!fresh.contains(b3));
+        assert_eq!(fresh.valid_lines(), 4);
+
+        // Every state has one encoding: a stored line equal to the
+        // base's is refused, here the base's own lines stored against an
+        // empty cache and restored over the base.
+        assert_eq!(
+            base.clone()
+                .restore(&standalone(&base))
+                .map_err(|e| e.to_string()),
+            Err("lines.slot[0]: line equals the base's line in this slot".into())
+        );
+        // The clock must pass the stamps of the lines kept from the base
+        // too: slot 4 was stamped at 4, and no stored line is above 1.
+        let mut early = base.clone();
+        early.lookup(b1);
+        let early = with_field(&early.snapshot(&base), "lines", columns(&[], &[], &[], &[]));
+        assert_eq!(
+            base.clone()
+                .restore(&with_field(&early, "clock", Json::from(3u64)))
+                .map_err(|e| e.to_string()),
+            Err("LRU stamps or lookups ahead of the clock".into())
+        );
+
+        // A cache equal to its base, like an empty one, stores four
+        // empty columns.
+        let none = r#"{"slot":[],"tag":[],"state":[],"lru":[]}"#;
+        assert_eq!(
+            base.snapshot(&base).get("lines").unwrap().to_compact(),
+            none
+        );
+        assert_eq!(
+            standalone(&small()).get("lines").unwrap().to_compact(),
+            none
         );
     }
 
@@ -685,8 +786,9 @@ mod tests {
     fn sparse_restore_rejects_malformed_lines() {
         let mut c = small();
         c.insert(block(&c, 0x40), MoesiState::Exclusive);
-        let snap = c.snapshot();
+        let snap = standalone(&c);
         let ex = MoesiState::Exclusive.index() as u64;
+        let invalid = MoesiState::Invalid.index() as u64;
         let lines = |v: Json| with_field(&snap, "lines", v);
         let without = |v: &Json, key: &str| {
             let Json::Obj(pairs) = v else {
@@ -742,6 +844,12 @@ mod tests {
                 one(1, 0x40, ex, 99),
                 "LRU stamps or lookups ahead of the clock",
             ),
+            // The empty base's line in slot 0.
+            (
+                "line equal to the base's",
+                one(0, 0, invalid, 0),
+                "lines.slot[0]: line equals the base's line in this slot",
+            ),
             // The column form of a short and a long `[slot, tag, state,
             // lru]` entry: a column missing, and a fifth column.
             (
@@ -776,21 +884,35 @@ mod tests {
             block_bytes: 64,
             ways: 4,
         };
-        let fill = |sets: &[u64]| {
-            let mut c = Cache::new(cfg);
+        let fill = |c: &mut Cache, sets: &[u64], lap: u64| {
             for (k, &set) in sets.iter().enumerate() {
-                let b = block(&c, (set + 64 * k as u64) * 64);
+                let b = block(c, (set + 64 * (k as u64 + lap)) * 64);
                 c.insert(b, MoesiState::Modified);
                 c.lookup(b);
             }
-            c
         };
-        let (a, mut b) = (fill(&[0, 1, 40]), fill(&[17, 33, 63, 63]));
-        let snap = a.snapshot();
+        // The base writes pages 0 and 2; the run adds lines to pages 1,
+        // 2 and 3 and leaves the base's lines alone.
+        let mut base = Cache::new(cfg);
+        fill(&mut base, &[0, 1, 40], 0);
+        let mut a = base.clone();
+        fill(&mut a, &[17, 33, 63, 63], 4);
+        let snap = a.snapshot(&base);
+        let stored = snap.get("lines").and_then(|l| l.get("slot"));
+        assert_eq!(stored.and_then(Json::as_arr).map(<[Json]>::len), Some(4));
+
+        let mut b = base.clone();
         b.restore(&snap).unwrap();
-        assert_eq!(b.snapshot().to_compact(), snap.to_compact());
-        assert_eq!(b.valid_lines(), 3);
-        // Pages 1 and 3 were never written in `a`: every lookup misses.
+        assert_eq!(b.snapshot(&base).to_compact(), snap.to_compact());
+        assert_eq!(b.valid_lines(), 7);
+        // The base's lines were kept, the run's restored, and the sets
+        // nobody wrote miss.
+        fn resident(sets: &[u64], lap: u64) -> impl Iterator<Item = u64> + '_ {
+            (sets.iter().enumerate()).map(move |(k, &set)| (set + 64 * (k as u64 + lap)) * 64)
+        }
+        for addr in resident(&[0, 1, 40], 0).chain(resident(&[17, 33, 63, 63], 4)) {
+            assert_eq!(b.lookup(block(&b, addr)), MoesiState::Modified, "{addr:#x}");
+        }
         for set in (16..32).chain(48..64) {
             assert_eq!(
                 b.lookup(block(&b, set * 64)),
@@ -798,7 +920,13 @@ mod tests {
                 "set {set}"
             );
         }
-        assert_eq!(b.lookup(block(&b, (40 + 128) * 64)), MoesiState::Modified);
+
+        // Restored over a cache that is not its base, the snapshot keeps
+        // that cache's other lines instead: the base is part of the
+        // contract.
+        let mut other = Cache::new(cfg);
+        other.restore(&snap).unwrap();
+        assert_eq!(other.valid_lines(), 4);
     }
 
     #[test]
@@ -815,7 +943,7 @@ mod tests {
             c.lookup(block(&c, 0)); // block 1 becomes LRU
             let ev = c.insert(block(&c, n * 64), MoesiState::Shared).unwrap();
             assert_eq!(ev.block, block(&c, 64), "{ways} ways");
-            let snap = c.snapshot();
+            let snap = standalone(&c);
             let slots: Vec<u64> = (snap.get("lines").and_then(|l| l.get("slot")))
                 .and_then(Json::as_arr)
                 .unwrap()
@@ -828,7 +956,7 @@ mod tests {
 
     #[test]
     fn empty_paper_cache_snapshot_is_compact() {
-        let text = Cache::new(CacheConfig::default()).snapshot().to_compact();
+        let text = standalone(&Cache::new(CacheConfig::default())).to_compact();
         assert!(text.len() < 256, "{} bytes: {text}", text.len());
     }
 

@@ -36,11 +36,21 @@ pub struct Em3d {
 impl Em3d {
     pub(super) fn new(node: NodeId, nodes: u32, seed: u64, params: AppParams) -> Em3d {
         // Fixed random bipartite-ish neighbour set: nodes alternate
-        // between the two graph halves by parity.
+        // between the two graph halves by parity. From 4 nodes up only
+        // the other half is eligible, so drawing stops once it has them
+        // all (below 10 nodes that half has fewer than DEGREE nodes).
         let mut rng = SplitMix64::new(seed ^ (0xE3_D0 + node.0 as u64));
+        let eligible = if nodes < 4 {
+            nodes - 1
+        } else if node.0.is_multiple_of(2) {
+            nodes / 2
+        } else {
+            nodes.div_ceil(2)
+        };
+        let want = DEGREE.min(eligible as usize);
         let mut neighbors = Vec::new();
         let mut guard = 0;
-        while neighbors.len() < DEGREE.min(nodes as usize - 1) && guard < 1000 {
+        while neighbors.len() < want && guard < 1000 {
             guard += 1;
             let cand = NodeId(rng.gen_range(nodes as u64) as u32);
             let other_half = cand.0 % 2 != node.0 % 2;
@@ -148,6 +158,44 @@ mod tests {
             rl.elapsed
         );
         assert!(rt.retries > 0, "bursts should trigger returns");
+    }
+
+    /// The constructor's loop before it stopped at the eligible count:
+    /// it drew until the 1,000-draw guard whenever fewer than
+    /// `DEGREE.min(nodes - 1)` nodes were eligible.
+    fn drawn_to_the_guard(node: NodeId, nodes: u32, seed: u64) -> Vec<NodeId> {
+        let mut rng = SplitMix64::new(seed ^ (0xE3_D0 + node.0 as u64));
+        let mut neighbors = Vec::new();
+        let mut guard = 0;
+        while neighbors.len() < DEGREE.min(nodes as usize - 1) && guard < 1000 {
+            guard += 1;
+            let cand = NodeId(rng.gen_range(nodes as u64) as u32);
+            let other_half = cand.0 % 2 != node.0 % 2;
+            if cand != node && (other_half || nodes < 4) && !neighbors.contains(&cand) {
+                neighbors.push(cand);
+            }
+        }
+        if neighbors.is_empty() {
+            neighbors.push(NodeId((node.0 + 1) % nodes));
+        }
+        neighbors
+    }
+
+    #[test]
+    fn stopping_at_the_eligible_count_keeps_every_neighbour_set() {
+        let params = MacroApp::Em3d.default_params();
+        for nodes in 2..=20u32 {
+            for seed in [0, 1, 42, 0x5eed, u64::MAX] {
+                for node in (0..nodes).map(NodeId) {
+                    assert_eq!(
+                        Em3d::new(node, nodes, seed, params).neighbors,
+                        drawn_to_the_guard(node, nodes, seed),
+                        "node {} of {nodes}, seed {seed}",
+                        node.0
+                    );
+                }
+            }
+        }
     }
 
     #[test]

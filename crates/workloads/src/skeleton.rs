@@ -339,8 +339,9 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
     }
 
     /// At most the run's iterations are left, and every queued step is
-    /// one the skeleton queues. Only the root counts arrivals, and it
-    /// resets the count as soon as every node has arrived; queued barrier
+    /// one the skeleton queues. A finished program has no step, iteration
+    /// or barrier send left. Only the root counts arrivals, and it resets
+    /// the count as soon as every node has arrived; queued barrier
     /// messages go to other nodes.
     fn restore(&mut self, state: &Json) -> Result<(), DecodeError> {
         let mut f = Fields::of(state)?;
@@ -359,6 +360,13 @@ impl<S: Skeleton> Process for SkeletonProcess<S> {
         self.barrier_released = f.get("barrier_released")?;
         f.with("skeleton", |j| self.skeleton.restore(j))?;
         f.finish()?;
+        // The loop finishes only on an empty queue with no iteration
+        // left, and barrier sends are issued before a barrier is passed.
+        let idle = self.steps.is_empty() && self.iters_left == 0 && self.barrier_sends.is_empty();
+        codec::ensure(
+            self.mode != Mode::Finished || idle,
+            "finished with steps, iterations or barrier sends left",
+        )?;
         for (i, step) in self.steps.iter().enumerate() {
             self.skeleton
                 .check_step(step)

@@ -12,13 +12,13 @@
 //! Debug and release builds pin different bytes, because the cache's
 //! visit bitmap is kept in debug builds only.
 
-use nisim_core::snapshot::{save, SNAPSHOT_VERSION};
-use nisim_core::{Machine, MachineConfig, MachineSim, NiKind, RUN_HORIZON, RUN_MAX_EVENTS};
-use nisim_engine::SimStatus;
-use nisim_workloads::apps::{factory, MacroApp};
+use nisim_core::snapshot::SNAPSHOT_VERSION;
+use nisim_core::NiKind;
+use nisim_integration::cli_checkpoint;
+use nisim_workloads::apps::MacroApp;
 
 /// The `SNAPSHOT_VERSION` the pins below were taken at.
-const PINNED_VERSION: u64 = 8;
+const PINNED_VERSION: u64 = 9;
 
 /// One pinned checkpoint: app, NI, length in bytes and FNV-1a hash.
 type Pin = (MacroApp, NiKind, usize, u64);
@@ -26,34 +26,34 @@ type Pin = (MacroApp, NiKind, usize, u64);
 /// Every pinned checkpoint, for the profile this test was built in.
 const PINNED: [Pin; 3] = if cfg!(debug_assertions) {
     [
-        (MacroApp::Em3d, NiKind::Cm5, 10273, 0x1e6c_3c52_570a_842e),
+        (MacroApp::Em3d, NiKind::Cm5, 10273, 0xbe6b_7c30_e521_6487),
         (
             MacroApp::Em3d,
             NiKind::Cni32Qm,
-            67051,
-            0x716a_452b_d224_2063,
+            45951,
+            0x7dbf_92bb_91db_3dd9,
         ),
         (
             MacroApp::Spsolve,
             NiKind::Cni32Qm,
-            66110,
-            0x76c4_c698_e85b_b265,
+            63230,
+            0x3fae_f869_63dd_0af6,
         ),
     ]
 } else {
     [
-        (MacroApp::Em3d, NiKind::Cm5, 10269, 0x2337_b5e1_ef21_3698),
+        (MacroApp::Em3d, NiKind::Cm5, 10269, 0x1d06_7198_bb2d_a5e5),
         (
             MacroApp::Em3d,
             NiKind::Cni32Qm,
-            67047,
-            0x974e_db7f_d43b_209b,
+            45947,
+            0x4ec4_9474_828d_5531,
         ),
         (
             MacroApp::Spsolve,
             NiKind::Cni32Qm,
-            66106,
-            0x8a1d_2bc1_255a_d1b5,
+            63226,
+            0x7727_cf18_299d_820a,
         ),
     ]
 };
@@ -64,37 +64,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The file the CLI's `run` leaves: the run sliced every 500 events,
-/// the snapshot after each full slice written over the last, as compact
-/// JSON and a newline.
-fn last_checkpoint(app: MacroApp, ni: NiKind) -> String {
-    let mut cfg = MachineConfig::with_ni(ni);
-    cfg.nodes = 4;
-    let mut m = Machine::new(
-        cfg.clone(),
-        factory(app, cfg.nodes, cfg.seed, app.default_params()),
-    );
-    let mut sim = MachineSim::new();
-    m.start(&mut sim);
-    let mut last = None;
-    loop {
-        let status = m.run_slice(&mut sim, RUN_HORIZON, 500);
-        if status != SimStatus::EventBudgetExhausted || sim.events_fired() >= RUN_MAX_EVENTS {
-            break;
-        }
-        last = Some(save(&m, &mut sim).expect("snapshot"));
-    }
-    let mut text = last.expect("the run outlasts one slice").to_compact();
-    text.push('\n');
-    text
-}
-
 /// Compares `app`'s pinned checkpoints with fresh ones.
 fn assert_pinned(app: MacroApp) {
     let pinned: Vec<Pin> = PINNED.into_iter().filter(|p| p.0 == app).collect();
     let found: Vec<Pin> = (pinned.iter())
         .map(|&(app, ni, _, _)| {
-            let text = last_checkpoint(app, ni);
+            let text = cli_checkpoint(app, ni);
             (app, ni, text.len(), fnv1a(text.as_bytes()))
         })
         .collect();

@@ -14,9 +14,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nisim_bench::chaos::{self, ChaosPoint};
 use nisim_core::snapshot::{restore, save, SnapshotError};
-use nisim_core::{Machine, MachineSim, NiKind};
+use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
 use nisim_engine::{json, Json, SimStatus, Time};
-use nisim_integration::Lcg;
+use nisim_integration::{cli_checkpoint, Lcg};
 use nisim_workloads::apps::{factory, MacroApp};
 
 /// Fields no restore check can pin, each with the reason. A survivor
@@ -637,6 +637,39 @@ fn forged_program_loop_state_is_rejected_at_its_path() {
     *leaf_mut(&mut v, &segs(&format!("{step}[1][0]"))) = Json::from(0u64);
     let error = format!("{step}: a step spsolve never queues");
     assert_malformed(&ck, &v.to_compact(), &error);
+}
+
+/// A program marked finished while work is left used to restore and
+/// resume without that work. In the CLI's em3d/CNI_32Q_m
+/// `--checkpoint-every 500` checkpoint node 3 is stepping with steps
+/// queued; setting its mode to `"finished"` must be refused.
+#[test]
+fn finished_program_with_work_left_is_rejected() {
+    let (app, ni) = (MacroApp::Em3d, NiKind::Cni32Qm);
+    let mut cfg = MachineConfig::with_ni(ni);
+    cfg.nodes = 4;
+    let text = cli_checkpoint(app, ni);
+    let restored = |v: &Json| {
+        let mk = factory(app, cfg.nodes, cfg.seed, app.default_params());
+        restore(cfg.clone(), mk, v).map(|_| ())
+    };
+    let mut v = json::parse(&text).unwrap();
+    assert_eq!(restored(&v), Ok(()), "the clean checkpoint restores");
+    let process = leaf_mut(&mut v, &segs("machine.nodes[3].process"));
+    assert_eq!(process.get("mode").and_then(Json::as_str), Some("stepping"));
+    let steps = process.get("steps").and_then(Json::as_arr);
+    assert!(
+        steps.is_some_and(|s| !s.is_empty()),
+        "node 3 has steps queued"
+    );
+    *leaf_mut(&mut v, &segs("machine.nodes[3].process.mode")) = Json::from("finished");
+    assert_eq!(
+        restored(&v),
+        Err(SnapshotError::Malformed(
+            "machine.nodes[3].process: finished with steps, iterations or barrier sends left"
+                .into()
+        ))
+    );
 }
 
 /// Receive buffers held below what queued work will free used to

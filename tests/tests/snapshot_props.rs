@@ -145,7 +145,7 @@ fn stale_version_and_forged_conn_are_rejected() {
     let current = format!("\"version\":{SNAPSHOT_VERSION}");
     let text = snap.to_compact();
     assert!(text.contains(&current));
-    for old in [3, 4, 5, 6, 7] {
+    for old in [3, 4, 5, 6, 7, 8] {
         let stale = json::parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap();
         assert_eq!(
             restore(cfg.clone(), mk(&cfg), &stale).err(),
