@@ -165,7 +165,7 @@ impl<T: Codec> Codec for Option<T> {
 }
 
 /// Checkpoint state restored in place, into a value already built from
-/// the configuration (a cache keeps its geometry, a bus its timing).
+/// the configuration (a bus keeps its timing, an NI model its layout).
 /// Every [`Codec`] value is trivially one: it is replaced whole.
 pub trait State {
     /// Serialises the state.
